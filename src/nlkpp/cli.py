@@ -368,7 +368,6 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        np.random.seed(args.seed % (2 ** 32))
         _DISPATCH[args.command](args, cfg, out)
     except (ConfigError, KernelError, DomainError, ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 A kernel is a normalized nonnegative measure K on the real line.  Atoms
 realize Dirac kernels (pure delay/advance interactions); the density part
-covers integrable kernels truncated to a finite window.  All moment and
-convolution formulas reduce to exact atom sums plus trapezoid quadrature.
+covers integrable kernels truncated to a finite window.  Moments reduce to
+exact atom sums plus trapezoid quadrature; K * phi is one grid operator,
+`convolve` with a `stencil` built once per grid, in the orientations
+phi(t - s) (the stencil) and u(x + s) (`Stencil.reversed`).
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import oaconvolve
 
 
 class KernelError(ValueError):
@@ -18,7 +21,7 @@ class KernelError(ValueError):
 
 
 class CoverageError(ValueError):
-    """A convolution needed profile values outside the covered range."""
+    """A profile was needed outside what its values and tails cover."""
 
 
 @dataclass(frozen=True)
@@ -180,25 +183,72 @@ def exp_moment(k: Kernel, rate: float, side: str = "both") -> float:
     return total
 
 
-def convolve(k: Kernel, profile, t) -> float | np.ndarray:
-    """(K * phi)(t) = integral of K(y) phi(t - y) dy.
+@dataclass(frozen=True)
+class Stencil:
+    """K lumped onto the offsets lo..hi of a grid of step h: `convolve`
+    computes (K * phi)_i = sum_k weights[k - lo] phi_{i-k}."""
 
-    `profile` must provide vectorized evaluation with asymptotic extension
-    (see profiles.Profile.__call__); atoms are evaluated by the profile's
-    cubic interpolant, the density by trapezoid quadrature.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    for s, m in k.atoms:
-        if m > 0:
-            out = out + m * profile(t - s)
+    h: float
+    lo: int
+    weights: np.ndarray
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.weights.size - 1
+
+    def reversed(self) -> Stencil:
+        """The mirrored kernel K(-s), i.e. the u(x + s) orientation."""
+        return Stencil(self.h, -self.hi, self.weights[::-1].copy())
+
+
+def stencil(k: Kernel, h: float) -> Stencil:
+    """Lump K onto a grid of step h in the phi(t - s) orientation: mass at
+    s/h = j + f goes to offsets j and j + 1 with weights 1 - f and f (linear
+    interpolation of phi), so the stencil is nonnegative.  Offsets within
+    1e-9 of an integer are snapped to it."""
+    locs = np.array([s for s, _ in k.atoms], dtype=float)
+    masses = np.array([m for _, m in k.atoms], dtype=float)
     if k.density is not None:
-        g = k.density.grid
-        w = k.density.weights * k.density.values
-        for y, wy in zip(g, w):
-            if wy != 0.0:
-                out = out + wy * profile(t - y)
-    return out if out.shape else float(out)
+        locs = np.append(locs, k.density.grid)
+        masses = np.append(masses, k.density.weights * k.density.values)
+    pos, masses = locs[masses > 0] / h, masses[masses > 0]
+    if pos.size == 0:
+        raise KernelError("kernel has zero mass")
+    near = np.rint(pos)
+    pos = np.where(np.abs(pos - near) < 1e-9, near, pos)
+    j = np.floor(pos)
+    idx = (j - j.min()).astype(int)
+    w = np.zeros(idx.max() + 2)
+    np.add.at(w, idx, masses * (1.0 - (pos - j)))
+    np.add.at(w, idx + 1, masses * (pos - j))
+    (nz,) = np.nonzero(w)
+    return Stencil(float(h), int(j.min()) + int(nz[0]), w[nz[0]:nz[-1] + 1])
+
+
+def convolve(st: Stencil, vals, left: float = 0.0, right: float = None,
+             left_rate: float = None) -> np.ndarray:
+    """(K * phi) on the grid of `vals`, for the stencil `st` of K.
+
+    Beyond the grid phi has explicit tails: on the left
+    left + (vals[0] - left) e^{left_rate (t - t0)}, or the constant `left`
+    without a rate; on the right the constant `right` (default vals[-1]).
+    """
+    vals = np.asarray(vals, dtype=float)
+    n_left, n_right = max(st.hi, 0), max(-st.lo, 0)
+    if left_rate is None:
+        left_tail = np.full(n_left, float(left))
+    else:
+        p = np.arange(-n_left, 0)
+        left_tail = left + (vals[0] - left) * np.exp(left_rate * st.h * p)
+    right_tail = np.full(n_right, vals[-1] if right is None else float(right))
+    window = np.concatenate((left_tail, vals, right_tail))
+    # direct convolution was the faster one for up to ~128 taps on grids of
+    # 1e4-5e4 points and ~1000 taps on 1e3 points (2-core x86-64 VM, numpy
+    # 2.4, scipy 1.17)
+    taps = st.weights.size
+    direct = taps <= 128 or taps * vals.size <= 1e6
+    out = (np.convolve if direct else oaconvolve)(window, st.weights, "valid")
+    return out[n_left - st.hi:][:vals.size]
 
 
 # -- constructors ----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Explicit midpoint time stepping with second-order central diffusion on a
 uniform mesh; Neumann (zero-flux) ghost cells at both ends; the nonlocal
-term is evaluated by shifting the grid solution with edge extension by the
-boundary values.  Used to cross-validate front speeds and wave shapes.
+term is the kernels' grid operator in the u(x + s) orientation, with edge
+extension by the boundary values.  Used to cross-validate front speeds and
+wave shapes.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import Kernel, dirac
+from .kernels import Kernel, Stencil, convolve, dirac, stencil
 
 
 class StepSizeError(ValueError):
@@ -35,6 +36,11 @@ class SimState:
     kernel: Kernel
     times: list = field(default_factory=list)
     fronts: list = field(default_factory=list)
+    stencil: Stencil | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not _is_local(self.kernel):
+            self.stencil = stencil(self.kernel, self.dx).reversed()
 
     @property
     def dx(self) -> float:
@@ -66,9 +72,11 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
     return SimState(x=x, u=u, t=0.0, kernel=kernel)
 
 
-def convolve_grid(kernel: Kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Nonlocal interaction (K*u)(x_i) = sum_atoms m u(x_i + s) + density
-    quadrature, with u extended by its boundary values outside [x_0, x_n].
+def convolve_grid(kernel: Kernel, x: np.ndarray, u: np.ndarray,
+                  st: Stencil | None = None) -> np.ndarray:
+    """Nonlocal interaction (K*u)(x_i) = integral of u(x_i + s) dK(s), with u
+    extended by its boundary values outside [x_0, x_n]; `st` is the reversed
+    stencil a SimState builds once.
 
     The + sign matches the wave ansatz u(t, x) = phi(ct - x) used with the
     default datum (u = 1 on the left): a delayed kernel atom (s > 0) samples
@@ -77,17 +85,9 @@ def convolve_grid(kernel: Kernel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     if _is_local(kernel):
         return u.copy()
-    out = np.zeros_like(u)
-    for s, m in kernel.atoms:
-        if m > 0:
-            out += m * np.interp(x + s, x, u, left=u[0], right=u[-1])
-    if kernel.density is not None:
-        g = kernel.density.grid
-        w = kernel.density.weights * kernel.density.values
-        for s, wi in zip(g, w):
-            if wi > 0:
-                out += wi * np.interp(x + s, x, u, left=u[0], right=u[-1])
-    return out
+    if st is None:
+        st = stencil(kernel, float(x[1] - x[0])).reversed()
+    return convolve(st, u, u[0], u[-1])
 
 
 def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
@@ -98,8 +98,9 @@ def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
     return lap / (dx * dx)
 
 
-def _rhs(kernel: Kernel, x: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
-    return _laplacian(u, dx) + u * (1.0 - convolve_grid(kernel, x, u))
+def _rhs(state: SimState, u: np.ndarray) -> np.ndarray:
+    conv = convolve_grid(state.kernel, state.x, u, state.stencil)
+    return _laplacian(u, state.dx) + u * (1.0 - conv)
 
 
 def step(state: SimState, dt: float) -> SimState:
@@ -114,14 +115,14 @@ def step(state: SimState, dt: float) -> SimState:
     if dt > 0.4 * dx * dx + 1e-15:
         raise StepSizeError(
             f"diffusion stability violated: dt = {dt} > 0.4 dx^2 = {0.4 * dx * dx}")
-    r = 1.0 - convolve_grid(state.kernel, state.x, state.u)
+    r = 1.0 - convolve_grid(state.kernel, state.x, state.u, state.stencil)
     rmax = float(np.max(np.abs(r)))
     if rmax > 0 and dt > 0.5 / rmax + 1e-15:
         raise StepSizeError(
             f"positivity violated: dt = {dt} > 0.5/max|1 - K*u| = {0.5 / rmax}")
     f0 = _laplacian(state.u, dx) + state.u * r
     u_half = state.u + 0.5 * dt * f0
-    state.u = state.u + dt * _rhs(state.kernel, state.x, u_half, dx)
+    state.u = state.u + dt * _rhs(state, u_half)
     state.t += dt
     return state
 

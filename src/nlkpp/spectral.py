@@ -169,7 +169,7 @@ def _dedupe(roots, radius=1e-6):
     return kept
 
 
-def _locate_in_rectangle(f, df, re_lo, re_hi, im_hi, count, seeds=None):
+def _locate_in_rectangle(f, df, re_lo, re_hi, im_hi, seeds=None):
     """Newton from a seed lattice, keeping distinct roots inside the rectangle."""
     roots = []
     if seeds is None:
@@ -190,8 +190,6 @@ def _locate_in_rectangle(f, df, re_lo, re_hi, im_hi, count, seeds=None):
         roots.append(z)
         if z.imag != 0.0:
             roots.append(z.conjugate())
-        if len(_dedupe(roots)) >= count:
-            pass
     roots = _dedupe(roots)
     roots.sort(key=lambda z: (-z.real, z.imag))
     return roots
@@ -230,7 +228,7 @@ def chi1_roots(tau: float) -> RootReport:
 
     seeds = [complex(0.6, 0.0), complex(0.2, 1.0), complex(0.1, 1.0),
              complex(0.4, 0.9)]
-    roots = _locate_in_rectangle(f, df, shift, 2.0, im_hi, count, seeds=seeds)
+    roots = _locate_in_rectangle(f, df, shift, 2.0, im_hi, seeds=seeds)
     roots = [z for z in roots if z.real >= shift - 1e-12]
     residuals = tuple(abs(f(z)) for z in roots)
     return RootReport(
@@ -296,7 +294,7 @@ def eps_advanced_roots(tau: float, eps: float, strip_lo: float = 0.0) -> RootRep
         residuals=tuple(abs(f(z)) for z in roots),
         count=cnt if ok else len(roots),
         parameters={"tau": tau, "eps": eps, "strip_lo": strip_lo},
-        converged=(not ok) or cnt == len(roots),
+        converged=ok and cnt == len(roots),
     )
 
 

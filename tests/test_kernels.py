@@ -71,22 +71,31 @@ def test_exp_moment_overflow_is_inf():
 
 def test_convolve_constant_profile():
     k = ker.normalize(ker.Kernel(atoms=((-1.0, 0.3), (2.0, 0.7))))
-    prof = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    assert ker.convolve(k, prof, 0.0) == pytest.approx(1.0)
+    conv = ker.convolve(ker.stencil(k, 0.1), np.ones(50), 1.0, 1.0)
+    assert np.max(np.abs(conv - 1.0)) < 1e-14
 
 
 def test_convolve_shifts_atom():
-    k = ker.dirac(1.0)
-    prof = lambda t: np.asarray(t, dtype=float) ** 2
+    h = 0.1
+    t = h * np.arange(60)
+    st = ker.stencil(ker.dirac(1.0), h)
+    assert (st.lo, st.weights.tolist()) == (10, [1.0])
+    conv = ker.convolve(st, t ** 2)
     # (K * phi)(t) = phi(t - 1)
-    assert ker.convolve(k, prof, 3.0) == pytest.approx(4.0)
+    assert conv[30] == pytest.approx(4.0, abs=1e-12)
+    assert np.max(np.abs(conv[10:] - (t[10:] - 1.0) ** 2)) < 1e-12
 
 
 def test_convolve_density_linear_profile():
     k = ker.uniform_density(-1.0, 1.0, n=801)
-    prof = lambda t: 2.0 * np.asarray(t, dtype=float) + 1.0
-    # linear profiles pass through symmetric kernels unchanged
-    assert ker.convolve(k, prof, 0.5) == pytest.approx(2.0, abs=1e-6)
+    h = 0.01
+    t = -2.0 + h * np.arange(501)
+    conv = ker.convolve(ker.stencil(k, h), 2.0 * t + 1.0)
+    # linear profiles pass through symmetric kernels unchanged, including
+    # at fractional node offsets, where the stencil interpolates linearly
+    inner = (t > -1.0) & (t < 2.0)
+    assert np.max(np.abs(conv[inner] - (2.0 * t[inner] + 1.0))) < 1e-12
+    assert conv[250] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_from_config_roundtrip():

@@ -230,6 +230,27 @@ def test_solve_front_speed_ladder_at_two():
     assert prof.values.max() == pytest.approx(1.0, abs=1e-4)
 
 
+def _mixed_kernel():
+    k, _ = ker.from_config({
+        "atoms": [{"s": 1.0, "mass": 0.3}],
+        "density": {"lo": -4, "hi": 4, "n": 201, "kind": "gaussian",
+                    "params": {"sigma": 0.5}}})
+    return k
+
+
+@pytest.mark.parametrize("c, iterations", [(2.956, None), (3.0, 351)])
+def test_solve_front_plateau_limit_scales_with_dt(c, iterations):
+    # at dt = 0.02 the Picard update plateaus near 2.5e-3 dt^2 = 1e-6, just
+    # above a fixed 1e-6 limit at c = 2.956
+    ctx = pf.WaveContext(c, _mixed_kernel())
+    d = pf.solve_front(ctx, dt=0.02).diagnostics
+    assert d["monotone"]
+    assert d["last_diff"] < 0.01 * 0.02 ** 2
+    assert d["residual_sup"] < 1e-4
+    if iterations is not None:
+        assert d["iterations"] == iterations
+
+
 # -- residual and norms ----------------------------------------------------
 
 def test_residual_detects_defect():

@@ -129,6 +129,22 @@ def test_eps_advanced_roots_satisfy_equation():
     assert rep.converged
 
 
+@pytest.mark.parametrize("tau", [4.95, 5.05])
+def test_eps_advanced_census_converged(tau):
+    assert sp.eps_advanced_roots(tau, 1e-2).converged
+
+
+def test_eps_advanced_failed_contour_is_not_converged(monkeypatch):
+    real = sp._winding_number
+
+    def unconverged(*args, **kwargs):
+        cnt, _, minmod = real(*args, **kwargs)
+        return cnt, False, minmod
+
+    monkeypatch.setattr(sp, "_winding_number", unconverged)
+    assert not sp.eps_advanced_roots(5.0, 1e-2).converged
+
+
 def test_eps_advanced_strip_filter():
     tau = 3 * math.pi / 2 + 0.1
     full = sp.eps_advanced_roots(tau, 1e-3, strip_lo=0.0)
