@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 configuration error, 2 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import platform
@@ -119,6 +118,10 @@ def cmd_roots(args, cfg, out: Path) -> None:
     if not report:
         raise ConfigError("roots needs --c and/or --tau")
     write_json(out / "roots.json", report)
+    if args.tau is not None and not rr.converged:
+        raise NoConvergence(
+            f"root census not converged: count {rr.count}, "
+            f"{len(rr.roots)} roots located")
 
 
 def cmd_classify(args, cfg, out: Path) -> None:
@@ -149,12 +152,12 @@ def cmd_front(args, cfg, out: Path) -> None:
     ctx = profiles.WaveContext(args.c, k, beta=cfg.get("beta"))
     prof = profiles.solve_front(ctx, tol=cfg.get("tol", 1e-9),
                                 dt=cfg.get("dt", 0.0025))
-    res = profiles.residual(prof, args.c, k)
     vals = prof.values
     write_csv(out / "front.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
     write_json(out / "front.json", {
-        "c": args.c, "beta": ctx.beta, "residual": res,
+        "c": args.c, "beta": ctx.beta,
+        "residual": prof.diagnostics["residual_sup"],
         "phi_max": float(vals.max()), "phi_min": float(vals.min()),
         "monotone": bool(np.all(np.diff(vals) > -1e-10)),
         "alpha_plus": alpha_plus(k, args.c),
@@ -241,33 +244,17 @@ def cmd_simulate(args, cfg, out: Path) -> None:
         "n_records": len(state.times)})
 
 
-def _atlas_cell(cell):
-    i, j, ap, am = cell
-    label = regimes.intensity_case(ap, am)
-    if ap > 0 and ap + am <= 0.5:
-        bound = regimes.estm_bound(ap, am)
-    else:
-        bound = float("nan")
-    return (i, j, ap, am, label, bound)
-
-
 def cmd_atlas(args, cfg, out: Path) -> None:
     ap_lo, ap_hi = args.aplus_range
     am_lo, am_hi = args.aminus_range
     if ap_lo < 0 or am_lo < 0 or ap_hi < ap_lo or am_hi < am_lo:
         raise ConfigError("atlas ranges must be nonnegative and increasing")
-    aps = np.linspace(ap_lo, ap_hi, args.n)
-    ams = np.linspace(am_lo, am_hi, args.n)
-    cells = [(i, j, float(ap), float(am))
-             for i, ap in enumerate(aps) for j, am in enumerate(ams)]
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.threads) as ex:
-            results = list(ex.map(_atlas_cell, cells))
-    else:
-        results = [_atlas_cell(c) for c in cells]
-    results.sort(key=lambda r: (r[0], r[1]))
-    rows = [(ap, am, label, bound)
-            for _, _, ap, am, label, bound in results]
+    rows = []
+    for ap in np.linspace(ap_lo, ap_hi, args.n).tolist():
+        for am in np.linspace(am_lo, am_hi, args.n).tolist():
+            bound = (regimes.estm_bound(ap, am) if ap > 0 and ap + am <= 0.5
+                     else float("nan"))
+            rows.append((ap, am, regimes.intensity_case(ap, am), bound))
     write_csv(out / "atlas.csv",
               ["alpha_plus", "alpha_minus", "case", "oscillation_bound"],
               rows)
@@ -279,6 +266,14 @@ def cmd_atlas(args, cfg, out: Path) -> None:
 
 # -- argument parsing and dispatch -----------------------------------------
 
+def _finite(text: str) -> float:
+    """argparse type for float options: rejects nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nlkpp",
@@ -287,63 +282,62 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--out", default=".", help="artifact directory")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[common],
                        help="characteristic roots and censuses")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--c", type=_finite, default=None)
+    p.add_argument("--tau", type=_finite, default=None)
+    p.add_argument("--eps", type=_finite, default=0.0)
 
     p = sub.add_parser("classify", parents=[common],
                        help="regime report for a speed and kernel")
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_finite, required=True)
 
     p = sub.add_parser("region", parents=[common],
                        help="(p,P) oscillation-band feasible set")
-    p.add_argument("--aplus", type=float, required=True)
-    p.add_argument("--aminus", type=float, required=True)
-    p.add_argument("--P-cap", dest="P_cap", type=float, default=5.0)
+    p.add_argument("--aplus", type=_finite, required=True)
+    p.add_argument("--aminus", type=_finite, required=True)
+    p.add_argument("--P-cap", dest="P_cap", type=_finite, default=5.0)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=400)
 
     p = sub.add_parser("front", parents=[common],
                        help="wave profile by monotone iteration")
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_finite, required=True)
 
     sub.add_parser("toy", parents=[common],
                    help="piecewise-explicit example profiles and constants")
 
     p = sub.add_parser("periodic", parents=[common],
                        help="periodic orbit of the associated delay equation")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--tau", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, default=0.0)
 
     p = sub.add_parser("connect", parents=[common],
                        help="connecting orbits by continuation")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--tau", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, default=0.0)
     p.add_argument("--kind", default="het", help="het | p2p")
 
     p = sub.add_parser("semiwave", parents=[common],
                        help="semi-wavefront profile from the delay equation")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--tau", type=_finite, required=True)
+    p.add_argument("--c", type=_finite, required=True)
     p.add_argument("--proper", action="store_true",
                    help="periodic-tail (proper) semi-wavefront")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="direct PDE simulation")
-    p.add_argument("--T", type=float, default=40.0)
-    p.add_argument("--snap", type=float, default=0.0,
+    p.add_argument("--T", type=_finite, default=40.0)
+    p.add_argument("--snap", type=_finite, default=0.0,
                    help="snapshot interval (0 disables)")
 
     p = sub.add_parser("atlas", parents=[common],
                        help="intensity-plane case sweep")
-    p.add_argument("--aplus-range", dest="aplus_range", type=float, nargs=2,
+    p.add_argument("--aplus-range", dest="aplus_range", type=_finite, nargs=2,
                    default=(0.0, 0.6))
-    p.add_argument("--aminus-range", dest="aminus_range", type=float, nargs=2,
+    p.add_argument("--aminus-range", dest="aminus_range", type=_finite, nargs=2,
                    default=(0.0, 0.6))
     p.add_argument("--n", type=int, default=25)
     return ap

@@ -4,7 +4,10 @@ Covers the scaled profile equation eps*y'' + y' = y(t-tau)(1-y(t)) and its
 eps = 0 limit: method-of-steps integration, periodic orbits (Fourier
 collocation Newton with unknown period), Floquet spectra of the linearized
 period map, the normalized periodic adjoint, and eps-continued connecting
-orbits (zero-to-one and periodic-to-point) with asymptotic-rate fits.
+orbits (zero-to-one and periodic-to-point) with asymptotic-rate fits.  The
+zero-to-one connection is one collocation system for eps = 0 and eps > 0:
+the lag is a fixed sparse operator on the unknowns, so residual and Newton
+Jacobian come from the same difference, average and lag matrices.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.sparse import lil_matrix, csc_matrix
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .spectral import DomainError, NoConvergence
@@ -367,113 +370,76 @@ class ConnectionRun:
     decay_fits: list = field(default_factory=list)
 
 
-def _solve_zero_to_one(tau, eps, n_per_delay=50, warm=None):
+def _zero_to_one_system(tau, eps, n_per_delay=50, warm=None):
     """Collocation BVP for the zero-to-one connection: trapezoid boxes on a
     uniform mesh whose step divides the delay, left tail projected on the
-    growth direction with free scale kappa, phase y(0) = 1/2."""
+    growth direction with free scale kappa, phase y(0) = 1/2.
+
+    The unknowns are x = (y, kappa) for eps = 0 and x = (y, w = y', kappa)
+    for eps > 0.  The lag y(t - tau) = lag @ x is linear in x, so residual
+    and Jacobian are both built from the same fixed sparse operators.
+    Returns the mesh, the growth rate, the starting point (the warm profile
+    interpolated, else the logistic at the growth rate) and the residual and
+    Jacobian maps."""
     z1 = growth_rate(tau, eps)
     h = tau / n_per_delay
     half = math.ceil(max(20.0 * tau, 12.0 / z1) / h)
     n = 2 * half + 1
     tg = h * (np.arange(n) - half)
-    i0 = half
     m = n_per_delay
+    nch = 1 if eps == 0 else 2
+    nvar = nch * n + 1
+    ik = nvar - 1
     tail_w = np.exp(z1 * (tg[:m] - tau - tg[0]))
 
-    if eps == 0:
-        nvar = n + 1
-        ik = n
+    lag = sparse.csr_matrix(
+        (np.concatenate([tail_w, np.ones(n - m)]),
+         (np.arange(n), np.concatenate([np.full(m, ik), np.arange(n - m)]))),
+        shape=(n, nvar))
+    pick = sparse.identity(nvar, format="csr")
+    p_y, p_w = pick[:n], pick[n:2 * n]
+    dif = sparse.block_diag(
+        [sparse.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n))] * nch)
+    avg = sparse.block_diag(
+        [sparse.diags([0.5, 0.5], [0, 1], shape=(n - 1, n))] * nch)
+    dif_s = dif @ pick[:nch * n]
+    # y(-T) = kappa, w(-T) = z1 kappa (eps > 0), y(0) = 1/2
+    bc_rows = [pick[0] - pick[ik]]
+    if eps > 0:
+        bc_rows.append(pick[n] - z1 * pick[ik])
+    bc = sparse.vstack(bc_rows + [pick[half]])
+    bc_rhs = np.zeros(bc.shape[0])
+    bc_rhs[-1] = 0.5
 
-        def lagged(x):
-            out = np.empty(n)
-            out[:m] = x[ik] * tail_w
-            out[m:] = x[:n - m]
-            return out
+    def resid(x):
+        y = x[:n]
+        f = (lag @ x) * (1.0 - y)
+        if eps > 0:
+            w = x[n:2 * n]
+            f = np.concatenate([w, (f - w) / eps])
+        return np.concatenate([dif_s @ x - avg @ f, bc @ x - bc_rhs])
 
-        def resid(x):
-            la = lagged(x)
-            f = la * (1.0 - x[:n])
-            r = np.empty(nvar)
-            r[:n - 1] = (x[1:n] - x[:n - 1]) / h - 0.5 * (f[:-1] + f[1:])
-            r[n - 1] = x[0] - x[ik]
-            r[n] = x[i0] - 0.5
-            return r
+    def jac(x):
+        df = sparse.diags(1.0 - x[:n]) @ lag - sparse.diags(lag @ x) @ p_y
+        if eps > 0:
+            df = sparse.vstack([p_w, (df - p_w) / eps])
+        return sparse.vstack([dif_s - avg @ df, bc], format="csc")
 
-        def jac(x):
-            a = lil_matrix((nvar, nvar))
-            la = lagged(x)
-            for i in range(n - 1):
-                a[i, i] = -1.0 / h + 0.5 * la[i]
-                a[i, i + 1] = 1.0 / h + 0.5 * la[i + 1]
-                for jj in (i, i + 1):
-                    if jj >= m:
-                        a[i, jj - m] += -0.5 * (1.0 - x[jj])
-                    else:
-                        a[i, ik] += -0.5 * (1.0 - x[jj]) * tail_w[jj]
-            a[n - 1, 0] = 1.0
-            a[n - 1, ik] = -1.0
-            a[n, i0] = 1.0
-            return csc_matrix(a)
-
-        x = np.empty(nvar)
-        if warm is not None:
-            x[:n] = np.interp(tg, warm[0], warm[1])
-        else:
-            x[:n] = 1.0 / (1.0 + np.exp(-z1 * tg))
-        x[ik] = max(x[0], 1e-14)
+    x = np.empty(nvar)
+    if warm is not None:
+        x[:n] = np.interp(tg, warm[0], warm[1])
     else:
-        nvar = 2 * n + 1
-        iw, ik = n, 2 * n
+        x[:n] = 1.0 / (1.0 + np.exp(-z1 * tg))
+    if eps > 0:
+        x[n:2 * n] = np.gradient(x[:n], h)
+    x[ik] = max(x[0], 1e-14)
+    return tg, z1, x, resid, jac
 
-        def lagged(x):
-            out = np.empty(n)
-            out[:m] = x[ik] * tail_w
-            out[m:] = x[:n - m]
-            return out
 
-        def resid(x):
-            la = lagged(x)
-            fw = (-x[iw:ik] + la * (1.0 - x[:n])) / eps
-            r = np.empty(nvar)
-            r[:n - 1] = (x[1:n] - x[:n - 1]) / h - 0.5 * (x[iw:ik - 1] + x[iw + 1:ik])
-            r[n - 1:2 * n - 2] = (x[iw + 1:ik] - x[iw:ik - 1]) / h - 0.5 * (fw[:-1] + fw[1:])
-            r[2 * n - 2] = x[0] - x[ik]
-            r[2 * n - 1] = x[iw] - z1 * x[ik]
-            r[2 * n] = x[i0] - 0.5
-            return r
-
-        def jac(x):
-            a = lil_matrix((nvar, nvar))
-            la = lagged(x)
-            for i in range(n - 1):
-                a[i, i] = -1.0 / h
-                a[i, i + 1] = 1.0 / h
-                a[i, iw + i] = -0.5
-                a[i, iw + i + 1] = -0.5
-                r2 = n - 1 + i
-                a[r2, iw + i] = -1.0 / h + 0.5 / eps
-                a[r2, iw + i + 1] = 1.0 / h + 0.5 / eps
-                for jj in (i, i + 1):
-                    a[r2, jj] += 0.5 * la[jj] / eps
-                    if jj >= m:
-                        a[r2, jj - m] += -0.5 * (1.0 - x[jj]) / eps
-                    else:
-                        a[r2, ik] += -0.5 * (1.0 - x[jj]) * tail_w[jj] / eps
-            a[2 * n - 2, 0] = 1.0
-            a[2 * n - 2, ik] = -1.0
-            a[2 * n - 1, iw] = 1.0
-            a[2 * n - 1, ik] = -z1
-            a[2 * n, i0] = 1.0
-            return csc_matrix(a)
-
-        x = np.empty(nvar)
-        if warm is not None:
-            x[:n] = np.interp(tg, warm[0], warm[1])
-        else:
-            x[:n] = 1.0 / (1.0 + np.exp(-z1 * tg))
-        x[iw:ik] = np.gradient(x[:n], h)
-        x[ik] = max(x[0], 1e-14)
-
+def _solve_zero_to_one(tau, eps, n_per_delay=50, warm=None):
+    """Newton solve of the zero-to-one collocation BVP, with a fit of the
+    left-tail growth rate."""
+    tg, z1, x, resid, jac = _zero_to_one_system(tau, eps, n_per_delay, warm)
     res = math.inf
     for _ in range(40):
         r = resid(x)
@@ -484,7 +450,7 @@ def _solve_zero_to_one(tau, eps, n_per_delay=50, warm=None):
     else:
         raise NoConvergence(
             f"connection Newton stalled at residual {res} (eps={eps})")
-    y = x[:n]
+    y = x[:tg.size]
     sel = (y > 1e-8) & (y < 1e-3)
     rate = float(np.polyfit(tg[sel], np.log(y[sel]), 1)[0]) if sel.sum() > 5 else math.nan
     return {"eps": eps, "t": tg, "y": y, "kappa": float(x[-1]),

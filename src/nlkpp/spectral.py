@@ -146,19 +146,25 @@ def _winding_number(f, df, corners, tol=1e-3, n0=64, max_refine=12):
 
 
 def _newton_complex(f, df, z0, tol=1e-12, maxit=100):
+    """Complex Newton from z0; returns (z, converged).  An iterate where f or
+    f' is not finite (exp overflow far in the left half-plane) stops the
+    iteration as not converged."""
     z = complex(z0)
-    for _ in range(maxit):
-        fz = f(z)
-        if abs(fz) < tol * (1.0 + abs(z) ** 2):
-            return z, True
-        d = df(z)
-        if d == 0:
-            break
-        step = fz / d
-        z = z - step
-        if abs(step) < 1e-16 * (1 + abs(z)):
-            return z, abs(f(z)) < 1e-6
-    return z, abs(f(z)) < tol * (1.0 + abs(z) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(maxit):
+            fz = f(z)
+            if not cmath.isfinite(fz):
+                return z, False
+            if abs(fz) < tol * (1.0 + abs(z) ** 2):
+                return z, True
+            d = df(z)
+            if d == 0 or not cmath.isfinite(d):
+                return z, False
+            step = fz / d
+            z = z - step
+            if abs(step) < 1e-16 * (1 + abs(z)):
+                return z, abs(f(z)) < 1e-6
+        return z, abs(f(z)) < tol * (1.0 + abs(z) ** 2)
 
 
 def _dedupe(roots, radius=1e-6):

@@ -164,6 +164,49 @@ def test_ladder_distances_shrink_with_eps(ladder_run):
     assert dists[0] < 1e-2
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_connection_residual_matches_slice_formula(eps):
+    # reference: the lag read by slicing, y(t_j - tau) = y[j - m] for j >= m
+    # and kappa times the growth tail exp(z1 (t_j - tau - t_0)) for j < m
+    tau, m = 5.0, 5
+    tg, z1, x0, resid, _ = dde._zero_to_one_system(tau, eps, n_per_delay=m)
+    x = x0 + 1e-2 * np.random.default_rng(3).standard_normal(x0.size)
+    n, h, kappa = tg.size, tau / m, x[-1]
+    y = x[:n]
+    la = np.concatenate([kappa * np.exp(z1 * (tg[:m] - tau - tg[0])),
+                         y[:n - m]])
+    f = la * (1.0 - y)
+    if eps == 0:
+        ref = [np.diff(y) / h - 0.5 * (f[:-1] + f[1:]),
+               [y[0] - kappa, y[n // 2] - 0.5]]
+    else:
+        w = x[n:2 * n]
+        fw = (f - w) / eps
+        ref = [np.diff(y) / h - 0.5 * (w[:-1] + w[1:]),
+               np.diff(w) / h - 0.5 * (fw[:-1] + fw[1:]),
+               [y[0] - kappa, w[0] - z1 * kappa, y[n // 2] - 0.5]]
+    np.testing.assert_allclose(resid(x), np.concatenate(ref),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_connection_jacobian_matches_finite_differences(eps):
+    # a coarse mesh (h = 1) keeps the full column sweep cheap; the first
+    # n_per_delay rows read the lag through the kappa column
+    _, _, x0, resid, jac = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
+    rng = np.random.default_rng(7)
+    x = x0 + 1e-2 * rng.standard_normal(x0.size)
+    assert np.max(np.abs(resid(x))) > 1e-3
+    step = 1e-6
+    fd = np.empty((x.size, x.size))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = step
+        fd[:, j] = (resid(x + e) - resid(x - e)) / (2 * step)
+    jd = jac(x).toarray()
+    assert np.max(np.abs(fd - jd)) <= 1e-6 * np.max(np.abs(jd))
+
+
 def test_periodic_to_point_settles():
     run = dde.heteroclinic(TAU, 0.0, kind="periodic-to-point")
     sol = run.solutions[0]

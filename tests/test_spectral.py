@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ def test_chi1_boundary_tau():
 def test_chi1_five_roots_past_second_crossing():
     rep = sp.chi1_roots(7 * math.pi / 2 + 0.1)
     assert rep.count == 5 and len(rep.roots) == 5
+
+
+def test_chi1_overflowing_newton_seed_emits_no_warning():
+    # some lattice seeds step far into the left half-plane, where
+    # exp(-tau z) overflows; those runs stop quietly as not converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sp.chi1_roots(6.6045112781954876)
+    assert rep.count == 3 and rep.converged
+    pair = complex(0.04862849745529154, 0.7236697755290545)
+    assert rep.roots == pytest.approx(
+        (0.22551067368852534, pair.conjugate(), pair), abs=1e-12)
 
 
 def test_chi1_domain_error():
