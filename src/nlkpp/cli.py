@@ -62,10 +62,15 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """Rows of numbers as %.12g; strings are written as they are."""
+    fmt = ",".join(["%.12g"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            v if isinstance(v, str) else "%.12g" % v for v in row))
+        try:
+            lines.append(fmt % tuple(row))
+        except TypeError:   # a string value, or a row of another length
+            lines.append(",".join(
+                v if isinstance(v, str) else "%.12g" % v for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -183,7 +188,7 @@ def cmd_periodic(args, cfg, out: Path) -> None:
         dde.adjoint_periodic(orbit)
         adj = dde.resonance_pairing(orbit)
     write_csv(out / "orbit.csv", ["t", "p", "dp"],
-              zip(orbit.mesh[:, 0], orbit.mesh[:, 1], orbit.mesh[:, 2]))
+              orbit.mesh)
     write_json(out / "orbit.json", {
         "tau": args.tau, "eps": args.eps, "period": orbit.period,
         "gamma": orbit.gamma, "amplitude": orbit.amplitude,

@@ -36,6 +36,8 @@ class Density:
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.size < 2 or g.size != v.size:
             raise KernelError("density grid/values must be 1-d and of equal length >= 2")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+            raise KernelError("density grid and values must be finite")
         dg = np.diff(g)
         if np.any(dg <= 0) or not np.allclose(dg, dg[0], rtol=1e-9, atol=0.0):
             raise KernelError("density grid must be strictly increasing and uniform")
@@ -69,6 +71,8 @@ class Kernel:
     def __post_init__(self):
         atoms = tuple((float(s), float(m)) for s, m in self.atoms)
         for s, m in atoms:
+            if not (math.isfinite(s) and math.isfinite(m)):
+                raise KernelError(f"atom (s={s}, mass={m}) is not finite")
             if m < 0:
                 raise KernelError(f"atom at s={s} has negative mass {m}")
         object.__setattr__(self, "atoms", atoms)
@@ -283,12 +287,18 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
     d = cfg.get("density")
     if d is not None:
         n = int(d.get("n", 401))
-        grid = np.linspace(d["lo"], d["hi"], n)
+        lo, hi = float(d["lo"]), float(d["hi"])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise KernelError(f"density window [{lo}, {hi}] is not finite")
+        grid = np.linspace(lo, hi, n)
         kind = d.get("kind", "table")
         if kind == "uniform":
-            vals = np.full(n, 1.0 / (d["hi"] - d["lo"]))
+            vals = np.full(n, 1.0 / (hi - lo))
         elif kind == "gaussian":
-            sigma = d.get("params", {}).get("sigma", 1.0)
+            sigma = float(d.get("params", {}).get("sigma", 1.0))
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise KernelError(
+                    f"gaussian sigma must be finite and > 0, got {sigma}")
             vals = (np.exp(-0.5 * (grid / sigma) ** 2)
                     / (sigma * math.sqrt(2 * math.pi)))
         elif kind == "table":

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -238,53 +239,75 @@ def _exp_weights(z: float, h: float):
     return J0, J1
 
 
+class _CellWeights(NamedTuple):
+    """Constants of the two one-step recurrences on a grid of step h: the
+    factors E1 = e^{z1 h}, E2 = e^{-z2 h} and the weights of a linear cell's
+    end values r[i], r[i+1] in its forward (q) and backward (p) integral."""
+
+    z1: float
+    z2: float
+    E1: float
+    q0: float
+    q1: float
+    E2: float
+    p0: float
+    p1: float
+
+
+def _cell_weights(z1: float, z2: float, h: float) -> _CellWeights:
+    J0, J1 = _exp_weights(z1, h)
+    # int_0^h e^{-z2 u} r du is the e^{z(h-u)} form with z = -z2 and the
+    # cell reversed (u -> h - u), which swaps the roles of the endpoints
+    J0b, J1b = _exp_weights(-z2, h)
+    return _CellWeights(z1, z2, math.exp(z1 * h), J0 - J1, J1,
+                        math.exp(-z2 * h), J1b, J0b - J1b)
+
+
 def _two_sided_integrals(r: np.ndarray, r_left: float, r_right: float,
-                         z1: float, z2: float, h: float,
-                         left_rate: float = None):
+                         w: _CellWeights, left_rate: float = None):
     """I_minus(t_i) = int_{-inf}^{t_i} e^{z1(t_i-s)} r(s) ds and
     I_plus(t_i) = int_{t_i}^{inf} e^{z2(t_i-s)} r(s) ds for piecewise-linear
-    r on a uniform grid; exact one-step recurrences evaluated by a linear
-    filter.  The left tail is r(t0) e^{left_rate (s - t0)} when a rate is
-    given (decaying profile), else the constant r_left; the right tail is
-    the constant r_right."""
+    r on a uniform grid.
+
+    Both are exact one-step recurrences, run by a first-order linear filter:
+    forward I_minus[i+1] = E1 I_minus[i] + q[i], backward (on the reversed
+    array) I_plus[i] = E2 I_plus[i+1] + p[i], with q, p the closed-form cell
+    integrals.  Each recurrence starts from its tail integral, passed in as
+    the filter's initial state.  The left tail is r(t0) e^{left_rate (s - t0)}
+    when a rate is given (decaying profile), else the constant r_left; the
+    right tail is the constant r_right."""
     n = r.size
-    # forward: I[i+1] = e^{z1 h} I[i] + q[i], q from the linear cell
-    J0, J1 = _exp_weights(z1, h)
-    q = r[:-1] * (J0 - J1) + r[1:] * J1
-    E1 = math.exp(z1 * h)
     Iminus = np.empty(n)
     if left_rate is not None:
-        Iminus[0] = r[0] / (left_rate - z1)
+        Iminus[0] = r[0] / (left_rate - w.z1)
     else:
-        Iminus[0] = r_left / (-z1)
-    Iminus[1:] = lfilter([1.0], [1.0, -E1], q) + (E1 ** np.arange(1, n)) * Iminus[0]
-    # backward: I[i] = e^{-z2 h} I[i+1] + p[i], cell int_0^h e^{-z2 u} r du
-    # with r linear from r[i] to r[i+1]; substitute z -> -z2, direction u
-    J0b, J1b = _exp_weights(-z2, h)
-    # int_0^h e^{-z2 u}(a + (b-a)u/h) du; note _exp_weights gives the
-    # e^{z(h-u)} form, so reverse the cell: e^{-z2 u} = e^{z(h-u)} with
-    # z = -z2 and u -> h-u, swapping the roles of the endpoints
-    p = r[1:] * (J0b - J1b) + r[:-1] * J1b
-    E2 = math.exp(-z2 * h)
+        Iminus[0] = r_left / (-w.z1)
+    q = r[:-1] * w.q0 + r[1:] * w.q1
+    Iminus[1:] = lfilter([1.0], [1.0, -w.E1], q, zi=[w.E1 * Iminus[0]])[0]
     Iplus = np.empty(n)
-    Iplus[-1] = r_right / z2
-    rev = lfilter([1.0], [1.0, -E2], p[::-1])
-    Iplus[:-1] = (rev + (E2 ** np.arange(1, n)) * Iplus[-1])[::-1]
+    Iplus[-1] = r_right / w.z2
+    p = r[:-1] * w.p0 + r[1:] * w.p1
+    Iplus[-2::-1] = lfilter([1.0], [1.0, -w.E2], p[::-1],
+                            zi=[w.E2 * Iplus[-1]])[0]
     return Iminus, Iplus
 
 
 def _constant_r(phi_val: float, ctx: WaveContext) -> float:
-    return ctx.b * phi_val + g_beta(phi_val, ctx.beta) * (1.0 - phi_val)
+    """r at a constant profile value (a tail limit), in float arithmetic."""
+    phi_val = float(phi_val)
+    g = phi_val if phi_val <= ctx.beta else max(0.0, 2.0 * ctx.beta - phi_val)
+    return ctx.b * phi_val + g * (1.0 - phi_val)
 
 
 def am_core(vals: np.ndarray, conv: np.ndarray, phi_left: float,
-            phi_right: float, ctx: WaveContext, h: float,
+            phi_right: float, ctx: WaveContext, w: _CellWeights,
             left_rate: float = None) -> np.ndarray:
-    """Apply the operator to raw arrays given the precomputed convolution."""
+    """Apply the operator to raw arrays given the precomputed convolution
+    and the grid's cell weights `_cell_weights(ctx.z1, ctx.z2, h)`."""
     r = ctx.b * vals + g_beta(vals, ctx.beta) * (1.0 - conv)
     Iminus, Iplus = _two_sided_integrals(
         r, _constant_r(phi_left, ctx), _constant_r(phi_right, ctx),
-        ctx.z1, ctx.z2, h, left_rate=left_rate)
+        w, left_rate=left_rate)
     return (Iminus + Iplus) / ctx.z12
 
 
@@ -310,7 +333,7 @@ def am_apply(phi: Profile, ctx: WaveContext) -> Profile:
     conv, phi_left, phi_right = _grid_conv(phi, ctx.kernel)
     rate = phi.left_rate if (phi.left_rate is not None and phi_left == 0.0) else None
     out = am_core(phi.values, conv, phi_left, phi_right, ctx,
-                  phi.dt, left_rate=rate)
+                  _cell_weights(ctx.z1, ctx.z2, phi.dt), left_rate=rate)
     new_left = _constant_r(phi_left, ctx) / ctx.b
     new_right = _constant_r(phi_right, ctx) / ctx.b
     return Profile(phi.t0, phi.dt, out, left_limit=new_left,
@@ -373,12 +396,18 @@ def _solve_at(ctx, tol, max_iter, relax, dt, check_interval, start=None):
         # tail extensions and clipped into the operator domain
         vals = np.clip(np.asarray(start(upper.grid), float),
                        0.0, 2.0 * ctx.beta)
-    lower_vals = None
+    # the order interval [lower, upper] with a mixed tolerance: the sub-grid
+    # translation drift produces tiny relative excursions past the
+    # closed-form envelopes
+    envelope = None
     if check_interval and ctx.mu - lam > 1e-10:
         try:
-            lower_vals = lower_solution(ctx, upper=upper).values
+            lower = lower_solution(ctx, upper=upper)
+            envelope = (upper.values * 1.005 + 1e-6,
+                        lower.values * 0.995 - 1e-6)
         except ConstraintError:
-            lower_vals = None
+            pass
+    w = _cell_weights(ctx.z1, ctx.z2, h)
     # the discrete operator drifts along the neutral translation mode, so the
     # update size plateaus at a small positive value, about 2.5e-3 dt^2;
     # detect the plateau with a 200-iteration improvement window (robust to
@@ -388,16 +417,13 @@ def _solve_at(ctx, tol, max_iter, relax, dt, check_interval, start=None):
     for it in range(max_iter):
         right_lim = float(vals[-1])
         conv = convolve(st, vals, 0.0, right_lim, left_rate=lam)
-        new = am_core(vals, conv, 0.0, right_lim, ctx, h, left_rate=lam)
+        new = am_core(vals, conv, 0.0, right_lim, ctx, w, left_rate=lam)
         new = relax * new + (1.0 - relax) * vals
         diff = float(np.max(np.abs(new - vals)))
-        if check_interval and lower_vals is not None:
-            # mixed tolerance: the sub-grid translation drift produces tiny
-            # relative excursions past the closed-form envelopes
-            if (np.any(new > upper.values * 1.005 + 1e-6)
-                    or np.any(new < lower_vals * 0.995 - 1e-6)):
-                raise InvariantViolation(
-                    "iterate escaped the [lower, upper] order interval")
+        if envelope is not None and (np.any(new > envelope[0])
+                                     or np.any(new < envelope[1])):
+            raise InvariantViolation(
+                "iterate escaped the [lower, upper] order interval")
         vals = new
         if diff < tol:
             break

@@ -57,9 +57,22 @@ def _right_mass(k: Kernel) -> float:
     return k.moment(lambda s: np.where(np.asarray(s) > 0, 1.0, 0.0))
 
 
-def _mass_in(k: Kernel, lo: float, hi: float) -> float:
-    return k.moment(lambda s: np.where(
-        (np.asarray(s) >= lo) & (np.asarray(s) <= hi), 1.0, 0.0))
+def _left_radius(k: Kernel) -> int | None:
+    """Smallest integer r with more than 0.99 of the kernel mass on [-r, 0],
+    or None if there is no such r: the nodes with s <= 0, sorted by |s|, are
+    summed until the mass first passes 0.99, and r = ceil(|s|) there."""
+    s = np.array([a for a, m in k.atoms if m > 0], float)
+    mass = np.array([m for _, m in k.atoms if m > 0], float)
+    if k.density is not None:
+        s = np.concatenate([s, k.density.grid])
+        mass = np.concatenate([mass, k.density.weights * k.density.values])
+    left = s <= 0
+    dist = -s[left]
+    order = np.argsort(dist)
+    passed = np.nonzero(np.cumsum(mass[left][order]) > 0.99)[0]
+    if passed.size == 0:
+        return None
+    return math.ceil(dist[order[passed[0]]])
 
 
 def u_bound(c: float, k: Kernel) -> float:
@@ -68,21 +81,18 @@ def u_bound(c: float, k: Kernel) -> float:
     Two constructions: U1 from the exponential moment of the delayed half
     (needs right mass), U2 = 2 exp(lam (r + sigma)) from the concentration
     radius r of the advanced half (needs right mass < 0.001).  On the
-    overlap both are valid upper bounds, so take the minimum.
+    overlap both are valid upper bounds, so take the minimum.  Raises
+    RepresentationError when neither applies or the bound overflows a float.
     """
     lam, _ = quad_roots(c)
     rm = _right_mass(k)
     candidates = []
     if rm > 0:
         em = exp_moment(k, f_func(c, -1.0), "right")
-        candidates.append(max(1.0, 1.0 / em))
+        candidates.append(max(1.0, 1.0 / em) if em > 0 else math.inf)
     if rm < 1e-3:
-        r = None
-        for ri in range(0, 10 ** 6 + 1):
-            if _mass_in(k, -ri, 0.0) > 0.99:
-                r = ri
-                break
-        if r is None:
+        r = _left_radius(k)
+        if r is None or r > 10 ** 6:
             raise RepresentationError(
                 "kernel carries less than 0.99 of its mass on [-1e6, 0]")
         # sigma: threshold where 2c(e^{lam s}-1)/(e^{cs}-1) crosses 0.01;
@@ -104,10 +114,16 @@ def u_bound(c: float, k: Kernel) -> float:
                 else:
                     lo = mid
             sigma = hi
-        candidates.append(2.0 * math.exp(lam * (r + sigma)))
+        try:
+            candidates.append(2.0 * math.exp(lam * (r + sigma)))
+        except OverflowError:
+            candidates.append(math.inf)
     if not candidates:
         raise RepresentationError("no U(c,K) formula applies to this kernel")
-    return max(1.0, min(candidates))
+    U = min(candidates)
+    if math.isinf(U):
+        raise RepresentationError(f"U(c,K) overflows a float at c={c}")
+    return max(1.0, U)
 
 
 def estm_bound(ap: float, am: float) -> float:

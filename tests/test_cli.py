@@ -79,6 +79,64 @@ def test_bad_config_path_exit_code(tmp_path):
     assert code == 1
 
 
+def _front_with_kernel(tmp_path, kernel_text):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text('{"kernel": %s}' % kernel_text)
+    return run_cli(tmp_path, "front", "--c", "2.5", "--config", str(cfgp))
+
+
+@pytest.mark.parametrize("kernel_text", [
+    '{"atoms": [{"s": NaN, "mass": 1}]}',
+    '{"atoms": [{"s": Infinity, "mass": 1}]}',
+    '{"atoms": [{"s": -0.5, "mass": NaN}]}',
+    '{"atoms": [{"s": -0.5, "mass": -Infinity}]}',
+    '{"density": {"lo": NaN, "hi": 4, "kind": "uniform"}}',
+    '{"density": {"lo": -4, "hi": Infinity, "kind": "gaussian"}}',
+    '{"density": {"lo": -4, "hi": 4, "kind": "gaussian",'
+    ' "params": {"sigma": NaN}}}',
+    '{"density": {"lo": -4, "hi": 4, "kind": "gaussian",'
+    ' "params": {"sigma": Infinity}}}',
+])
+def test_front_nonfinite_kernel_is_config_error(tmp_path, capsys,
+                                                kernel_text):
+    code, out = _front_with_kernel(tmp_path, kernel_text)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error:" in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (out / "front.csv").exists()
+
+
+@pytest.mark.parametrize("s", [-5000, 2000])
+def test_front_far_atom_is_config_error(tmp_path, capsys, s):
+    # U(c, K) overflows: 2 e^{lam (r + sigma)} with r = 5000 for the advanced
+    # atom, 1 / e^{-lam s} for the delayed one
+    code, out = _front_with_kernel(tmp_path,
+                                   '{"atoms": [{"s": %d, "mass": 1}]}' % s)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error:" in err and "overflows" in err
+    assert not (out / "front.csv").exists()
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    def per_value(header, rows):
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(
+                v if isinstance(v, str) else "%.12g" % v for v in row))
+        return "\n".join(lines) + "\n"
+
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(50) * 10.0 ** rng.integers(-30, 30, 50)
+    rows = list(zip(x.tolist(), x[::-1], range(50)))
+    rows += [(float("nan"), float("inf"), -0.0), (1, True, np.int64(7)),
+             (0.1, "label", float("nan")), ("a", "b", "c"), (1e300, 2.5)]
+    header = ["a", "b", "c"]
+    cli.write_csv(tmp_path / "x.csv", header, iter(rows))
+    assert (tmp_path / "x.csv").read_text() == per_value(header, rows)
+
+
 def test_region_artifacts(tmp_path):
     code, out = run_cli(tmp_path, "region", "--aplus", "0.0",
                         "--aminus", "0.3", "--grid-n", "100")

@@ -182,6 +182,82 @@ def test_operator_iterates_stay_bracketed():
         assert np.all(cur.values >= low.values * 0.995 - 1e-6)
 
 
+def _power_series_integrals(r, r_left, r_right, z1, z2, h, left_rate):
+    """The superposition form of the two recurrences: a zero-state filter
+    plus the tail integral carried by powers of the step factor."""
+    from scipy.signal import lfilter
+    n = r.size
+    J0, J1 = pf._exp_weights(z1, h)
+    q = r[:-1] * (J0 - J1) + r[1:] * J1
+    E1 = math.exp(z1 * h)
+    Iminus = np.empty(n)
+    Iminus[0] = (r[0] / (left_rate - z1) if left_rate is not None
+                 else r_left / (-z1))
+    Iminus[1:] = (lfilter([1.0], [1.0, -E1], q)
+                  + E1 ** np.arange(1, n) * Iminus[0])
+    J0b, J1b = pf._exp_weights(-z2, h)
+    p = r[1:] * (J0b - J1b) + r[:-1] * J1b
+    E2 = math.exp(-z2 * h)
+    Iplus = np.empty(n)
+    Iplus[-1] = r_right / z2
+    rev = lfilter([1.0], [1.0, -E2], p[::-1])
+    Iplus[:-1] = (rev + E2 ** np.arange(1, n) * Iplus[-1])[::-1]
+    return Iminus, Iplus
+
+
+@pytest.mark.parametrize("left_rate", [None, 0.7])
+def test_two_sided_integrals_match_power_series_form(left_rate):
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        n = int(rng.integers(5, 3000))
+        h = float(rng.uniform(1e-3, 0.1))
+        z1, z2 = -float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 5.0))
+        r = rng.uniform(0.0, 10.0, n)
+        r_left, r_right = float(rng.uniform(0, 10)), float(rng.uniform(0, 10))
+        got = pf._two_sided_integrals(r, r_left, r_right,
+                                      pf._cell_weights(z1, z2, h),
+                                      left_rate=left_rate)
+        want = _power_series_integrals(r, r_left, r_right, z1, z2, h,
+                                       left_rate)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / np.abs(w)) < 1e-12
+
+
+@pytest.mark.parametrize("exp_left_tail", [False, True])
+def test_two_sided_integrals_second_order_for_exponential(exp_left_tail):
+    # r(s) = e^{a s} on [t0, T]; left of t0 the tail is the same exponential
+    # (left_rate = a) or the constant e^{a t0}; right of T the constant
+    # e^{a T}.  The grid integrals of the linear interpolant converge to the
+    # closed forms at O(h^2).
+    a, z1, z2, t0, T = 0.8, -1.3, 2.7, -10.0, 5.0
+    left_rate = a if exp_left_tail else None
+
+    def exact(t):
+        r0, rT = math.exp(a * t0), math.exp(a * T)
+        im = np.exp(z1 * t) * (np.exp((a - z1) * t)
+                               - math.exp((a - z1) * t0)) / (a - z1)
+        im += (r0 * np.exp(z1 * (t - t0)) / (a - z1) if left_rate is not None
+               else r0 * np.exp(z1 * (t - t0)) / (-z1))
+        ip = np.exp(z2 * t) * (math.exp((a - z2) * T)
+                               - np.exp((a - z2) * t)) / (a - z2)
+        ip += rT * np.exp(z2 * (t - T)) / z2
+        return im, ip
+
+    errs = []
+    for n in (301, 601, 1201):
+        t = np.linspace(t0, T, n)
+        h = t[1] - t[0]
+        got = pf._two_sided_integrals(np.exp(a * t), math.exp(a * t0),
+                                      math.exp(a * T),
+                                      pf._cell_weights(z1, z2, h),
+                                      left_rate=left_rate)
+        errs.append(max(np.max(np.abs(g - w) / np.abs(w))
+                        for g, w in zip(got, exact(t))))
+    assert errs[0] < 1e-3
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
 def test_operator_rejects_out_of_range_input():
     ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
     bad = _constant_profile(2 * ctx.beta + 1.0, ctx)
@@ -249,6 +325,16 @@ def test_solve_front_plateau_limit_scales_with_dt(c, iterations):
     assert d["residual_sup"] < 1e-4
     if iterations is not None:
         assert d["iterations"] == iterations
+
+
+@pytest.mark.parametrize("c, kernel, dt, iterations", [
+    (2.5, ker.dirac(-0.5), 0.0025, 1029),
+    (2.5, ker.dirac(5.0), 0.005, 1971),
+    (3.0, ker.dirac(0.0), 0.0025, 522),
+])
+def test_reference_front_picard_counts(c, kernel, dt, iterations):
+    d = pf.solve_front(pf.WaveContext(c, kernel), dt=dt).diagnostics
+    assert d["iterations"] == iterations
 
 
 # -- residual and norms ----------------------------------------------------
