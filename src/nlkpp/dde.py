@@ -7,7 +7,17 @@ period map, the normalized periodic adjoint, and eps-continued connecting
 orbits (zero-to-one and periodic-to-point) with asymptotic-rate fits.  The
 zero-to-one connection is one collocation system for eps = 0 and eps > 0:
 the lag is a fixed sparse operator on the unknowns, so residual and Newton
-Jacobian come from the same difference, average and lag matrices.
+Jacobian come from the same difference, average and lag matrices.  The
+periodic orbit's residual and analytic Jacobian likewise come from dense
+Fourier derivative and delay matrices.
+
+Both method-of-steps integrators (the forward run and the Floquet period
+map) step RK4 one block of steps at a time, with the block shorter than
+the delay: the cubic delayed lookups of a whole block read rows written
+before it and are evaluated in one call, and with the lag known each RK4
+step is affine in the current state, so only that recurrence runs step by
+step.  Histories and orbit coefficients are evaluated once, on arrays of
+times.
 """
 from __future__ import annotations
 
@@ -105,41 +115,62 @@ class PeriodicOrbit:
         return min(counts), max(counts)
 
 
-def _orbit_newton(tau, eps, n, p0, om0, tol, max_iter):
-    """Newton solve for uniform period samples and the period, with an
-    orthogonality phase condition against the seed's derivative."""
-    k = np.fft.rfftfreq(n, d=1.0 / n)
+def _orbit_system(tau, eps, n, p0, om0):
+    """Fourier-collocation system for uniform period samples p and the
+    period om: eps p'' + p' - p(t - tau)(1 - p) = 0 at the samples, plus an
+    orthogonality phase condition against the seed's derivative.
 
-    def deriv(p, om, order=1):
-        return np.fft.irfft(np.fft.rfft(p) * (1j * k * 2 * np.pi / om) ** order,
-                            n=n)
+    Derivative and delay are dense Fourier-multiplier matrices built from
+    one batched rfft of the identity, so residual and analytic Jacobian
+    (period column included) come from the same operators.  Returns the
+    residual and Jacobian maps of x = (p, om)."""
+    k = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    basis = np.fft.rfft(np.eye(n), axis=0)
 
-    def delayed(p, om):
-        return np.fft.irfft(np.fft.rfft(p) * np.exp(-1j * k * 2 * np.pi * tau / om),
-                            n=n)
+    def op(mult):
+        return np.fft.irfft(basis * mult[:, None], n=n, axis=0)
 
-    dref = deriv(p0, om0)
+    def ops(om):
+        # d/dt, d^2/dt^2, the delay and the delay's derivative in om
+        shift = np.exp(-k * tau / om)
+        return (op(k / om), op((k / om) ** 2), op(shift),
+                op(shift * k * tau / om ** 2))
+
+    dref = op(k / om0) @ p0
 
     def resid(x):
         p, om = x[:-1], x[-1]
-        r = deriv(p, om) - delayed(p, om) * (1.0 - p)
+        d1, d2, s, _ = ops(om)
+        r = d1 @ p - (s @ p) * (1.0 - p)
         if eps > 0:
-            r = eps * deriv(p, om, 2) + r
+            r = eps * (d2 @ p) + r
         return np.append(r, np.sum(p * dref) / n)
 
+    def jac(x):
+        p, om = x[:-1], x[-1]
+        d1, d2, s, ds = ops(om)
+        out = np.zeros((n + 1, n + 1))
+        out[:n, :n] = d1 - (1.0 - p)[:, None] * s + np.diag(s @ p)
+        out[:n, n] = -(d1 @ p) / om - (1.0 - p) * (ds @ p)
+        if eps > 0:
+            out[:n, :n] += eps * d2
+            out[:n, n] -= 2.0 * eps * (d2 @ p) / om
+        out[n, :n] = dref / n
+        return out
+
+    return resid, jac
+
+
+def _orbit_newton(tau, eps, n, p0, om0, tol, max_iter):
+    """Newton solve of `_orbit_system` from the seed (p0, om0)."""
+    resid, jac = _orbit_system(tau, eps, n, p0, om0)
     x = np.append(p0, om0)
     step = math.inf
     for _ in range(max_iter):
         f = resid(x)
         if np.linalg.norm(f, np.inf) < tol and step < 1e-9:
             break
-        jac = np.empty((n + 1, n + 1))
-        h = 1e-7
-        for j in range(n + 1):
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (resid(xp) - f) / h
-        dx = np.linalg.solve(jac, f)
+        dx = np.linalg.solve(jac(x), f)
         step = float(np.linalg.norm(dx, np.inf))
         x = x - dx
     else:
@@ -171,20 +202,46 @@ def find_periodic(tau: float, eps: float = 0.0, n: int = 64,
 
 # -- Floquet spectrum ------------------------------------------------------
 
-def _cubic_segment(z: np.ndarray, idx: float):
-    """Value of the stored rows at fractional index via cubic Lagrange."""
-    i0 = int(math.floor(idx))
+def _cubic_rows(z: np.ndarray, idx):
+    """Rows of z at an array of fractional indices by cubic Lagrange
+    interpolation on the rows i0-1 .. i0+2 around each (i0 = floor(idx)); an
+    index within 1e-12 above a node reads that row alone."""
+    idx = np.asarray(idx, dtype=float)
+    i0 = np.floor(idx).astype(np.intp)
     f = idx - i0
-    if abs(f) < 1e-12:
-        return z[i0]
+    node = f < 1e-12
+    # a node reads its own row four times, so it may be the last row
+    s = np.where(node, 0, 1)
     w = (-f * (f - 1) * (f - 2) / 6, (f * f - 1) * (f - 2) / 2,
          -f * (f + 1) * (f - 2) / 2, f * (f * f - 1) / 6)
-    return w[0] * z[i0 - 1] + w[1] * z[i0] + w[2] * z[i0 + 1] + w[3] * z[i0 + 2]
+    w = [wj.reshape(wj.shape + (1,) * (z.ndim - 1)) for wj in w]
+    node = node.reshape(w[0].shape)
+    val = (w[0] * z[i0 - s] + w[1] * z[i0] + w[2] * z[i0 + s]
+           + w[3] * z[i0 + 2 * s])
+    return np.where(node, z[i0], val)
 
 
-def _period_map(a_fun, b_fun, period, tau, n_disc, steps):
+def _rk4_increment(a0, ah, a1, dt):
+    """Stacked matrices D with u <- u + D u for one classical RK4 step of
+    the linear system u' = A(t) u, from stacked A at t, t + dt/2, t + dt."""
+    eye = np.eye(a0.shape[-1])
+    k2 = ah @ (eye + dt / 2 * a0)
+    k3 = ah @ (eye + dt / 2 * k2)
+    k4 = a1 @ (eye + dt * k3)
+    return dt / 6 * (a0 + 2 * k2 + 2 * k3 + k4)
+
+
+def _period_map(a, b, period, tau, n_disc, steps):
     """Matrix of the time-period map of z'(t) = a(t) z(t) + b(t) z(t-tau)
-    on a history mesh of n_disc+1 nodes (unit-impulse columns)."""
+    on a history mesh of n_disc+1 nodes (unit-impulse columns); `a` and `b`
+    hold the coefficients at the 2*steps+1 half-step times.
+
+    With the lagged rows L0, Lh, L1 of a step known, its RK4 step is
+    z <- R z + c0 L0 + ch Lh + c1 L1: the first row of the RK4 increment of
+    the augmented system (z, L0, Lh, L1), in which each lag enters only at
+    its own stage.  Blocks of floor(tau/dt) - 2 steps read only rows written
+    before the block, so their lagged rows come from three `_cubic_rows`
+    calls and only z <- R z + F runs step by step."""
     m = n_disc + 1
     hist_s = np.linspace(-tau, 0.0, m)
     dt = period / steps
@@ -196,22 +253,20 @@ def _period_map(a_fun, b_fun, period, tau, n_disc, steps):
         e[j] = 1.0
         z[:nback, j] = np.interp(tpast, hist_s, e)
     lag = tau / dt
-    for step in range(steps):
-        i = nback - 1 + step
-        t = step * dt
-        z0 = z[i]
-        k1 = a_fun(t) * z0 + b_fun(t) * _cubic_segment(z, i - lag)
-        z1_ = z0 + dt / 2 * k1
-        k2 = a_fun(t + dt / 2) * z1_ + b_fun(t + dt / 2) * _cubic_segment(z, i + 0.5 - lag)
-        z2_ = z0 + dt / 2 * k2
-        k3 = a_fun(t + dt / 2) * z2_ + b_fun(t + dt / 2) * _cubic_segment(z, i + 0.5 - lag)
-        z3_ = z0 + dt * k3
-        k4 = a_fun(t + dt) * z3_ + b_fun(t + dt) * _cubic_segment(z, i + 1 - lag)
-        z[i + 1] = z0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    out = np.empty((m, m))
-    for jj, s in enumerate(hist_s):
-        idx = (nback - 1) + (steps * dt + s) / dt
-        out[jj] = _cubic_segment(z, idx)
+    stage = np.zeros((3, steps, 4, 4))
+    for j in range(3):
+        stage[j, :, 0, 0] = a[j:j + 2 * steps:2]
+        stage[j, :, 0, j + 1] = b[j:j + 2 * steps:2]
+    coef = _rk4_increment(*stage, dt)[:, 0]
+    blk = int(lag) - 2
+    for s0 in range(0, steps, blk):
+        c = coef[s0:s0 + blk]
+        i = nback - 1 + s0 + np.arange(c.shape[0])
+        z[i + 1] = sum(c[:, [j + 1]] * _cubic_rows(z, i + off - lag)
+                       for j, off in enumerate((0.0, 0.5, 1.0)))
+        for k, r in zip(i.tolist(), (1.0 + c[:, 0]).tolist()):
+            z[k + 1] += r * z[k]
+    out = _cubic_rows(z, (nback - 1) + (steps * dt + hist_s) / dt)
     return out, hist_s
 
 
@@ -219,15 +274,22 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100,
             steps: int = 2000) -> np.ndarray:
     """Floquet multipliers of the orbit's linearized period map,
     z'(t) = -p(t-tau) z(t) + (1-p(t)) z(t-tau), sorted by modulus; stores
-    them (and the dominant history-mode) on the orbit."""
+    them (and the dominant history-mode) on the orbit.  The coefficients
+    come from one evaluation of p at every half-step time; `steps` must
+    leave at least three steps per delay."""
     if orbit.eps > 0:
         raise DomainError("period-map discretization covers eps = 0 orbits")
     if n_disc < 100:
         raise DomainError(f"need n_disc >= 100, got {n_disc}")
     tau, om = orbit.tau, orbit.period
-    a_fun = lambda t: -orbit.p(t - tau)
-    b_fun = lambda t: 1.0 - orbit.p(t)
-    mat, hist_s = _period_map(a_fun, b_fun, om, tau, n_disc, steps)
+    dt = om / steps
+    if not tau / dt >= 3:
+        raise DomainError(
+            f"need at least 3 steps per delay, got tau/dt = {tau / dt}")
+    th = dt / 2 * np.arange(2 * steps + 1)
+    pv = orbit.p(np.concatenate([th - tau, th]))
+    a, b = -pv[:th.size], 1.0 - pv[th.size:]
+    mat, hist_s = _period_map(a, b, om, tau, n_disc, steps)
     ev, vec = np.linalg.eig(mat)
     order = np.argsort(-np.abs(ev))
     ev, vec = ev[order], vec[:, order]
@@ -304,53 +366,63 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
                      blowup: float = 1e6) -> Trajectory:
     """Method-of-steps integration of eps y'' + y' = y(t-tau)(1-y(t)) (first
     order in y for eps = 0) with classical fourth-order stepping and cubic
-    delayed lookup.  `history` is a callable on [-tau, 0]; for eps > 0 the
-    initial derivative comes from `dhistory(0)` or a finite difference.
-    Stops early with a divergence report when |y| exceeds `blowup`."""
+    delayed lookup.  `history` is called once, on the array of past mesh
+    times in [-tau, 0] (a constant return value broadcasts); for eps > 0 the
+    initial derivative comes from `dhistory(0)` or a finite difference.  The
+    step dt must be below the delay.  Stops early with a divergence report
+    when |y| exceeds `blowup`.
+
+    With the lag known, v = 1 - y (and w = y') obeys a linear system, so an
+    RK4 step is v <- v + D v with D from `_rk4_increment`.  Blocks of
+    nlag - 1 steps read only rows written before the block; y is updated by
+    its increment, since rebuilding it as 1 - v rounds to 1."""
     if tau <= 0 or t_end <= 0:
         raise DomainError("need tau > 0 and t_end > 0")
     if dt is None:
         dt = tau / 50.0 if eps == 0 else min(tau / 50.0, eps / 10.0)
+    if not 0 < dt < tau:
+        raise DomainError(f"need 0 < dt < tau, got dt={dt}, tau={tau}")
     nlag = int(math.ceil(tau / dt))
     dt = tau / nlag
     steps = int(math.ceil(t_end / dt))
     nback = nlag + 4
     y = np.empty(nback + steps)
     tpast = dt * np.arange(-(nback - 1), 1)
-    y[:nback] = [history(max(s, -tau)) for s in tpast]
+    y[:nback] = history(np.maximum(tpast, -tau))
+    w = 0.0
     if eps > 0:
         if dhistory is not None:
             w = float(dhistory(0.0))
         else:
-            w = (history(0.0) - history(-dt)) / dt
+            w = float(y[nback - 1] - y[nback - 2]) / dt
     lag = tau / dt
     escaped = False
     esc_t = None
-    for stp in range(steps):
-        i = nback - 1 + stp
-        y0 = y[i]
-        la0 = _cubic_segment(y, i - lag)
-        lah = _cubic_segment(y, i + 0.5 - lag)
-        la1 = _cubic_segment(y, i + 1.0 - lag)
+    for s0 in range(0, steps, nlag - 1):
+        i = nback - 1 + s0 + np.arange(min(nlag - 1, steps - s0))
+        la = _cubic_rows(y, np.stack([i - lag, i + 0.5 - lag, i + 1.0 - lag]))
+        a = np.zeros(la.shape + (2, 2))
         if eps == 0:
-            k1 = la0 * (1.0 - y0)
-            k2 = lah * (1.0 - (y0 + dt / 2 * k1))
-            k3 = lah * (1.0 - (y0 + dt / 2 * k2))
-            k4 = la1 * (1.0 - (y0 + dt * k3))
-            y[i + 1] = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            a[..., 0, 0] = -la
         else:
-            def f(yv, wv, lav):
-                return wv, (-wv + lav * (1.0 - yv)) / eps
-            k1y, k1w = f(y0, w, la0)
-            k2y, k2w = f(y0 + dt / 2 * k1y, w + dt / 2 * k1w, lah)
-            k3y, k3w = f(y0 + dt / 2 * k2y, w + dt / 2 * k2w, lah)
-            k4y, k4w = f(y0 + dt * k3y, w + dt * k3w, la1)
-            y[i + 1] = y0 + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        if not math.isfinite(y[i + 1]) or abs(y[i + 1]) > blowup:
+            a[..., 0, 1] = -1.0
+            a[..., 1, 0] = la / eps
+            a[..., 1, 1] = -1.0 / eps
+        coef = _rk4_increment(*a, dt).reshape(-1, 4).tolist()
+        yv = float(y[i[0]])
+        new = []
+        for d00, d01, d10, d11 in coef:
+            v = 1.0 - yv
+            yv -= d00 * v + d01 * w
+            w += d10 * v + d11 * w
+            new.append(yv)
+            if not abs(yv) <= blowup:
+                break
+        y[i[0] + 1:i[0] + 1 + len(new)] = new
+        if not abs(yv) <= blowup:
             escaped = True
-            esc_t = (stp + 1) * dt
-            y = y[:i + 2]
+            esc_t = (s0 + len(new)) * dt
+            y = y[:i[0] + 1 + len(new)]
             break
     vals = y[nback - 1:]
     tgrid = dt * np.arange(vals.size)
@@ -532,8 +604,6 @@ def heteroclinic(tau: float, eps: float = 0.0, kind: str = "zero-to-one",
             good = np.abs(traj.y - 1.0) < 1e-3
             idx = np.nonzero(~good)[0]
             t_settle = traj.t[idx[-1]] if idx.size else 0.0
-            sel = traj.y[traj.t > t_settle + tau]
-            tail = traj.y[traj.t <= t_settle]
             sol = {"eps": eps, "t": traj.t, "y": traj.y, "delta": sign * delta,
                    "orbit": orbit, "settle_time": float(t_settle),
                    "residual": 0.0}

@@ -58,6 +58,125 @@ def test_orbit_history_shadows_then_departs(orbit):
     assert abs(tr.y[-1] - 1.0) < 1e-6
 
 
+def _cubic_scalar(z, idx):
+    # reference: the per-index cubic Lagrange lookup of the per-step loops
+    i0 = int(math.floor(idx))
+    f = idx - i0
+    if abs(f) < 1e-12:
+        return z[i0]
+    w = (-f * (f - 1) * (f - 2) / 6, (f * f - 1) * (f - 2) / 2,
+         -f * (f + 1) * (f - 2) / 2, f * (f * f - 1) / 6)
+    return (w[0] * z[i0 - 1] + w[1] * z[i0] + w[2] * z[i0 + 1]
+            + w[3] * z[i0 + 2])
+
+
+def _wright_per_step(tau, eps, history, t_end, dt=None, blowup=1e6):
+    # reference: method of steps one RK4 step at a time, history sampled
+    # point by point, initial derivative by finite difference
+    if dt is None:
+        dt = tau / 50.0 if eps == 0 else min(tau / 50.0, eps / 10.0)
+    nlag = int(math.ceil(tau / dt))
+    dt = tau / nlag
+    steps = int(math.ceil(t_end / dt))
+    nback = nlag + 4
+    y = np.empty(nback + steps)
+    tpast = dt * np.arange(-(nback - 1), 1)
+    y[:nback] = [history(max(s, -tau)) for s in tpast]
+    w = (history(0.0) - history(-dt)) / dt
+    lag = tau / dt
+    esc_t = None
+    for stp in range(steps):
+        i = nback - 1 + stp
+        y0 = y[i]
+        la0 = _cubic_scalar(y, i - lag)
+        lah = _cubic_scalar(y, i + 0.5 - lag)
+        la1 = _cubic_scalar(y, i + 1.0 - lag)
+        if eps == 0:
+            k1 = la0 * (1.0 - y0)
+            k2 = lah * (1.0 - (y0 + dt / 2 * k1))
+            k3 = lah * (1.0 - (y0 + dt / 2 * k2))
+            k4 = la1 * (1.0 - (y0 + dt * k3))
+            y[i + 1] = y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            def f(yv, wv, lav):
+                return wv, (-wv + lav * (1.0 - yv)) / eps
+            k1y, k1w = f(y0, w, la0)
+            k2y, k2w = f(y0 + dt / 2 * k1y, w + dt / 2 * k1w, lah)
+            k3y, k3w = f(y0 + dt / 2 * k2y, w + dt / 2 * k2w, lah)
+            k4y, k4w = f(y0 + dt * k3y, w + dt * k3w, la1)
+            y[i + 1] = y0 + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+            w = w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if not math.isfinite(y[i + 1]) or abs(y[i + 1]) > blowup:
+            esc_t = (stp + 1) * dt
+            y = y[:i + 2]
+            break
+    return y[nback - 1:], esc_t
+
+
+def _assert_close_to(y, ref, tol):
+    assert y.shape == ref.shape
+    assert np.all(np.abs(y - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("tau, eps, hist, t_end, dt, escapes", [
+    (5.0, 0.0, lambda s: 0.3, 80.0, None, False),
+    (4.0, 0.0, lambda s: 0.2 + 0.1 * np.sin(s), 60.0, 0.37, False),
+    (2.0, 5e-3, lambda s: 0.9, 10.0, None, False),
+    (4.0, 0.05, lambda s: 0.2 + 0.1 * np.sin(s), 40.0, 0.013, False),
+    (2.0, 0.0, lambda s: -0.5, 200.0, None, True),
+    (2.0, 1e-2, lambda s: -0.5, 200.0, None, True),
+], ids=["eps0", "eps0-dt", "eps", "eps-dt", "blowup", "blowup-eps"])
+def test_integrate_wright_matches_per_step_loop(tau, eps, hist, t_end, dt,
+                                                escapes):
+    tr = dde.integrate_wright(tau, eps, hist, t_end, dt=dt)
+    ref, esc_t = _wright_per_step(tau, eps, hist, t_end, dt=dt)
+    assert tr.escaped is escapes
+    assert tr.escape_time == esc_t
+    _assert_close_to(tr.y, ref, 1e-12)
+
+
+def test_integrate_wright_shadowing_matches_per_step_loop(orbit):
+    # the orbit's unstable direction amplifies rounding differences once the
+    # run departs from the orbit (3e-11 at most, seen), so the run is held
+    # to 1e-12 while it shadows the orbit and to 1e-10 after
+    hist = lambda s: orbit.p(s) * (1.0 + 1e-6)
+    tr = dde.integrate_wright(TAU, 0.0, hist, 300.0, dt=TAU / 400.0)
+    ref, esc_t = _wright_per_step(TAU, 0.0, hist, 300.0, dt=TAU / 400.0)
+    assert not tr.escaped and esc_t is None
+    early = tr.t < 3 * orbit.period
+    _assert_close_to(tr.y[early], ref[early], 1e-12)
+    _assert_close_to(tr.y, ref, 1e-10)
+
+
+@pytest.mark.parametrize("dt", [3.0, 1.0])
+def test_integrate_wright_rejects_step_not_below_delay(dt):
+    with pytest.raises(DomainError):
+        dde.integrate_wright(1.0, 0.0, lambda s: 0.3, 5.0, dt=dt)
+
+
+def test_integrate_wright_step_just_below_delay():
+    # nlag = 2: every step reads its lag from rows written before it
+    tr = dde.integrate_wright(1.0, 0.0, lambda s: 0.3, 5.0, dt=0.9)
+    ref, _ = _wright_per_step(1.0, 0.0, lambda s: 0.3, 5.0, dt=0.9)
+    _assert_close_to(tr.y, ref, 1e-12)
+
+
+def test_cubic_rows_matches_scalar_formula():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((40, 3))
+    nodes = rng.integers(2, 36, 30).astype(float)
+    idx = np.concatenate([rng.uniform(1.0, 37.0, 200), nodes,
+                          nodes + 1e-13, nodes - 1e-13, nodes + 5e-12])
+    rows = dde._cubic_rows(z, idx)
+    vals = dde._cubic_rows(z[:, 0], idx.reshape(-1, 10))
+    for j, ix in enumerate(idx):
+        ref = _cubic_scalar(z, ix)
+        np.testing.assert_allclose(rows[j], ref, rtol=0, atol=1e-14)
+        assert vals.flat[j] == pytest.approx(ref[0], rel=0, abs=1e-14)
+    # a node on the last row reads that row alone
+    assert np.array_equal(dde._cubic_rows(z, [39.0 + 1e-13]), z[[39]])
+
+
 # -- periodic orbits -------------------------------------------------------
 
 def test_orbit_residual_and_period(orbit):
@@ -96,6 +215,24 @@ def test_orbit_below_hopf_raises():
         dde.find_periodic(dde.HOPF_TAU - 0.1)
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.02])
+def test_orbit_jacobian_matches_finite_differences(eps):
+    n = 16
+    rng = np.random.default_rng(11)
+    th = 2 * np.pi * np.arange(n) / n
+    p0 = 0.5 * np.cos(th)
+    resid, jac = dde._orbit_system(TAU, eps, n, p0, 6.3)
+    x = np.append(p0 + 0.05 * rng.standard_normal(n), 6.5)
+    step = 1e-6
+    fd = np.empty((n + 1, n + 1))
+    for j in range(n + 1):
+        e = np.zeros(n + 1)
+        e[j] = step
+        fd[:, j] = (resid(x + e) - resid(x - e)) / (2 * step)
+    jd = jac(x)
+    assert np.max(np.abs(fd - jd)) <= 1e-7 * np.max(np.abs(jd))
+
+
 def test_orbit_eps_continuation():
     o = dde.find_periodic(TAU, eps=5e-3)
     assert o.residual < 1e-10
@@ -119,6 +256,55 @@ def test_floquet_doubling_stability(orbit):
     e1 = np.sort(np.abs(dde.floquet(orbit, n_disc=100)))[::-1][:3]
     e2 = np.sort(np.abs(dde.floquet(orbit, n_disc=200)))[::-1][:3]
     assert np.max(np.abs(e1 - e2) / e2) < 1e-2
+
+
+def _period_map_per_step(a_fun, b_fun, period, tau, n_disc, steps):
+    # reference: the period map one RK4 step at a time, with scalar
+    # coefficient callables and per-step cubic lookups
+    m = n_disc + 1
+    hist_s = np.linspace(-tau, 0.0, m)
+    dt = period / steps
+    nback = int(math.ceil(tau / dt)) + 4
+    tpast = -dt * np.arange(nback)[::-1]
+    z = np.zeros((nback + steps + 1, m))
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        z[:nback, j] = np.interp(tpast, hist_s, e)
+    lag = tau / dt
+    for step in range(steps):
+        i = nback - 1 + step
+        t = step * dt
+        z0 = z[i]
+        k1 = a_fun(t) * z0 + b_fun(t) * _cubic_scalar(z, i - lag)
+        k2 = (a_fun(t + dt / 2) * (z0 + dt / 2 * k1)
+              + b_fun(t + dt / 2) * _cubic_scalar(z, i + 0.5 - lag))
+        k3 = (a_fun(t + dt / 2) * (z0 + dt / 2 * k2)
+              + b_fun(t + dt / 2) * _cubic_scalar(z, i + 0.5 - lag))
+        k4 = (a_fun(t + dt) * (z0 + dt * k3)
+              + b_fun(t + dt) * _cubic_scalar(z, i + 1 - lag))
+        z[i + 1] = z0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return np.array([_cubic_scalar(z, (nback - 1) + (steps * dt + s) / dt)
+                     for s in hist_s])
+
+
+def test_floquet_matches_per_step_period_map(orbit):
+    ev = dde.floquet(orbit)
+    mat = _period_map_per_step(lambda t: -orbit.p(t - orbit.tau),
+                               lambda t: 1.0 - orbit.p(t), orbit.period,
+                               orbit.tau, 100, 2000)
+    ref = np.linalg.eigvals(mat)
+    ref = ref[np.argsort(-np.abs(ref))]
+    np.testing.assert_allclose(np.abs(ev), np.abs(ref), rtol=0, atol=1e-12)
+
+
+def test_floquet_rejects_too_few_steps_per_delay(orbit):
+    # three steps per period leave tau/dt near 2.3: a step of the block
+    # recurrence would read rows not yet written
+    steps = 3
+    assert orbit.tau * steps / orbit.period < 3
+    with pytest.raises(DomainError):
+        dde.floquet(orbit, steps=steps)
 
 
 def test_floquet_rejects_eps(orbit):
