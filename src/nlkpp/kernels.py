@@ -57,7 +57,8 @@ class Density:
         return w
 
     def mass(self) -> float:
-        return float(self.weights @ self.values)
+        with np.errstate(over="ignore"):    # Kernel rejects an infinite mass
+            return float(self.weights @ self.values)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ class Kernel:
         mass = sum(m for _, m in atoms)
         if self.density is not None:
             mass += self.density.mass()
+        if not math.isfinite(mass):
+            raise KernelError(f"kernel mass {mass} overflows a float")
         object.__setattr__(self, "total_mass", float(mass))
 
     # -- geometry ---------------------------------------------------------
@@ -164,8 +167,11 @@ def exp_moment(k: Kernel, rate: float, side: str = "both") -> float:
         total += m * float(_exp_clip(rate * s))
 
     if k.density is not None:
-        g = k.density.grid
-        fv = k.density.values * _exp_clip(rate * g)
+        g, v = k.density.grid, k.density.values
+        # zero values stay zero where the exponential overflows (0 * inf)
+        pos = v > 0
+        fv = np.zeros_like(v)
+        fv[pos] = v[pos] * _exp_clip(rate * g[pos])
         a, b = g[:-1], g[1:]
         fa, fb = fv[:-1], fv[1:]
         cell = 0.5 * (fa + fb) * (b - a)
@@ -275,6 +281,13 @@ def gaussian_density(sigma: float = 1.0, n: int = 1601, width: float = 8.0) -> K
     return normalize(Kernel(density=Density(grid, vals)))
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise KernelError(f"{what} config must be a JSON object, "
+                          f"got {type(value).__name__}")
+    return value
+
+
 def from_config(cfg: dict) -> tuple[Kernel, float]:
     """Build a kernel from its JSON dict; returns (normalized kernel, raw mass).
 
@@ -282,25 +295,32 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
              "density": {"lo", "hi", "n", "kind": "gaussian"|"uniform"|"table",
                          "params": {...}, "values": [...]}}
     """
-    atoms = tuple((a["s"], a["mass"]) for a in cfg.get("atoms", []))
+    atoms = tuple((a["s"], a["mass"])
+                  for a in _object(cfg, "kernel").get("atoms", []))
     dens = None
     d = cfg.get("density")
     if d is not None:
-        n = int(d.get("n", 401))
+        n = int(_object(d, "density").get("n", 401))
         lo, hi = float(d["lo"]), float(d["hi"])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise KernelError(f"density window [{lo}, {hi}] is not finite")
+        if not lo < hi:
+            raise KernelError(f"density window [{lo}, {hi}] is empty")
         grid = np.linspace(lo, hi, n)
         kind = d.get("kind", "table")
         if kind == "uniform":
             vals = np.full(n, 1.0 / (hi - lo))
         elif kind == "gaussian":
-            sigma = float(d.get("params", {}).get("sigma", 1.0))
+            params = _object(d.get("params", {}), "density params")
+            sigma = float(params.get("sigma", 1.0))
             if not (math.isfinite(sigma) and sigma > 0):
                 raise KernelError(
                     f"gaussian sigma must be finite and > 0, got {sigma}")
-            vals = (np.exp(-0.5 * (grid / sigma) ** 2)
-                    / (sigma * math.sqrt(2 * math.pi)))
+            # for a tiny sigma, (grid / sigma)**2 may overflow, giving
+            # exp(-inf) = 0, and a peak that overflows is rejected by Density
+            with np.errstate(over="ignore"):
+                vals = (np.exp(-0.5 * (grid / sigma) ** 2)
+                        / (sigma * math.sqrt(2 * math.pi)))
         elif kind == "table":
             vals = np.asarray(d["values"], dtype=float)
             if vals.size != n:

@@ -64,6 +64,11 @@ def quad_roots(c: float) -> tuple[float, float]:
 
 # -- monotone-front criterion ---------------------------------------------------
 
+def _opposite(a: float, b: float) -> bool:
+    """a and b have strictly opposite signs (their product may overflow)."""
+    return a < 0 < b or b < 0 < a
+
+
 def monotone_front_root(c: float, k: Kernel, lam_min: float = -40.0,
                             n_brackets: int = 400):
     """Largest negative root of z^2 - c z - int K(s) e^{-z s} ds = 0, or None.
@@ -88,13 +93,13 @@ def monotone_front_root(c: float, k: Kernel, lam_min: float = -40.0,
         if fa == 0.0:
             root = a
             break
-        if fa * fb < 0:
+        if _opposite(fa, fb):
             for _ in range(200):
                 m = 0.5 * (a + b)
                 fm = g(m)
                 if fm == 0.0 or b - a < 1e-14:
                     break
-                if fa * fm < 0:
+                if _opposite(fa, fm):
                     b, fb = m, fm
                 else:
                     a, fa = m, fm
@@ -109,8 +114,8 @@ def monotone_front_root(c: float, k: Kernel, lam_min: float = -40.0,
         (s0, m0), = [a for a in k.atoms if a[1] > 0]
         if s0 > 0:
             x = -lam_min
-            grows = (s0 * m0 * math.exp(x * s0) > 2 * x + c
-                     and s0 * s0 * m0 * math.exp(x * s0) > 2.0)
+            e = math.inf if x * s0 > 700.0 else math.exp(x * s0)
+            grows = s0 * m0 * e > 2 * x + c and s0 * s0 * m0 * e > 2.0
             if grows and g(lam_min) < 0:
                 diag["tail_certificate"] = "single-atom exponential dominance"
     return None, diag

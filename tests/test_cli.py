@@ -1,7 +1,12 @@
 import json
+import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nlkpp import cli
 
@@ -224,3 +229,142 @@ def test_connect_heteroclinic(tmp_path):
     y = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert y[0] == pytest.approx(0.0, abs=1e-3)
     assert y[-1] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path):
+    code, out = run_cli(tmp_path, "toy")
+    assert code == 0 and (out / "manifest.json").exists()
+    code, _ = run_cli(tmp_path, "toy", "--config", str(tmp_path / "no.json"))
+    assert code == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("a file, not a directory\n")
+    code, _ = run_cli(tmp_path, "classify", "--c", "2.5")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error: cannot write" in err
+
+
+def test_artifact_path_taken_by_a_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "out" / "classify.json").mkdir(parents=True)
+    code, out = run_cli(tmp_path, "classify", "--c", "2.5")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error: cannot write" in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_rerun_replaces_artifacts_instead_of_writing_through(tmp_path):
+    # a link to an artifact keeps the first run's bytes only if the rerun
+    # wrote a new file; truncating in place would change it
+    _, out = run_cli(tmp_path, "atlas", "--n", "6")
+    names = ("atlas.csv", "atlas.json")
+    first = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        os.link(out / name, tmp_path / ("first-" + name))
+    assert run_cli(tmp_path, "atlas", "--n", "7")[0] == 0
+    _, fresh = run_cli(tmp_path / "fresh", "atlas", "--n", "7")
+    for name in names:
+        assert (tmp_path / ("first-" + name)).read_bytes() == first[name]
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert (out / name).read_bytes() != first[name]
+
+
+@pytest.mark.parametrize("kernel", [
+    {"density": {"lo": 1, "hi": 1, "n": 5, "kind": "uniform"}},
+    {"density": {"lo": 2, "hi": 1, "n": 5, "kind": "uniform"}},
+    [1, 2],
+    {"density": [1, 2]},
+    {"density": {"lo": -1, "hi": 1, "kind": "gaussian", "params": [1]}},
+])
+def test_classify_malformed_kernel_is_config_error(tmp_path, capsys, kernel):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": kernel}))
+    code, out = run_cli(tmp_path, "classify", "--c", "2.5",
+                        "--config", str(cfgp))
+    assert code == 1
+    assert "config error: bad kernel config" in capsys.readouterr().err
+    assert not (out / "classify.json").exists()
+
+
+# random kernel configs for `classify`: atoms on either side of 0 (delayed,
+# advanced or mixed), gaussian, uniform and table densities whose windows may
+# be empty or reversed and whose sizes and parameters may be invalid, and
+# non-object values where the schema expects an object
+_number = st.one_of(st.floats(-30, 30), st.sampled_from([0, 1, -1, 0.5]))
+_atom = st.fixed_dictionaries({"s": _number,
+                               "mass": st.one_of(st.floats(0, 3), _number)})
+_window = st.tuples(_number, st.one_of(st.floats(0.01, 12),
+                                       st.sampled_from([0.0, -1.0])))
+_other = st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3),
+                   st.lists(st.integers(0, 3), max_size=3))
+
+
+@st.composite
+def _density(draw):
+    lo, width = draw(_window)
+    n = draw(st.integers(0, 40))
+    d = {"lo": lo, "hi": lo + width, "n": n,
+         "kind": draw(st.sampled_from(["gaussian", "uniform", "table"]))}
+    if d["kind"] == "gaussian":
+        d["params"] = draw(st.one_of(
+            st.fixed_dictionaries({"sigma": st.one_of(st.floats(0.05, 5),
+                                                      _number)}),
+            _other))
+    elif d["kind"] == "table":
+        d["values"] = draw(st.lists(st.one_of(st.floats(0, 2), _number),
+                                    min_size=max(n - 1, 0),
+                                    max_size=n + 1))
+    return d
+
+
+_kernel = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "atoms": st.lists(_atom, max_size=3), "density": _density()}),
+    st.one_of(_other, st.fixed_dictionaries({}, optional={
+        "atoms": st.one_of(st.lists(st.one_of(_atom, _other), max_size=3),
+                           _other),
+        "density": _other})))
+
+
+def _all_finite(obj):
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    return obj not in ("nan", "inf", "-inf")
+
+
+def _dens(lo, hi, n, kind, **extra):
+    return {"density": dict(lo=lo, hi=hi, n=n, kind=kind, **extra)}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kernel=_kernel, c=st.floats(2, 8))
+# kernels reaching far enough right that e^{40 s} overflows in the
+# monotone-front scan at c = 2, and densities with a tiny sigma, a mass that
+# overflows a float or a zero value where the exponential overflows
+@example(kernel={"atoms": [{"s": 18.0, "mass": 1.0}]}, c=2.0)
+@example(kernel=_dens(0.0, 9.0, 2, "uniform"), c=2.0)
+@example(kernel=_dens(6.0, 18.0, 2, "table", values=[1.0, 0.0]), c=2.0)
+@example(kernel=_dens(0.0, 1.0, 2, "gaussian", params={"sigma": 6e-210}),
+         c=2.0)
+@example(kernel=_dens(0.0, 3.0, 2, "gaussian", params={"sigma": 3e-309}),
+         c=2.0)
+@example(kernel={"atoms": [{"s": 0.0, "mass": 1e308},
+                           {"s": 1.0, "mass": 1e308}]}, c=2.0)
+def test_classify_random_kernel_exits_cleanly(kernel, c):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "cfg.json"
+        cfgp.write_text(json.dumps({"kernel": kernel}))
+        out = Path(tmp) / "out"
+        code = cli.main(["classify", "--c", repr(c), "--config", str(cfgp),
+                         "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            rep = load(out, "classify.json")
+            assert _all_finite(rep), rep

@@ -116,6 +116,31 @@ def test_from_config_table_length_mismatch():
         ker.from_config(cfg)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"atoms": [{"s": 0.0, "mass": 1e308}, {"s": 1.0, "mass": 1e308}]},
+    {"density": {"lo": 0.0, "hi": 3.0, "n": 2, "kind": "gaussian",
+                 "params": {"sigma": 3e-309}}},
+])
+def test_from_config_overflowing_mass_rejected(cfg):
+    with pytest.raises(ker.KernelError, match="overflows"):
+        ker.from_config(cfg)
+
+
+def test_from_config_gaussian_far_narrower_than_grid():
+    # (grid / sigma)**2 overflows off the centre node, leaving an atom at 0
+    k, _ = ker.from_config({"density": {"lo": -1.0, "hi": 1.0, "n": 3,
+                                        "kind": "gaussian",
+                                        "params": {"sigma": 1e-200}}})
+    assert k.density.values == pytest.approx([0.0, 1.0, 0.0])
+
+
+def test_exp_moment_zero_value_where_exponential_overflows():
+    # e^{40 s} overflows at s = 18, where the density is zero
+    k = ker.Kernel(density=ker.Density(np.array([6.0, 18.0]),
+                                       np.array([1.0, 0.0])))
+    assert ker.exp_moment(k, 40.0) == pytest.approx(6.0 * math.exp(240.0))
+
+
 atom_lists = st.lists(
     st.tuples(st.floats(-5, 5), st.floats(0.01, 10)), min_size=1, max_size=4
 )
