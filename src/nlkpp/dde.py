@@ -8,8 +8,11 @@ orbits (zero-to-one and periodic-to-point) with asymptotic-rate fits.  The
 zero-to-one connection is one collocation system for eps = 0 and eps > 0:
 the lag is a fixed sparse operator on the unknowns, so residual and Newton
 Jacobian come from the same difference, average and lag matrices.  The
-periodic orbit's residual and analytic Jacobian likewise come from dense
-Fourier derivative and delay matrices.
+periodic orbit has one Fourier discretization, `_orbit_system`: its map
+gives the residual and the analytic Jacobian from dense Fourier derivative
+and delay matrices, Newton iterates it, and the normalized adjoint
+(eps v'' term included) is the left null vector of its Jacobian at the
+orbit.
 
 Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block of steps at a time, with the block shorter than
@@ -73,6 +76,15 @@ def _trig_eval(vals: np.ndarray, period: float, t, order: int = 0):
 
 # -- periodic orbits -------------------------------------------------------
 
+# orbit collocation: samples per period, Newton tolerance on the residual and
+# iteration cap, eps-continuation steps, and the adjoint's singular-value gap
+ORBIT_NODES = 64
+ORBIT_TOL = 1e-12
+ORBIT_MAX_ITER = 60
+ORBIT_EPS_STEPS = 4
+ADJOINT_GAP_TOL = 1e-4
+
+
 @dataclass
 class PeriodicOrbit:
     """Slowly oscillating periodic solution with period, samples over one
@@ -115,89 +127,85 @@ class PeriodicOrbit:
         return min(counts), max(counts)
 
 
-def _orbit_system(tau, eps, n, p0, om0):
+def _orbit_system(tau, eps, p0, om0):
     """Fourier-collocation system for uniform period samples p and the
     period om: eps p'' + p' - p(t - tau)(1 - p) = 0 at the samples, plus an
     orthogonality phase condition against the seed's derivative.
 
     Derivative and delay are dense Fourier-multiplier matrices built from
     one batched rfft of the identity, so residual and analytic Jacobian
-    (period column included) come from the same operators.  Returns the
-    residual and Jacobian maps of x = (p, om)."""
+    (period column included) come from the same operators.  Returns the map
+    x = (p, om) -> (residual, Jacobian)."""
+    n = p0.size
     k = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     basis = np.fft.rfft(np.eye(n), axis=0)
 
     def op(mult):
         return np.fft.irfft(basis * mult[:, None], n=n, axis=0)
 
-    def ops(om):
-        # d/dt, d^2/dt^2, the delay and the delay's derivative in om
-        shift = np.exp(-k * tau / om)
-        return (op(k / om), op((k / om) ** 2), op(shift),
-                op(shift * k * tau / om ** 2))
-
     dref = op(k / om0) @ p0
 
-    def resid(x):
+    def system(x):
         p, om = x[:-1], x[-1]
-        d1, d2, s, _ = ops(om)
+        # d/dt, d^2/dt^2, the delay and the delay's derivative in om
+        shift = np.exp(-k * tau / om)
+        d1, d2, s, ds = (op(k / om), op((k / om) ** 2), op(shift),
+                         op(shift * k * tau / om ** 2))
         r = d1 @ p - (s @ p) * (1.0 - p)
+        jac = np.zeros((n + 1, n + 1))
+        jac[:n, :n] = d1 - (1.0 - p)[:, None] * s + np.diag(s @ p)
+        jac[:n, n] = -(d1 @ p) / om - (1.0 - p) * (ds @ p)
         if eps > 0:
             r = eps * (d2 @ p) + r
-        return np.append(r, np.sum(p * dref) / n)
+            jac[:n, :n] += eps * d2
+            jac[:n, n] -= 2.0 * eps * (d2 @ p) / om
+        jac[n, :n] = dref / n
+        return np.append(r, np.sum(p * dref) / n), jac
 
-    def jac(x):
-        p, om = x[:-1], x[-1]
-        d1, d2, s, ds = ops(om)
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = d1 - (1.0 - p)[:, None] * s + np.diag(s @ p)
-        out[:n, n] = -(d1 @ p) / om - (1.0 - p) * (ds @ p)
-        if eps > 0:
-            out[:n, :n] += eps * d2
-            out[:n, n] -= 2.0 * eps * (d2 @ p) / om
-        out[n, :n] = dref / n
-        return out
-
-    return resid, jac
+    return system
 
 
-def _orbit_newton(tau, eps, n, p0, om0, tol, max_iter):
-    """Newton solve of `_orbit_system` from the seed (p0, om0)."""
-    resid, jac = _orbit_system(tau, eps, n, p0, om0)
+def _orbit_newton(tau, eps, p0, om0):
+    """Newton solve of `_orbit_system` from the seed (p0, om0).  An iterate
+    that is not finite or has a period <= 0, and a singular Jacobian, end
+    the solve as NoConvergence."""
+    system = _orbit_system(tau, eps, p0, om0)
     x = np.append(p0, om0)
     step = math.inf
-    for _ in range(max_iter):
-        f = resid(x)
-        if np.linalg.norm(f, np.inf) < tol and step < 1e-9:
-            break
-        dx = np.linalg.solve(jac(x), f)
+    for _ in range(ORBIT_MAX_ITER):
+        r, jac = system(x)
+        res = float(np.linalg.norm(r, np.inf))
+        if res < ORBIT_TOL and step < 1e-9:
+            return x[:-1], float(x[-1]), res
+        try:
+            dx = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError as e:
+            raise NoConvergence(f"periodic-orbit Newton diverged: {e}") from e
         step = float(np.linalg.norm(dx, np.inf))
         x = x - dx
-    else:
-        raise NoConvergence(
-            f"periodic-orbit Newton did not converge; last correction {step}")
-    return x[:-1], float(x[-1]), float(np.linalg.norm(resid(x), np.inf))
+        if not (np.all(np.isfinite(x)) and x[-1] > 0):
+            raise NoConvergence(
+                f"periodic-orbit Newton diverged to period {x[-1]}")
+    raise NoConvergence(
+        f"periodic-orbit Newton did not converge; last correction {step}")
 
 
-def find_periodic(tau: float, eps: float = 0.0, n: int = 64,
-                  tol: float = 1e-12, max_iter: int = 60,
-                  eps_steps: int = 4) -> PeriodicOrbit:
-    """Periodic orbit for tau > 3 pi/2, continued in eps from the eps = 0
-    solve; seeded from the small-amplitude cosine."""
+def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
+    """Periodic orbit for tau > 3 pi/2 on ORBIT_NODES samples, continued in
+    eps over ORBIT_EPS_STEPS steps from the eps = 0 solve; seeded from the
+    small-amplitude cosine."""
     if tau <= HOPF_TAU:
         raise DomainError(f"periodic orbit needs tau > 3 pi/2, got {tau}")
     amp = hopf_amplitude(tau)
-    th = 2 * np.pi * np.arange(n) / n
-    p, om, res = _orbit_newton(tau, 0.0, n, amp * np.cos(th), 2 * np.pi,
-                               tol, max_iter)
+    th = 2 * np.pi * np.arange(ORBIT_NODES) / ORBIT_NODES
+    p, om, res = _orbit_newton(tau, 0.0, amp * np.cos(th), 2 * np.pi)
     om0 = om
     if eps > 0:
-        for ej in np.linspace(0.0, eps, eps_steps + 1)[1:]:
-            p, om, res = _orbit_newton(tau, float(ej), n, p, om, tol, max_iter)
-    orbit = PeriodicOrbit(tau=tau, eps=eps, period=om, values=p, residual=res,
-                          gamma=om / om0 - 1.0,
-                          amplitude=0.5 * float(p.max() - p.min()))
-    return orbit
+        for ej in np.linspace(0.0, eps, ORBIT_EPS_STEPS + 1)[1:]:
+            p, om, res = _orbit_newton(tau, float(ej), p, om)
+    return PeriodicOrbit(tau=tau, eps=eps, period=om, values=p, residual=res,
+                         gamma=om / om0 - 1.0,
+                         amplitude=0.5 * float(p.max() - p.min()))
 
 
 # -- Floquet spectrum ------------------------------------------------------
@@ -299,35 +307,25 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100,
     return ev
 
 
-def adjoint_periodic(orbit: PeriodicOrbit, gap_tol: float = 1e-4) -> np.ndarray:
+def adjoint_periodic(orbit: PeriodicOrbit) -> np.ndarray:
     """Periodic solution of the formal adjoint
-    v'(t) = p(t-tau) v(t) - (1-p(t+tau)) v(t+tau), normalized so the period
-    integral of p'(t) v(t) equals 1; computed from the null direction of the
-    Fourier-collocated adjoint operator."""
+    eps v'' - v' + p(t-tau) v - (1-p(t+tau)) v(t+tau) = 0, normalized so the
+    period integral of p'(t) v(t) equals 1: the left null vector of the
+    `_orbit_system` Jacobian block in p at the orbit, whose transpose turns
+    the collocated derivative into its negative and the delay into the
+    advance.  A second singular value below ADJOINT_GAP_TOL of the largest
+    raises NoConvergence."""
     n = orbit.values.size
-    om, tau = orbit.period, orbit.tau
-    t = om * np.arange(n) / n
-    k = np.fft.rfftfreq(n, d=1.0 / n)
-    p_back = orbit.p(t - tau)
-    p_fwd = orbit.p(t + tau)
-
-    def apply(v):
-        dv = np.fft.irfft(np.fft.rfft(v) * (1j * k * 2 * np.pi / om), n=n)
-        v_fwd = np.fft.irfft(np.fft.rfft(v) * np.exp(1j * k * 2 * np.pi * tau / om),
-                             n=n)
-        return dv - p_back * v + (1.0 - p_fwd) * v_fwd
-
-    mat = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        mat[:, j] = apply(e)
-    _, sv, vt = np.linalg.svd(mat)
-    if sv[-2] < gap_tol * sv[0]:
+    om = orbit.period
+    _, jac = _orbit_system(orbit.tau, orbit.eps, orbit.values, om)(
+        np.append(orbit.values, om))
+    u, sv, _ = np.linalg.svd(jac[:n, :n])
+    if sv[-2] < ADJOINT_GAP_TOL * sv[0]:
         raise NoConvergence(
             "periodic adjoint is not unique: second singular value "
             f"{sv[-2]} is below the gap tolerance")
-    v = vt[-1]
+    v = u[:, -1]
+    t = om * np.arange(n) / n
     dp = orbit.p(t, 1)
     scale = float(np.sum(dp * v)) * om / n
     if abs(scale) < 1e-12:

@@ -115,6 +115,9 @@ def normalize(k: Kernel) -> Kernel:
     if k.total_mass <= 0:
         raise KernelError("cannot normalize a zero-mass kernel")
     c = 1.0 / k.total_mass
+    if math.isinf(c):
+        raise KernelError(f"kernel mass {k.total_mass} is too small to "
+                          "normalize: its inverse overflows a float")
     atoms = tuple((s, m * c) for s, m in k.atoms)
     dens = None
     if k.density is not None:
@@ -185,7 +188,9 @@ def exp_moment(k: Kernel, rate: float, side: str = "both") -> float:
             if straddle.any():
                 (i,) = np.nonzero(straddle)
                 for j in i:
-                    f0 = fa[j] + (fb[j] - fa[j]) * (0.0 - a[j]) / (b[j] - a[j])
+                    # an overflowed end makes the split value inf, not nan
+                    f0 = (math.inf if max(fa[j], fb[j]) == math.inf else
+                          fa[j] + (fb[j] - fa[j]) * (0.0 - a[j]) / (b[j] - a[j]))
                     if side == "left":
                         total += 0.5 * (fa[j] + f0) * (0.0 - a[j])
                     else:
@@ -232,6 +237,8 @@ def stencil(k: Kernel, h: float) -> Stencil:
     np.add.at(w, idx, masses * (1.0 - (pos - j)))
     np.add.at(w, idx + 1, masses * (pos - j))
     (nz,) = np.nonzero(w)
+    if nz.size == 0:    # subnormal masses may lump to zero weights
+        raise KernelError("kernel mass lumps to zero weights")
     return Stencil(float(h), int(j.min()) + int(nz[0]), w[nz[0]:nz[-1] + 1])
 
 

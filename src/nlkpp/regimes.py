@@ -88,8 +88,11 @@ def u_bound(c: float, k: Kernel) -> float:
     rm = _right_mass(k)
     candidates = []
     if rm > 0:
+        # U1 needs a positive finite moment; inf comes from an overflowed
+        # end of the density cell straddling 0
         em = exp_moment(k, f_func(c, -1.0), "right")
-        candidates.append(max(1.0, 1.0 / em) if em > 0 else math.inf)
+        candidates.append(max(1.0, 1.0 / em) if 0 < em < math.inf
+                          else math.inf)
     if rm < 1e-3:
         r = _left_radius(k)
         if r is None or r > 10 ** 6:
@@ -294,12 +297,17 @@ def classify(c: float, k: Kernel, m_star: float | None = None,
     beta = U + 1.0
     b = 2.0 * beta + 3.0
     fz, _ = monotone_front_root(c, k)
-    detail = convergence_check(c, k, m_star)
+    detail = convergence_check(c, k, U if m_star is None else m_star)
     geo = pP_feasible_set(ap, am, P_cap, grid_n)
-    second_moment = k.moment(lambda s: np.asarray(s, dtype=float) ** 2)
-    mst = detail["m_star"]
-    alc = {"c": c, "threshold": mst * math.sqrt(second_moment),
+    with np.errstate(over="ignore"):    # an overflow is rejected below
+        second_moment = k.moment(lambda s: np.asarray(s, dtype=float) ** 2)
+    alc = {"c": c, "threshold": detail["m_star"] * math.sqrt(second_moment),
            "informational": True}
+    inf = [name for name, v in {**detail, "b": b, **alc}.items()
+           if isinstance(v, float) and math.isinf(v)]
+    if inf:
+        raise RepresentationError(
+            f"report values {', '.join(inf)} overflow a float at c={c}")
     return RegimeReport(c, ap, am, U, beta, b, fz, True, fz is not None,
                         detail["verdict"], detail,
                         (geo["p_min"], geo["P_max"]), alc)

@@ -211,6 +211,16 @@ def test_periodic_below_threshold_is_config_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("tau", ["7", "8"])
+def test_periodic_diverging_newton_is_numeric_failure(tmp_path, capsys, tau):
+    # from the small-amplitude seed the orbit Newton reaches p = 1, where the
+    # period is free, and the period then runs off through 0
+    code, out = run_cli(tmp_path, "periodic", "--tau", tau)
+    assert code == 2
+    assert "numeric failure: periodic-orbit Newton" in capsys.readouterr().err
+    assert not (out / "orbit.json").exists()
+
+
 def test_connect_unknown_kind(tmp_path):
     code, _ = run_cli(tmp_path, "connect", "--tau", "5", "--kind", "spiral")
     assert code == 1
@@ -292,11 +302,13 @@ def test_classify_malformed_kernel_is_config_error(tmp_path, capsys, kernel):
 # random kernel configs for `classify`: atoms on either side of 0 (delayed,
 # advanced or mixed), gaussian, uniform and table densities whose windows may
 # be empty or reversed and whose sizes and parameters may be invalid, and
-# non-object values where the schema expects an object
+# non-object values where the schema expects an object; atoms and window ends
+# reach out to 1e6, where exponential moments and U(c, K) overflow
 _number = st.one_of(st.floats(-30, 30), st.sampled_from([0, 1, -1, 0.5]))
-_atom = st.fixed_dictionaries({"s": _number,
+_offset = st.one_of(st.floats(-1e6, 1e6), _number)
+_atom = st.fixed_dictionaries({"s": _offset,
                                "mass": st.one_of(st.floats(0, 3), _number)})
-_window = st.tuples(_number, st.one_of(st.floats(0.01, 12),
+_window = st.tuples(_offset, st.one_of(st.floats(0.01, 12),
                                        st.sampled_from([0.0, -1.0])))
 _other = st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=3),
                    st.lists(st.integers(0, 3), max_size=3))
@@ -368,3 +380,30 @@ def test_classify_random_kernel_exits_cleanly(kernel, c):
         if code == 0:
             rep = load(out, "classify.json")
             assert _all_finite(rep), rep
+
+
+@pytest.mark.parametrize("kernel, c, msg", [
+    # the mass underflows, so normalizing by 1 / mass overflows
+    (_dens(6845.485296693551, 7566.3499044318105, 201, "gaussian",
+           params={"sigma": 180.21615193456478}), 4.462360599382275,
+     "too small to normalize"),
+    # the cell straddling 0 has an overflowed left end
+    (_dens(-1106.6754428073466, 341459.3283118394, 201, "uniform"),
+     2.1548854510626856, "U(c,K) overflows"),
+    # U(c, K) = 2.3e305 is finite, but the ALC threshold is not
+    (_dens(-2453.096200084702, -2215.4014801650314, 201, "gaussian",
+           params={"sigma": 59.423679979917665}), 3.4830093447562365,
+     "threshold overflow"),
+    # a light atom far to the right: its second moment overflows
+    ({"atoms": [{"s": -1.0, "mass": 1.0}, {"s": 1e200, "mass": 1e-5}]}, 2.0,
+     "threshold overflow"),
+])
+def test_classify_far_kernel_is_config_error(tmp_path, capsys, kernel, c, msg):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": kernel}))
+    code, out = run_cli(tmp_path, "classify", "--c", repr(c),
+                        "--config", str(cfgp))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and msg in err
+    assert not (out / "classify.json").exists()

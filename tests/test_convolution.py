@@ -2,7 +2,7 @@
 asymmetric kernels in both orientations and with every tail kind."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nlkpp import kernels as ker
 from nlkpp import pdesim
@@ -147,3 +147,46 @@ def test_stencil_lumps_fractional_atom_linearly():
 def test_stencil_rejects_zero_mass():
     with pytest.raises(ker.KernelError):
         ker.stencil(ker.Kernel(atoms=((1.0, 0.0),)), 0.1)
+
+
+def test_stencil_rejects_mass_lumped_to_zero():
+    # half of the smallest subnormal rounds to zero on both nodes
+    with pytest.raises(ker.KernelError):
+        ker.stencil(ker.Kernel(atoms=((1.0, 5e-324),)), 2.0)
+
+
+# subnormal masses round to zero when split (see the test below)
+_mass = st.one_of(st.floats(0, 5, allow_subnormal=False), st.just(0.0))
+
+
+@st.composite
+def _random_kernel(draw):
+    """Up to four atoms and an optional uniformly gridded density, at any
+    offsets within +-40, with some zero masses and zero density values."""
+    atoms = draw(st.lists(st.tuples(st.floats(-40, 40), _mass), max_size=4))
+    dens = None
+    if draw(st.booleans()):
+        lo = draw(st.floats(-40, 40))
+        n = draw(st.integers(2, 60))
+        grid = np.linspace(lo, lo + draw(st.floats(0.01, 20)), n)
+        dens = ker.Density(grid, draw(st.lists(_mass, min_size=n, max_size=n)))
+    k = ker.Kernel(atoms, dens)
+    assume(k.total_mass > 0)
+    return k
+
+
+@given(k=_random_kernel(), h=st.floats(0.005, 2.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_stencil_keeps_mass_and_first_moment(k, h):
+    # linear lumping splits each mass between its two neighbouring nodes in
+    # proportion to the distance, so the total mass and the first moment
+    # h * sum(j w_j) = int s dK hold up to rounding, plus the move of an
+    # offset within 1e-9 steps of a node onto it
+    st_phi = ker.stencil(k, h)
+    w = st_phi.weights
+    assert np.all(w >= 0)
+    assert w.sum() == pytest.approx(k.total_mass, rel=1e-12)
+    first = h * float(np.arange(st_phi.lo, st_phi.hi + 1) @ w)
+    scale = k.moment(np.abs) + h * k.total_mass
+    snap = 1e-9 * h * k.total_mass
+    assert abs(first - k.moment(lambda s: s)) <= 1e-12 * scale + snap

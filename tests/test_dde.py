@@ -221,16 +221,22 @@ def test_orbit_jacobian_matches_finite_differences(eps):
     rng = np.random.default_rng(11)
     th = 2 * np.pi * np.arange(n) / n
     p0 = 0.5 * np.cos(th)
-    resid, jac = dde._orbit_system(TAU, eps, n, p0, 6.3)
+    system = dde._orbit_system(TAU, eps, p0, 6.3)
     x = np.append(p0 + 0.05 * rng.standard_normal(n), 6.5)
     step = 1e-6
     fd = np.empty((n + 1, n + 1))
     for j in range(n + 1):
         e = np.zeros(n + 1)
         e[j] = step
-        fd[:, j] = (resid(x + e) - resid(x - e)) / (2 * step)
-    jd = jac(x)
+        fd[:, j] = (system(x + e)[0] - system(x - e)[0]) / (2 * step)
+    jd = system(x)[1]
     assert np.max(np.abs(fd - jd)) <= 1e-7 * np.max(np.abs(jd))
+
+
+def test_orbit_newton_singular_jacobian_is_no_convergence():
+    # p = 0 solves the collocation equations, but its phase row is zero
+    with pytest.raises(NoConvergence):
+        dde._orbit_newton(TAU, 0.0, np.zeros(16), 2 * np.pi)
 
 
 def test_orbit_eps_continuation():
@@ -316,6 +322,36 @@ def test_floquet_rejects_eps(orbit):
 def test_adjoint_normalization(orbit):
     dde.adjoint_periodic(orbit)
     assert dde.resonance_pairing(orbit) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_adjoint_not_unique_at_hopf_point():
+    # p = 0 at tau = 3 pi/2 and period 2 pi: cos t and sin t both solve the
+    # linearized equation, so the null space is two-dimensional
+    orbit = dde.PeriodicOrbit(tau=dde.HOPF_TAU, eps=0.0, period=2 * np.pi,
+                              values=np.zeros(16), residual=0.0)
+    with pytest.raises(NoConvergence, match="not unique"):
+        dde.adjoint_periodic(orbit)
+
+
+# HOPF_TAU + 0.01 has the smallest singular-value gap (about 1.3e-4 of the
+# largest) that the adjoint accepts; eps > 0 needs the eps v'' term
+@pytest.mark.parametrize("tau, eps", [(TAU, 0.0), (dde.HOPF_TAU + 0.01, 0.0),
+                                      (TAU, 5e-3), (4.8124, 0.0204)])
+def test_adjoint_solves_formal_adjoint_off_grid(tau, eps):
+    # independent of the collocation: the trigonometric interpolant of the
+    # adjoint samples, put into eps v'' - v' + p(t-tau) v - (1-p(t+tau)) v(t+tau)
+    # at 4n times between the samples, against the largest of its terms
+    orbit = dde.find_periodic(tau, eps=eps)
+    dde.adjoint_periodic(orbit)
+    v = orbit.adjoint[:, 1]
+    n, om = v.size, orbit.period
+    t = om * (np.arange(4 * n) + 0.5) / (4 * n)
+    terms = [eps * dde._trig_eval(v, om, t, 2), -dde._trig_eval(v, om, t, 1),
+             orbit.p(t - tau) * dde._trig_eval(v, om, t),
+             -(1.0 - orbit.p(t + tau)) * dde._trig_eval(v, om, t + tau)]
+    scale = max(np.max(np.abs(term)) for term in terms)
+    assert np.max(np.abs(sum(terms))) <= 1e-10 * scale
+    assert dde.resonance_pairing(orbit) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- connecting orbits -----------------------------------------------------
