@@ -27,7 +27,7 @@ from . import __version__
 from .kernels import (Kernel, KernelError, dirac, from_config,
                       alpha_plus, alpha_minus)
 from .spectral import (DomainError, NoConvergence, quad_roots, chi1_roots,
-                       eps_advanced_roots, monotone_front_root)
+                       monotone_front_root)
 from . import regimes, profiles, dde, pdesim
 
 
@@ -134,10 +134,7 @@ def cmd_roots(args, cfg, out: Path) -> None:
         lam, mu = quad_roots(args.c)
         report["quadratic"] = {"c": args.c, "lam": lam, "mu": mu}
     if args.tau is not None:
-        if args.eps:
-            rr = eps_advanced_roots(args.tau, args.eps)
-        else:
-            rr = chi1_roots(args.tau)
+        rr = chi1_roots(args.tau, args.eps)
         report["census"] = rr.as_dict()
     if not report:
         raise ConfigError("roots needs --c and/or --tau")

@@ -36,6 +36,12 @@ from .spectral import DomainError, NoConvergence
 from .profiles import Profile
 
 HOPF_TAU = 1.5 * math.pi
+# forward runs stop once |y| exceeds WRIGHT_BLOWUP; zero-to-one collocation
+# steps per delay; periodic-to-point history perturbation and run horizon
+WRIGHT_BLOWUP = 1e6
+CONNECT_N_PER_DELAY = 50
+P2P_DELTA = 1e-4
+P2P_T_MAX = 400.0
 
 
 def hopf_amplitude(tau: float) -> float:
@@ -77,12 +83,17 @@ def _trig_eval(vals: np.ndarray, period: float, t, order: int = 0):
 # -- periodic orbits -------------------------------------------------------
 
 # orbit collocation: samples per period, Newton tolerance on the residual and
-# iteration cap, eps-continuation steps, and the adjoint's singular-value gap
+# iteration cap, eps-continuation steps, and the adjoint's singular-value gap;
+# orbit diagnostics: samples per period for the critical points of p', base
+# times per period and samples per delay window for the sign changes
 ORBIT_NODES = 64
 ORBIT_TOL = 1e-12
 ORBIT_MAX_ITER = 60
 ORBIT_EPS_STEPS = 4
 ADJOINT_GAP_TOL = 1e-4
+CRITICAL_SAMPLES = 2048
+WINDOW_TIMES = 40
+WINDOW_SAMPLES = 400
 
 
 @dataclass
@@ -110,18 +121,18 @@ class PeriodicOrbit:
         t = np.linspace(0.0, self.period, self.values.size + 1)
         return np.column_stack([t, self.p(t), self.p(t, 1)])
 
-    def critical_points(self, n_samples: int = 2048) -> int:
+    def critical_points(self) -> int:
         """Number of sign changes of p' over one period."""
-        t = self.period * np.arange(n_samples) / n_samples
+        t = self.period * np.arange(CRITICAL_SAMPLES) / CRITICAL_SAMPLES
         dp = self.p(t, 1)
         return int(np.sum(np.sign(dp[1:]) != np.sign(dp[:-1])))
 
-    def delay_window_sign_changes(self, n_t: int = 40, n_s: int = 400):
+    def delay_window_sign_changes(self):
         """Range of sign-change counts of p over the trailing delay window,
         across a sweep of base times (slow-oscillation diagnostic)."""
         counts = []
-        for t0 in self.period * np.arange(n_t) / n_t:
-            s = np.linspace(t0 - self.tau, t0, n_s)
+        for t0 in self.period * np.arange(WINDOW_TIMES) / WINDOW_TIMES:
+            s = np.linspace(t0 - self.tau, t0, WINDOW_SAMPLES)
             v = self.p(s)
             counts.append(int(np.sum(np.sign(v[1:]) != np.sign(v[:-1]))))
         return min(counts), max(counts)
@@ -360,15 +371,14 @@ class Trajectory:
 
 
 def integrate_wright(tau: float, eps: float, history, t_end: float,
-                     dt: float = None, dhistory=None,
-                     blowup: float = 1e6) -> Trajectory:
+                     dt: float = None, dhistory=None) -> Trajectory:
     """Method-of-steps integration of eps y'' + y' = y(t-tau)(1-y(t)) (first
     order in y for eps = 0) with classical fourth-order stepping and cubic
     delayed lookup.  `history` is called once, on the array of past mesh
     times in [-tau, 0] (a constant return value broadcasts); for eps > 0 the
     initial derivative comes from `dhistory(0)` or a finite difference.  The
     step dt must be below the delay.  Stops early with a divergence report
-    when |y| exceeds `blowup`.
+    when |y| exceeds WRIGHT_BLOWUP.
 
     With the lag known, v = 1 - y (and w = y') obeys a linear system, so an
     RK4 step is v <- v + D v with D from `_rk4_increment`.  Blocks of
@@ -414,10 +424,10 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
             yv -= d00 * v + d01 * w
             w += d10 * v + d11 * w
             new.append(yv)
-            if not abs(yv) <= blowup:
+            if not abs(yv) <= WRIGHT_BLOWUP:
                 break
         y[i[0] + 1:i[0] + 1 + len(new)] = new
-        if not abs(yv) <= blowup:
+        if not abs(yv) <= WRIGHT_BLOWUP:
             escaped = True
             esc_t = (s0 + len(new)) * dt
             y = y[:i[0] + 1 + len(new)]
@@ -440,7 +450,7 @@ class ConnectionRun:
     decay_fits: list = field(default_factory=list)
 
 
-def _zero_to_one_system(tau, eps, n_per_delay=50, warm=None):
+def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     """Collocation BVP for the zero-to-one connection: trapezoid boxes on a
     uniform mesh whose step divides the delay, left tail projected on the
     growth direction with free scale kappa, phase y(0) = 1/2.
@@ -506,10 +516,10 @@ def _zero_to_one_system(tau, eps, n_per_delay=50, warm=None):
     return tg, z1, x, resid, jac
 
 
-def _solve_zero_to_one(tau, eps, n_per_delay=50, warm=None):
+def _solve_zero_to_one(tau, eps, warm):
     """Newton solve of the zero-to-one collocation BVP, with a fit of the
     left-tail growth rate."""
-    tg, z1, x, resid, jac = _zero_to_one_system(tau, eps, n_per_delay, warm)
+    tg, z1, x, resid, jac = _zero_to_one_system(tau, eps, warm=warm)
     res = math.inf
     for _ in range(40):
         r = resid(x)
@@ -539,9 +549,8 @@ def _ladder(eps: float) -> list:
     return steps
 
 
-def heteroclinic(tau: float, eps: float = 0.0, kind: str = "zero-to-one",
-                 n_per_delay: int = 50, delta: float = 1e-4,
-                 t_max: float = 400.0) -> ConnectionRun:
+def heteroclinic(tau: float, eps: float = 0.0,
+                 kind: str = "zero-to-one") -> ConnectionRun:
     """Connecting orbits of the scaled profile equation.
 
     zero-to-one: warm-started Newton continuation along an eps ladder, with
@@ -558,7 +567,7 @@ def heteroclinic(tau: float, eps: float = 0.0, kind: str = "zero-to-one",
         while i < len(ladder):
             ej = ladder[i]
             try:
-                sol = _solve_zero_to_one(tau, ej, n_per_delay, warm)
+                sol = _solve_zero_to_one(tau, ej, warm)
             except NoConvergence:
                 if ej - prev_eps <= 1e-6:
                     raise
@@ -586,12 +595,12 @@ def heteroclinic(tau: float, eps: float = 0.0, kind: str = "zero-to-one",
     last_err = None
     for sign in (+1.0, -1.0):
         def hist(s, sign=sign):
-            return p_fun(s) + sign * delta * np.interp(s, hist_s, mode)
+            return p_fun(s) + sign * P2P_DELTA * np.interp(s, hist_s, mode)
 
         def dhist(s, sign=sign):
             return p_fun(s, 1)
 
-        traj = integrate_wright(tau, eps, hist, t_max, dhistory=dhist)
+        traj = integrate_wright(tau, eps, hist, P2P_T_MAX, dhistory=dhist)
         if traj.escaped:
             last_err = f"sign {sign:+.0f} diverged at t={traj.escape_time}"
             continue
@@ -602,9 +611,9 @@ def heteroclinic(tau: float, eps: float = 0.0, kind: str = "zero-to-one",
             good = np.abs(traj.y - 1.0) < 1e-3
             idx = np.nonzero(~good)[0]
             t_settle = traj.t[idx[-1]] if idx.size else 0.0
-            sol = {"eps": eps, "t": traj.t, "y": traj.y, "delta": sign * delta,
-                   "orbit": orbit, "settle_time": float(t_settle),
-                   "residual": 0.0}
+            sol = {"eps": eps, "t": traj.t, "y": traj.y,
+                   "delta": sign * P2P_DELTA, "orbit": orbit,
+                   "settle_time": float(t_settle), "residual": 0.0}
             # approach rate to 1 after settling; the linearized slow rate
             # is the larger root of eps r^2 + r + 1 = 0 (-1 at eps = 0)
             dev = np.abs(traj.y - 1.0)
@@ -619,7 +628,7 @@ def heteroclinic(tau: float, eps: float = 0.0, kind: str = "zero-to-one",
                                 solutions=[sol])
             run.decay_fits = [(sol.get("decay_rate", math.nan), rate_target)]
             return run
-        last_err = f"sign {sign:+.0f} did not settle at 1 within t={t_max}"
+        last_err = f"sign {sign:+.0f} did not settle at 1 within t={P2P_T_MAX}"
     raise NoConvergence(f"periodic-to-point run failed: {last_err}")
 
 

@@ -188,9 +188,13 @@ def exp_moment(k: Kernel, rate: float, side: str = "both") -> float:
             if straddle.any():
                 (i,) = np.nonzero(straddle)
                 for j in i:
-                    # an overflowed end makes the split value inf, not nan
-                    f0 = (math.inf if max(fa[j], fb[j]) == math.inf else
-                          fa[j] + (fb[j] - fa[j]) * (0.0 - a[j]) / (b[j] - a[j]))
+                    # the integrand at 0 from its ends; past an overflowed
+                    # end that would be inf, so take it from the density,
+                    # which is the integrand at 0 (e^0 = 1)
+                    ya, yb = fa[j], fb[j]
+                    if max(ya, yb) == math.inf:
+                        ya, yb = v[j], v[j + 1]
+                    f0 = ya + (yb - ya) * (0.0 - a[j]) / (b[j] - a[j])
                     if side == "left":
                         total += 0.5 * (fa[j] + f0) * (0.0 - a[j])
                     else:

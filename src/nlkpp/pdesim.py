@@ -47,14 +47,21 @@ class SimState:
         return float(self.x[1] - self.x[0])
 
 
+# width of the initial exponential ramp, the level whose crossing is the
+# front position, and the share of the recorded time range dropped as
+# transient before the speed fit
+INITIAL_RAMP = 1.0
+FRONT_LEVEL = 0.5
+TRANSIENT_SKIP = 0.25
+
+
 def _is_local(kernel: Kernel) -> bool:
     return (kernel.density is None and len(kernel.atoms) == 1
             and kernel.atoms[0][0] == 0.0 and kernel.atoms[0][1] == 1.0)
 
 
 def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
-                  front_at: float = 20.0, ramp: float = 1.0,
-                  u0=None) -> SimState:
+                  front_at: float = 20.0, u0=None) -> SimState:
     """Fresh state: u = 1 for x < front_at, exponential ramp after, unless an
     explicit callable u0(x) is given."""
     if X <= 0 or dx <= 0 or X < 10 * dx:
@@ -66,7 +73,7 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
         if u.shape != x.shape:
             raise ValueError("u0 must map the grid to an equal-length array")
     else:
-        u = np.where(x < front_at, 1.0, np.exp(-(x - front_at) / ramp))
+        u = np.where(x < front_at, 1.0, np.exp(-(x - front_at) / INITIAL_RAMP))
     if np.any(u < 0):
         raise ValueError("initial datum must be nonnegative")
     return SimState(x=x, u=u, t=0.0, kernel=kernel)
@@ -127,24 +134,24 @@ def step(state: SimState, dt: float) -> SimState:
     return state
 
 
-def front_position(state: SimState, level: float = 0.5) -> float:
-    """Rightmost downward crossing of `level`, by linear interpolation."""
+def front_position(state: SimState) -> float:
+    """Rightmost downward crossing of FRONT_LEVEL, by linear interpolation."""
     u = state.u
-    above = u >= level
+    above = u >= FRONT_LEVEL
     if not above.any() or above.all():
         raise MeasurementError(
-            f"level {level} set is off-grid at t = {state.t}")
+            f"level {FRONT_LEVEL} set is off-grid at t = {state.t}")
     i = int(np.nonzero(above)[0][-1])
     if i == len(u) - 1:
         raise MeasurementError(
-            f"level {level} crossing hit the right boundary at t = {state.t}")
-    frac = (u[i] - level) / (u[i] - u[i + 1])
+            f"level {FRONT_LEVEL} crossing hit the right boundary "
+            f"at t = {state.t}")
+    frac = (u[i] - FRONT_LEVEL) / (u[i] - u[i + 1])
     return float(state.x[i] + frac * state.dx)
 
 
 def run(state: SimState, t_end: float, dt: float | None = None,
-        level: float = 0.5, record_dt: float = 0.5,
-        snapshots_at=()) -> list:
+        record_dt: float = 0.5, snapshots_at=()) -> list:
     """Step the state to t_end, recording the level-crossing position every
     record_dt into the state history.  Returns (t, u-copy) snapshots at the
     requested times."""
@@ -160,7 +167,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
     snaps = []
     def record():
         try:
-            pos = front_position(state, level)
+            pos = front_position(state)
         except MeasurementError:
             return
         state.times.append(state.t)
@@ -178,14 +185,14 @@ def run(state: SimState, t_end: float, dt: float | None = None,
     return snaps
 
 
-def front_speed(state: SimState, skip: float = 0.25) -> float:
+def front_speed(state: SimState) -> float:
     """Least-squares slope of the recorded front positions, after dropping
-    the first `skip` fraction of the time range as transient."""
+    the first TRANSIENT_SKIP fraction of the time range as transient."""
     t = np.asarray(state.times, dtype=float)
     p = np.asarray(state.fronts, dtype=float)
     if t.size == 0:
         raise MeasurementError("no recorded front positions")
-    t_cut = t[0] + skip * (t[-1] - t[0])
+    t_cut = t[0] + TRANSIENT_SKIP * (t[-1] - t[0])
     keep = t >= t_cut
     if int(keep.sum()) < 20:
         raise MeasurementError(
@@ -208,15 +215,14 @@ def local_reference_step(state: SimState, dt: float) -> SimState:
 
 
 def measure_speed(kernel: Kernel = None, T: float = 40.0, X: float = 400.0,
-                  dx: float = 0.2, level: float = 0.5,
-                  skip: float = 0.25) -> dict:
+                  dx: float = 0.2) -> dict:
     """End-to-end convenience: build the default state, run to T, report the
     fitted speed and positivity floor."""
     if kernel is None:
         kernel = dirac(0.0)
     state = initial_state(kernel, X=X, dx=dx)
-    run(state, T, level=level)
-    return {"speed": front_speed(state, skip=skip),
+    run(state, T)
+    return {"speed": front_speed(state),
             "u_min": float(state.u.min()),
             "u_max": float(state.u.max()),
             "n_records": len(state.times),

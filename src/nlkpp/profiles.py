@@ -358,49 +358,29 @@ def residual(phi: Profile, c: float, k: Kernel) -> float:
 
 # -- damped Picard solver --------------------------------------------------
 
-def solve_front(ctx: WaveContext, tol: float = 1e-9, max_iter: int = 5000,
-                relax: float = 0.9, dt: float = 0.0025,
-                check_interval: bool = True) -> Profile:
+PICARD_MAX_ITER = 5000
+PICARD_RELAX = 0.9
+
+
+def solve_front(ctx: WaveContext, tol: float = 1e-9,
+                dt: float = 0.0025) -> Profile:
     """Damped Picard iteration on the integral operator, started from the
     closed-form upper front; converged output is translated so phi(0) = 1/2.
 
     The discrete operator carries an O(dt^2) bias along the neutral
     translation mode, so the iteration is also stopped once the update size
     stagnates at a small value (steady sub-grid drift, not divergence).
-
-    At c = 2 the solve runs a descending-speed ladder c + 1/j with warm
-    starts (the upper-front representation degenerates at c = 2).
     """
-    if ctx.c <= 2.0 + 1e-12:
-        ladder = [2.0 + 1.0 / j for j in (1, 2, 4, 8)] + [ctx.c]
-        start = None
-        prof = None
-        for cj in ladder:
-            ctx_j = WaveContext(cj, ctx.kernel, ctx.beta, ctx.b)
-            prof = _solve_at(ctx_j, tol, max_iter, relax, dt,
-                             check_interval=False, start=start)
-            start = prof
-        return prof
-    return _solve_at(ctx, tol, max_iter, relax, dt, check_interval)
-
-
-def _solve_at(ctx, tol, max_iter, relax, dt, check_interval, start=None):
     upper = kpp_upper_front(ctx, dt)
     lam = ctx.lam
     h = upper.dt
     st = stencil(ctx.kernel, h)
-    if start is None:
-        vals = upper.values.copy()
-    else:
-        # warm start from a previous stage's profile, evaluated with its own
-        # tail extensions and clipped into the operator domain
-        vals = np.clip(np.asarray(start(upper.grid), float),
-                       0.0, 2.0 * ctx.beta)
+    vals = upper.values.copy()
     # the order interval [lower, upper] with a mixed tolerance: the sub-grid
     # translation drift produces tiny relative excursions past the
     # closed-form envelopes
     envelope = None
-    if check_interval and ctx.mu - lam > 1e-10:
+    if ctx.mu - lam > 1e-10:
         try:
             lower = lower_solution(ctx, upper=upper)
             envelope = (upper.values * 1.005 + 1e-6,
@@ -414,11 +394,11 @@ def _solve_at(ctx, tol, max_iter, relax, dt, check_interval, start=None):
     # oscillatory decay) and accept it below a limit that scales with dt^2
     plateau = max(1e-6, 0.01 * h * h)
     diff_hist = []
-    for it in range(max_iter):
+    for it in range(PICARD_MAX_ITER):
         right_lim = float(vals[-1])
         conv = convolve(st, vals, 0.0, right_lim, left_rate=lam)
         new = am_core(vals, conv, 0.0, right_lim, ctx, w, left_rate=lam)
-        new = relax * new + (1.0 - relax) * vals
+        new = PICARD_RELAX * new + (1.0 - PICARD_RELAX) * vals
         diff = float(np.max(np.abs(new - vals)))
         if envelope is not None and (np.any(new > envelope[0])
                                      or np.any(new < envelope[1])):

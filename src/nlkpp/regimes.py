@@ -281,8 +281,7 @@ def mM_inequality_check(m: float, M: float, c: float, k: Kernel) -> dict:
             "holds2": s2 <= math.exp(m) + 1e-12}
 
 
-def classify(c: float, k: Kernel, m_star: float | None = None,
-             P_cap: float = 5.0, grid_n: int = 400) -> RegimeReport:
+def classify(c: float, k: Kernel) -> RegimeReport:
     """Full regime report for (c, K): existence, bounds, verdicts, geometry."""
     semi = c >= 2
     ap = alpha_plus(k, c)
@@ -297,8 +296,8 @@ def classify(c: float, k: Kernel, m_star: float | None = None,
     beta = U + 1.0
     b = 2.0 * beta + 3.0
     fz, _ = monotone_front_root(c, k)
-    detail = convergence_check(c, k, U if m_star is None else m_star)
-    geo = pP_feasible_set(ap, am, P_cap, grid_n)
+    detail = convergence_check(c, k, U)
+    geo = pP_feasible_set(ap, am)
     with np.errstate(over="ignore"):    # an overflow is rejected below
         second_moment = k.moment(lambda s: np.asarray(s, dtype=float) ** 2)
     alc = {"c": c, "threshold": detail["m_star"] * math.sqrt(second_moment),

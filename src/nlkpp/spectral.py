@@ -3,8 +3,8 @@ functions attached to the traveling-wave problem:
 
   quad:         z^2 - c z + 1            (linearization at the leading edge)
   front_criterion:    z^2 - c z - E_K(-z)      (monotone-front criterion)
-  chi1:         z - exp(-tau z)          (limit delay equation at 0)
-  eps_advanced: eps z^2 + z - exp(-tau z)
+  chi1:         eps z^2 + z - exp(-tau z) (limit delay equation at 0;
+                reported as eps_advanced when eps > 0)
   toy_steady:   z^2 - c z - exp(-ctau z) (piecewise toy model at 1)
 """
 from __future__ import annotations
@@ -69,13 +69,18 @@ def _opposite(a: float, b: float) -> bool:
     return a < 0 < b or b < 0 < a
 
 
-def monotone_front_root(c: float, k: Kernel, lam_min: float = -40.0,
-                            n_brackets: int = 400):
+# scan window [MONOTONE_LAM_MIN, 0) and its number of sign brackets
+MONOTONE_LAM_MIN = -40.0
+MONOTONE_BRACKETS = 400
+
+
+def monotone_front_root(c: float, k: Kernel):
     """Largest negative root of z^2 - c z - int K(s) e^{-z s} ds = 0, or None.
 
-    Scans [lam_min, 0) with n_brackets sign brackets and bisects.  For a
-    single atom supported on s > 0 a monotone tail certificate rules out
-    roots below the scan window.  Returns (root, diagnostic dict).
+    Scans [MONOTONE_LAM_MIN, 0) with MONOTONE_BRACKETS sign brackets and
+    bisects.  For a single atom supported on s > 0 a monotone tail
+    certificate rules out roots below the scan window.  Returns (root,
+    diagnostic dict).
     """
     if c < 2:
         raise DomainError(f"monotone-front criterion needs c >= 2, got {c}")
@@ -83,11 +88,11 @@ def monotone_front_root(c: float, k: Kernel, lam_min: float = -40.0,
     def g(lam):
         return lam * lam - c * lam - exp_moment(k, -lam, "both")
 
-    grid = np.linspace(lam_min, 0.0, n_brackets + 1)
+    grid = np.linspace(MONOTONE_LAM_MIN, 0.0, MONOTONE_BRACKETS + 1)
     vals = np.array([g(x) for x in grid])
     # g(0^-) = -1; walk up from 0 looking for the sign change closest to 0
     root = None
-    for i in range(n_brackets - 1, -1, -1):
+    for i in range(MONOTONE_BRACKETS - 1, -1, -1):
         a, b = grid[i], grid[i + 1]
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0:
@@ -105,18 +110,19 @@ def monotone_front_root(c: float, k: Kernel, lam_min: float = -40.0,
                     a, fa = m, fm
             root = 0.5 * (a + b)
             break
-    diag = {"scan_lo": lam_min, "scan_hi": 0.0, "n_brackets": n_brackets}
+    diag = {"scan_lo": MONOTONE_LAM_MIN, "scan_hi": 0.0,
+            "n_brackets": MONOTONE_BRACKETS}
     if root is not None:
         return root, diag
-    # tail certificate for a single right-supported atom: below lam_min the
+    # tail certificate for a single right-supported atom: below the window the
     # exponential moment dominates the quadratic, so g stays negative
     if k.density is None and len([a for a in k.atoms if a[1] > 0]) == 1:
         (s0, m0), = [a for a in k.atoms if a[1] > 0]
         if s0 > 0:
-            x = -lam_min
+            x = -MONOTONE_LAM_MIN
             e = math.inf if x * s0 > 700.0 else math.exp(x * s0)
             grows = s0 * m0 * e > 2 * x + c and s0 * s0 * m0 * e > 2.0
-            if grows and g(lam_min) < 0:
+            if grows and g(MONOTONE_LAM_MIN) < 0:
                 diag["tail_certificate"] = "single-atom exponential dominance"
     return None, diag
 
@@ -180,11 +186,10 @@ def _dedupe(roots, radius=1e-6):
     return kept
 
 
-def _locate_in_rectangle(f, df, re_lo, re_hi, im_hi, seeds=None):
-    """Newton from a seed lattice, keeping distinct roots inside the rectangle."""
+def _locate_in_rectangle(f, df, re_lo, re_hi, im_hi, seeds):
+    """Newton from `seeds` and a seed lattice, keeping distinct roots inside
+    the rectangle."""
     roots = []
-    if seeds is None:
-        seeds = []
     seeds = list(seeds)
     ng = 8
     for x in np.linspace(re_lo, re_hi, ng):
@@ -206,106 +211,45 @@ def _locate_in_rectangle(f, df, re_lo, re_hi, im_hi, seeds=None):
     return roots
 
 
-def chi1_roots(tau: float) -> RootReport:
-    """All roots of chi1(z) = z - exp(-z tau) with Re z >= 0.
+def chi1_roots(tau: float, eps: float = 0.0) -> RootReport:
+    """All roots of eps z^2 + z - exp(-tau z) with Re z >= 0 (eps = 0 is
+    chi1(z) = z - exp(-z tau)).
 
-    Roots in the closed right half-plane satisfy |z| <= 1, so a fixed
-    rectangle plus the argument principle gives a certified census.  If the
-    contour passes too close to a root (tau at 3pi/2 + 2pi n, where a pair
-    sits on the imaginary axis), the left edge is shifted slightly into the
-    left half-plane and the report is flagged as boundary.
+    A root with Re z >= 0 has |z| |eps z + 1| = |exp(-tau z)| <= 1 and
+    Re(eps z + 1) >= 1, so |z| <= 1 for every eps >= 0: a fixed rectangle
+    plus the argument principle gives a certified census.  If the contour
+    passes too close to a root (at eps = 0, tau at 3pi/2 + 2pi n, where a
+    pair sits on the imaginary axis), the left edge is shifted slightly into
+    the left half-plane and the report is flagged as boundary.
     """
-    if tau <= 0:
-        raise DomainError(f"chi1_roots needs tau > 0, got {tau}")
+    if tau <= 0 or eps < 0:
+        raise DomainError(f"chi1_roots needs tau > 0 and eps >= 0, "
+                          f"got tau={tau}, eps={eps}")
 
-    f = lambda z: z - np.exp(-z * tau)
-    df = lambda z: 1.0 + tau * np.exp(-z * tau)
+    f = lambda z: eps * z * z + z - np.exp(-z * tau)
+    df = lambda z: 2 * eps * z + 1.0 + tau * np.exp(-z * tau)
 
-    boundary = False
-    shift = 0.0
     im_hi = max(2.0, 2 * math.pi / tau)
-    count = None
-    for attempt in range(2):
+    for shift in (0.0, -1e-3):
         corners = [complex(shift, -im_hi), complex(2.0, -im_hi),
                    complex(2.0, im_hi), complex(shift, im_hi)]
-        cnt, ok, minmod = _winding_number(f, df, corners)
+        count, ok, minmod = _winding_number(f, df, corners)
         if ok and minmod > 1e-4:
-            count = cnt
             break
-        boundary = True
-        shift = -1e-3
-    if count is None:
-        count = cnt
 
     seeds = [complex(0.6, 0.0), complex(0.2, 1.0), complex(0.1, 1.0),
              complex(0.4, 0.9)]
-    roots = _locate_in_rectangle(f, df, shift, 2.0, im_hi, seeds=seeds)
+    roots = _locate_in_rectangle(f, df, shift, 2.0, im_hi, seeds)
     roots = [z for z in roots if z.real >= shift - 1e-12]
-    residuals = tuple(abs(f(z)) for z in roots)
     return RootReport(
-        function_id="chi1",
+        function_id="eps_advanced" if eps > 0 else "chi1",
         region=f"rect [{shift:.1e}, 2] x [-{im_hi:.3f}, {im_hi:.3f}]",
         roots=tuple(roots),
-        residuals=residuals,
-        count=count,
-        parameters={"tau": tau},
-        boundary=boundary,
-        converged=(count == len(roots)),
-    )
-
-
-def eps_advanced_roots(tau: float, eps: float, strip_lo: float = 0.0) -> RootReport:
-    """Roots of eps z^2 + z - exp(-tau z) with Re z > strip_lo.
-
-    Obtained by Newton continuation from the eps = 0 census (chi1_roots),
-    stepping eps up a geometric ladder, then filtered to the strip and
-    cross-checked by an argument-principle count.
-    """
-    if eps < 0 or tau <= 0:
-        raise DomainError("eps_advanced_roots needs eps >= 0 and tau > 0")
-
-    base = chi1_roots(tau)
-    if eps == 0.0:
-        roots = [z for z in base.roots if z.real > strip_lo]
-        return RootReport("eps_advanced", base.region, tuple(roots),
-                          tuple(abs(z - cmath.exp(-z * tau)) for z in roots),
-                          len(roots), {"tau": tau, "eps": 0.0, "strip_lo": strip_lo},
-                          base.boundary, base.converged)
-
-    def make_f(e):
-        f = lambda z: e * z * z + z - np.exp(-z * tau)
-        df = lambda z: 2 * e * z + 1.0 + tau * np.exp(-z * tau)
-        return f, df
-
-    roots = list(base.roots)
-    n_steps = max(4, int(math.ceil(math.log10(max(eps / 1e-4, 10.0)) * 4)))
-    for e in np.geomspace(eps / 2 ** n_steps, eps, n_steps + 1):
-        f, df = make_f(e)
-        moved = []
-        for z in roots:
-            zn, ok = _newton_complex(f, df, z)
-            if not ok:
-                raise NoConvergence(f"continuation lost a root near {z} at eps={e}")
-            moved.append(zn)
-        roots = moved
-    f, df = make_f(eps)
-    roots = _dedupe([complex(z.real, 0.0) if abs(z.imag) < 1e-9 else z for z in roots])
-    roots = [z for z in roots if z.real > strip_lo]
-    roots.sort(key=lambda z: (-z.real, z.imag))
-
-    # verify the census in the strip with a contour
-    im_hi = max(2.0, 2 * math.pi / tau)
-    corners = [complex(strip_lo, -im_hi), complex(2.0, -im_hi),
-               complex(2.0, im_hi), complex(strip_lo, im_hi)]
-    cnt, ok, _ = _winding_number(f, df, corners)
-    return RootReport(
-        function_id="eps_advanced",
-        region=f"strip Re z > {strip_lo}, |Im z| <= {im_hi:.3f}",
-        roots=tuple(roots),
         residuals=tuple(abs(f(z)) for z in roots),
-        count=cnt if ok else len(roots),
-        parameters={"tau": tau, "eps": eps, "strip_lo": strip_lo},
-        converged=ok and cnt == len(roots),
+        count=count,
+        parameters={"tau": tau, "eps": eps} if eps > 0 else {"tau": tau},
+        boundary=shift != 0.0,
+        converged=ok and count == len(roots),
     )
 
 

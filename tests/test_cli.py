@@ -387,9 +387,8 @@ def test_classify_random_kernel_exits_cleanly(kernel, c):
     (_dens(6845.485296693551, 7566.3499044318105, 201, "gaussian",
            params={"sigma": 180.21615193456478}), 4.462360599382275,
      "too small to normalize"),
-    # the cell straddling 0 has an overflowed left end
-    (_dens(-1106.6754428073466, 341459.3283118394, 201, "uniform"),
-     2.1548854510626856, "U(c,K) overflows"),
+    # all mass far to the left: U2 = 2 exp(lam (r + sigma)) overflows
+    ({"atoms": [{"s": -2000.0, "mass": 1.0}]}, 3.0, "U(c,K) overflows"),
     # U(c, K) = 2.3e305 is finite, but the ALC threshold is not
     (_dens(-2453.096200084702, -2215.4014801650314, 201, "gaussian",
            params={"sigma": 59.423679979917665}), 3.4830093447562365,
@@ -407,3 +406,18 @@ def test_classify_far_kernel_is_config_error(tmp_path, capsys, kernel, c, msg):
     err = capsys.readouterr().err
     assert "config error:" in err and msg in err
     assert not (out / "classify.json").exists()
+
+
+def test_classify_wide_straddling_cell_has_finite_bound(tmp_path):
+    # the cell straddling 0 is 1712 wide and its left end's integrand
+    # overflows; the right half's moment is still below its mass, so U1
+    # exists
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": _dens(
+        -1106.6754428073466, 341459.3283118394, 201, "uniform")}))
+    code, out = run_cli(tmp_path, "classify", "--c", "2.1548854510626856",
+                        "--config", str(cfgp))
+    assert code == 0
+    rep = load(out, "classify.json")
+    assert _all_finite(rep), rep
+    assert rep["u_bound"] == pytest.approx(1130.29, abs=0.01)

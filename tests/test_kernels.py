@@ -141,6 +141,16 @@ def test_exp_moment_zero_value_where_exponential_overflows():
     assert ker.exp_moment(k, 40.0) == pytest.approx(6.0 * math.exp(240.0))
 
 
+def test_exp_moment_split_past_overflowed_end_uses_density_at_zero():
+    # e^{800} overflows at the left end of the one cell, which straddles 0:
+    # the integrand at 0 is the density there, 1 + 2 * 0.8 = 2.6, not inf
+    k = ker.Kernel(density=ker.Density(np.array([-800.0, 200.0]),
+                                       np.array([1.0, 3.0])))
+    right = 0.5 * (2.6 + 3.0 * math.exp(-200.0)) * 200.0
+    assert ker.exp_moment(k, -1.0, "right") == pytest.approx(right, rel=1e-15)
+    assert ker.exp_moment(k, -1.0, "left") == math.inf
+
+
 atom_lists = st.lists(
     st.tuples(st.floats(-5, 5), st.floats(0.01, 10)), min_size=1, max_size=4
 )

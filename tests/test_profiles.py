@@ -297,7 +297,9 @@ def test_solve_front_delayed_nonmonotone():
     assert 0.0 < d["p"] < 1.0
 
 
-def test_solve_front_speed_ladder_at_two():
+def test_solve_front_at_speed_two():
+    # c = 2 runs the same Picard path as c > 2: the closed-form upper front
+    # has a c = 2 branch
     ctx = pf.WaveContext(2.0, ker.dirac(0.0), beta=2.0)
     prof = pf.solve_front(ctx, tol=5e-5, dt=0.005)
     d = prof.diagnostics

@@ -127,7 +127,7 @@ def test_chi1_domain_error():
 def test_eps_advanced_matches_limit():
     tau = 3 * math.pi / 2 + 0.1
     base = sp.chi1_roots(tau)
-    rep = sp.eps_advanced_roots(tau, 1e-6)
+    rep = sp.chi1_roots(tau, 1e-6)
     assert rep.count == base.count
     for z0, z1 in zip(sorted(base.roots, key=lambda z: (z.real, z.imag)),
                       sorted(rep.roots, key=lambda z: (z.real, z.imag))):
@@ -136,7 +136,8 @@ def test_eps_advanced_matches_limit():
 
 def test_eps_advanced_roots_satisfy_equation():
     tau, eps = 5.0, 1e-2
-    rep = sp.eps_advanced_roots(tau, eps)
+    rep = sp.chi1_roots(tau, eps)
+    assert rep.function_id == "eps_advanced"
     for z in rep.roots:
         assert abs(eps * z * z + z - np.exp(-tau * z)) < 1e-8
     assert rep.converged
@@ -144,10 +145,13 @@ def test_eps_advanced_roots_satisfy_equation():
 
 @pytest.mark.parametrize("tau", [4.95, 5.05])
 def test_eps_advanced_census_converged(tau):
-    assert sp.eps_advanced_roots(tau, 1e-2).converged
+    assert sp.chi1_roots(tau, 1e-2).converged
 
 
-def test_eps_advanced_failed_contour_is_not_converged(monkeypatch):
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_eps_advanced_failed_contour_is_not_converged(monkeypatch, eps):
+    # a contour integral that never settles near an integer certifies no
+    # count, whatever the root search finds
     real = sp._winding_number
 
     def unconverged(*args, **kwargs):
@@ -155,14 +159,7 @@ def test_eps_advanced_failed_contour_is_not_converged(monkeypatch):
         return cnt, False, minmod
 
     monkeypatch.setattr(sp, "_winding_number", unconverged)
-    assert not sp.eps_advanced_roots(5.0, 1e-2).converged
-
-
-def test_eps_advanced_strip_filter():
-    tau = 3 * math.pi / 2 + 0.1
-    full = sp.eps_advanced_roots(tau, 1e-3, strip_lo=0.0)
-    tight = sp.eps_advanced_roots(tau, 1e-3, strip_lo=0.1)
-    assert len(tight.roots) < len(full.roots)
+    assert not sp.chi1_roots(5.0, eps).converged
 
 
 TOY_C = 2.5
@@ -195,13 +192,16 @@ def test_toy_steady_no_convergence_raises():
         sp.toy_steady_roots(TOY_C, TOY_CTAU, -300.0 + 1.0j)
 
 
-@given(st.floats(0.3, 12.0))
+@given(st.floats(0.3, 12.0),
+       st.one_of(st.just(0.0), st.floats(1e-6, 0.1)))
 @settings(max_examples=25, deadline=None)
-def test_chi1_census_consistent(tau):
-    rep = sp.chi1_roots(tau)
+def test_chi1_census_consistent(tau, eps):
+    rep = sp.chi1_roots(tau, eps)
     if not rep.boundary:
         assert rep.converged
         assert rep.count == len(rep.roots)
         assert rep.count % 2 == 1  # one real root plus conjugate pairs
     for z, r in zip(rep.roots, rep.residuals):
         assert r < 1e-8
+        assert abs(eps * z * z + z - np.exp(-tau * z)) < 1e-8
+        assert abs(z) <= 1.0 + 1e-9
