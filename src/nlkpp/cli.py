@@ -230,9 +230,10 @@ def cmd_connect(args, cfg, out: Path) -> None:
 
 
 def cmd_semiwave(args, cfg, out: Path) -> None:
-    if args.c <= 0:
-        raise ConfigError("semiwave needs --c > 0")
-    eps = 1.0 / (args.c * args.c)
+    c2 = args.c * args.c
+    if not (args.c > 0 and c2 > 0):
+        raise ConfigError(f"semiwave needs --c > 0 with c^2 > 0, got {args.c}")
+    eps = 1.0 / c2
     kind = "periodic-to-point" if args.proper else "zero-to-one"
     run = dde.heteroclinic(args.tau, eps, kind=kind)
     prof = dde.to_wavefront(run, args.c)

@@ -1,36 +1,34 @@
 """Delay-equation dynamics behind oscillating wave tails.
 
 Covers the scaled profile equation eps*y'' + y' = y(t-tau)(1-y(t)) and its
-eps = 0 limit: method-of-steps integration, periodic orbits (Fourier
-collocation Newton with unknown period), Floquet spectra of the linearized
-period map, the normalized periodic adjoint, and eps-continued connecting
-orbits (zero-to-one and periodic-to-point) with asymptotic-rate fits.  The
-zero-to-one connection is one collocation system for eps = 0 and eps > 0:
-the lag is a fixed sparse operator on the unknowns, so residual and Newton
-Jacobian come from the same difference, average and lag matrices.  The
-periodic orbit has one Fourier discretization, `_orbit_system`: its map
-gives the residual and the analytic Jacobian from dense Fourier derivative
-and delay matrices, Newton iterates it, and the normalized adjoint
-(eps v'' term included) is the left null vector of its Jacobian at the
-orbit.
+eps = 0 limit: method-of-steps integration, periodic orbits, Floquet
+spectra of the linearized period map, the normalized periodic adjoint, and
+connecting orbits (zero-to-one and periodic-to-point) with asymptotic-rate
+fits.  The orbit (`_orbit_system`, Fourier collocation with unknown period)
+and the zero-to-one connection (`_zero_to_one_system`, one sparse lag
+operator for eps = 0 and eps > 0) are maps x -> (residual, Jacobian thunk);
+one Newton loop, `_newton`, solves both with the same guards, and one
+eps-ladder, `_continue`, continues both from eps = 0.  An orbit Newton that
+lands on a flat equilibrium is a numeric failure.  The adjoint (eps v''
+term included) is the left null vector of the orbit Jacobian.
 
 Both method-of-steps integrators (the forward run and the Floquet period
-map) step RK4 one block of steps at a time, with the block shorter than
-the delay: the cubic delayed lookups of a whole block read rows written
-before it and are evaluated in one call, and with the lag known each RK4
-step is affine in the current state, so only that recurrence runs step by
-step.  Histories and orbit coefficients are evaluated once, on arrays of
-times.
+map) step RK4 one block shorter than the delay at a time: the cubic
+delayed lookups of a block read rows written before it and are evaluated
+in one call, and with the lag known each RK4 step is affine in the current
+state, so only that recurrence runs step by step.  Histories and orbit
+coefficients are evaluated once, on arrays of times.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .spectral import DomainError, NoConvergence
 from .profiles import Profile
@@ -42,6 +40,12 @@ WRIGHT_BLOWUP = 1e6
 CONNECT_N_PER_DELAY = 50
 P2P_DELTA = 1e-4
 P2P_T_MAX = 400.0
+# Newton: sup-norm residual tolerance and iteration cap; eps-ladder: first
+# nonzero rung (then doubling) and the smallest step a bisection may take
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 40
+EPS_START = 1e-3
+EPS_MIN_STEP = 1e-6
 
 
 def hopf_amplitude(tau: float) -> float:
@@ -51,6 +55,53 @@ def hopf_amplitude(tau: float) -> float:
     if delta <= 0:
         raise DomainError(f"no small orbit below tau = 3 pi/2, got tau={tau}")
     return math.sqrt(20.0 * delta / (4.5 * math.pi + 1.0))
+
+
+def _newton(system, x):
+    """Newton on a map x -> (residual, Jacobian thunk) to a sup-norm residual
+    below NEWTON_TOL; returns (x, residual).  A step builds the Jacobian and
+    solves dense or sparse by its type.  A non-finite residual, a singular
+    Jacobian or NEWTON_MAX_ITER steps raise NoConvergence."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        for _ in range(NEWTON_MAX_ITER):
+            r, jac = system(x)
+            res = float(np.max(np.abs(r)))
+            if not math.isfinite(res):
+                raise NoConvergence("Newton diverged: residual not finite")
+            if res < NEWTON_TOL:
+                return x, res
+            j = jac()
+            try:
+                x = x - (spsolve(j, r) if sparse.issparse(j)
+                         else np.linalg.solve(j, r))
+            except (np.linalg.LinAlgError, MatrixRankWarning) as e:
+                raise NoConvergence(f"Newton diverged: {e}") from e
+    raise NoConvergence(f"Newton stalled at residual {res}")
+
+
+def _continue(solve, eps):
+    """Solutions `solve(e, previous solution or None)` along the eps-ladder
+    0, EPS_START, 2 EPS_START, 4 EPS_START, ..., eps, each warm-started from
+    the rung below.  A failed rung halves its step, down to EPS_MIN_STEP."""
+    if not 0 <= eps < math.inf:
+        raise DomainError(f"need finite eps >= 0, got eps={eps}")
+    ladder = [0.0]
+    while ladder[-1] < eps:
+        e = max(2.0 * ladder[-1], EPS_START)
+        ladder.append(e if e < eps - 1e-15 else eps)
+    sols = []
+    while len(sols) < len(ladder):
+        i = len(sols)
+        try:
+            sols.append(solve(ladder[i], sols[-1] if sols else None))
+        except NoConvergence as err:
+            prev = ladder[i - 1] if i else 0.0
+            if ladder[i] - prev <= EPS_MIN_STEP:
+                raise NoConvergence(f"{err} (eps={ladder[i]})") from err
+            ladder.insert(i, 0.5 * (prev + ladder[i]))
+    return sols
 
 
 def growth_rate(tau: float, eps: float = 0.0) -> float:
@@ -82,14 +133,12 @@ def _trig_eval(vals: np.ndarray, period: float, t, order: int = 0):
 
 # -- periodic orbits -------------------------------------------------------
 
-# orbit collocation: samples per period, Newton tolerance on the residual and
-# iteration cap, eps-continuation steps, and the adjoint's singular-value gap;
-# orbit diagnostics: samples per period for the critical points of p', base
+# orbit collocation: samples per period, the spread below which the samples
+# are a flat equilibrium, and the adjoint's singular-value gap; orbit
+# diagnostics: samples per period for the critical points of p', base
 # times per period and samples per delay window for the sign changes
 ORBIT_NODES = 64
-ORBIT_TOL = 1e-12
-ORBIT_MAX_ITER = 60
-ORBIT_EPS_STEPS = 4
+ORBIT_FLAT = 1e-8
 ADJOINT_GAP_TOL = 1e-4
 CRITICAL_SAMPLES = 2048
 WINDOW_TIMES = 40
@@ -146,7 +195,7 @@ def _orbit_system(tau, eps, p0, om0):
     Derivative and delay are dense Fourier-multiplier matrices built from
     one batched rfft of the identity, so residual and analytic Jacobian
     (period column included) come from the same operators.  Returns the map
-    x = (p, om) -> (residual, Jacobian)."""
+    x = (p, om) -> (residual, Jacobian thunk)."""
     n = p0.size
     k = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
     basis = np.fft.rfft(np.eye(n), axis=0)
@@ -158,65 +207,57 @@ def _orbit_system(tau, eps, p0, om0):
 
     def system(x):
         p, om = x[:-1], x[-1]
-        # d/dt, d^2/dt^2, the delay and the delay's derivative in om
+        # d/dt, d^2/dt^2 and the delay
         shift = np.exp(-k * tau / om)
-        d1, d2, s, ds = (op(k / om), op((k / om) ** 2), op(shift),
-                         op(shift * k * tau / om ** 2))
-        r = d1 @ p - (s @ p) * (1.0 - p)
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = d1 - (1.0 - p)[:, None] * s + np.diag(s @ p)
-        jac[:n, n] = -(d1 @ p) / om - (1.0 - p) * (ds @ p)
+        d1, d2, s = op(k / om), op((k / om) ** 2), op(shift)
+        dp, sp, d2p = d1 @ p, s @ p, d2 @ p
+        r = dp - sp * (1.0 - p)
         if eps > 0:
-            r = eps * (d2 @ p) + r
-            jac[:n, :n] += eps * d2
-            jac[:n, n] -= 2.0 * eps * (d2 @ p) / om
-        jac[n, :n] = dref / n
+            r = eps * d2p + r
+
+        def jac():
+            j = np.zeros((n + 1, n + 1))
+            j[:n, :n] = d1 - (1.0 - p)[:, None] * s + np.diag(sp)
+            # the delay's derivative in om
+            ds = op(shift * k * tau / om ** 2)
+            j[:n, n] = -dp / om - (1.0 - p) * (ds @ p)
+            if eps > 0:
+                j[:n, :n] += eps * d2
+                j[:n, n] -= 2.0 * eps * d2p / om
+            j[n, :n] = dref / n
+            return j
+
         return np.append(r, np.sum(p * dref) / n), jac
 
     return system
 
 
-def _orbit_newton(tau, eps, p0, om0):
-    """Newton solve of `_orbit_system` from the seed (p0, om0).  An iterate
-    that is not finite or has a period <= 0, and a singular Jacobian, end
-    the solve as NoConvergence."""
-    system = _orbit_system(tau, eps, p0, om0)
-    x = np.append(p0, om0)
-    step = math.inf
-    for _ in range(ORBIT_MAX_ITER):
-        r, jac = system(x)
-        res = float(np.linalg.norm(r, np.inf))
-        if res < ORBIT_TOL and step < 1e-9:
-            return x[:-1], float(x[-1]), res
-        try:
-            dx = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as e:
-            raise NoConvergence(f"periodic-orbit Newton diverged: {e}") from e
-        step = float(np.linalg.norm(dx, np.inf))
-        x = x - dx
-        if not (np.all(np.isfinite(x)) and x[-1] > 0):
-            raise NoConvergence(
-                f"periodic-orbit Newton diverged to period {x[-1]}")
-    raise NoConvergence(
-        f"periodic-orbit Newton did not converge; last correction {step}")
-
-
 def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
-    """Periodic orbit for tau > 3 pi/2 on ORBIT_NODES samples, continued in
-    eps over ORBIT_EPS_STEPS steps from the eps = 0 solve; seeded from the
-    small-amplitude cosine."""
+    """Periodic orbit for tau > 3 pi/2 on ORBIT_NODES samples: Newton from
+    the small-amplitude cosine at eps = 0, continued along the eps-ladder.
+    Samples that spread less than ORBIT_FLAT, a flat equilibrium, are
+    NoConvergence."""
     if tau <= HOPF_TAU:
         raise DomainError(f"periodic orbit needs tau > 3 pi/2, got {tau}")
-    amp = hopf_amplitude(tau)
     th = 2 * np.pi * np.arange(ORBIT_NODES) / ORBIT_NODES
-    p, om, res = _orbit_newton(tau, 0.0, amp * np.cos(th), 2 * np.pi)
-    om0 = om
-    if eps > 0:
-        for ej in np.linspace(0.0, eps, ORBIT_EPS_STEPS + 1)[1:]:
-            p, om, res = _orbit_newton(tau, float(ej), p, om)
-    return PeriodicOrbit(tau=tau, eps=eps, period=om, values=p, residual=res,
-                         gamma=om / om0 - 1.0,
-                         amplitude=0.5 * float(p.max() - p.min()))
+
+    def solve(e, prev):
+        p, om = ((hopf_amplitude(tau) * np.cos(th), 2 * np.pi)
+                 if prev is None else (prev.values, prev.period))
+        x, res = _newton(_orbit_system(tau, e, p, om), np.append(p, om))
+        p, om, spread = x[:-1], float(x[-1]), float(np.ptp(x[:-1]))
+        if not spread >= ORBIT_FLAT:
+            raise NoConvergence(
+                f"Newton collapsed onto p = {round(p.mean())}")
+        return PeriodicOrbit(tau=tau, eps=e, period=om, values=p,
+                             residual=res, amplitude=0.5 * spread)
+
+    try:
+        orbits = _continue(solve, eps)
+    except NoConvergence as err:
+        raise NoConvergence(f"periodic-orbit {err}") from err
+    orbits[-1].gamma = orbits[-1].period / orbits[0].period - 1.0
+    return orbits[-1]
 
 
 # -- Floquet spectrum ------------------------------------------------------
@@ -326,10 +367,9 @@ def adjoint_periodic(orbit: PeriodicOrbit) -> np.ndarray:
     the collocated derivative into its negative and the delay into the
     advance.  A second singular value below ADJOINT_GAP_TOL of the largest
     raises NoConvergence."""
-    n = orbit.values.size
-    om = orbit.period
-    _, jac = _orbit_system(orbit.tau, orbit.eps, orbit.values, om)(
-        np.append(orbit.values, om))
+    n, om = orbit.values.size, orbit.period
+    jac = _orbit_system(orbit.tau, orbit.eps, orbit.values, om)(
+        np.append(orbit.values, om))[1]()
     u, sv, _ = np.linalg.svd(jac[:n, :n])
     if sv[-2] < ADJOINT_GAP_TOL * sv[0]:
         raise NoConvergence(
@@ -360,12 +400,10 @@ def resonance_pairing(orbit: PeriodicOrbit) -> float:
 
 @dataclass
 class Trajectory:
-    """Dense forward run: times, values, optional derivative channel, and a
-    divergence report."""
+    """Dense forward run: times, values and a divergence report."""
 
     t: np.ndarray
     y: np.ndarray
-    yp: np.ndarray | None = None
     escaped: bool = False
     escape_time: float | None = None
 
@@ -458,9 +496,9 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     The unknowns are x = (y, kappa) for eps = 0 and x = (y, w = y', kappa)
     for eps > 0.  The lag y(t - tau) = lag @ x is linear in x, so residual
     and Jacobian are both built from the same fixed sparse operators.
-    Returns the mesh, the growth rate, the starting point (the warm profile
-    interpolated, else the logistic at the growth rate) and the residual and
-    Jacobian maps."""
+    Returns the mesh, the growth rate, the starting point (the `warm`
+    solution's profile interpolated, else the logistic at the growth rate)
+    and the map x -> (residual, Jacobian thunk)."""
     z1 = growth_rate(tau, eps)
     h = tau / n_per_delay
     half = math.ceil(max(20.0 * tau, 12.0 / z1) / h)
@@ -491,45 +529,38 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     bc_rhs = np.zeros(bc.shape[0])
     bc_rhs[-1] = 0.5
 
-    def resid(x):
-        y = x[:n]
-        f = (lag @ x) * (1.0 - y)
+    def system(x):
+        y, la = x[:n], lag @ x
+        f = la * (1.0 - y)
         if eps > 0:
             w = x[n:2 * n]
             f = np.concatenate([w, (f - w) / eps])
-        return np.concatenate([dif_s @ x - avg @ f, bc @ x - bc_rhs])
 
-    def jac(x):
-        df = sparse.diags(1.0 - x[:n]) @ lag - sparse.diags(lag @ x) @ p_y
-        if eps > 0:
-            df = sparse.vstack([p_w, (df - p_w) / eps])
-        return sparse.vstack([dif_s - avg @ df, bc], format="csc")
+        def jac():
+            df = sparse.diags(1.0 - y) @ lag - sparse.diags(la) @ p_y
+            if eps > 0:
+                df = sparse.vstack([p_w, (df - p_w) / eps])
+            return sparse.vstack([dif_s - avg @ df, bc], format="csc")
+
+        return np.concatenate([dif_s @ x - avg @ f, bc @ x - bc_rhs]), jac
 
     x = np.empty(nvar)
-    if warm is not None:
-        x[:n] = np.interp(tg, warm[0], warm[1])
-    else:
-        x[:n] = 1.0 / (1.0 + np.exp(-z1 * tg))
+    x[:n] = (1.0 / (1.0 + np.exp(-z1 * tg)) if warm is None
+             else np.interp(tg, warm["t"], warm["y"]))
     if eps > 0:
         x[n:2 * n] = np.gradient(x[:n], h)
     x[ik] = max(x[0], 1e-14)
-    return tg, z1, x, resid, jac
+    return tg, z1, x, system
 
 
 def _solve_zero_to_one(tau, eps, warm):
-    """Newton solve of the zero-to-one collocation BVP, with a fit of the
-    left-tail growth rate."""
-    tg, z1, x, resid, jac = _zero_to_one_system(tau, eps, warm=warm)
-    res = math.inf
-    for _ in range(40):
-        r = resid(x)
-        res = float(np.max(np.abs(r)))
-        if res < 1e-12:
-            break
-        x = x - spsolve(jac(x), r)
-    else:
-        raise NoConvergence(
-            f"connection Newton stalled at residual {res} (eps={eps})")
+    """Newton solve of the zero-to-one collocation BVP warm-started from the
+    solution `warm` (or None), with a fit of the left-tail growth rate."""
+    tg, z1, x, system = _zero_to_one_system(tau, eps, warm=warm)
+    try:
+        x, res = _newton(system, x)
+    except NoConvergence as err:
+        raise NoConvergence(f"connection {err}") from err
     y = x[:tg.size]
     sel = (y > 1e-8) & (y < 1e-3)
     rate = float(np.polyfit(tg[sel], np.log(y[sel]), 1)[0]) if sel.sum() > 5 else math.nan
@@ -537,51 +568,23 @@ def _solve_zero_to_one(tau, eps, warm):
             "residual": res, "decay_rate": rate, "rate_target": z1}
 
 
-def _ladder(eps: float) -> list:
-    if eps <= 0:
-        return [0.0]
-    steps = [0.0]
-    e = min(1e-3, eps)
-    while e < eps - 1e-15:
-        steps.append(e)
-        e *= 2.0
-    steps.append(eps)
-    return steps
-
-
 def heteroclinic(tau: float, eps: float = 0.0,
                  kind: str = "zero-to-one") -> ConnectionRun:
     """Connecting orbits of the scaled profile equation.
 
-    zero-to-one: warm-started Newton continuation along an eps ladder, with
-    step bisection (down to 1e-6) on failure.  periodic-to-point: forward
-    runs from the orbit perturbed along its dominant history mode, both
-    perturbation signs tried; succeeds when y settles at 1.
+    zero-to-one: warm-started Newton continuation along the eps-ladder of
+    `_continue`.  periodic-to-point: forward runs from the orbit perturbed
+    along its dominant history mode, both perturbation signs tried;
+    succeeds when y settles at 1.
     """
+    if tau <= 0:
+        raise DomainError(f"connecting orbits need tau > 0, got tau={tau}")
     if kind == "zero-to-one":
-        ladder = _ladder(eps)
-        solutions = []
-        warm = None
-        i = 0
-        prev_eps = 0.0
-        while i < len(ladder):
-            ej = ladder[i]
-            try:
-                sol = _solve_zero_to_one(tau, ej, warm)
-            except NoConvergence:
-                if ej - prev_eps <= 1e-6:
-                    raise
-                ladder.insert(i, 0.5 * (prev_eps + ej))
-                continue
-            solutions.append(sol)
-            warm = (sol["t"], sol["y"])
-            prev_eps = ej
-            i += 1
-        run = ConnectionRun(tau=tau, kind=kind,
-                            eps_ladder=[s["eps"] for s in solutions],
-                            solutions=solutions)
-        run.decay_fits = [(s["decay_rate"], s["rate_target"]) for s in solutions]
-        return run
+        sols = _continue(lambda e, warm: _solve_zero_to_one(tau, e, warm), eps)
+        return ConnectionRun(
+            tau=tau, kind=kind, eps_ladder=[s["eps"] for s in sols],
+            solutions=sols,
+            decay_fits=[(s["decay_rate"], s["rate_target"]) for s in sols])
 
     if kind != "periodic-to-point":
         raise DomainError(f"unknown connection kind {kind!r}")
@@ -590,33 +593,29 @@ def heteroclinic(tau: float, eps: float = 0.0,
     base = find_periodic(tau, 0.0) if eps > 0 else orbit
     floquet(base)
     hist_s, mode = base.unstable_mode
-    p_fun = orbit.p
 
     last_err = None
     for sign in (+1.0, -1.0):
         def hist(s, sign=sign):
-            return p_fun(s) + sign * P2P_DELTA * np.interp(s, hist_s, mode)
+            return orbit.p(s) + sign * P2P_DELTA * np.interp(s, hist_s, mode)
 
-        def dhist(s, sign=sign):
-            return p_fun(s, 1)
-
-        traj = integrate_wright(tau, eps, hist, P2P_T_MAX, dhistory=dhist)
+        traj = integrate_wright(tau, eps, hist, P2P_T_MAX,
+                                dhistory=lambda s: orbit.p(s, 1))
         if traj.escaped:
             last_err = f"sign {sign:+.0f} diverged at t={traj.escape_time}"
             continue
         # settled at 1: the final stretch of five delays stays within 1e-3
         win = traj.t >= traj.t[-1] - 5 * tau
         if np.max(np.abs(traj.y[win] - 1.0)) < 1e-3:
-            # trim to the settling time plus one window
-            good = np.abs(traj.y - 1.0) < 1e-3
-            idx = np.nonzero(~good)[0]
+            # settling time: the last time y is 1e-3 or more away from 1
+            dev = np.abs(traj.y - 1.0)
+            idx = np.nonzero(dev >= 1e-3)[0]
             t_settle = traj.t[idx[-1]] if idx.size else 0.0
             sol = {"eps": eps, "t": traj.t, "y": traj.y,
                    "delta": sign * P2P_DELTA, "orbit": orbit,
                    "settle_time": float(t_settle), "residual": 0.0}
             # approach rate to 1 after settling; the linearized slow rate
             # is the larger root of eps r^2 + r + 1 = 0 (-1 at eps = 0)
-            dev = np.abs(traj.y - 1.0)
             fit_sel = (traj.t > t_settle) & (dev > 1e-10)
             if fit_sel.sum() > 10:
                 sol["decay_rate"] = float(
@@ -624,10 +623,9 @@ def heteroclinic(tau: float, eps: float = 0.0,
             rate_target = (-1.0 if eps == 0
                            else (-1.0 + math.sqrt(1.0 - 4.0 * eps)) / (2.0 * eps))
             sol["rate_target"] = rate_target
-            run = ConnectionRun(tau=tau, kind=kind, eps_ladder=[eps],
-                                solutions=[sol])
-            run.decay_fits = [(sol.get("decay_rate", math.nan), rate_target)]
-            return run
+            return ConnectionRun(
+                tau=tau, kind=kind, eps_ladder=[eps], solutions=[sol],
+                decay_fits=[(sol.get("decay_rate", math.nan), rate_target)])
         last_err = f"sign {sign:+.0f} did not settle at 1 within t={P2P_T_MAX}"
     raise NoConvergence(f"periodic-to-point run failed: {last_err}")
 

@@ -189,6 +189,10 @@ def intensity_case(ap: float, am: float) -> str:
     return "d" if ap + am < 0.5 else "e"
 
 
+# tolerance of the band inequalities in the (p, P) grid scan
+BAND_SLACK = 1e-9
+
+
 def band_inequalities(p, P, ap: float, am: float):
     """Left-hand sides of the two oscillation-band inequalities:
     lower: p + a+ P (1-p) + a- P (P-1) >= 1
@@ -211,19 +215,22 @@ def a_star(ap: float, am: float) -> tuple[float, float]:
 
 
 def pP_feasible_set(ap: float, am: float, P_cap: float = 5.0,
-                    grid_n: int = 400, slack: float = 1e-9) -> dict:
-    """Grid scan of the (p, P) region satisfying both band inequalities.
+                    grid_n: int = 400) -> dict:
+    """Grid scan of the (p, P) region satisfying both band inequalities,
+    each to within BAND_SLACK.
 
     Returns the boolean mask (row-major over p then P), the grid axes, the
     feasible extremes (p_min, P_max), and the analytic anchors.
     """
+    if ap < 0 or am < 0:
+        raise DomainError(f"intensities must be nonnegative, got ({ap}, {am})")
     if P_cap < 1 or grid_n < 100:
         raise DomainError("need P_cap >= 1 and grid_n >= 100")
     p_axis = np.linspace(1.0 / grid_n, 1.0, grid_n)
     P_axis = np.linspace(1.0, P_cap, grid_n)
     Pg, pg = np.meshgrid(P_axis, p_axis)
     lower, upper = band_inequalities(pg, Pg, ap, am)
-    mask = (lower >= 1.0 - slack) & (upper <= 1.0 + slack)
+    mask = (lower >= 1.0 - BAND_SLACK) & (upper <= 1.0 + BAND_SLACK)
     anchors = [(1.0, 1.0)]
     if ap + am > 0:
         anchors.append(a_star(ap, am))

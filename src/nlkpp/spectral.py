@@ -58,6 +58,8 @@ def quad_roots(c: float) -> tuple[float, float]:
     """Positive roots (lam, mu) of z^2 - c z + 1 = 0, lam <= mu; needs c >= 2."""
     if c < 2:
         raise DomainError(f"no real decay rates for c={c} < 2 (no semi-wavefront regime)")
+    if not math.isfinite(c * c):
+        raise DomainError(f"c={c} is too large: c^2 overflows a float")
     disc = math.sqrt(c * c - 4.0)
     return (c - disc) / 2.0, (c + disc) / 2.0
 
@@ -129,16 +131,26 @@ def monotone_front_root(c: float, k: Kernel):
 
 # -- argument-principle machinery -----------------------------------------
 
-def _winding_number(f, df, corners, tol=1e-3, n0=64, max_refine=12):
+# winding number: distance from an integer that counts as settled, points
+# per contour edge at first and the number of doublings; roots closer than
+# ROOT_DEDUPE_RADIUS are one root
+WINDING_TOL = 1e-3
+WINDING_N0 = 64
+WINDING_REFINE = 12
+ROOT_DEDUPE_RADIUS = 1e-6
+
+
+def _winding_number(f, df, corners):
     """Winding count of f along the closed polygonal contour `corners`.
 
-    Trapezoid evaluation of (1/2pi i) oint f'/f, refined until within `tol`
-    of an integer.  Returns (count, ok_flag, min |f| seen on the contour).
+    Trapezoid evaluation of (1/2pi i) oint f'/f, refined until within
+    WINDING_TOL of an integer.  Returns (count, ok_flag, min |f| seen on the
+    contour).
     """
     corners = list(corners) + [corners[0]]
     minmod = math.inf
-    n = n0
-    for _ in range(max_refine):
+    n = WINDING_N0
+    for _ in range(WINDING_REFINE):
         total = 0.0 + 0.0j
         minmod = math.inf
         for a, b in zip(corners[:-1], corners[1:]):
@@ -150,7 +162,7 @@ def _winding_number(f, df, corners, tol=1e-3, n0=64, max_refine=12):
             total += np.trapezoid(integrand, t)
         w = total / (2j * math.pi)
         count = round(w.real)
-        if abs(w - count) < tol and abs(w.imag) < tol:
+        if abs(w - count) < WINDING_TOL and abs(w.imag) < WINDING_TOL:
             return int(count), True, minmod
         n *= 2
     return int(round(w.real)), False, minmod
@@ -178,10 +190,10 @@ def _newton_complex(f, df, z0, tol=1e-12, maxit=100):
         return z, abs(f(z)) < tol * (1.0 + abs(z) ** 2)
 
 
-def _dedupe(roots, radius=1e-6):
+def _dedupe(roots):
     kept = []
     for r in roots:
-        if all(abs(r - q) > radius for q in kept):
+        if all(abs(r - q) > ROOT_DEDUPE_RADIUS for q in kept):
             kept.append(r)
     return kept
 
@@ -225,11 +237,15 @@ def chi1_roots(tau: float, eps: float = 0.0) -> RootReport:
     if tau <= 0 or eps < 0:
         raise DomainError(f"chi1_roots needs tau > 0 and eps >= 0, "
                           f"got tau={tau}, eps={eps}")
+    im_hi = max(2.0, 2 * math.pi / tau)
+    # eps z^2 on the contour (height 2 pi/tau for small tau) must be a float
+    if not math.isfinite((1.0 + eps) * im_hi * im_hi):
+        raise DomainError(f"census contour out of float range at tau={tau}, "
+                          f"eps={eps}")
 
     f = lambda z: eps * z * z + z - np.exp(-z * tau)
     df = lambda z: 2 * eps * z + 1.0 + tau * np.exp(-z * tau)
 
-    im_hi = max(2.0, 2 * math.pi / tau)
     for shift in (0.0, -1e-3):
         corners = [complex(shift, -im_hi), complex(2.0, -im_hi),
                    complex(2.0, im_hi), complex(shift, im_hi)]

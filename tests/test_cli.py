@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,12 +214,67 @@ def test_periodic_below_threshold_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("tau", ["7", "8"])
 def test_periodic_diverging_newton_is_numeric_failure(tmp_path, capsys, tau):
-    # from the small-amplitude seed the orbit Newton reaches p = 1, where the
-    # period is free, and the period then runs off through 0
+    # from the small-amplitude seed the orbit Newton converges onto the
+    # flat equilibrium p = 1, which is no orbit
     code, out = run_cli(tmp_path, "periodic", "--tau", tau)
     assert code == 2
     assert "numeric failure: periodic-orbit Newton" in capsys.readouterr().err
     assert not (out / "orbit.json").exists()
+
+
+def run_cli_quietly(tmp_path, *argv):
+    # any warning, RuntimeWarning and MatrixRankWarning included, fails
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, *argv)
+    assert not seen, [str(w.message) for w in seen]
+    return code, out
+
+
+def test_periodic_collapse_onto_equilibrium_is_numeric_failure(tmp_path,
+                                                                capsys):
+    # the eps = 0 Newton lands on p = 0, an exact solution but no orbit
+    code, out = run_cli_quietly(tmp_path, "periodic", "--tau", "7.54",
+                                "--eps", "0.01")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numeric failure: periodic-orbit Newton collapsed onto p = 0" in err
+    assert not (out / "orbit.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "--tau", "100"],
+    ["semiwave", "--tau", "5", "--c", "1e10"],
+])
+def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
+                                                        argv):
+    # the Newton iterates overflow before the sparse Jacobian turns singular
+    code, out = run_cli_quietly(tmp_path, *argv)
+    assert code == 2
+    assert "numeric failure: connection Newton diverged: residual not " \
+        "finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["connect", "--tau", "0"], "need tau > 0"),
+    (["semiwave", "--tau", "5", "--c", "1e-200"], "c^2 > 0"),
+    (["roots", "--tau", "1e-300"], "out of float range"),
+    (["classify", "--c", "1e300"], "c^2 overflows"),
+    (["front", "--c", "1e300"], "c^2 overflows"),
+    (["periodic", "--tau", "5", "--eps", "-1"], "eps >= 0"),
+    (["connect", "--tau", "5", "--eps", "-0.1"], "eps >= 0"),
+    (["region", "--aplus", "-1", "--aminus", "0"], "nonnegative"),
+], ids=["connect-tau0", "semiwave-c-underflow", "roots-tiny-tau",
+        "classify-huge-c", "front-huge-c", "periodic-neg-eps",
+        "connect-neg-eps", "region-neg-intensity"])
+def test_out_of_range_input_is_config_error(tmp_path, capsys, argv, msg):
+    code, out = run_cli_quietly(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and msg in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_connect_unknown_kind(tmp_path):

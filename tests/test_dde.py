@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nlkpp import dde
 from nlkpp.spectral import DomainError, NoConvergence
@@ -229,14 +231,103 @@ def test_orbit_jacobian_matches_finite_differences(eps):
         e = np.zeros(n + 1)
         e[j] = step
         fd[:, j] = (system(x + e)[0] - system(x - e)[0]) / (2 * step)
-    jd = system(x)[1]
+    jd = system(x)[1]()
     assert np.max(np.abs(fd - jd)) <= 1e-7 * np.max(np.abs(jd))
 
 
 def test_orbit_newton_singular_jacobian_is_no_convergence():
-    # p = 0 solves the collocation equations, but its phase row is zero
-    with pytest.raises(NoConvergence):
-        dde._orbit_newton(TAU, 0.0, np.zeros(16), 2 * np.pi)
+    # p = 1/2 is not a solution, and its phase row (the seed's derivative)
+    # is zero up to rounding, so the first Newton step meets a singular
+    # Jacobian
+    p0 = np.full(16, 0.5)
+    system = dde._orbit_system(TAU, 0.0, p0, 2 * np.pi)
+    x0 = np.append(p0, 2 * np.pi)
+    r, jac = system(x0)
+    assert np.max(np.abs(r)) > 0.1
+    assert np.max(np.abs(jac()[-1])) < 1e-15
+    with pytest.raises(NoConvergence, match="Newton diverged"):
+        dde._newton(system, x0)
+
+
+@pytest.mark.parametrize("tau", [7.0, 7.54])
+def test_orbit_collapse_onto_equilibrium_is_no_convergence(tau):
+    # from the small-amplitude seed the Newton iterates reach p = 1 at
+    # tau = 7 and p = 0 at tau = 7.54: exact solutions, but no orbit
+    with pytest.raises(NoConvergence, match="collapsed onto p = [01]"):
+        dde.find_periodic(tau)
+
+
+def test_orbit_eps_ladder_matches_uniform_path():
+    # the doubling eps-ladder and a hand-run uniform four-step path reach
+    # the same orbit; the phase condition pins each rung to its seed, so
+    # the two differ by a phase shift within the collocation error
+    eps = 0.0204
+    ladder = dde.find_periodic(4.8124, eps)
+    n = dde.ORBIT_NODES
+    p = dde.hopf_amplitude(4.8124) * np.cos(2 * np.pi * np.arange(n) / n)
+    om = 2 * np.pi
+    for e in np.linspace(0.0, eps, 5):
+        x, _ = dde._newton(dde._orbit_system(4.8124, e, p, om),
+                           np.append(p, om))
+        p, om = x[:-1], x[-1]
+    assert ladder.period == pytest.approx(om, rel=1e-12)
+    # ladder.p(t - shift) = p(t) moves the first Fourier mode by
+    # exp(2 pi i shift / om); compare off the grid
+    shift = np.angle(np.fft.rfft(ladder.values)[1] / np.fft.rfft(p)[1]) \
+        * om / (2 * np.pi)
+    t = om * np.arange(4 * n) / (4 * n)
+    np.testing.assert_allclose(ladder.p(t - shift), dde._trig_eval(p, om, t),
+                               rtol=0, atol=1e-8)
+
+
+def test_newton_singular_sparse_jacobian_is_no_convergence():
+    # spsolve warns and returns nan on an exactly singular matrix; the
+    # warning becomes NoConvergence and does not leak
+    system = lambda x: (x - 1.0, lambda: sparse.csc_matrix((2, 2)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NoConvergence, match="exactly singular"):
+            dde._newton(system, np.zeros(2))
+    assert not seen
+
+
+def test_eps_ladder_doubles_and_bisects_a_failed_step():
+    # each rung is warm-started from the one below; the first try at 8e-3
+    # fails, so the step 4e-3 -> 8e-3 is halved once
+    solved, failed = [], []
+
+    def solve(e, prev):
+        assert prev == (solved[-1] if solved else None)
+        if e == 8e-3 and not failed:
+            failed.append(e)
+            raise NoConvergence("first try")
+        solved.append(e)
+        return e
+
+    ladder = dde._continue(solve, 1e-2)
+    assert ladder == pytest.approx([0.0, 1e-3, 2e-3, 4e-3, 6e-3, 8e-3, 1e-2],
+                                   rel=1e-15)
+    assert dde._continue(lambda e, prev: e, 0.0) == [0.0]
+
+
+def test_eps_ladder_gives_up_below_the_minimum_step():
+    def solve(e, prev):
+        if e > 0:
+            raise NoConvergence("always")
+        return e
+
+    with pytest.raises(NoConvergence, match=r"always \(eps=9\.\d+e-07\)"):
+        dde._continue(solve, 1e-3)
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.inf])
+def test_eps_ladder_rejects_eps_out_of_range(eps):
+    # semiwave --c 1e-160 gives eps = 1/c^2 = inf, which the doubling
+    # ladder would climb to through about a thousand rungs
+    def solve(e, prev):
+        raise AssertionError("no rung may be solved")
+    with pytest.raises(DomainError):
+        dde._continue(solve, eps)
 
 
 def test_orbit_eps_continuation():
@@ -391,7 +482,7 @@ def test_connection_residual_matches_slice_formula(eps):
     # reference: the lag read by slicing, y(t_j - tau) = y[j - m] for j >= m
     # and kappa times the growth tail exp(z1 (t_j - tau - t_0)) for j < m
     tau, m = 5.0, 5
-    tg, z1, x0, resid, _ = dde._zero_to_one_system(tau, eps, n_per_delay=m)
+    tg, z1, x0, system = dde._zero_to_one_system(tau, eps, n_per_delay=m)
     x = x0 + 1e-2 * np.random.default_rng(3).standard_normal(x0.size)
     n, h, kappa = tg.size, tau / m, x[-1]
     y = x[:n]
@@ -407,7 +498,7 @@ def test_connection_residual_matches_slice_formula(eps):
         ref = [np.diff(y) / h - 0.5 * (w[:-1] + w[1:]),
                np.diff(w) / h - 0.5 * (fw[:-1] + fw[1:]),
                [y[0] - kappa, w[0] - z1 * kappa, y[n // 2] - 0.5]]
-    np.testing.assert_allclose(resid(x), np.concatenate(ref),
+    np.testing.assert_allclose(system(x)[0], np.concatenate(ref),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -415,7 +506,8 @@ def test_connection_residual_matches_slice_formula(eps):
 def test_connection_jacobian_matches_finite_differences(eps):
     # a coarse mesh (h = 1) keeps the full column sweep cheap; the first
     # n_per_delay rows read the lag through the kappa column
-    _, _, x0, resid, jac = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
+    _, _, x0, system = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
+    resid = lambda x: system(x)[0]
     rng = np.random.default_rng(7)
     x = x0 + 1e-2 * rng.standard_normal(x0.size)
     assert np.max(np.abs(resid(x))) > 1e-3
@@ -425,7 +517,7 @@ def test_connection_jacobian_matches_finite_differences(eps):
         e = np.zeros(x.size)
         e[j] = step
         fd[:, j] = (resid(x + e) - resid(x - e)) / (2 * step)
-    jd = jac(x).toarray()
+    jd = system(x)[1]().toarray()
     assert np.max(np.abs(fd - jd)) <= 1e-6 * np.max(np.abs(jd))
 
 
