@@ -26,8 +26,7 @@ import scipy
 from . import __version__
 from .kernels import (Kernel, KernelError, dirac, from_config,
                       alpha_plus, alpha_minus)
-from .spectral import (DomainError, NoConvergence, quad_roots, chi1_roots,
-                       monotone_front_root)
+from .spectral import NoConvergence, quad_roots, chi1_roots
 from . import regimes, profiles, dde, pdesim
 
 
@@ -180,7 +179,7 @@ def cmd_front(args, cfg, out: Path) -> None:
         "c": args.c, "beta": ctx.beta,
         "residual": prof.diagnostics["residual_sup"],
         "phi_max": float(vals.max()), "phi_min": float(vals.min()),
-        "monotone": bool(np.all(np.diff(vals) > -1e-10)),
+        "monotone": prof.diagnostics["monotone"],
         "alpha_plus": alpha_plus(k, args.c),
         "alpha_minus": alpha_minus(k, args.c)})
 
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
         _DISPATCH[args.command](args, cfg, out)
         _write_manifest(out, args.command, cfg, args.seed,
                         time.perf_counter() - t0)
-    except (ConfigError, KernelError, DomainError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (NoConvergence, pdesim.MeasurementError,

@@ -34,9 +34,11 @@ from .spectral import DomainError, NoConvergence
 from .profiles import Profile
 
 HOPF_TAU = 1.5 * math.pi
-# forward runs stop once |y| exceeds WRIGHT_BLOWUP; zero-to-one collocation
-# steps per delay; periodic-to-point history perturbation and run horizon
+# forward runs stop once |y| exceeds WRIGHT_BLOWUP and take at most
+# WRIGHT_MAX_STEPS steps (history included); zero-to-one collocation steps
+# per delay; periodic-to-point history perturbation and run horizon
 WRIGHT_BLOWUP = 1e6
+WRIGHT_MAX_STEPS = 10 ** 7
 CONNECT_N_PER_DELAY = 50
 P2P_DELTA = 1e-4
 P2P_T_MAX = 400.0
@@ -428,6 +430,10 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
         dt = tau / 50.0 if eps == 0 else min(tau / 50.0, eps / 10.0)
     if not 0 < dt < tau:
         raise DomainError(f"need 0 < dt < tau, got dt={dt}, tau={tau}")
+    if not (tau + t_end) / dt <= WRIGHT_MAX_STEPS:
+        raise DomainError(
+            f"integration over [-{tau}, {t_end}] at dt={dt} needs "
+            f"{(tau + t_end) / dt:.3g} steps, more than {WRIGHT_MAX_STEPS}")
     nlag = int(math.ceil(tau / dt))
     dt = tau / nlag
     steps = int(math.ceil(t_end / dt))
@@ -588,6 +594,9 @@ def heteroclinic(tau: float, eps: float = 0.0,
 
     if kind != "periodic-to-point":
         raise DomainError(f"unknown connection kind {kind!r}")
+    if not eps <= 0.25:
+        raise DomainError(f"periodic-to-point needs eps <= 1/4 (speed c >= 2), "
+                          f"got eps={eps}")
 
     orbit = find_periodic(tau, eps)
     base = find_periodic(tau, 0.0) if eps > 0 else orbit
@@ -615,13 +624,13 @@ def heteroclinic(tau: float, eps: float = 0.0,
                    "delta": sign * P2P_DELTA, "orbit": orbit,
                    "settle_time": float(t_settle), "residual": 0.0}
             # approach rate to 1 after settling; the linearized slow rate
-            # is the larger root of eps r^2 + r + 1 = 0 (-1 at eps = 0)
+            # is the larger root of eps r^2 + r + 1 = 0, c f(c, -1) at
+            # c = 1/sqrt(eps) (-1 at eps = 0)
             fit_sel = (traj.t > t_settle) & (dev > 1e-10)
             if fit_sel.sum() > 10:
                 sol["decay_rate"] = float(
                     np.polyfit(traj.t[fit_sel], np.log(dev[fit_sel]), 1)[0])
-            rate_target = (-1.0 if eps == 0
-                           else (-1.0 + math.sqrt(1.0 - 4.0 * eps)) / (2.0 * eps))
+            rate_target = -2.0 / (1.0 + math.sqrt(1.0 - 4.0 * eps))
             sol["rate_target"] = rate_target
             return ConnectionRun(
                 tau=tau, kind=kind, eps_ladder=[eps], solutions=[sol],

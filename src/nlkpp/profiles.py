@@ -13,7 +13,8 @@ from scipy.interpolate import CubicSpline
 from scipy.signal import lfilter
 
 from .kernels import Kernel, CoverageError, convolve, exp_moment, stencil
-from .spectral import quad_roots, toy_steady_roots, DomainError, NoConvergence
+from .spectral import (f_func, quad_roots, toy_steady_roots, DomainError,
+                       NoConvergence)
 from .regimes import u_bound
 
 
@@ -133,14 +134,14 @@ class WaveContext:
             b = 2.0 * beta + 3.0
         if b <= 2.0 * beta + 2.0:
             raise ConstraintError(f"need b > 2*beta + 2, got b={b}, beta={beta}")
-        disc = math.sqrt(self.c * self.c + 4.0 * b)
+        z1 = -f_func(self.c, b)
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "b", float(b))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "z1", (self.c - disc) / 2.0)
-        object.__setattr__(self, "z2", (self.c + disc) / 2.0)
-        object.__setattr__(self, "z12", disc)
+        object.__setattr__(self, "z1", z1)
+        object.__setattr__(self, "z2", self.c - z1)
+        object.__setattr__(self, "z12", self.z2 - z1)
 
 
 def g_beta(u, beta: float):
@@ -150,14 +151,28 @@ def g_beta(u, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
+# largest front grid, in steps; the tests, workloads and scripts stay below
+# 10^5
+MAX_FRONT_GRID = 10 ** 6
+
+
 def default_grid(ctx: WaveContext, dt: float = 0.02):
+    """Front grid [-40/lam, 40 + 8 * kernel radius] at step dt, as
+    (t_lo, dt, n); dt <= 0 or more than MAX_FRONT_GRID steps raise
+    DomainError."""
     lam = ctx.lam
     lo, hi = ctx.kernel.support()
     rad = max(abs(lo), abs(hi))
     t_lo = -40.0 / lam
     t_hi = 40.0 + 8.0 * rad
-    n = int(math.ceil((t_hi - t_lo) / dt)) + 1
-    return t_lo, dt, n
+    if not dt > 0:
+        raise DomainError(f"front grid needs dt > 0, got dt={dt}")
+    steps = (t_hi - t_lo) / dt
+    if not steps <= MAX_FRONT_GRID:
+        raise DomainError(
+            f"front grid of {steps:.3g} steps exceeds {MAX_FRONT_GRID} at "
+            f"c={ctx.c}, dt={dt}; raise dt")
+    return t_lo, dt, int(math.ceil(steps)) + 1
 
 
 # -- closed-form upper front ----------------------------------------------
@@ -171,7 +186,7 @@ def kpp_upper_front(ctx: WaveContext, dt: float = 0.02) -> Profile:
     z^2 - c z - 1 = 0.  C^1 matching fixes all constants.
     """
     c, beta, lam, mu = ctx.c, ctx.beta, ctx.lam, ctx.mu
-    nu = (c - math.sqrt(c * c + 4.0)) / 2.0
+    nu = -f_func(c, 1.0)
     t_lo, dt, n = default_grid(ctx, dt)
     t = t_lo + dt * np.arange(n)
     if mu - lam > 1e-10:
@@ -435,11 +450,10 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     tail = vals[2 * n // 3:]
     P = float(tail.max())
     p = float(tail.min())
-    dphi = np.diff(vals)
     prof.diagnostics.update({
         "iterations": it + 1,
         "last_diff": diff,
-        "monotone": bool(np.all(dphi >= -1e-12)),
+        "monotone": bool(np.all(np.diff(vals) > -1e-10)),
         "p": p, "P": P,
         "residual_sup": residual(prof, ctx.c, ctx.kernel),
     })

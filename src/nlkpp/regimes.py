@@ -2,7 +2,9 @@
 
 This is the decision layer: given a speed c and a kernel K it produces the
 uniform bound U(c,K), the interaction intensities, the convergence verdict,
-and the (p,P) feasibility geometry bounding profile oscillations.
+and the (p,P) feasibility geometry bounding profile oscillations.  Rates
+come from `spectral.f_func` (imported here by name), the U(c,K) radius from
+`brentq`.
 """
 from __future__ import annotations
 
@@ -10,9 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .kernels import Kernel, alpha_plus, alpha_minus, exp_moment
-from .spectral import quad_roots, monotone_front_root, DomainError
+from .spectral import quad_roots, monotone_front_root, f_func, DomainError
 
 
 @dataclass(frozen=True)
@@ -35,18 +38,6 @@ class RegimeReport:
         d = dict(self.__dict__)
         d["pP_extremes"] = list(self.pP_extremes)
         return d
-
-
-def f_func(c: float, s):
-    """f(s) = 2s / (c + sqrt(c^2 + 4s)): the increasing root branch of the
-    logarithmic-derivative quadratic; f(0) = 0 and f(-1) = -lam(c)."""
-    if c < 2:
-        raise DomainError(f"f needs c >= 2, got {c}")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < -1):
-        raise DomainError("f is only defined for s >= -1")
-    out = 2.0 * s_arr / (c + np.sqrt(c * c + 4.0 * s_arr))
-    return float(out) if out.ndim == 0 else out
 
 
 class RepresentationError(ValueError):
@@ -75,6 +66,23 @@ def _left_radius(k: Kernel) -> int | None:
     return math.ceil(dist[order[passed[0]]])
 
 
+def _u2_radius(c: float) -> float:
+    """sigma of the U2 bound: the smallest s >= 1e-12 where
+    h(s) = 2c(e^{lam s}-1)/(e^{cs}-1) < 0.01.  h is written with e^{-cs} so
+    that it cannot overflow, and it falls from 2 lam, so sigma is the
+    crossing (or 1e-12).  h(s) < 4c e^{-mu s} brackets the crossing below
+    log(400c)/mu; a brentq answer short of it is moved past it."""
+    lam, mu = quad_roots(c)
+    excess = lambda s: (2 * c * math.expm1(lam * s) * math.exp(-c * s)
+                        / -math.expm1(-c * s) - 0.01)
+    sigma = 1e-12
+    if excess(sigma) >= 0:
+        sigma = brentq(excess, sigma, math.log(400 * c) / mu, xtol=1e-12)
+        if excess(sigma) >= 0:
+            sigma += 2e-12
+    return sigma
+
+
 def u_bound(c: float, k: Kernel) -> float:
     """Uniform a priori bound U(c, K) on any semi-wavefront profile.
 
@@ -98,27 +106,8 @@ def u_bound(c: float, k: Kernel) -> float:
         if r is None or r > 10 ** 6:
             raise RepresentationError(
                 "kernel carries less than 0.99 of its mass on [-1e6, 0]")
-        # sigma: threshold where 2c(e^{lam s}-1)/(e^{cs}-1) crosses 0.01;
-        # the ratio decreases from 2*lam, so the smallest admissible sigma
-        # (tightest bound) is the bisected crossing point
-        h = lambda s: 2 * c * math.expm1(lam * s) / math.expm1(c * s)
-        lo, hi = 1e-12, 1.0
-        while h(hi) >= 0.01:
-            hi *= 2.0
-            if hi > 1e6:
-                break
-        if h(lo) < 0.01:
-            sigma = lo
-        else:
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                if h(mid) < 0.01:
-                    hi = mid
-                else:
-                    lo = mid
-            sigma = hi
         try:
-            candidates.append(2.0 * math.exp(lam * (r + sigma)))
+            candidates.append(2.0 * math.exp(lam * (r + _u2_radius(c))))
         except OverflowError:
             candidates.append(math.inf)
     if not candidates:

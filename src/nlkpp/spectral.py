@@ -1,11 +1,15 @@
 """Root solvers and argument-principle root counters for the characteristic
 functions attached to the traveling-wave problem:
 
-  quad:         z^2 - c z + 1            (linearization at the leading edge)
+  quad:         z^2 - c z - s            (every rate: the leading edge at
+                s = -1, the operator at s = b, the upper front at s = 1)
   front_criterion:    z^2 - c z - E_K(-z)      (monotone-front criterion)
   chi1:         eps z^2 + z - exp(-tau z) (limit delay equation at 0;
                 reported as eps_advanced when eps > 0)
   toy_steady:   z^2 - c z - exp(-ctau z) (piecewise toy model at 1)
+
+Every root of z^2 - c z - s comes from `f_func`, in a cancellation-free
+form; every real scalar root is bracketed and found by `brentq`.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .kernels import Kernel, exp_moment
 
@@ -54,14 +59,27 @@ class RootReport:
 
 # -- quadratic roots -------------------------------------------------------
 
+def f_func(c: float, s):
+    """f(s) = 2s / (c + sqrt(c^2 + 4s)), minus the smaller root of
+    z^2 - c z - s = 0 (the larger is c + f(s)) without cancellation;
+    f(0) = 0 and f(-1) = -lam(c)."""
+    if c < 2:
+        raise DomainError(f"f needs c >= 2, got {c}")
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr < -1):
+        raise DomainError("f is only defined for s >= -1")
+    out = 2.0 * s_arr / (c + np.sqrt(c * c + 4.0 * s_arr))
+    return float(out) if out.ndim == 0 else out
+
+
 def quad_roots(c: float) -> tuple[float, float]:
     """Positive roots (lam, mu) of z^2 - c z + 1 = 0, lam <= mu; needs c >= 2."""
     if c < 2:
         raise DomainError(f"no real decay rates for c={c} < 2 (no semi-wavefront regime)")
     if not math.isfinite(c * c):
         raise DomainError(f"c={c} is too large: c^2 overflows a float")
-    disc = math.sqrt(c * c - 4.0)
-    return (c - disc) / 2.0, (c + disc) / 2.0
+    lam = -f_func(c, -1.0)
+    return lam, c - lam
 
 
 # -- monotone-front criterion ---------------------------------------------------
@@ -80,9 +98,9 @@ def monotone_front_root(c: float, k: Kernel):
     """Largest negative root of z^2 - c z - int K(s) e^{-z s} ds = 0, or None.
 
     Scans [MONOTONE_LAM_MIN, 0) with MONOTONE_BRACKETS sign brackets and
-    bisects.  For a single atom supported on s > 0 a monotone tail
-    certificate rules out roots below the scan window.  Returns (root,
-    diagnostic dict).
+    solves the bracket closest to 0 with brentq.  For a single atom
+    supported on s > 0 a monotone tail certificate rules out roots below the
+    scan window.  Returns (root, diagnostic dict).
     """
     if c < 2:
         raise DomainError(f"monotone-front criterion needs c >= 2, got {c}")
@@ -101,16 +119,7 @@ def monotone_front_root(c: float, k: Kernel):
             root = a
             break
         if _opposite(fa, fb):
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = g(m)
-                if fm == 0.0 or b - a < 1e-14:
-                    break
-                if _opposite(fa, fm):
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            root = 0.5 * (a + b)
+            root = brentq(g, a, b, xtol=1e-14)
             break
     diag = {"scan_lo": MONOTONE_LAM_MIN, "scan_hi": 0.0,
             "n_brackets": MONOTONE_BRACKETS}

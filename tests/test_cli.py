@@ -265,9 +265,18 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
     (["periodic", "--tau", "5", "--eps", "-1"], "eps >= 0"),
     (["connect", "--tau", "5", "--eps", "-0.1"], "eps >= 0"),
     (["region", "--aplus", "-1", "--aminus", "0"], "nonnegative"),
+    # size and range limits: the grid and the forward run are refused
+    # before they are allocated, eps > 1/4 before any solve
+    (["front", "--c", "711"], "front grid of 1.14e+07 steps exceeds"),
+    (["connect", "--tau", "5", "--eps", "1e-12", "--kind", "p2p"],
+     "steps, more than 10000000"),
+    (["connect", "--tau", "5", "--eps", "0.3", "--kind", "p2p"],
+     "eps <= 1/4"),
+    (["semiwave", "--tau", "5", "--c", "1.9", "--proper"], "eps <= 1/4"),
 ], ids=["connect-tau0", "semiwave-c-underflow", "roots-tiny-tau",
         "classify-huge-c", "front-huge-c", "periodic-neg-eps",
-        "connect-neg-eps", "region-neg-intensity"])
+        "connect-neg-eps", "region-neg-intensity", "front-grid-limit",
+        "p2p-step-limit", "p2p-eps-limit", "semiwave-p2p-eps-limit"])
 def test_out_of_range_input_is_config_error(tmp_path, capsys, argv, msg):
     code, out = run_cli_quietly(tmp_path, *argv)
     assert code == 1
@@ -275,6 +284,16 @@ def test_out_of_range_input_is_config_error(tmp_path, capsys, argv, msg):
     assert err.startswith("config error:") and msg in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("c", ["711", "1e5", "1e20"])
+def test_classify_large_speed_has_finite_report(tmp_path, c):
+    # e^{c s} in the U2 radius overflowed from c = 711 on
+    code, out = run_cli_quietly(tmp_path, "classify", "--c", c)
+    assert code == 0
+    rep = load(out, "classify.json")
+    assert _all_finite(rep), rep
+    assert rep["u_bound"] >= 1.0
 
 
 def test_connect_unknown_kind(tmp_path):

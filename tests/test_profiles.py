@@ -59,12 +59,23 @@ def test_profile_translated():
 
 # -- context and envelopes -------------------------------------------------
 
-def test_wave_context_constants():
-    ctx = pf.WaveContext(3.0, ker.dirac(0.0))
+@pytest.mark.parametrize("c", [3.0, 1e3, 1e6])
+def test_wave_context_constants(c):
+    ctx = pf.WaveContext(c, ker.dirac(0.0))
     assert ctx.z1 < 0 < ctx.z2
     assert ctx.z1 * ctx.z2 == pytest.approx(-ctx.b, rel=1e-12)
     assert ctx.z1 + ctx.z2 == pytest.approx(ctx.c, rel=1e-12)
     assert ctx.b > 2 * ctx.beta + 2
+
+
+@pytest.mark.parametrize("dt, msg", [
+    (0.0, "dt > 0"), (-0.01, "dt > 0"), (1e-300, "exceeds 1000000"),
+    (float("nan"), "dt > 0"),
+])
+def test_default_grid_rejects_bad_step(dt, msg):
+    ctx = pf.WaveContext(3.0, ker.dirac(0.0))
+    with pytest.raises(pf.DomainError, match=msg):
+        pf.default_grid(ctx, dt)
 
 
 def test_wave_context_rejects_small_b():

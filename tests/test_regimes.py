@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -45,9 +46,29 @@ def test_u_bound_gaussian():
 
 def test_u_bound_advanced_atom_formula():
     # pure advance: U = 2 e^{lam (r + sigma)} with r = 1, sigma from the
-    # bisected threshold of 4/(e^sigma + 1) = 0.01, i.e. sigma = ln(399)
+    # threshold of 4/(e^sigma + 1) = 0.01, i.e. sigma = ln(399)
     U = reg.u_bound(2.0, ker.dirac(-1.0))
     assert U == pytest.approx(2.0 * math.exp(1.0 + math.log(399.0)), rel=1e-6)
+
+
+@pytest.mark.parametrize("c", [2.05, 2.5, 3.0, 10.0, 50.0, 150.0, 711.0, 1e5])
+def test_u_bound_radius_is_the_admissible_crossing(c):
+    # the smallest s >= 1e-12 with 2c(e^{lam s}-1)/(e^{cs}-1) < 0.01, by a
+    # 40-digit bisection; the radius must not fall short of it (admissible)
+    # and may pass it by at most 1e-11
+    lam = reg.quad_roots(c)[0]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        L, C, cut = decimal.Decimal(lam), decimal.Decimal(c), decimal.Decimal("0.01")
+        h = lambda s: 2 * C * ((L * s).exp() - 1) / ((C * s).exp() - 1)
+        lo, hi = decimal.Decimal(1e-12), decimal.Decimal(50)
+        if h(lo) < cut:
+            hi = lo
+        while hi - lo > decimal.Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if h(mid) < cut else (mid, hi)
+        sigma = decimal.Decimal(reg._u2_radius(c))
+        assert hi <= sigma <= hi + decimal.Decimal("1e-11")
 
 
 def test_u_bound_at_least_one():

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlkpp import kernels as ker
 from nlkpp import spectral as sp
@@ -27,11 +27,15 @@ def test_quad_roots_subcritical_raises():
         sp.quad_roots(1.9)
 
 
-@given(st.floats(2.0, 50.0))
+@given(st.floats(2.0, 1e8))
+@example(1e6)
+@example(1e8)
 @settings(max_examples=60, deadline=None)
 def test_quad_roots_product_one(c):
+    # lam = 1/mu to working precision at every speed: no cancellation
     lam, mu = sp.quad_roots(c)
-    assert lam * mu == pytest.approx(1.0, rel=1e-9)
+    assert lam * mu == pytest.approx(1.0, rel=1e-12)
+    assert lam + mu == pytest.approx(c, rel=1e-12)
     assert 0 < lam <= 1 <= mu
 
 
