@@ -119,7 +119,9 @@ def monotone_front_root(c: float, k: Kernel):
             root = a
             break
         if _opposite(fa, fb):
-            root = brentq(g, a, b, xtol=1e-14)
+            # a relative tolerance: the root nearest 0 is about -1/c,
+            # below any fixed absolute one once c is large
+            root = brentq(g, a, b, xtol=1e-300, rtol=1e-14)
             break
     diag = {"scan_lo": MONOTONE_LAM_MIN, "scan_hi": 0.0,
             "n_brackets": MONOTONE_BRACKETS}

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -165,6 +167,45 @@ def test_toy_constants_json(tmp_path):
     assert lines[0] == "t,phi1,phi2,phi3"
 
 
+# a fresh interpreter runs the commands that need no front solve and reports
+# the exit codes, the FFT-path convolutions and which heavy modules it loaded
+STARTUP_PROBE = """\
+import json, sys
+import nlkpp.cli
+from nlkpp import kernels
+fft, calls = kernels._fft_convolve, []
+kernels._fft_convolve = lambda *a: calls.append(1) or fft(*a)
+cfg, out = sys.argv[1:3]
+codes = [nlkpp.cli.main(argv + ["--out", out]) for argv in (
+    ["roots", "--c", "2.5", "--tau", "5"],
+    ["classify", "--c", "2.5", "--config", cfg],
+    ["simulate", "--T", "15", "--config", cfg])]
+print(json.dumps({"codes": codes, "fft_calls": len(calls), "loaded": [
+    m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]}))
+"""
+
+
+def test_startup_commands_do_not_load_scipy_signal(tmp_path):
+    # scipy.signal, with the scipy.stats it loads, was most of the start-up
+    # time; only the front solve may load it.  The gaussian (321 taps at
+    # dx = 0.2) on 3,501 points takes the FFT path of K * u.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"X": 700, "kernel": {"density": {
+        "lo": -32, "hi": 32, "n": 401, "kind": "gaussian",
+        "params": {"sigma": 4}}}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    child = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(cfg), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    rep = json.loads(child.stdout.splitlines()[-1])
+    assert rep["codes"] == [0, 0, 0]
+    assert rep["fft_calls"] > 0
+    assert rep["loaded"] == []
+
+
 def test_simulate_speed_json(tmp_path):
     code, out = run_cli(tmp_path, "simulate", "--T", "25", "--snap", "10")
     assert code == 0
@@ -294,6 +335,8 @@ def test_classify_large_speed_has_finite_report(tmp_path, c):
     rep = load(out, "classify.json")
     assert _all_finite(rep), rep
     assert rep["u_bound"] >= 1.0
+    # the monotone-front root is about -1/c, not rounded to 0
+    assert rep["fz_root"] * float(c) == pytest.approx(-1.0, rel=1e-5)
 
 
 def test_connect_unknown_kind(tmp_path):

@@ -123,6 +123,46 @@ def test_fft_path_matches_oracle(sign):
     assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def _direct(st_k, vals, left, right):
+    """sum_k weights[k - lo] phi_{i-k} by np.convolve of the weights with
+    the values padded by their constant tails."""
+    pad = max(abs(st_k.lo), abs(st_k.hi)) + 1
+    ext = np.concatenate((np.full(pad, left), vals, np.full(pad, right)))
+    full = np.convolve(ext, st_k.weights, "full")
+    return full[pad - st_k.lo:][:vals.size]
+
+
+def test_fft_path_caches_one_spectrum_per_length():
+    # one stencil applied to two grid lengths, in both orientations; each
+    # length gets its own cached spectrum and a reversed stencil its own
+    h = 0.005
+    k = asymmetric_kernel("atom + gaussian", 1.0, h)
+    st_phi = ker.stencil(k, h)
+    rng = np.random.default_rng(5)
+    for st_k, sign in ((st_phi, -1), (st_phi.reversed(), +1)):
+        assert st_k._spectra == {}
+        for n in (3000, 4321, 3000):
+            assert st_k.weights.size > 128 and st_k.weights.size * n > 1e6
+            vals = rng.uniform(0.0, 2.0, n)
+            got = ker.convolve(st_k, vals, 0.25, 1.3)
+            ref = oracle(k, h, vals, 0.25, 1.3, None, sign)
+            assert np.max(np.abs(got - ref)) < 1e-12
+            assert np.max(np.abs(got - _direct(st_k, vals, 0.25, 1.3))) < 1e-12
+        assert len(st_k._spectra) == 2
+    assert st_phi.reversed()._spectra is not st_phi._spectra
+
+
+def _smooth_235(limit):
+    return sorted(2 ** a * 3 ** b * 5 ** c for a in range(15) for b in range(10)
+                  for c in range(7) if 2 ** a * 3 ** b * 5 ** c <= limit)
+
+
+def test_fast_len_is_least_235_smooth_bound():
+    smooth = np.array(_smooth_235(20000))
+    for n in range(1, 10001):
+        assert ker._fast_len(n) == smooth[np.searchsorted(smooth, n)]
+
+
 def test_orientations_read_opposite_sides():
     # a delayed atom reads behind in phi(t - s) and ahead in u(x + s)
     h = 0.1

@@ -8,6 +8,13 @@ from scipy.stats import norm
 from nlkpp import kernels as ker
 
 
+def _density(kind, lo, hi, n):
+    """A normalized density kernel (a gaussian has sigma 1), built from its
+    config, the one way the package builds gridded densities."""
+    cfg = {"lo": lo, "hi": hi, "n": n, "kind": kind}
+    return ker.from_config({"density": cfg})[0]
+
+
 def test_dirac_mass_and_support():
     k = ker.dirac(-1.0, 2.0)
     assert k.total_mass == 2.0
@@ -17,7 +24,9 @@ def test_dirac_mass_and_support():
 
 
 def test_normalize_uniform_halves():
-    k = ker.uniform_density(-1.0, 1.0, mass=2.0)
+    g = np.linspace(-1.0, 1.0, 401)
+    k = ker.Kernel(density=ker.Density(g, np.ones_like(g)))
+    assert k.total_mass == pytest.approx(2.0, abs=1e-12)
     kn = ker.normalize(k)
     assert kn.total_mass == pytest.approx(1.0, abs=1e-12)
     assert kn.density.values[0] == pytest.approx(0.5)
@@ -46,14 +55,14 @@ def test_alpha_plus_single_advanced_atom():
 
 
 def test_alpha_uniform_symmetric():
-    k = ker.uniform_density(-1.0, 1.0, n=2001)
+    k = _density("uniform", -1.0, 1.0, 2001)
     assert ker.alpha_plus(k, 2.0) == pytest.approx(0.125, abs=1e-6)
     assert ker.alpha_minus(k, 2.0) == pytest.approx(0.125, abs=1e-6)
 
 
 def test_exp_moment_gaussian_right_tail():
     # int_0^inf e^{-s} N(0,1)(s) ds = e^{1/2} (1 - Phi(1))
-    k = ker.gaussian_density()
+    k = _density("gaussian", -8.0, 8.0, 1601)
     oracle = math.exp(0.5) * (1.0 - norm.cdf(1.0))
     assert ker.exp_moment(k, -1.0, "right") == pytest.approx(oracle, abs=5e-3)
 
@@ -87,7 +96,7 @@ def test_convolve_shifts_atom():
 
 
 def test_convolve_density_linear_profile():
-    k = ker.uniform_density(-1.0, 1.0, n=801)
+    k = _density("uniform", -1.0, 1.0, 801)
     h = 0.01
     t = -2.0 + h * np.arange(501)
     conv = ker.convolve(ker.stencil(k, h), 2.0 * t + 1.0)

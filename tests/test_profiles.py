@@ -118,6 +118,20 @@ def test_upper_front_c2_branch():
     assert np.all(np.diff(up.values) >= -1e-12)
 
 
+def test_upper_front_finite_when_beta_is_large():
+    # a far advanced atom makes U(c, K) large: beta = 276 and mu T = 1,113,
+    # so e^{mu T} overflows; the front must stay finite without a warning
+    # (the suite turns RuntimeWarning into an error)
+    ctx = pf.WaveContext(14.14, ker.dirac(-68.047))
+    assert ctx.beta > 270
+    up = pf.kpp_upper_front(ctx, dt=0.05)
+    assert ctx.mu * up.diagnostics["junction"] > 1000
+    assert np.all(np.isfinite(up.values))
+    assert np.all(np.diff(up.values) >= 0.0)
+    assert up.values[0] == pytest.approx(0.0, abs=1e-12)
+    assert up.values[-1] == pytest.approx(2 * ctx.beta, rel=1e-9)
+
+
 def test_lower_solution_below_upper():
     ctx = pf.WaveContext(3.0, ker.dirac(0.0))
     up = pf.kpp_upper_front(ctx)

@@ -10,6 +10,10 @@ from nlkpp import kernels as ker
 from nlkpp import regimes as reg
 from nlkpp.spectral import DomainError
 
+# the standard normal density on [-8, 8], 1601 nodes
+GAUSSIAN = ker.from_config(
+    {"density": {"lo": -8.0, "hi": 8.0, "n": 1601, "kind": "gaussian"}})[0]
+
 
 def test_f_func_values():
     assert reg.f_func(2.0, 0.0) == 0.0
@@ -41,7 +45,7 @@ def test_u_bound_delayed_atom():
 
 
 def test_u_bound_gaussian():
-    assert reg.u_bound(2.0, ker.gaussian_density()) == pytest.approx(3.8229, abs=1e-3)
+    assert reg.u_bound(2.0, GAUSSIAN) == pytest.approx(3.8229, abs=1e-3)
 
 
 def test_u_bound_advanced_atom_formula():
@@ -166,7 +170,7 @@ def test_pP_corner_always_feasible():
 
 
 def test_theta_trivial_cases():
-    k = ker.gaussian_density()
+    k = GAUSSIAN
     assert reg.theta_improved(1.0, 1.0, 2.5, k) == pytest.approx(1.0, abs=1e-9)
     assert reg.theta_improved(0.5, 1.5, 2.0, ker.dirac(0.0)) == pytest.approx(1.5)
 

@@ -47,6 +47,18 @@ def test_monotone_front_root_local_kernel_recovers_quadratic():
     assert root == pytest.approx((c - math.sqrt(c * c + 4)) / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("c", [1e6, 1e13, 1e20, 1e100])
+def test_monotone_front_root_large_speed_is_minus_one_over_c(c):
+    # the root -2/(c + sqrt(c^2 + 4)) is about -1/c, far below an absolute
+    # 1e-14 once c is large, so the solve must resolve it relatively
+    for k in (ker.dirac(0.0), ker.dirac(-1.0), ker.dirac(3.0)):
+        root, _ = sp.monotone_front_root(c, k)
+        assert root < 0
+        assert root * c == pytest.approx(-1.0, rel=1e-5)
+    root, _ = sp.monotone_front_root(c, ker.dirac(0.0))
+    assert root == pytest.approx(-2.0 / (c + math.sqrt(c * c + 4)), rel=1e-12)
+
+
 def test_monotone_front_root_residual_small():
     c, k = 2.2, ker.dirac(1.0)
     root, _ = sp.monotone_front_root(c, k)
