@@ -246,14 +246,15 @@ def cmd_semiwave(args, cfg, out: Path) -> None:
 
 def cmd_simulate(args, cfg, out: Path) -> None:
     k = _kernel_from(cfg)
-    state = pdesim.initial_state(k, X=cfg.get("X", 400.0),
-                                 dx=cfg.get("dx", 0.2),
+    dx = cfg.get("dx", 0.2)
+    # a configured dt is checked before the grid is allocated
+    dt = pdesim.time_step(dx, cfg.get("dt"))
+    state = pdesim.initial_state(k, X=cfg.get("X", 400.0), dx=dx,
                                  front_at=cfg.get("init", {}).get(
                                      "params", {}).get("front_at", 20.0))
     snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap)) \
         if args.snap else []
-    snaps = pdesim.run(state, args.T, dt=cfg.get("dt"),
-                       snapshots_at=snap_times)
+    snaps = pdesim.run(state, args.T, dt=dt, snapshots_at=snap_times)
     rows = []
     for t, u in snaps:
         for xi, ui in zip(state.x, u):

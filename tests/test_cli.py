@@ -217,6 +217,40 @@ def test_simulate_speed_json(tmp_path):
     assert len(lines) == 1 + 2 * 2001
 
 
+def _simulate_with(tmp_path, cfg):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    return run_cli(tmp_path, "simulate", "--T", "5", "--config", str(cfgp))
+
+
+@pytest.mark.parametrize("dt, msg", [
+    (0, "finite positive"), (-1, "finite positive"),
+    (float("inf"), "finite positive"), (float("nan"), "finite positive"),
+    ("0.01", "finite positive"), (0.1, "ringing cap")],
+    ids=["zero", "negative", "inf", "nan", "string", "10dx2"])
+def test_simulate_bad_dt_is_config_error(tmp_path, capsys, monkeypatch,
+                                         dt, msg):
+    # refused before the grid is allocated
+    def no_grid(*args, **kwargs):
+        raise AssertionError("initial_state called")
+    monkeypatch.setattr(cli.pdesim, "initial_state", no_grid)
+    code, out = _simulate_with(tmp_path, {"dx": 0.1, "dt": dt})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and msg in err
+    assert "Traceback" not in err
+    assert not (out / "speed.json").exists()
+
+
+def test_simulate_positivity_violation_is_config_error(tmp_path, capsys):
+    # dt = 1 is under the cap 5 dx^2 = 5 but over 0.5 / max|1 - K*u| = 0.5
+    code, out = _simulate_with(tmp_path, {"dx": 1.0, "dt": 1.0})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: positivity violated")
+    assert not (out / "speed.json").exists()
+
+
 def test_manifest_written(tmp_path):
     code, out = run_cli(tmp_path, "toy", "--seed", "7")
     assert code == 0

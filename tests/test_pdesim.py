@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlkpp import pdesim
-from nlkpp.kernels import Kernel, Density, dirac
+from nlkpp.kernels import Kernel, Density, dirac, from_config
 from nlkpp.spectral import monotone_front_root
 
 
@@ -163,3 +163,69 @@ def test_snapshots_returned():
     assert len(snaps) == 3
     assert [round(t) for t, _ in snaps] == [1, 3, 5]
     assert all(u.shape == st.x.shape for _, u in snaps)
+
+
+# -- the IMEX stepper of run against the explicit oracle -------------------
+
+MIXED = from_config({"atoms": [{"s": 1.0, "mass": 0.3}],
+                     "density": {"lo": -4, "hi": 4, "n": 201,
+                                 "kind": "gaussian",
+                                 "params": {"sigma": 0.5}}})[0]
+
+
+def explicit_run(state, t_end, record_dt=0.5):
+    """run's recording with explicit midpoint steps at dt = 0.4 dx^2."""
+    n_steps = int(np.ceil(t_end / (0.4 * state.dx ** 2) - 1e-12))
+    dt = t_end / n_steps
+    record_every = max(1, int(round(record_dt / dt)))
+    state.times.append(state.t)
+    state.fronts.append(pdesim.front_position(state))
+    for i in range(n_steps):
+        pdesim.step(state, dt)
+        if (i + 1) % record_every == 0 or i == n_steps - 1:
+            state.times.append(state.t)
+            state.fronts.append(pdesim.front_position(state))
+
+
+@pytest.mark.parametrize("kernel, T", [
+    (dirac(0.0), 40.0), (dirac(-0.5), 40.0), (MIXED, 15.0)],
+    ids=["local", "advanced-atom", "atom+gaussian"])
+def test_imex_run_matches_explicit_oracle(kernel, T):
+    # same grid, default IMEX dt = 0.05 against 0.016; an orientation
+    # error in K * u would move the advanced atom's speed by far more
+    imex = small_state(kernel, X=200.0)
+    pdesim.run(imex, T)
+    ref = small_state(kernel, X=200.0)
+    explicit_run(ref, T)
+    assert imex.t == pytest.approx(T, abs=1e-12)
+    speed, ref_speed = pdesim.front_speed(imex), pdesim.front_speed(ref)
+    assert abs(speed / ref_speed - 1.0) <= 1e-3
+    assert np.max(np.abs(imex.u - ref.u)) <= 5e-3
+    assert imex.u.min() >= -1e-12
+
+
+@pytest.mark.parametrize("dx", [0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 1.0])
+def test_default_dt_rule(dx):
+    dt = pdesim.time_step(dx)
+    assert dt == max(0.4 * dx * dx, min(0.05, 5 * dx * dx))
+    # never more steps than the explicit rule, never past the ringing cap
+    assert 0.4 * dx * dx <= dt <= 5 * dx * dx
+
+
+def test_no_ringing_at_the_cap():
+    # Crank-Nicolson damps the highest mode only by (1 - 2r)/(1 + 2r) per
+    # step at r = dt/dx^2: a step datum at the cap r = 5
+    dx = 0.05
+    st = small_state(X=60.0, dx=dx, u0=lambda x: (x < 20.0).astype(float))
+    times = [0.1 * k for k in range(1, 101)]
+    snaps = pdesim.run(st, 10.0, dt=5 * dx * dx, snapshots_at=times)
+    assert [t for t, _ in snaps] == pytest.approx(times, abs=1e-9)
+    for _, u in snaps:
+        assert u.min() >= -1e-12
+        assert u.max() <= 1.0 + 1e-3
+
+
+def test_run_keeps_positivity_precondition():
+    st = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
+    with pytest.raises(pdesim.StepSizeError, match="positivity"):
+        pdesim.run(st, 1.0, dt=0.1)
