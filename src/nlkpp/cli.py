@@ -96,9 +96,35 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return cfg
+
+
+def _config_number(cfg: dict, *path: str, default=None,
+                   positive: bool = False):
+    """The config value at cfg[path[0]][path[1]]..., which must be a finite
+    real number and not a bool (and > 0 if `positive`); `default` where the
+    key is absent.  Anything else is a ConfigError."""
+    name = ".".join(path)
+    where = cfg
+    for key in path[:-1]:
+        where = where.get(key, {})
+        if not isinstance(where, dict):
+            raise ConfigError(f"config {key!r} must be a JSON object")
+    if path[-1] not in where:
+        return default
+    value = where[path[-1]]
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = float(value) if abs(value) < 1e308 else math.inf
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+    return value
 
 
 def _kernel_from(cfg: dict) -> Kernel:
@@ -168,10 +194,12 @@ def cmd_region(args, cfg, out: Path) -> None:
 
 
 def cmd_front(args, cfg, out: Path) -> None:
+    tol = _config_number(cfg, "tol", default=1e-9, positive=True)
+    dt = _config_number(cfg, "dt", default=0.0025)
+    beta = _config_number(cfg, "beta")
     k = _kernel_from(cfg)
-    ctx = profiles.WaveContext(args.c, k, beta=cfg.get("beta"))
-    prof = profiles.solve_front(ctx, tol=cfg.get("tol", 1e-9),
-                                dt=cfg.get("dt", 0.0025))
+    ctx = profiles.WaveContext(args.c, k, beta=beta)
+    prof = profiles.solve_front(ctx, tol=tol, dt=dt)
     vals = prof.values
     write_csv(out / "front.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
@@ -229,10 +257,12 @@ def cmd_connect(args, cfg, out: Path) -> None:
 
 
 def cmd_semiwave(args, cfg, out: Path) -> None:
-    c2 = args.c * args.c
-    if not (args.c > 0 and c2 > 0):
-        raise ConfigError(f"semiwave needs --c > 0 with c^2 > 0, got {args.c}")
-    eps = 1.0 / c2
+    # there is no semi-wavefront below c = 2: the zero-to-one profile goes
+    # negative there, and the periodic-to-point one needs eps <= 1/4
+    if not args.c >= 2:
+        raise ConfigError("semiwave needs --c >= 2, i.e. eps <= 1/4 with "
+                          f"eps = 1/c^2, got c={args.c}")
+    eps = 1.0 / (args.c * args.c)
     kind = "periodic-to-point" if args.proper else "zero-to-one"
     run = dde.heteroclinic(args.tau, eps, kind=kind)
     prof = dde.to_wavefront(run, args.c)
@@ -245,13 +275,13 @@ def cmd_semiwave(args, cfg, out: Path) -> None:
 
 
 def cmd_simulate(args, cfg, out: Path) -> None:
+    dx = _config_number(cfg, "dx", default=0.2)
+    X = _config_number(cfg, "X", default=400.0)
+    front_at = _config_number(cfg, "init", "params", "front_at", default=20.0)
     k = _kernel_from(cfg)
-    dx = cfg.get("dx", 0.2)
     # a configured dt is checked before the grid is allocated
     dt = pdesim.time_step(dx, cfg.get("dt"))
-    state = pdesim.initial_state(k, X=cfg.get("X", 400.0), dx=dx,
-                                 front_at=cfg.get("init", {}).get(
-                                     "params", {}).get("front_at", 20.0))
+    state = pdesim.initial_state(k, X=X, dx=dx, front_at=front_at)
     snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap)) \
         if args.snap else []
     snaps = pdesim.run(state, args.T, dt=dt, snapshots_at=snap_times)

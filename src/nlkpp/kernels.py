@@ -2,8 +2,12 @@
 
 A kernel is a normalized nonnegative measure K on the real line.  Atoms
 realize Dirac kernels (pure delay/advance interactions); the density part
-covers integrable kernels truncated to a finite window.  Moments reduce to
-exact atom sums plus trapezoid quadrature; K * phi is one grid operator,
+covers integrable kernels truncated to a finite window.  K on s > 0
+(delayed atoms) is the paper's left interaction and K on s < 0 (advanced
+atoms) its right one.  `Kernel.moment` is the one quadrature against K: the
+whole line is the sum over the discrete measure (`nodes`, `masses`); a
+half-line takes the atoms strictly inside it and the density's trapezoid
+cells, with the cell straddling 0 split there.  K * phi is one grid operator,
 `convolve` with a `stencil` built once per grid, in the orientations
 phi(t - s) (the stencil) and u(x + s) (`Stencil.reversed`).  Long
 stencils are applied by a numpy FFT product, so this module loads no
@@ -12,6 +16,7 @@ scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +69,18 @@ class Density:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Normalized interaction kernel: atoms (location, mass) + optional density."""
+    """Normalized interaction kernel: atoms (location, mass) + optional density.
+
+    As a discrete measure K is `nodes` with `masses`: the atoms of positive
+    mass, then the density nodes of positive trapezoid weight times value.
+    """
 
     atoms: tuple[tuple[float, float], ...] = ()
     density: Density | None = None
     total_mass: float = field(init=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
+    _atom_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple((float(s), float(m)) for s, m in self.atoms)
@@ -84,30 +96,62 @@ class Kernel:
         if not math.isfinite(mass):
             raise KernelError(f"kernel mass {mass} overflows a float")
         object.__setattr__(self, "total_mass", float(mass))
+        nodes = np.array([s for s, _ in atoms], dtype=float)
+        masses = np.array([m for _, m in atoms], dtype=float)
+        if self.density is not None:
+            nodes = np.append(nodes, self.density.grid)
+            masses = np.append(masses, self.density.weights
+                               * self.density.values)
+        object.__setattr__(self, "nodes", nodes[masses > 0])
+        object.__setattr__(self, "masses", masses[masses > 0])
+        object.__setattr__(self, "_atom_count",
+                           sum(m > 0 for _, m in atoms))
 
     # -- geometry ---------------------------------------------------------
 
     def support(self) -> tuple[float, float]:
-        """Smallest interval containing all atoms and the density grid."""
-        lo, hi = math.inf, -math.inf
-        for s, m in self.atoms:
-            if m > 0:
-                lo, hi = min(lo, s), max(hi, s)
-        if self.density is not None:
-            lo = min(lo, float(self.density.grid[0]))
-            hi = max(hi, float(self.density.grid[-1]))
-        if lo > hi:
+        """Smallest interval containing every node of positive mass."""
+        if self.nodes.size == 0:
             raise KernelError("kernel has empty support")
-        return lo, hi
+        return float(self.nodes.min()), float(self.nodes.max())
 
     # -- moments ----------------------------------------------------------
 
-    def moment(self, fn) -> float:
-        """Integral of fn(s) against the kernel measure."""
-        total = sum(m * fn(s) for s, m in self.atoms if m > 0)
-        if self.density is not None:
-            g = self.density.grid
-            total += float(self.density.weights @ (self.density.values * fn(g)))
+    def moment(self, fn, side: str = "both") -> float:
+        """Integral of fn(s) dK(s) over all of R ("both"), the left half-line
+        s < 0 ("left") or the right half-line s > 0 ("right").
+
+        fn takes and returns arrays.  "both" is masses @ fn(nodes).  On a
+        half-line, atoms at exactly 0 count for neither half; the density is
+        integrated cell by cell, and the one cell straddling 0 is split
+        there at the linear interpolant of v fn, or of v times fn(0) past an
+        end where v fn overflowed.  So left + right + (atom at 0) fn(0)
+        equals "both" up to rounding.
+        """
+        if side == "both":
+            return float(self.masses @ fn(self.nodes))
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be left/right/both, got {side!r}")
+        s, m = self.nodes[:self._atom_count], self.masses[:self._atom_count]
+        half = s < 0 if side == "left" else s > 0
+        total = float(m[half] @ fn(s[half]))
+        if self.density is None:
+            return total
+        g, v = self.density.grid, self.density.values
+        # zero values stay zero where fn overflows (0 * inf)
+        pos = v > 0
+        fv = np.zeros_like(v)
+        fv[pos] = v[pos] * fn(g[pos])
+        a, b, fa, fb = g[:-1], g[1:], fv[:-1], fv[1:]
+        cell = 0.5 * (fa + fb) * (b - a)
+        total += float(np.sum(cell[b <= 0 if side == "left" else a >= 0]))
+        for j in np.nonzero((a < 0) & (b > 0))[0]:    # at most one cell
+            ya, yb, scale = fa[j], fb[j], 1.0
+            if max(ya, yb) == math.inf:
+                ya, yb, scale = v[j], v[j + 1], fn(np.zeros(1))[0]
+            f0 = (ya + (yb - ya) * -a[j] / (b[j] - a[j])) * scale
+            total += (0.5 * (fa[j] + f0) * -a[j] if side == "left"
+                      else 0.5 * (f0 + fb[j]) * b[j])
         return float(total)
 
 
@@ -134,13 +178,13 @@ def _check_speed(c: float):
 def alpha_plus(k: Kernel, c: float) -> float:
     """Speed-normalized first absolute moment of the kernel over s < 0."""
     _check_speed(c)
-    return k.moment(lambda s: np.where(s < 0, -s, 0.0)) / c
+    return k.moment(np.negative, "left") / c
 
 
 def alpha_minus(k: Kernel, c: float) -> float:
     """Speed-normalized first moment of the kernel over s > 0."""
     _check_speed(c)
-    return k.moment(lambda s: np.where(s > 0, s, 0.0)) / c
+    return k.moment(np.positive, "right") / c
 
 
 def _exp_clip(x):
@@ -150,57 +194,9 @@ def _exp_clip(x):
 
 
 def exp_moment(k: Kernel, rate: float, side: str = "both") -> float:
-    """Integral of exp(rate*s) dK(s) over a half-line or all of R.
-
-    side is "left" (s < 0) or "right" (s > 0); atoms at exactly 0 count for
-    neither half.  Exact for atoms; the density is integrated cell-by-cell
-    with cells straddling 0 split there, so the half-line integrals sum to
-    the full one.  Overflow is reported as +inf.
-    """
-    if side not in ("left", "right", "both"):
-        raise ValueError(f"side must be left/right/both, got {side!r}")
-
-    total = 0.0
-    for s, m in k.atoms:
-        if m <= 0:
-            continue
-        if side == "left" and not s < 0:
-            continue
-        if side == "right" and not s > 0:
-            continue
-        total += m * float(_exp_clip(rate * s))
-
-    if k.density is not None:
-        g, v = k.density.grid, k.density.values
-        # zero values stay zero where the exponential overflows (0 * inf)
-        pos = v > 0
-        fv = np.zeros_like(v)
-        fv[pos] = v[pos] * _exp_clip(rate * g[pos])
-        a, b = g[:-1], g[1:]
-        fa, fb = fv[:-1], fv[1:]
-        cell = 0.5 * (fa + fb) * (b - a)
-        if side == "both":
-            total += float(np.sum(cell))
-        else:
-            # linear sub-cell split at 0 for the straddling cell
-            keep = b <= 0 if side == "left" else a >= 0
-            total += float(np.sum(cell[keep]))
-            straddle = (a < 0) & (b > 0)
-            if straddle.any():
-                (i,) = np.nonzero(straddle)
-                for j in i:
-                    # the integrand at 0 from its ends; past an overflowed
-                    # end that would be inf, so take it from the density,
-                    # which is the integrand at 0 (e^0 = 1)
-                    ya, yb = fa[j], fb[j]
-                    if max(ya, yb) == math.inf:
-                        ya, yb = v[j], v[j + 1]
-                    f0 = ya + (yb - ya) * (0.0 - a[j]) / (b[j] - a[j])
-                    if side == "left":
-                        total += 0.5 * (fa[j] + f0) * (0.0 - a[j])
-                    else:
-                        total += 0.5 * (f0 + fb[j]) * (b[j] - 0.0)
-    return total
+    """Integral of exp(rate*s) dK(s) over a half-line or all of R, by
+    `Kernel.moment`; overflow is reported as +inf."""
+    return k.moment(lambda s: _exp_clip(rate * s), side)
 
 
 @dataclass(frozen=True)
@@ -229,12 +225,7 @@ def stencil(k: Kernel, h: float) -> Stencil:
     s/h = j + f goes to offsets j and j + 1 with weights 1 - f and f (linear
     interpolation of phi), so the stencil is nonnegative.  Offsets within
     1e-9 of an integer are snapped to it."""
-    locs = np.array([s for s, _ in k.atoms], dtype=float)
-    masses = np.array([m for _, m in k.atoms], dtype=float)
-    if k.density is not None:
-        locs = np.append(locs, k.density.grid)
-        masses = np.append(masses, k.density.weights * k.density.values)
-    pos, masses = locs[masses > 0] / h, masses[masses > 0]
+    pos, masses = k.nodes / h, k.masses
     if pos.size == 0:
         raise KernelError("kernel has zero mass")
     near = np.rint(pos)
@@ -308,6 +299,11 @@ def dirac(s: float, mass: float = 1.0) -> Kernel:
     return Kernel(atoms=((s, mass),))
 
 
+# most density nodes a config may ask for: the tests and workloads use at
+# most a few thousand, and 10^6 nodes take 8 MB per array
+MAX_DENSITY_NODES = 10 ** 6
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise KernelError(f"{what} config must be a JSON object, "
@@ -327,7 +323,11 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
     dens = None
     d = cfg.get("density")
     if d is not None:
-        n = int(_object(d, "density").get("n", 401))
+        n = _object(d, "density").get("n", 401)
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or not 2 <= n <= MAX_DENSITY_NODES):
+            raise KernelError(f"density n must be an integer in "
+                              f"[2, {MAX_DENSITY_NODES}], got {n!r}")
         lo, hi = float(d["lo"]), float(d["hi"])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise KernelError(f"density window [{lo}, {hi}] is not finite")

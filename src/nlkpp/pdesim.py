@@ -73,8 +73,8 @@ RINGING_RATIO = 5.0
 
 
 def _is_local(kernel: Kernel) -> bool:
-    return (kernel.density is None and len(kernel.atoms) == 1
-            and kernel.atoms[0][0] == 0.0 and kernel.atoms[0][1] == 1.0)
+    return (kernel.nodes.size == 1 and kernel.nodes[0] == 0.0
+            and kernel.masses[0] == 1.0)
 
 
 def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,

@@ -44,23 +44,14 @@ class RepresentationError(ValueError):
     """Kernel cannot express the requested construction (e.g. no left mass)."""
 
 
-def _right_mass(k: Kernel) -> float:
-    return k.moment(lambda s: np.where(np.asarray(s) > 0, 1.0, 0.0))
-
-
 def _left_radius(k: Kernel) -> int | None:
     """Smallest integer r with more than 0.99 of the kernel mass on [-r, 0],
     or None if there is no such r: the nodes with s <= 0, sorted by |s|, are
     summed until the mass first passes 0.99, and r = ceil(|s|) there."""
-    s = np.array([a for a, m in k.atoms if m > 0], float)
-    mass = np.array([m for _, m in k.atoms if m > 0], float)
-    if k.density is not None:
-        s = np.concatenate([s, k.density.grid])
-        mass = np.concatenate([mass, k.density.weights * k.density.values])
-    left = s <= 0
-    dist = -s[left]
+    left = k.nodes <= 0
+    dist = -k.nodes[left]
     order = np.argsort(dist)
-    passed = np.nonzero(np.cumsum(mass[left][order]) > 0.99)[0]
+    passed = np.nonzero(np.cumsum(k.masses[left][order]) > 0.99)[0]
     if passed.size == 0:
         return None
     return math.ceil(dist[order[passed[0]]])
@@ -93,7 +84,7 @@ def u_bound(c: float, k: Kernel) -> float:
     RepresentationError when neither applies or the bound overflows a float.
     """
     lam, _ = quad_roots(c)
-    rm = _right_mass(k)
+    rm = k.moment(np.ones_like, "right")
     candidates = []
     if rm > 0:
         # U1 needs a positive finite moment; inf comes from an overflowed
@@ -262,16 +253,15 @@ def mM_inequality_check(m: float, M: float, c: float, k: Kernel) -> dict:
     rho_m = f_func(c, math.exp(-m) - 1.0)
     rho_M = f_func(c, math.exp(-M) - 1.0)
 
-    def half(rate, right):
-        def fn(s):
-            s = np.asarray(s, dtype=float)
-            sel = s >= 0 if right else s < 0
-            with np.errstate(over="ignore"):
-                return np.where(sel, np.exp(np.minimum(rate * s, 700.0)), 0.0)
-        return k.moment(fn)
+    # e^{rate s}, with one rate on s >= 0 and another on s < 0, is 1 at
+    # s = 0 from either side, so each sum is one whole-line moment
+    def total(right_rate, left_rate):
+        with np.errstate(over="ignore"):    # an overflow sums to +inf
+            return k.moment(lambda s: np.exp(
+                np.where(s >= 0, right_rate, left_rate) * s))
 
-    s1 = half(rho_m, True) + half(rho_M, False)
-    s2 = half(rho_M, True) + half(rho_m, False)
+    s1 = total(rho_m, rho_M)
+    s2 = total(rho_M, rho_m)
     return {"s1": s1, "s2": s2,
             "holds1": s1 >= math.exp(M) - 1e-12,
             "holds2": s2 <= math.exp(m) + 1e-12}

@@ -127,16 +127,15 @@ def monotone_front_root(c: float, k: Kernel):
             "n_brackets": MONOTONE_BRACKETS}
     if root is not None:
         return root, diag
-    # tail certificate for a single right-supported atom: below the window the
-    # exponential moment dominates the quadratic, so g stays negative
-    if k.density is None and len([a for a in k.atoms if a[1] > 0]) == 1:
-        (s0, m0), = [a for a in k.atoms if a[1] > 0]
-        if s0 > 0:
-            x = -MONOTONE_LAM_MIN
-            e = math.inf if x * s0 > 700.0 else math.exp(x * s0)
-            grows = s0 * m0 * e > 2 * x + c and s0 * s0 * m0 * e > 2.0
-            if grows and g(MONOTONE_LAM_MIN) < 0:
-                diag["tail_certificate"] = "single-atom exponential dominance"
+    # tail certificate for a single right-supported node: below the window
+    # the exponential moment dominates the quadratic, so g stays negative
+    if k.nodes.size == 1 and k.nodes[0] > 0:
+        s0, m0 = float(k.nodes[0]), float(k.masses[0])
+        x = -MONOTONE_LAM_MIN
+        e = math.inf if x * s0 > 700.0 else math.exp(x * s0)
+        grows = s0 * m0 * e > 2 * x + c and s0 * s0 * m0 * e > 2.0
+        if grows and g(MONOTONE_LAM_MIN) < 0:
+            diag["tail_certificate"] = "single-atom exponential dominance"
     return None, diag
 
 

@@ -242,6 +242,47 @@ def test_simulate_bad_dt_is_config_error(tmp_path, capsys, monkeypatch,
     assert not (out / "speed.json").exists()
 
 
+@pytest.mark.parametrize("argv, cfg, msg", [
+    (["simulate"], {"dx": "0.2"}, "dx must be a finite number"),
+    (["simulate"], {"dx": None}, "dx must be a finite number"),
+    (["simulate"], {"dx": True}, "dx must be a finite number"),
+    (["simulate"], {"X": "400"}, "X must be a finite number"),
+    (["simulate"], {"X": 10 ** 400}, "X must be a finite number"),
+    (["simulate"], {"init": {"params": {"front_at": "20"}}},
+     "init.params.front_at must be a finite number"),
+    (["simulate"], {"init": [1]}, "'init' must be a JSON object"),
+    (["simulate"], [1, 2], "must hold a JSON object"),
+    (["front", "--c", "2.5"], {"dt": "0.01"}, "dt must be a finite number"),
+    (["front", "--c", "2.5"], {"tol": "1e-9"}, "tol must be a finite number"),
+    (["front", "--c", "2.5"], {"tol": None}, "tol must be a finite number"),
+    (["front", "--c", "2.5"], {"tol": 0}, "tol must be > 0"),
+    (["front", "--c", "2.5"], {"tol": -1e-9}, "tol must be > 0"),
+    (["front", "--c", "2.5"], {"beta": "3"}, "beta must be a finite number"),
+    (["front", "--c", "2.5"], {"beta": False}, "beta must be a finite number"),
+], ids=["dx-string", "dx-null", "dx-bool", "X-string", "X-huge-int",
+        "front_at-string", "init-list", "config-list", "front-dt-string",
+        "tol-string", "tol-null", "tol-zero", "tol-negative", "beta-string",
+        "beta-bool"])
+def test_bad_config_number_is_config_error(tmp_path, capsys, monkeypatch,
+                                           argv, cfg, msg):
+    # refused before the kernel is built, any solve runs or the grid is
+    # allocated: a string tol used to fail only after a full sweep
+    def no_call(*args, **kwargs):
+        raise AssertionError("called past the config check")
+    for owner, name in [(cli, "_kernel_from"), (cli.pdesim, "initial_state"),
+                        (cli.profiles, "WaveContext"),
+                        (cli.profiles, "solve_front")]:
+        monkeypatch.setattr(owner, name, no_call)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    code, out = run_cli(tmp_path, *argv, "--config", str(cfgp))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and msg in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_simulate_positivity_violation_is_config_error(tmp_path, capsys):
     # dt = 1 is under the cap 5 dx^2 = 5 but over 0.5 / max|1 - K*u| = 0.5
     code, out = _simulate_with(tmp_path, {"dx": 1.0, "dt": 1.0})
@@ -333,7 +374,10 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv, msg", [
     (["connect", "--tau", "0"], "need tau > 0"),
-    (["semiwave", "--tau", "5", "--c", "1e-200"], "c^2 > 0"),
+    (["semiwave", "--tau", "5", "--c", "1e-200"], "--c >= 2"),
+    # below c = 2 the zero-to-one profile goes negative
+    (["semiwave", "--tau", "2", "--c", "1"], "--c >= 2"),
+    (["semiwave", "--tau", "2", "--c", "1.9"], "--c >= 2"),
     (["roots", "--tau", "1e-300"], "out of float range"),
     (["classify", "--c", "1e300"], "c^2 overflows"),
     (["front", "--c", "1e300"], "c^2 overflows"),
@@ -348,7 +392,8 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
     (["connect", "--tau", "5", "--eps", "0.3", "--kind", "p2p"],
      "eps <= 1/4"),
     (["semiwave", "--tau", "5", "--c", "1.9", "--proper"], "eps <= 1/4"),
-], ids=["connect-tau0", "semiwave-c-underflow", "roots-tiny-tau",
+], ids=["connect-tau0", "semiwave-c-underflow", "semiwave-c1",
+        "semiwave-c1.9", "roots-tiny-tau",
         "classify-huge-c", "front-huge-c", "periodic-neg-eps",
         "connect-neg-eps", "region-neg-intensity", "front-grid-limit",
         "p2p-step-limit", "p2p-eps-limit", "semiwave-p2p-eps-limit"])

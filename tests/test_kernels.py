@@ -160,6 +160,47 @@ def test_exp_moment_split_past_overflowed_end_uses_density_at_zero():
     assert ker.exp_moment(k, -1.0, "left") == math.inf
 
 
+# a uniform density on [-1, 1] with an even node count, so one cell straddles
+# 0, plus an atom at 0
+STRADDLING = {"lo": -1.0, "hi": 1.0, "n": 40, "kind": "uniform"}
+
+
+@pytest.mark.parametrize("fn", [lambda s: np.exp(-0.3 * s),
+                                lambda s: s ** 2], ids=["exp", "square"])
+def test_half_lines_and_atom_at_zero_sum_to_whole_line(fn):
+    k, _ = ker.from_config({"atoms": [{"s": 0.0, "mass": 0.5}],
+                            "density": STRADDLING})
+    (s0, m0), = k.atoms
+    assert s0 == 0.0
+    halves = k.moment(fn, "left") + k.moment(fn, "right")
+    # the atom at 0 counts for neither half
+    assert halves + m0 * fn(np.zeros(1))[0] == pytest.approx(
+        k.moment(fn), abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0])
+def test_alpha_on_straddling_grid(c):
+    # the straddling cell is split at 0, so each half is integrated to
+    # O(h^2); here v |s| is linear on every piece, so to rounding (a sum over
+    # the nodes on one side was off by 6.6e-4 relative on this grid)
+    k = _density(**STRADDLING)
+    assert ker.alpha_plus(k, c) == pytest.approx(0.25 / c, rel=1e-13)
+    assert ker.alpha_minus(k, c) == pytest.approx(0.25 / c, rel=1e-13)
+
+
+def test_moment_rejects_unknown_side():
+    with pytest.raises(ValueError, match="side"):
+        ker.dirac(1.0).moment(np.ones_like, "up")
+
+
+@pytest.mark.parametrize("n", [401.5, 10 ** 6 + 1])
+def test_from_config_density_node_count_checked(n):
+    # a float was truncated, and any count went to np.linspace unchecked
+    with pytest.raises(ker.KernelError, match="density n must be an integer"):
+        ker.from_config({"density": {"lo": -1.0, "hi": 1.0, "n": n,
+                                     "kind": "uniform"}})
+
+
 atom_lists = st.lists(
     st.tuples(st.floats(-5, 5), st.floats(0.01, 10)), min_size=1, max_size=4
 )

@@ -191,6 +191,27 @@ def test_mM_local_kernel_infeasible():
     assert not out["holds1"]
 
 
+def test_mM_matches_direct_node_sum_with_atom_at_zero():
+    # an atom at 0 and a gaussian: e^{rho s} is 1 at s = 0 whichever rate
+    # applies, so each sum is a plain sum over atoms and density nodes
+    k, _ = ker.from_config({
+        "atoms": [{"s": 0.0, "mass": 0.4}, {"s": -1.5, "mass": 0.2}],
+        "density": {"lo": -4.0, "hi": 4.0, "n": 201, "kind": "gaussian"}})
+    m, M, c = -0.3, 0.2, 2.5
+    rho_m = reg.f_func(c, math.exp(-m) - 1.0)
+    rho_M = reg.f_func(c, math.exp(-M) - 1.0)
+    pairs = list(k.atoms) + list(zip(k.density.grid,
+                                     k.density.weights * k.density.values))
+
+    def direct(right_rate, left_rate):
+        return math.fsum(w * math.exp((right_rate if s >= 0 else left_rate)
+                                      * s) for s, w in pairs)
+
+    out = reg.mM_inequality_check(m, M, c, k)
+    assert out["s1"] == pytest.approx(direct(rho_m, rho_M), rel=1e-13)
+    assert out["s2"] == pytest.approx(direct(rho_M, rho_m), rel=1e-13)
+
+
 def test_classify_subcritical_speed():
     rep = reg.classify(1.5, ker.dirac(0.0))
     assert not rep.semi_wavefront_exists
