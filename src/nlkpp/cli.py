@@ -24,8 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .kernels import (Kernel, KernelError, dirac, from_config,
-                      alpha_plus, alpha_minus)
+from .kernels import (Kernel, KernelError, dirac, finite_number,
+                      from_config, alpha_plus, alpha_minus)
 from .spectral import NoConvergence, quad_roots, chi1_roots
 from . import regimes, profiles, dde, pdesim
 
@@ -117,11 +117,10 @@ def _config_number(cfg: dict, *path: str, default=None,
             raise ConfigError(f"config {key!r} must be a JSON object")
     if path[-1] not in where:
         return default
-    value = where[path[-1]]
-    if isinstance(value, int) and not isinstance(value, bool):
-        value = float(value) if abs(value) < 1e308 else math.inf
-    if not (isinstance(value, float) and math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    try:
+        value = finite_number(where[path[-1]], name)
+    except KernelError as e:
+        raise ConfigError(str(e)) from None
     if positive and not value > 0:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
     return value
@@ -200,16 +199,18 @@ def cmd_front(args, cfg, out: Path) -> None:
     k = _kernel_from(cfg)
     ctx = profiles.WaveContext(args.c, k, beta=beta)
     prof = profiles.solve_front(ctx, tol=tol, dt=dt)
-    vals = prof.values
+    vals, d = prof.values, prof.diagnostics
     write_csv(out / "front.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
     write_json(out / "front.json", {
         "c": args.c, "beta": ctx.beta,
-        "residual": prof.diagnostics["residual_sup"],
+        "residual": d["residual_sup"],
         "phi_max": float(vals.max()), "phi_min": float(vals.min()),
-        "monotone": prof.diagnostics["monotone"],
+        "monotone": d["monotone"],
         "alpha_plus": alpha_plus(k, args.c),
-        "alpha_minus": alpha_minus(k, args.c)})
+        "alpha_minus": alpha_minus(k, args.c),
+        "solver": d["solver"], "newton_steps": d["newton_steps"],
+        "gmres_iters": d["gmres_iters"], "sigma": d["sigma"]})
 
 
 def cmd_toy(args, cfg, out: Path) -> None:

@@ -115,34 +115,52 @@ def growth_rate(tau: float, eps: float = 0.0) -> float:
 
 # -- trigonometric interpolation -------------------------------------------
 
+def _trig_coefs(vals: np.ndarray, period: float, order: int = 0):
+    """Rates w and weights a with interpolant^(order)(t) = Re sum a e^{w t}
+    for the trigonometric interpolant of uniform periodic samples."""
+    n = vals.size
+    coef = np.fft.rfft(vals) / n
+    w = 2j * np.pi * np.arange(coef.size) / period
+    fac = np.full(coef.size, 2.0)
+    fac[0] = 1.0
+    if n % 2 == 0:
+        fac[-1] = 1.0
+    return w, coef * fac * w ** order
+
+
 def _trig_eval(vals: np.ndarray, period: float, t, order: int = 0):
     """Evaluate the trigonometric interpolant of uniform periodic samples
     (or its derivative) at arbitrary times."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    n = vals.size
-    coef = np.fft.rfft(vals) / n
-    k = np.arange(coef.size)
-    w = 2j * np.pi * k / period
-    fac = np.full(coef.size, 2.0)
-    fac[0] = 1.0
-    if n % 2 == 0:
-        fac[-1] = 1.0
-    ph = np.exp(np.outer(np.atleast_1d(t), w))
-    out = (ph @ (coef * fac * w ** order)).real
+    w, a = _trig_coefs(vals, period, order)
+    out = (np.exp(np.outer(np.atleast_1d(t), w)) @ a).real
     return float(out[0]) if scalar else out
+
+
+def _trig_grid(vals: np.ndarray, period: float, base, offsets,
+               order: int = 0) -> np.ndarray:
+    """The interpolant (or its derivative) at base[i] + offsets[j], as a
+    (base.size, offsets.size) array.  e^{w (b + o)} = e^{w b} e^{w o}, so
+    this takes base.size + offsets.size exponentials per rate, not their
+    product."""
+    w, a = _trig_coefs(vals, period, order)
+    return ((np.exp(np.outer(base, w)) * a)
+            @ np.exp(np.outer(offsets, w)).T).real
 
 
 # -- periodic orbits -------------------------------------------------------
 
 # orbit collocation: samples per period, the spread below which the samples
 # are a flat equilibrium, and the adjoint's singular-value gap; orbit
-# diagnostics: samples per period for the critical points of p', base
-# times per period and samples per delay window for the sign changes
+# diagnostics: samples per period for the critical points of p' (taken as
+# blocks of CRITICAL_BLOCK consecutive samples), base times per period and
+# samples per delay window for the sign changes
 ORBIT_NODES = 64
 ORBIT_FLAT = 1e-8
 ADJOINT_GAP_TOL = 1e-4
 CRITICAL_SAMPLES = 2048
+CRITICAL_BLOCK = 64
 WINDOW_TIMES = 40
 WINDOW_SAMPLES = 400
 
@@ -174,19 +192,22 @@ class PeriodicOrbit:
 
     def critical_points(self) -> int:
         """Number of sign changes of p' over one period."""
-        t = self.period * np.arange(CRITICAL_SAMPLES) / CRITICAL_SAMPLES
-        dp = self.p(t, 1)
+        step = self.period / CRITICAL_SAMPLES
+        dp = _trig_grid(self.values, self.period,
+                        step * CRITICAL_BLOCK * np.arange(
+                            CRITICAL_SAMPLES // CRITICAL_BLOCK),
+                        step * np.arange(CRITICAL_BLOCK), 1).ravel()
         return int(np.sum(np.sign(dp[1:]) != np.sign(dp[:-1])))
 
     def delay_window_sign_changes(self):
         """Range of sign-change counts of p over the trailing delay window,
         across a sweep of base times (slow-oscillation diagnostic)."""
-        counts = []
-        for t0 in self.period * np.arange(WINDOW_TIMES) / WINDOW_TIMES:
-            s = np.linspace(t0 - self.tau, t0, WINDOW_SAMPLES)
-            v = self.p(s)
-            counts.append(int(np.sum(np.sign(v[1:]) != np.sign(v[:-1]))))
-        return min(counts), max(counts)
+        v = np.sign(_trig_grid(
+            self.values, self.period,
+            self.period * np.arange(WINDOW_TIMES) / WINDOW_TIMES,
+            np.linspace(-self.tau, 0.0, WINDOW_SAMPLES)))
+        counts = np.sum(v[:, 1:] != v[:, :-1], axis=1)
+        return int(counts.min()), int(counts.max())
 
 
 def _orbit_system(tau, eps, p0, om0):
@@ -238,7 +259,9 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
     """Periodic orbit for tau > 3 pi/2 on ORBIT_NODES samples: Newton from
     the small-amplitude cosine at eps = 0, continued along the eps-ladder.
     Samples that spread less than ORBIT_FLAT, a flat equilibrium, are
-    NoConvergence."""
+    NoConvergence, and so is an orbit that is not slowly oscillating: two
+    critical points per period and one or two sign changes of p in every
+    delay window."""
     if tau <= HOPF_TAU:
         raise DomainError(f"periodic orbit needs tau > 3 pi/2, got {tau}")
     th = 2 * np.pi * np.arange(ORBIT_NODES) / ORBIT_NODES
@@ -258,8 +281,16 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
         orbits = _continue(solve, eps)
     except NoConvergence as err:
         raise NoConvergence(f"periodic-orbit {err}") from err
-    orbits[-1].gamma = orbits[-1].period / orbits[0].period - 1.0
-    return orbits[-1]
+    orbit = orbits[-1]
+    crit = orbit.critical_points()
+    lo, hi = orbit.delay_window_sign_changes()
+    if crit != 2 or not 1 <= lo <= hi <= 2:
+        raise NoConvergence(
+            f"periodic-orbit Newton found an orbit that is not slowly "
+            f"oscillating: {crit} critical points per period, {lo}-{hi} "
+            f"sign changes per delay window (need 2 and 1-2)")
+    orbit.gamma = orbit.period / orbits[0].period - 1.0
+    return orbit
 
 
 # -- Floquet spectrum ------------------------------------------------------

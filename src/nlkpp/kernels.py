@@ -304,6 +304,17 @@ def dirac(s: float, mass: float = 1.0) -> Kernel:
 MAX_DENSITY_NODES = 10 ** 6
 
 
+def finite_number(value, name: str) -> float:
+    """`value` as a float if it is a finite real number and not a bool (an
+    int is converted); anything else, a numeric string included, is a
+    KernelError.  The one rule for numbers read from a JSON config."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = float(value) if abs(value) < 1e308 else math.inf
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise KernelError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise KernelError(f"{what} config must be a JSON object, "
@@ -318,7 +329,8 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
              "density": {"lo", "hi", "n", "kind": "gaussian"|"uniform"|"table",
                          "params": {...}, "values": [...]}}
     """
-    atoms = tuple((a["s"], a["mass"])
+    atoms = tuple((finite_number(a["s"], "atom s"),
+                   finite_number(a["mass"], "atom mass"))
                   for a in _object(cfg, "kernel").get("atoms", []))
     dens = None
     d = cfg.get("density")
@@ -328,9 +340,8 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
                 or not 2 <= n <= MAX_DENSITY_NODES):
             raise KernelError(f"density n must be an integer in "
                               f"[2, {MAX_DENSITY_NODES}], got {n!r}")
-        lo, hi = float(d["lo"]), float(d["hi"])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise KernelError(f"density window [{lo}, {hi}] is not finite")
+        lo = finite_number(d["lo"], "density lo")
+        hi = finite_number(d["hi"], "density hi")
         if not lo < hi:
             raise KernelError(f"density window [{lo}, {hi}] is empty")
         grid = np.linspace(lo, hi, n)
@@ -339,17 +350,17 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
             vals = np.full(n, 1.0 / (hi - lo))
         elif kind == "gaussian":
             params = _object(d.get("params", {}), "density params")
-            sigma = float(params.get("sigma", 1.0))
-            if not (math.isfinite(sigma) and sigma > 0):
-                raise KernelError(
-                    f"gaussian sigma must be finite and > 0, got {sigma}")
+            sigma = finite_number(params.get("sigma", 1.0), "gaussian sigma")
+            if not sigma > 0:
+                raise KernelError(f"gaussian sigma must be > 0, got {sigma}")
             # for a tiny sigma, (grid / sigma)**2 may overflow, giving
             # exp(-inf) = 0, and a peak that overflows is rejected by Density
             with np.errstate(over="ignore"):
                 vals = (np.exp(-0.5 * (grid / sigma) ** 2)
                         / (sigma * math.sqrt(2 * math.pi)))
         elif kind == "table":
-            vals = np.asarray(d["values"], dtype=float)
+            vals = np.array([finite_number(x, "table value")
+                             for x in d["values"]])
             if vals.size != n:
                 raise KernelError("table density needs exactly n values")
         else:

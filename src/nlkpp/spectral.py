@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import Kernel, exp_moment
+from .kernels import Kernel, _exp_clip, exp_moment
 
 
 class DomainError(ValueError):
@@ -109,7 +109,10 @@ def monotone_front_root(c: float, k: Kernel):
         return lam * lam - c * lam - exp_moment(k, -lam, "both")
 
     grid = np.linspace(MONOTONE_LAM_MIN, 0.0, MONOTONE_BRACKETS + 1)
-    vals = np.array([g(x) for x in grid])
+    # the whole scan at once: the same sum over the nodes as g, one row per
+    # grid point
+    vals = (grid * grid - c * grid
+            - _exp_clip(-np.outer(grid, k.nodes)) @ k.masses)
     # g(0^-) = -1; walk up from 0 looking for the sign change closest to 0
     root = None
     for i in range(MONOTONE_BRACKETS - 1, -1, -1):

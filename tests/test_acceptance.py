@@ -5,6 +5,7 @@ wall-time budget, so `pytest -v tests/test_acceptance.py` prints one
 pass/fail line per criterion.
 """
 import cmath
+import json
 import math
 import time
 
@@ -13,7 +14,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from nlkpp import dde, pdesim, profiles as pf, regimes as rg
+from nlkpp import cli, dde, pdesim, profiles as pf, regimes as rg
 from nlkpp import kernels as ker
 from nlkpp import spectral as sp
 
@@ -277,3 +278,30 @@ def test_11_direct_simulation_speed():
         fine = pdesim.measure_speed(dx=0.1, T=40.0)
         assert fine["u_min"] >= -1e-12
         assert abs(fine["speed"] - speed) / speed < 0.02
+
+
+def test_12_monotone_front_for_far_advanced_atom(tmp_path):
+    # the monotone half of the paper's coexistence claim at tau = 4.8124,
+    # c = 14.14: K = delta(s + tau c) meets the monotone-front criterion,
+    # and `front` returns a monotone profile (Picard ends at diff 2.27
+    # after 5,000 sweeps here and exits 2)
+    with Budget(20.0):
+        c, s = 14.14, -68.047
+        root, _ = sp.monotone_front_root(c, ker.dirac(s))
+        assert root is not None and root < 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kernel": {"atoms": [{"s": s,
+                                                         "mass": 1.0}]},
+                                   "dt": 0.05}))
+        out = tmp_path / "out"
+        code = cli.main(["front", "--c", str(c), "--config", str(cfg),
+                         "--out", str(out)])
+        assert code == 0
+        rep = json.loads((out / "front.json").read_text())
+        assert rep["solver"] == "newton-krylov" and rep["monotone"] is True
+        assert rep["residual"] < 5e-5
+        phi = np.loadtxt(out / "front.csv", delimiter=",", skiprows=1,
+                         usecols=1)
+        assert np.all(np.diff(phi) > -1e-10)
+        assert 0.0 < phi.min() and phi.max() <= rg.u_bound(c, ker.dirac(s))
+        assert phi.max() == pytest.approx(1.0, abs=1e-4)

@@ -87,6 +87,27 @@ def test_bad_config_path_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("c, s, solver", [(2.5, -0.5, "newton-krylov"),
+                                          (3.0, 2.0, "picard")])
+def test_front_reports_its_solver(tmp_path, c, s, solver):
+    # the monotone-front criterion holds for the advanced atom (Newton) and
+    # fails for the delayed one (Picard, no Newton step)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": s, "mass": 1.0}]},
+                                "dt": 0.02}))
+    code, out = run_cli(tmp_path, "front", "--c", str(c), "--config",
+                        str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    assert rep["solver"] == solver
+    if solver == "picard":
+        assert rep["newton_steps"] == 0 and rep["gmres_iters"] == 0
+        assert rep["sigma"] is None and rep["monotone"] is False
+    else:
+        assert rep["newton_steps"] > 0 and rep["gmres_iters"] > 0
+        assert abs(rep["sigma"]) < 1e-15 and rep["monotone"] is True
+
+
 def _front_with_kernel(tmp_path, kernel_text):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text('{"kernel": %s}' % kernel_text)

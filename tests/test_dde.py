@@ -205,6 +205,40 @@ def test_orbit_slow_oscillation(orbit):
     assert 1 <= lo and hi <= 2
 
 
+# three delays of a 300-point scan of [4.75, 30] where the cosine-seeded
+# Newton converges to an orbit that is not slowly oscillating: period 2.25
+# with 63 critical points, period 13.9 with 4 (twice its neighbours'), and
+# amplitude 10.7 with 64
+@pytest.mark.parametrize("k, crit", [(201, 63), (6, 4), (75, 64)])
+def test_orbit_not_slowly_oscillating_is_no_convergence(k, crit):
+    tau = np.linspace(4.75, 30.0, 300)[k]
+    with pytest.raises(NoConvergence,
+                       match=f"not slowly oscillating: {crit} critical"):
+        dde.find_periodic(tau)
+
+
+@pytest.mark.parametrize("tau", [5.0, 4.8124])
+def test_slowly_oscillating_orbit_passes_the_gate(tau):
+    orbit = dde.find_periodic(tau)
+    assert orbit.critical_points() == 2
+    lo, hi = orbit.delay_window_sign_changes()
+    assert 1 <= lo <= hi <= 2
+
+
+def test_orbit_diagnostics_match_pointwise_evaluation(orbit):
+    # the blocked evaluations against the interpolant at each point
+    t = orbit.period * np.arange(dde.CRITICAL_SAMPLES) / dde.CRITICAL_SAMPLES
+    dp = orbit.p(t, 1)
+    assert orbit.critical_points() == int(
+        np.sum(np.sign(dp[1:]) != np.sign(dp[:-1])))
+    counts = []
+    for t0 in orbit.period * np.arange(dde.WINDOW_TIMES) / dde.WINDOW_TIMES:
+        v = np.sign(orbit.p(np.linspace(t0 - orbit.tau, t0,
+                                        dde.WINDOW_SAMPLES)))
+        counts.append(int(np.sum(v[1:] != v[:-1])))
+    assert orbit.delay_window_sign_changes() == (min(counts), max(counts))
+
+
 def test_sqrt_amplitude_scaling(orbit):
     o2 = dde.find_periodic(dde.HOPF_TAU + 0.05)
     r1 = orbit.amplitude / math.sqrt(0.1)

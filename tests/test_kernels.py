@@ -201,6 +201,41 @@ def test_from_config_density_node_count_checked(n):
                                      "kind": "uniform"}})
 
 
+# every number of a kernel config follows the CLI's rule for config
+# numbers: a finite real number, not a bool and not a numeric string
+@pytest.mark.parametrize("cfg", [
+    {"atoms": [{"s": "-0.5", "mass": True}],
+     "density": {"lo": "-1", "hi": True, "n": 5, "kind": "gaussian",
+                 "params": {"sigma": "0.5"}}},
+    {"atoms": [{"s": "-0.5", "mass": 1.0}]},
+    {"atoms": [{"s": -0.5, "mass": True}]},
+    {"atoms": [{"s": None, "mass": 1.0}]},
+    {"density": {"lo": "-1", "hi": 1, "n": 5, "kind": "uniform"}},
+    {"density": {"lo": -1, "hi": True, "n": 5, "kind": "uniform"}},
+    {"density": {"lo": -1, "hi": 1, "n": 5, "kind": "gaussian",
+                 "params": {"sigma": "0.5"}}},
+    {"density": {"lo": -1, "hi": 1, "n": 3, "kind": "table",
+                 "values": [1.0, "2", 1.0]}},
+    {"density": {"lo": -1, "hi": 1, "n": 3, "kind": "table",
+                 "values": [1.0, False, 1.0]}},
+    {"density": {"lo": -1, "hi": 10 ** 400, "n": 3, "kind": "uniform"}},
+], ids=["all-fields", "atom-s-string", "atom-mass-bool", "atom-s-null",
+        "lo-string", "hi-bool", "sigma-string", "table-string",
+        "table-bool", "hi-huge-int"])
+def test_from_config_rejects_non_numbers(cfg):
+    with pytest.raises(ker.KernelError, match="must be a finite number"):
+        ker.from_config(cfg)
+
+
+def test_from_config_accepts_integers():
+    k, raw = ker.from_config({"atoms": [{"s": -1, "mass": 2}],
+                              "density": {"lo": -1, "hi": 1, "n": 3,
+                                          "kind": "table",
+                                          "values": [0, 1, 0]}})
+    assert raw == pytest.approx(3.0)
+    assert k.nodes.tolist() == [-1.0, 0.0]
+
+
 atom_lists = st.lists(
     st.tuples(st.floats(-5, 5), st.floats(0.01, 10)), min_size=1, max_size=4
 )

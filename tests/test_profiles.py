@@ -314,9 +314,13 @@ def test_solve_front_advanced_monotone():
 
 
 def test_solve_front_delayed_nonmonotone():
+    # no negative root of the monotone-front criterion: Picard, and no
+    # Newton step, runs
     ctx = pf.WaveContext(2.5, ker.dirac(5.0))
     prof = pf.solve_front(ctx, dt=0.005)
     d = prof.diagnostics
+    assert d["solver"] == "picard" and d["newton_steps"] == 0
+    assert d["sigma"] is None
     assert not d["monotone"]
     assert d["P"] > 1.0 + 1e-3
     assert 0.0 < d["p"] < 1.0
@@ -346,7 +350,7 @@ def test_solve_front_plateau_limit_scales_with_dt(c, iterations):
     # at dt = 0.02 the Picard update plateaus near 2.5e-3 dt^2 = 1e-6, just
     # above a fixed 1e-6 limit at c = 2.956
     ctx = pf.WaveContext(c, _mixed_kernel())
-    d = pf.solve_front(ctx, dt=0.02).diagnostics
+    d = pf.picard_front(ctx, dt=0.02).diagnostics
     assert d["monotone"]
     assert d["last_diff"] < 0.01 * 0.02 ** 2
     assert d["residual_sup"] < 1e-4
@@ -354,14 +358,139 @@ def test_solve_front_plateau_limit_scales_with_dt(c, iterations):
         assert d["iterations"] == iterations
 
 
+@pytest.fixture(scope="module")
+def picard():
+    """picard_front at (c, kernel, dt) with the default tol, each computed
+    once per module: the reference fronts take 0.2-2 s each."""
+    fronts = {}
+
+    def front(c, kernel, dt):
+        key = (c, kernel.nodes.tobytes(), kernel.masses.tobytes(), dt)
+        if key not in fronts:
+            fronts[key] = pf.picard_front(pf.WaveContext(c, kernel), dt=dt)
+        return fronts[key]
+
+    return front
+
+
 @pytest.mark.parametrize("c, kernel, dt, iterations", [
     (2.5, ker.dirac(-0.5), 0.0025, 1029),
     (2.5, ker.dirac(5.0), 0.005, 1971),
     (3.0, ker.dirac(0.0), 0.0025, 522),
 ])
-def test_reference_front_picard_counts(c, kernel, dt, iterations):
-    d = pf.solve_front(pf.WaveContext(c, kernel), dt=dt).diagnostics
+def test_reference_front_picard_counts(picard, c, kernel, dt, iterations):
+    d = picard(c, kernel, dt).diagnostics
+    assert d["solver"] == "picard"
     assert d["iterations"] == iterations
+
+
+# -- Newton-Krylov against Picard -------------------------------------------
+
+# sup |NK - Picard| over [-20, 20]: NK solves the discrete equations to
+# max|G| <= tol, while Picard stops on its plateau, so the bound is Picard's
+# own error: 8.1e-7 (advanced), 2.4e-7 (local) and 1.01e-5 (mixed, dt 0.02)
+# measured, against 3.3e-6 for NK and 1.11e-5 for Picard from the dt = 0.0025
+# front on the mixed kernel
+@pytest.mark.parametrize("c, kernel, dt, bound", [
+    (2.5, ker.dirac(-0.5), 0.0025, 1e-6),
+    (3.0, ker.dirac(0.0), 0.0025, 1e-6),
+    (3.0, _mixed_kernel(), 0.02, 1.5e-5),
+], ids=["advanced", "local", "mixed"])
+def test_newton_front_matches_picard(picard, c, kernel, dt, bound):
+    nk = pf.solve_front(pf.WaveContext(c, kernel), dt=dt)
+    pic = picard(c, kernel, dt)
+    d = nk.diagnostics
+    assert d["solver"] == "newton-krylov"
+    assert d["iterations"] == 0 and d["newton_steps"] == 4
+    assert 0 < d["gmres_iters"] and abs(d["sigma"]) < 1e-15
+    assert d["monotone"] and nk.values.min() > 0
+    t = np.linspace(-20.0, 20.0, 4001)
+    assert np.max(np.abs(nk(t) - pic(t))) <= bound
+    assert d["residual_sup"] <= 1.05 * pic.diagnostics["residual_sup"]
+
+
+def test_newton_front_converges_past_picard_plateau(picard):
+    # on the mixed kernel at c = 3, against the dt = 0.0025 Newton front:
+    # Newton's error falls by 4 per halving of dt, and at each dt it is a
+    # third of Picard's, which stops on its plateau
+    ctx = pf.WaveContext(3.0, _mixed_kernel())
+    t = np.linspace(-20.0, 20.0, 4001)
+    ref = pf.solve_front(ctx, dt=0.0025)(t)
+    err = {dt: np.max(np.abs(pf.solve_front(ctx, dt=dt)(t) - ref))
+           for dt in (0.02, 0.01)}
+    assert 3.5 < err[0.02] / err[0.01] < 4.5
+    assert err[0.02] < 5e-6
+    picard_err = np.max(np.abs(picard(3.0, _mixed_kernel(), 0.02)(t) - ref))
+    assert picard_err > 3 * err[0.02]
+
+
+@pytest.mark.parametrize("name, value, steps, reason", [
+    ("NEWTON_MAX_STEPS", 1, 1, "hit 1 steps"),
+    ("u_bound", lambda c, k: 0.99, 4, "exceeds U(c, K) = 0.99"),
+], ids=["step-cap", "above-bound"])
+def test_newton_failure_falls_back_to_picard(monkeypatch, picard, name,
+                                             value, steps, reason):
+    # solve_front returns Picard's front and says why Newton stopped
+    ctx = pf.WaveContext(3.0, _mixed_kernel())
+    monkeypatch.setattr(pf, name, value)
+    prof = pf.solve_front(ctx, dt=0.02)
+    d = prof.diagnostics
+    assert d["solver"] == "picard" and d["iterations"] == 351
+    assert d["newton_steps"] == steps and d["gmres_iters"] > 0
+    assert reason in d["newton_failure"]
+    assert np.array_equal(prof.values,
+                          picard(3.0, _mixed_kernel(), 0.02).values)
+
+
+def test_front_jacobian_vector_product_is_exact():
+    # J u against a central difference of G, in the unknowns' layout:
+    # u[i0] is the sigma direction, and v[i0] stays pinned
+    ctx = pf.WaveContext(3.0, _mixed_kernel())
+    up = pf.kpp_upper_front(ctx, 0.1)
+    v = np.minimum(up.values, 1.0)
+    i0 = int(np.argmax(v >= 0.5))
+    v[i0] = 0.5
+    system = pf._FrontSystem(ctx, up.dt, v.size, i0)
+    jv, _ = system.linearize(v)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(v.size) * np.minimum(v, 1e-3)
+    u[i0] = 1e-3
+    du = u.copy()
+    du[i0] = 0.0
+    eps = 1e-4
+    fd = (system.residual(v + eps * du, eps * u[i0])
+          - system.residual(v - eps * du, -eps * u[i0])) / (2 * eps)
+    assert np.max(np.abs(jv(u) - fd)) <= 1e-9 * np.max(np.abs(fd))
+
+
+def test_preconditioner_tridiagonal_from_the_recurrences():
+    # dense L1, R1, L2, R2 reproduce the operator's integrals, and P is
+    # z12 L1 L2 - (L2 R1 + L1 R2) diag(R')
+    ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
+    n, h = 12, 0.1
+    system = pf._FrontSystem(ctx, h, n, 5)
+    w = system.w
+    L1 = np.eye(n) - w.E1 * np.eye(n, k=-1)
+    L1[0, 0] = ctx.lam - w.z1
+    R1 = w.q1 * np.eye(n) + w.q0 * np.eye(n, k=-1)
+    R1[0, 0] = 1.0
+    L2 = np.eye(n) - w.E2 * np.eye(n, k=1)
+    L2[-1, -1] = w.z2
+    R2 = w.p0 * np.eye(n) + w.p1 * np.eye(n, k=1)
+    R2[-1, -1] = 1.0
+    rng = np.random.default_rng(8)
+    r = rng.standard_normal(n)
+    im, ip = pf._two_sided_integrals(r, 0.0, r[-1], w, left_rate=ctx.lam)
+    dense = np.linalg.solve(L1, R1 @ r) + np.linalg.solve(L2, R2 @ r)
+    assert np.max(np.abs(im + ip - dense)) <= 1e-13 * np.max(np.abs(dense))
+    rp = rng.standard_normal(n)
+    sub, diag, sup = system.tridiagonal(rp)
+    P = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    ref = ctx.z12 * L1 @ L2 - (L2 @ R1 + L1 @ R2) @ np.diag(rp)
+    assert np.max(np.abs(P - ref)) <= 1e-12 * np.max(np.abs(ref))
+    lifted = ctx.z12 * L1 @ L2 @ r
+    assert np.max(np.abs(system.lift(r) - lifted)) <= 1e-14 * np.max(
+        np.abs(lifted))
 
 
 # -- residual and norms ----------------------------------------------------

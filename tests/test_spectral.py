@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from nlkpp import kernels as ker
 from nlkpp import spectral as sp
@@ -72,6 +73,42 @@ def test_monotone_front_root_none_for_strong_delay():
     root, diag = sp.monotone_front_root(2.5, ker.dirac(5.0))
     assert root is None
     assert "tail_certificate" in diag
+
+
+def _per_point_root(c, k):
+    """The monotone-front scan one grid point at a time, each an
+    exp_moment call: the reference for the vectorized scan."""
+    def g(lam):
+        return lam * lam - c * lam - ker.exp_moment(k, -lam, "both")
+
+    grid = np.linspace(sp.MONOTONE_LAM_MIN, 0.0, sp.MONOTONE_BRACKETS + 1)
+    vals = [g(x) for x in grid]
+    for i in range(sp.MONOTONE_BRACKETS - 1, -1, -1):
+        if vals[i] == 0.0:
+            return grid[i]
+        if sp._opposite(vals[i], vals[i + 1]):
+            return brentq(g, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-14)
+    return None
+
+
+_MIXED, _ = ker.from_config({
+    "atoms": [{"s": 1.0, "mass": 0.3}],
+    "density": {"lo": -4, "hi": 4, "n": 201, "kind": "gaussian",
+                "params": {"sigma": 0.5}}})
+
+
+@pytest.mark.parametrize("c, k", [
+    (2.5, ker.dirac(-0.5)), (2.5, ker.dirac(5.0)), (3.0, _MIXED),
+    (14.14, ker.dirac(-68.047)),
+], ids=["advanced", "delayed", "mixed", "far-advanced"])
+def test_vectorized_scan_matches_per_point_scan(c, k):
+    root, diag = sp.monotone_front_root(c, k)
+    ref = _per_point_root(c, k)
+    if ref is None:
+        assert root is None
+        assert diag["tail_certificate"] == "single-atom exponential dominance"
+    else:
+        assert root == pytest.approx(ref, rel=1e-15, abs=0)
 
 
 def test_monotone_front_root_exists_for_advance():
