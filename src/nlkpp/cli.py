@@ -209,8 +209,9 @@ def cmd_front(args, cfg, out: Path) -> None:
         "monotone": d["monotone"],
         "alpha_plus": alpha_plus(k, args.c),
         "alpha_minus": alpha_minus(k, args.c),
-        "solver": d["solver"], "newton_steps": d["newton_steps"],
-        "gmres_iters": d["gmres_iters"], "sigma": d["sigma"]})
+        "solver": d["solver"], "picard_sweeps": d["iterations"],
+        "newton_steps": d["newton_steps"], "gmres_iters": d["gmres_iters"],
+        "sigma": d["sigma"]})
 
 
 def cmd_toy(args, cfg, out: Path) -> None:

@@ -1,7 +1,8 @@
 """Wave-profile construction: closed-form upper/lower solutions, the
-integral fixed-point operator between them, a Newton-Krylov solver for
-monotone fronts and a damped Picard solver for the rest, residual
-diagnostics, and the closed-form piecewise toy-model fronts.
+integral fixed-point operator between them, a Newton-Krylov front solver
+(started from a coarse damped Picard front where the front oscillates) with
+the Picard solver as its fallback, residual diagnostics, and the
+closed-form piecewise toy-model fronts.
 """
 from __future__ import annotations
 
@@ -385,29 +386,47 @@ def residual(phi: Profile, c: float, k: Kernel) -> float:
 
 PICARD_MAX_ITER = 5000
 PICARD_RELAX = 0.9
+# update size at which the coarse Picard start of an oscillating front hands
+# over to Newton-Krylov.  On K = delta(s - 5), c = 2.5, dt 0.005 the start
+# takes 1,130 sweeps at step 2 dt; Newton also converges from the 1,067
+# sweeps of tol 5e-2, but its first step fails from the 1,031 of tol 1e-1
+START_TOL = 1e-2
 
 
 def solve_front(ctx: WaveContext, tol: float = 1e-9,
                 dt: float = 0.0025) -> Profile:
     """Front at speed ctx.c, translated so phi(0) = 1/2.
 
-    Where the paper's criterion finds a monotone front (a negative root of
-    z^2 - c z - int K(s) e^{-zs} ds), Newton-Krylov solves for it; if that
-    fails, and wherever the criterion finds no root, the damped Picard
-    iteration `picard_front` runs.  diagnostics["solver"] names the one
-    whose profile is returned.
+    Newton-Krylov solves for every front.  Where the paper's criterion
+    finds a monotone front (a negative root of
+    z^2 - c z - int K(s) e^{-zs} ds), it starts from min(upper, 1).
+    Elsewhere the front oscillates about 1, and it starts from the Picard
+    front at step 2 dt and tolerance START_TOL, resampled onto the grid of
+    step dt; diagnostics["iterations"] counts that start's sweeps.  If the
+    start or Newton fails, the damped Picard iteration `picard_front` runs
+    at tol and dt.  diagnostics["solver"] names the one whose profile is
+    returned.
     """
     stats = {"newton_steps": 0, "gmres_iters": 0, "sigma": None}
     root, _ = monotone_front_root(ctx.c, ctx.kernel)
-    if root is not None:
-        upper = kpp_upper_front(ctx, dt)
-        try:
-            vals = _newton_front(ctx, upper, tol, stats)
-        except NoConvergence as err:
-            stats["newton_failure"] = str(err)
+    upper = kpp_upper_front(ctx, dt)
+    sweeps = 0
+    try:
+        if root is not None:
+            start = np.minimum(upper.values, 1.0)
         else:
-            return _front_profile(ctx, upper, vals, {
-                "solver": "newton-krylov", "iterations": 0, **stats})
+            coarse = picard_front(ctx, START_TOL, 2.0 * dt)
+            sweeps = coarse.diagnostics["iterations"]
+            # the coarse grid starts where the fine one does, so its
+            # untranslated points are coarse.t0 + dt * i on the fine grid
+            start = coarse(coarse.t0 + dt * np.arange(upper.values.size))
+        vals = _newton_front(ctx, start, dt, tol, stats,
+                             monotone=root is not None)
+    except (NoConvergence, InvariantViolation) as err:
+        stats["newton_failure"] = str(err)
+    else:
+        return _front_profile(ctx, upper, vals, {
+            "solver": "newton-krylov", "iterations": sweeps, **stats})
     prof = picard_front(ctx, tol, dt)
     prof.diagnostics.update(stats)
     return prof
@@ -634,10 +653,11 @@ class _FrontSystem:
         return jv, precondition
 
 
-def _newton_front(ctx: WaveContext, upper: Profile, tol: float,
-                  stats: dict) -> np.ndarray:
-    """Monotone front by Newton-Krylov with a phase condition and one
-    unfolding parameter (Beyn & Thuemmler 2004; Knoll & Keyes 2004).
+def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
+                  stats: dict, monotone: bool) -> np.ndarray:
+    """Front by Newton-Krylov with a phase condition and one unfolding
+    parameter (Beyn & Thuemmler 2004; Knoll & Keyes 2004), from the start
+    values v on the front grid of step h (overwritten).
 
     Unknowns are the grid values v, with v[i0] = 1/2 pinned at the start's
     half-level index i0, and a scalar sigma in the slot of v[i0].  The
@@ -655,19 +675,20 @@ def _newton_front(ctx: WaveContext, upper: Profile, tol: float,
     `_FrontSystem.tridiagonal`), a tridiagonal matrix with the sigma column
     in place of column i0, solved by splitting it at i0 into two LAPACK
     tridiagonal factorizations.
-    Starts from min(upper, 1) and stops at max|G| <= tol.  A step that does
-    not lower max|G|, the step cap, a GMRES failure, and a result that is
-    not monotone, not positive or above U(c, K) raise NoConvergence.
-    Steps, GMRES iterations and sigma go into `stats`.
+    The start is min(upper, 1) for a monotone front and a coarse Picard
+    front for an oscillating one (`solve_front`).  Stops at
+    max|G| <= tol.  A step that does not lower max|G|, the step cap, a
+    GMRES failure, and a result that is not positive or above U(c, K), or
+    with `monotone` not monotone, raise NoConvergence.  Steps, GMRES
+    iterations and sigma go into `stats`.
     """
-    v = np.minimum(upper.values, 1.0)
     n = v.size
     i0 = int(np.argmax(v >= 0.5))
     if not 1 < i0 < n - 1:
         raise NoConvergence("start has no interior half-level")
     v[i0] = 0.5
     sigma = 0.0
-    system = _FrontSystem(ctx, upper.dt, n, i0)
+    system = _FrontSystem(ctx, h, n, i0)
 
     def count(_):
         stats["gmres_iters"] += 1
@@ -704,7 +725,7 @@ def _newton_front(ctx: WaveContext, upper: Profile, tol: float,
                     f"Newton-Krylov step {stats['newton_steps']} raised "
                     f"max|G| from {gnorm} to {new}")
             gnorm = new
-    if not np.all(np.diff(v) > -1e-10):
+    if monotone and not np.all(np.diff(v) > -1e-10):
         raise NoConvergence("Newton-Krylov front is not monotone")
     if not v.min() > 0.0:
         raise NoConvergence("Newton-Krylov front is not positive")
@@ -713,40 +734,6 @@ def _newton_front(ctx: WaveContext, upper: Profile, tol: float,
         raise NoConvergence(
             f"Newton-Krylov front exceeds U(c, K) = {bound}")
     return v
-
-
-# -- weighted norms --------------------------------------------------------
-
-def weighted_norm(phi: Profile, mu1: float, mu2: float) -> float:
-    """Two-sided weighted sup norm
-    sup_{s<=0} e^{-mu2 s}|phi(s)| + sup_{s>=0} e^{-mu1 s}|phi(s)|,
-    with declared tails extended analytically; returns inf on divergence."""
-    tg = phi.grid
-    v = np.abs(phi.values)
-    left_sel = tg <= 0
-    right_sel = tg >= 0
-    total_left = (float(np.max(np.exp(-mu2 * tg[left_sel]) * v[left_sel]))
-                  if left_sel.any() else 0.0)
-    total_right = (float(np.max(np.exp(-mu1 * tg[right_sel]) * v[right_sel]))
-                   if right_sel.any() else 0.0)
-    # left tail beyond the grid: value decays at left_rate toward left_limit
-    lim = phi.left_limit if phi.left_limit is not None else v[0]
-    if mu2 > 0:
-        if abs(lim) > 0:
-            return math.inf
-        rate = phi.left_rate
-        if abs(v[0]) > 0 and (rate is None or rate < mu2):
-            return math.inf
-    # right tail: bounded, so diverges under a growing weight
-    if phi.right_tail == "periodic":
-        tail_amp = float(np.max(np.abs(phi.tail_mesh)))
-    else:
-        tail_amp = abs(phi.right_limit) if phi.right_limit is not None else abs(v[-1])
-    if mu1 < 0 and tail_amp > 0:
-        return math.inf
-    if mu1 == 0:
-        total_right = max(total_right, tail_amp)
-    return total_left + total_right
 
 
 # -- toy model -------------------------------------------------------------

@@ -87,11 +87,12 @@ def test_bad_config_path_exit_code(tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("c, s, solver", [(2.5, -0.5, "newton-krylov"),
-                                          (3.0, 2.0, "picard")])
-def test_front_reports_its_solver(tmp_path, c, s, solver):
-    # the monotone-front criterion holds for the advanced atom (Newton) and
-    # fails for the delayed one (Picard, no Newton step)
+@pytest.mark.parametrize("c, s, route", [
+    (2.5, -0.5, "newton-krylov"), (3.0, 2.0, "picard-newton-krylov")])
+def test_front_reports_its_solver(tmp_path, c, s, route):
+    # the monotone-front criterion holds for the advanced atom (Newton from
+    # min(upper, 1)) and fails for the delayed one (Newton from a coarse
+    # Picard start, whose sweeps front.json reports)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": s, "mass": 1.0}]},
                                 "dt": 0.02}))
@@ -99,13 +100,27 @@ def test_front_reports_its_solver(tmp_path, c, s, solver):
                         str(cfgp))
     assert code == 0
     rep = load(out, "front.json")
-    assert rep["solver"] == solver
-    if solver == "picard":
-        assert rep["newton_steps"] == 0 and rep["gmres_iters"] == 0
-        assert rep["sigma"] is None and rep["monotone"] is False
-    else:
-        assert rep["newton_steps"] > 0 and rep["gmres_iters"] > 0
-        assert abs(rep["sigma"]) < 1e-15 and rep["monotone"] is True
+    assert rep["solver"] == "newton-krylov"
+    assert rep["newton_steps"] > 0 and rep["gmres_iters"] > 0
+    assert abs(rep["sigma"]) < 1e-15
+    nested = route == "picard-newton-krylov"
+    assert (rep["picard_sweeps"] > 0) == nested
+    assert rep["monotone"] is not nested
+
+
+def test_front_oscillating_where_picard_stagnates(tmp_path):
+    # K = delta(s - 3), c = 2.2, dt 0.01: Picard alone stagnates (diff 1.6e-6,
+    # exit 2); from its coarse start Newton reaches residual 4.1e-5
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": 3.0, "mass": 1.0}]},
+                                "dt": 0.01}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.2", "--config",
+                        str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    assert rep["solver"] == "newton-krylov" and rep["picard_sweeps"] > 0
+    assert rep["monotone"] is False and rep["phi_max"] > 1.0
+    assert rep["residual"] < 1e-4
 
 
 def _front_with_kernel(tmp_path, kernel_text):
