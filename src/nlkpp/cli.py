@@ -272,7 +272,11 @@ def cmd_semiwave(args, cfg, out: Path) -> None:
               zip(prof.grid, prof.values))
     report = {"tau": args.tau, "c": args.c, "eps": eps, "kind": kind}
     if prof.tail_period is not None:
-        report["tail_period"] = prof.tail_period
+        sol = run.solutions[-1]
+        report.update(tail_period=prof.tail_period,
+                      settle_time=sol["settle_time"],
+                      decay_rate=run.decay_fits[-1][0],
+                      t_end=float(sol["t"][-1]))
     write_json(out / "semiwave.json", report)
 
 

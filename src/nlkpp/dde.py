@@ -42,6 +42,12 @@ WRIGHT_MAX_STEPS = 10 ** 7
 CONNECT_N_PER_DELAY = 50
 P2P_DELTA = 1e-4
 P2P_T_MAX = 400.0
+# a periodic-to-point run has settled once |y - 1| < P2P_SETTLE_TOL over the
+# last P2P_SETTLE_DELAYS delays; its decay fit reads |y - 1| down to
+# P2P_FIT_FLOOR, and the run stops one delay after it stays below that
+P2P_SETTLE_TOL = 1e-3
+P2P_SETTLE_DELAYS = 5
+P2P_FIT_FLOOR = 1e-10
 # Newton: sup-norm residual tolerance and iteration cap; eps-ladder: first
 # nonzero rung (then doubling) and the smallest step a bisection may take
 NEWTON_TOL = 1e-12
@@ -442,14 +448,17 @@ class Trajectory:
 
 
 def integrate_wright(tau: float, eps: float, history, t_end: float,
-                     dt: float = None, dhistory=None) -> Trajectory:
+                     dt: float = None, dhistory=None,
+                     stop=None) -> Trajectory:
     """Method-of-steps integration of eps y'' + y' = y(t-tau)(1-y(t)) (first
     order in y for eps = 0) with classical fourth-order stepping and cubic
     delayed lookup.  `history` is called once, on the array of past mesh
     times in [-tau, 0] (a constant return value broadcasts); for eps > 0 the
     initial derivative comes from `dhistory(0)` or a finite difference.  The
     step dt must be below the delay.  Stops early with a divergence report
-    when |y| exceeds WRIGHT_BLOWUP.
+    when |y| exceeds WRIGHT_BLOWUP, and at the end of the first block after
+    which `stop(values, dt)` is true; `values` holds y at t = 0, dt, 2 dt,
+    ... up to that block's end.
 
     With the lag known, v = 1 - y (and w = y') obeys a linear system, so an
     RK4 step is v <- v + D v with D from `_rk4_increment`.  Blocks of
@@ -506,6 +515,9 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
             escaped = True
             esc_t = (s0 + len(new)) * dt
             y = y[:i[0] + 1 + len(new)]
+            break
+        if stop is not None and stop(y[nback - 1:i[-1] + 2], dt):
+            y = y[:i[-1] + 2]
             break
     vals = y[nback - 1:]
     tgrid = dt * np.arange(vals.size)
@@ -605,6 +617,29 @@ def _solve_zero_to_one(tau, eps, warm):
             "residual": res, "decay_rate": rate, "rate_target": z1}
 
 
+def _settle_test(tau):
+    """Stop test for `integrate_wright` on a run toward y = 1: true once
+    |y - 1| < P2P_SETTLE_TOL over the last P2P_SETTLE_DELAYS delays and
+    < P2P_FIT_FLOOR over the last delay.  It keeps the last index at or
+    above each bound, so a call reads only the values new since the last."""
+    last = [-1, -1]
+    seen = 0
+
+    def stop(y, dt):
+        nonlocal seen
+        dev = np.abs(y[seen:] - 1.0)
+        for j, bound in enumerate((P2P_SETTLE_TOL, P2P_FIT_FLOOR)):
+            far = np.flatnonzero(dev >= bound)
+            if far.size:
+                last[j] = seen + int(far[-1])
+        seen = y.size
+        t_end = dt * (y.size - 1)
+        return (dt * last[0] < t_end - P2P_SETTLE_DELAYS * tau
+                and dt * last[1] < t_end - tau)
+
+    return stop
+
+
 def heteroclinic(tau: float, eps: float = 0.0,
                  kind: str = "zero-to-one") -> ConnectionRun:
     """Connecting orbits of the scaled profile equation.
@@ -612,7 +647,8 @@ def heteroclinic(tau: float, eps: float = 0.0,
     zero-to-one: warm-started Newton continuation along the eps-ladder of
     `_continue`.  periodic-to-point: forward runs from the orbit perturbed
     along its dominant history mode, both perturbation signs tried;
-    succeeds when y settles at 1.
+    succeeds when y settles at 1.  A run stops by `_settle_test`, about one
+    delay after |y - 1| falls below P2P_FIT_FLOOR, or at P2P_T_MAX.
     """
     if tau <= 0:
         raise DomainError(f"connecting orbits need tau > 0, got tau={tau}")
@@ -640,16 +676,17 @@ def heteroclinic(tau: float, eps: float = 0.0,
             return orbit.p(s) + sign * P2P_DELTA * np.interp(s, hist_s, mode)
 
         traj = integrate_wright(tau, eps, hist, P2P_T_MAX,
-                                dhistory=lambda s: orbit.p(s, 1))
+                                dhistory=lambda s: orbit.p(s, 1),
+                                stop=_settle_test(tau))
         if traj.escaped:
             last_err = f"sign {sign:+.0f} diverged at t={traj.escape_time}"
             continue
         # settled at 1: the final stretch of five delays stays within 1e-3
-        win = traj.t >= traj.t[-1] - 5 * tau
-        if np.max(np.abs(traj.y[win] - 1.0)) < 1e-3:
+        win = traj.t >= traj.t[-1] - P2P_SETTLE_DELAYS * tau
+        if np.max(np.abs(traj.y[win] - 1.0)) < P2P_SETTLE_TOL:
             # settling time: the last time y is 1e-3 or more away from 1
             dev = np.abs(traj.y - 1.0)
-            idx = np.nonzero(dev >= 1e-3)[0]
+            idx = np.nonzero(dev >= P2P_SETTLE_TOL)[0]
             t_settle = traj.t[idx[-1]] if idx.size else 0.0
             sol = {"eps": eps, "t": traj.t, "y": traj.y,
                    "delta": sign * P2P_DELTA, "orbit": orbit,
@@ -657,7 +694,7 @@ def heteroclinic(tau: float, eps: float = 0.0,
             # approach rate to 1 after settling; the linearized slow rate
             # is the larger root of eps r^2 + r + 1 = 0, c f(c, -1) at
             # c = 1/sqrt(eps) (-1 at eps = 0)
-            fit_sel = (traj.t > t_settle) & (dev > 1e-10)
+            fit_sel = (traj.t > t_settle) & (dev > P2P_FIT_FLOOR)
             if fit_sel.sum() > 10:
                 sol["decay_rate"] = float(
                     np.polyfit(traj.t[fit_sel], np.log(dev[fit_sel]), 1)[0])

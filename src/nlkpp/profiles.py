@@ -401,8 +401,9 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     finds a monotone front (a negative root of
     z^2 - c z - int K(s) e^{-zs} ds), it starts from min(upper, 1).
     Elsewhere the front oscillates about 1, and it starts from the Picard
-    front at step 2 dt and tolerance START_TOL, resampled onto the grid of
-    step dt; diagnostics["iterations"] counts that start's sweeps.  If the
+    front at step 2 dt and tolerance START_TOL (at step dt if that one
+    escapes its envelope), resampled onto the grid of step dt;
+    diagnostics["iterations"] counts that start's sweeps.  If the
     start or Newton fails, the damped Picard iteration `picard_front` runs
     at tol and dt.  diagnostics["solver"] names the one whose profile is
     returned.
@@ -415,7 +416,11 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
         if root is not None:
             start = np.minimum(upper.values, 1.0)
         else:
-            coarse = picard_front(ctx, START_TOL, 2.0 * dt)
+            try:
+                coarse = picard_front(ctx, START_TOL, 2.0 * dt)
+            except InvariantViolation:
+                # the start escapes its envelope at coarse steps
+                coarse = picard_front(ctx, START_TOL, dt)
             sweeps = coarse.diagnostics["iterations"]
             # the coarse grid starts where the fine one does, so its
             # untranslated points are coarse.t0 + dt * i on the fine grid

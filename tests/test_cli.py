@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlkpp import cli
+from nlkpp import cli, dde
 
 
 def run_cli(tmp_path, *argv):
@@ -121,6 +121,20 @@ def test_front_oscillating_where_picard_stagnates(tmp_path):
     assert rep["solver"] == "newton-krylov" and rep["picard_sweeps"] > 0
     assert rep["monotone"] is False and rep["phi_max"] > 1.0
     assert rep["residual"] < 1e-4
+
+
+def test_front_start_retried_at_step_dt_after_escape(tmp_path):
+    # K = delta(s - 5), c = 2.5, dt 0.01: the start at 2 dt escapes its
+    # envelope, and the one at dt converges, so Newton still runs
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]},
+                                "dt": 0.01}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config",
+                        str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    assert rep["solver"] == "newton-krylov" and rep["picard_sweeps"] > 0
+    assert rep["monotone"] is False
 
 
 def _front_with_kernel(tmp_path, kernel_text):
@@ -343,6 +357,27 @@ def test_determinism_byte_identical(tmp_path):
     _, out2 = run_cli(tmp_path / "b", "atlas", "--n", "6", "--seed", "3")
     for name in ("atlas.csv", "atlas.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_semiwave_proper_reports_where_it_stopped(tmp_path):
+    code, out = run_cli(tmp_path, "semiwave", "--tau", "4.8124", "--c", "7",
+                        "--proper")
+    assert code == 0
+    rep = load(out, "semiwave.json")
+    assert rep["settle_time"] + 5 * 4.8124 <= rep["t_end"] < dde.P2P_T_MAX
+    assert rep["decay_rate"] == pytest.approx(-2 / (1 + math.sqrt(1 - 4 / 49)),
+                                              rel=0.05)
+    # phi(t) = 1 - y(-t/c): the profile starts at t = -c t_end
+    first = (out / "semiwave.csv").read_text().split("\n")[1]
+    assert float(first.split(",")[0]) == pytest.approx(-7 * rep["t_end"])
+
+
+def test_p2p_cap_is_numeric_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(dde, "P2P_T_MAX", 30.0)
+    code, out = run_cli_quietly(tmp_path, "connect", "--tau",
+                                str(dde.HOPF_TAU + 0.1), "--kind", "p2p")
+    assert code == 2
+    assert not (out / "manifest.json").exists()
 
 
 def test_atlas_labels_all_five_cases(tmp_path):

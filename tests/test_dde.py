@@ -563,6 +563,50 @@ def test_periodic_to_point_settles():
     assert fit == pytest.approx(target, rel=0.05)
 
 
+# the periodic-to-point runs of test_10 (TAU, eps 0 and 5e-3) and of the
+# benchmark's `semiwave --proper` (c = 7 and 14.14), and eps = 0 at its tau
+@pytest.mark.parametrize("tau, eps", [
+    (TAU, 0.0), (TAU, 5e-3), (4.8124, 1 / 49), (4.8124, 1 / 14.14 ** 2),
+    (4.8124, 0.0)])
+def test_periodic_to_point_stop_is_exact(monkeypatch, tau, eps):
+    # the run stops once settled; it is a prefix of the run to P2P_T_MAX
+    # with no stop test, and its settle time and decay fit are the same
+    stopped = dde.heteroclinic(tau, eps, kind="periodic-to-point")
+    monkeypatch.setattr(dde, "_settle_test", lambda tau: None)
+    full = dde.heteroclinic(tau, eps, kind="periodic-to-point")
+    a, b = stopped.solutions[0], full.solutions[0]
+    n = a["t"].size
+    assert a["delta"] == b["delta"]
+    assert b["t"][-1] >= dde.P2P_T_MAX and n < b["t"].size
+    assert np.array_equal(a["t"], b["t"][:n])
+    assert np.array_equal(a["y"], b["y"][:n])
+    assert a["settle_time"] == pytest.approx(b["settle_time"], rel=1e-12)
+    assert a["decay_rate"] == pytest.approx(b["decay_rate"], rel=1e-12)
+    # the window test_10 reads is there, and the run ends one to two delays
+    # after |y - 1| last reaches the fit floor
+    assert a["t"][-1] >= a["settle_time"] + 5.0 * tau
+    floor = a["t"][np.nonzero(np.abs(a["y"] - 1.0) >= dde.P2P_FIT_FLOOR)[0][-1]]
+    assert floor + tau < a["t"][-1] < floor + 2.0 * tau
+
+
+def test_settle_test_waits_for_the_fit_floor():
+    # y stays within 1e-3 of 1, so only the fit floor holds the run: it
+    # stops at the first block end a delay past the last |y - 1| >= 1e-10
+    dt, tau = 0.01, 1.0
+    y = 1.0 - 1e-4 * np.exp(-dt * np.arange(3000))
+    floor = dt * np.nonzero(np.abs(y - 1.0) >= dde.P2P_FIT_FLOOR)[0][-1]
+    stop = dde._settle_test(tau)
+    ends = [k for k in range(49, y.size, 49) if stop(y[:k + 1], dt)]
+    assert floor + tau < dt * ends[0] <= floor + tau + 0.49
+
+
+def test_periodic_to_point_cap_still_fails(monkeypatch):
+    # a cap below the settle time (40.7) leaves the run unsettled
+    monkeypatch.setattr(dde, "P2P_T_MAX", 30.0)
+    with pytest.raises(NoConvergence, match="did not settle at 1 within t=30"):
+        dde.heteroclinic(TAU, 0.0, kind="periodic-to-point")
+
+
 def test_unknown_kind_raises():
     with pytest.raises(DomainError):
         dde.heteroclinic(5.0, 0.0, kind="saddle-to-saddle")
