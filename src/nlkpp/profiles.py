@@ -1,8 +1,7 @@
 """Wave-profile construction: closed-form upper/lower solutions, the
-integral fixed-point operator between them, a Newton-Krylov front solver
-(started from a coarse damped Picard front where the front oscillates) with
-the Picard solver as its fallback, residual diagnostics, and the
-closed-form piecewise toy-model fronts.
+integral fixed-point operator between them, the Newton-Krylov front solver
+(started from a coarse damped Picard front where the front oscillates),
+residual diagnostics, and the closed-form piecewise toy-model fronts.
 """
 from __future__ import annotations
 
@@ -104,13 +103,6 @@ class Profile:
         if right.any():
             out[right] = self._right_value(t[right])
         return float(out[0]) if scalar else out
-
-    def translated(self, shift):
-        """Profile shifted so that old time t maps to t - shift."""
-        return Profile(self.t0 - shift, self.dt, self.values.copy(),
-                       self.left_limit, self.right_limit, self.right_tail,
-                       self.tail_mesh, self.tail_period, self.left_rate,
-                       dict(self.diagnostics))
 
 
 @dataclass(frozen=True)
@@ -403,82 +395,71 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     Elsewhere the front oscillates about 1, and it starts from the Picard
     front at step 2 dt and tolerance START_TOL (at step dt if that one
     escapes its envelope), resampled onto the grid of step dt;
-    diagnostics["iterations"] counts that start's sweeps.  If the
-    start or Newton fails, the damped Picard iteration `picard_front` runs
-    at tol and dt.  diagnostics["solver"] names the one whose profile is
-    returned.
+    diagnostics["iterations"] counts that start's sweeps.  A start or
+    Newton solve that fails raises NoConvergence or InvariantViolation.
     """
-    stats = {"newton_steps": 0, "gmres_iters": 0, "sigma": None}
     root, _ = monotone_front_root(ctx.c, ctx.kernel)
     upper = kpp_upper_front(ctx, dt)
     sweeps = 0
-    try:
-        if root is not None:
-            start = np.minimum(upper.values, 1.0)
-        else:
-            try:
-                coarse = picard_front(ctx, START_TOL, 2.0 * dt)
-            except InvariantViolation:
-                # the start escapes its envelope at coarse steps
-                coarse = picard_front(ctx, START_TOL, dt)
-            sweeps = coarse.diagnostics["iterations"]
-            # the coarse grid starts where the fine one does, so its
-            # untranslated points are coarse.t0 + dt * i on the fine grid
-            start = coarse(coarse.t0 + dt * np.arange(upper.values.size))
-        vals = _newton_front(ctx, start, dt, tol, stats,
-                             monotone=root is not None)
-    except (NoConvergence, InvariantViolation) as err:
-        stats["newton_failure"] = str(err)
+    if root is not None:
+        start = np.minimum(upper.values, 1.0)
     else:
-        return _front_profile(ctx, upper, vals, {
-            "solver": "newton-krylov", "iterations": sweeps, **stats})
-    prof = picard_front(ctx, tol, dt)
-    prof.diagnostics.update(stats)
-    return prof
+        try:
+            coarse = picard_front(ctx, START_TOL, 2.0 * dt)
+        except InvariantViolation:
+            # the start escapes its envelope at coarse steps
+            coarse = picard_front(ctx, START_TOL, dt)
+        sweeps = coarse.diagnostics["iterations"]
+        # the coarse grid starts where the fine one does, so its
+        # untranslated points are coarse.t0 + dt * i on the fine grid
+        start = coarse(coarse.t0 + dt * np.arange(upper.values.size))
+    vals, stats = _newton_front(ctx, start, dt, tol,
+                                monotone=root is not None)
+    return _front_profile(ctx, upper, vals, {
+        "solver": "newton-krylov", "iterations": sweeps, **stats})
 
 
 def picard_front(ctx: WaveContext, tol: float = 1e-9,
                  dt: float = 0.0025) -> Profile:
     """Damped Picard iteration on the integral operator, started from the
     closed-form upper front; converged output is translated so phi(0) = 1/2.
+    It iterates `_FrontSystem.apply`, Newton-Krylov's operator, as the
+    oscillating front's start and the tests' reference.
 
     The discrete operator carries an O(dt^2) bias along the neutral
     translation mode, so the iteration is also stopped once the update size
     stagnates at a small value (steady sub-grid drift, not divergence).
     """
     upper = kpp_upper_front(ctx, dt)
-    lam = ctx.lam
     h = upper.dt
-    st = stencil(ctx.kernel, h)
+    system = _FrontSystem(ctx, h)
     vals = upper.values.copy()
     # the order interval [lower, upper] with a mixed tolerance: the sub-grid
     # translation drift produces tiny relative excursions past the
     # closed-form envelopes
     envelope = None
-    if ctx.mu - lam > 1e-10:
+    if ctx.mu - ctx.lam > 1e-10:
         try:
             lower = lower_solution(ctx, upper=upper)
             envelope = (upper.values * 1.005 + 1e-6,
                         lower.values * 0.995 - 1e-6)
         except ConstraintError:
             pass
-    w = _cell_weights(ctx.z1, ctx.z2, h)
     # the discrete operator drifts along the neutral translation mode, so the
     # update size plateaus at a small positive value, about 2.5e-3 dt^2;
     # detect the plateau with a 200-iteration improvement window (robust to
     # oscillatory decay) and accept it below a limit that scales with dt^2
     plateau = max(1e-6, 0.01 * h * h)
     diff_hist = []
+    where = f"Picard iteration at dt={h:g}"
     for it in range(PICARD_MAX_ITER):
-        right_lim = float(vals[-1])
-        conv = convolve(st, vals, 0.0, right_lim, left_rate=lam)
-        new = am_core(vals, conv, 0.0, right_lim, ctx, w, left_rate=lam)
-        new = PICARD_RELAX * new + (1.0 - PICARD_RELAX) * vals
+        new = PICARD_RELAX * system.apply(vals) + (1.0 - PICARD_RELAX) * vals
         diff = float(np.max(np.abs(new - vals)))
         if envelope is not None and (np.any(new > envelope[0])
                                      or np.any(new < envelope[1])):
             raise InvariantViolation(
-                "iterate escaped the [lower, upper] order interval")
+                f"{where} escaped the [lower, upper] order interval at "
+                f"sweep {it + 1}")
         vals = new
         if diff < tol:
             break
@@ -488,10 +469,12 @@ def picard_front(ctx: WaveContext, tol: float = 1e-9,
             if diff < plateau:
                 break
             raise NoConvergence(
-                f"Picard iteration stagnated at diff={diff} (tol={tol})")
+                f"{where} stagnated at diff={diff} (tol={tol}) at sweep "
+                f"{it + 1}")
     else:
         raise NoConvergence(
-            f"Picard iteration did not reach tol={tol}; last diff={diff}")
+            f"{where} did not reach tol={tol} in {PICARD_MAX_ITER} sweeps; "
+            f"last diff={diff}")
     return _front_profile(ctx, upper, vals, {
         "solver": "picard", "iterations": it + 1, "last_diff": diff})
 
@@ -542,12 +525,12 @@ def _g_prime(v, beta: float):
 
 
 class _FrontSystem:
-    """The Newton-Krylov equations of a monotone front on a grid of n
-    points and step h, with v[i0] pinned and sigma in its slot:
-    G(v, sigma) = v - A(v) - sigma e_0, A the Picard operator."""
+    """The front's grid operator A on a grid of step h, with its stencil
+    and cell weights built once, and the Newton-Krylov equations
+    G(v, sigma) = v - A(v) - sigma e_0 on it."""
 
-    def __init__(self, ctx: WaveContext, h: float, n: int, i0: int):
-        self.ctx, self.n, self.i0 = ctx, n, i0
+    def __init__(self, ctx: WaveContext, h: float):
+        self.ctx = ctx
         self.st = stencil(ctx.kernel, h)
         self.w = _cell_weights(ctx.z1, ctx.z2, h)
 
@@ -578,17 +561,22 @@ class _FrontSystem:
     def _conv(self, v):
         return convolve(self.st, v, 0.0, v[-1], left_rate=self.ctx.lam)
 
+    def apply(self, v):
+        """A(v) with the front's tails: e^{lam t} decay to 0 on the left,
+        the constant v[-1] on the right."""
+        return am_core(v, self._conv(v), 0.0, v[-1], self.ctx, self.w,
+                       left_rate=self.ctx.lam)
+
     def residual(self, v, sigma):
         """G(v, sigma)."""
-        G = v - am_core(v, self._conv(v), 0.0, v[-1], self.ctx, self.w,
-                        left_rate=self.ctx.lam)
+        G = v - self.apply(v)
         G[0] -= sigma
         return G
 
     def lift(self, y):
         """z12 L1 L2 y."""
         w = self.w
-        t = np.empty(self.n)
+        t = np.empty(y.size)
         t[:-1] = y[:-1] - w.E2 * y[1:]
         t[-1] = w.z2 * y[-1]
         t[1:] -= w.E1 * t[:-1]
@@ -596,11 +584,12 @@ class _FrontSystem:
         t *= self.ctx.z12
         return t
 
-    def linearize(self, v):
-        """(u -> J u, y -> M y) at v: the exact Jacobian-vector product and
-        the preconditioner, M^-1 = (z12 L1 L2)^-1 P, both in the unknowns'
-        layout (sigma at i0)."""
-        ctx, w, i0 = self.ctx, self.w, self.i0
+    def linearize(self, v, i0):
+        """(u -> J u, y -> M y) at v with v[i0] pinned: the exact
+        Jacobian-vector product and the preconditioner,
+        M^-1 = (z12 L1 L2)^-1 P, both in the unknowns' layout (sigma at
+        i0)."""
+        ctx, w = self.ctx, self.w
         beta = ctx.beta
         gv = g_beta(v, beta)
         loc = ctx.b + _g_prime(v, beta) * (1.0 - self._conv(v))
@@ -659,7 +648,7 @@ class _FrontSystem:
 
 
 def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
-                  stats: dict, monotone: bool) -> np.ndarray:
+                  monotone: bool) -> tuple[np.ndarray, dict]:
     """Front by Newton-Krylov with a phase condition and one unfolding
     parameter (Beyn & Thuemmler 2004; Knoll & Keyes 2004), from the start
     values v on the front grid of step h (overwritten).
@@ -667,7 +656,7 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     Unknowns are the grid values v, with v[i0] = 1/2 pinned at the start's
     half-level index i0, and a scalar sigma in the slot of v[i0].  The
     equations are G(v, sigma) = v - A(v) - sigma e_0 = 0, with A the Picard
-    operator (`am_core` with `convolve`).  sigma is a defect at the first
+    operator (`_FrontSystem.apply`).  sigma is a defect at the first
     grid point: at a monotone front both decay rates lam and mu of the
     leading edge are admissible, so the left tail condition in row 0 is
     redundant once the phase is fixed, and only weakly posed.  (A speed
@@ -684,8 +673,9 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     front for an oscillating one (`solve_front`).  Stops at
     max|G| <= tol.  A step that does not lower max|G|, the step cap, a
     GMRES failure, and a result that is not positive or above U(c, K), or
-    with `monotone` not monotone, raise NoConvergence.  Steps, GMRES
-    iterations and sigma go into `stats`.
+    with `monotone` not monotone, raise NoConvergence.  Returns the front
+    and its stats: Newton steps, GMRES iterations and sigma (None where no
+    step ran).
     """
     n = v.size
     i0 = int(np.argmax(v >= 0.5))
@@ -693,7 +683,8 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
         raise NoConvergence("start has no interior half-level")
     v[i0] = 0.5
     sigma = 0.0
-    system = _FrontSystem(ctx, h, n, i0)
+    stats = {"newton_steps": 0, "gmres_iters": 0, "sigma": None}
+    system = _FrontSystem(ctx, h)
 
     def count(_):
         stats["gmres_iters"] += 1
@@ -707,7 +698,7 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
                 raise NoConvergence(
                     f"Newton-Krylov hit {NEWTON_MAX_STEPS} steps at "
                     f"max|G|={gnorm}")
-            jv, precondition = system.linearize(v)
+            jv, precondition = system.linearize(v, i0)
             step, info = gmres(
                 LinearOperator((n, n), matvec=jv), np.negative(G, out=G),
                 rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
@@ -738,7 +729,7 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     if not v.max() <= bound:
         raise NoConvergence(
             f"Newton-Krylov front exceeds U(c, K) = {bound}")
-    return v
+    return v, stats
 
 
 # -- toy model -------------------------------------------------------------

@@ -137,6 +137,20 @@ def test_front_start_retried_at_step_dt_after_escape(tmp_path):
     assert rep["monotone"] is False
 
 
+def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
+                                                 monkeypatch):
+    # a failed Newton solve exits 2 with its own reason: nothing falls back
+    monkeypatch.setattr(cli.profiles, "NEWTON_MAX_STEPS", 1)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": -0.5, "mass": 1.0}]},
+                                "dt": 0.02}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config",
+                        str(cfgp))
+    assert code == 2
+    assert "numeric failure: Newton-Krylov hit 1 steps" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def _front_with_kernel(tmp_path, kernel_text):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text('{"kernel": %s}' % kernel_text)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,12 +49,6 @@ def test_profile_periodic_tail():
     p = pf.Profile(0.0, 0.1, t, left_limit=0.0, right_tail="periodic",
                    tail_mesh=mesh, tail_period=1.0)
     assert p(1.25) == pytest.approx(p(2.25), abs=1e-12)
-
-
-def test_profile_translated():
-    p = _ramp_profile()
-    q = p.translated(2.0)
-    assert q(-2.0) == pytest.approx(p(0.0), abs=1e-12)
 
 
 # -- context and envelopes -------------------------------------------------
@@ -324,8 +319,8 @@ def test_solve_front_delayed_nonmonotone(nested):
 
 
 def test_solve_front_at_speed_two():
-    # c = 2 runs the same Picard path as c > 2: the closed-form upper front
-    # has a c = 2 branch
+    # c = 2 runs the same path as c > 2: the closed-form upper front, the
+    # start, has a c = 2 branch
     ctx = pf.WaveContext(2.0, ker.dirac(0.0), beta=2.0)
     prof = pf.solve_front(ctx, tol=5e-5, dt=0.005)
     d = prof.diagnostics
@@ -436,22 +431,18 @@ def test_newton_front_converges_past_picard_plateau(picard):
     assert picard_err > 3 * err[0.02]
 
 
-@pytest.mark.parametrize("name, value, steps, reason", [
-    ("NEWTON_MAX_STEPS", 1, 1, "hit 1 steps"),
-    ("u_bound", lambda c, k: 0.99, 4, "exceeds U(c, K) = 0.99"),
+@pytest.mark.parametrize("name, value, reason", [
+    ("NEWTON_MAX_STEPS", 1, "Newton-Krylov hit 1 steps at max|G|="),
+    ("u_bound", lambda c, k: 0.99,
+     "Newton-Krylov front exceeds U(c, K) = 0.99"),
 ], ids=["step-cap", "above-bound"])
-def test_newton_failure_falls_back_to_picard(monkeypatch, picard, name,
-                                             value, steps, reason):
-    # solve_front returns Picard's front and says why Newton stopped
+def test_newton_failure_raises(monkeypatch, name, value, reason):
+    # a failed Newton solve raises with its own reason: no Picard solve at
+    # the requested tol stands in for it
     ctx = pf.WaveContext(3.0, _mixed_kernel())
     monkeypatch.setattr(pf, name, value)
-    prof = pf.solve_front(ctx, dt=0.02)
-    d = prof.diagnostics
-    assert d["solver"] == "picard" and d["iterations"] == 351
-    assert d["newton_steps"] == steps and d["gmres_iters"] > 0
-    assert reason in d["newton_failure"]
-    assert np.array_equal(prof.values,
-                          picard(3.0, _mixed_kernel(), 0.02).values)
+    with pytest.raises(pf.NoConvergence, match=re.escape(reason)):
+        pf.solve_front(ctx, dt=0.02)
 
 
 # -- oscillating fronts: Newton-Krylov from a coarse Picard start ----------
@@ -482,34 +473,45 @@ def test_oscillating_front_gap_to_picard_falls_like_dt_squared(nested,
     assert 3.5 < gap[0.005] / gap[0.0025] < 4.5
 
 
-@pytest.mark.parametrize("where, steps, reason", [
-    ("start", 0, "escaped the [lower, upper] order interval"),
-    ("newton", 1, "hit 1 steps"),
+@pytest.mark.parametrize("c, s, cap, reason", [
+    # K = delta(s - 5), c = 2.5, dt 0.02: the start escapes its envelope at
+    # step 2 dt and again at step dt, and the error names the last one
+    (2.5, 5.0, None, "Picard iteration at dt=0.02 escaped the [lower, "
+                     "upper] order interval at sweep 774"),
+    (3.0, 2.0, 1, "Newton-Krylov hit 1 steps at max|G|="),
 ], ids=["start", "newton"])
-def test_oscillating_front_falls_back_to_picard(monkeypatch, where, steps,
-                                                reason):
-    # when the coarse start or Newton fails, solve_front returns the Picard
-    # front at the requested tol and dt, bit for bit, and says why
-    ctx = pf.WaveContext(3.0, ker.dirac(2.0))
-    ref = pf.picard_front(ctx, dt=0.02)
-    if where == "start":
-        picard_front = pf.picard_front
+def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
+    # a failed start or Newton solve raises with its own reason, and Picard
+    # runs only as the start, at START_TOL
+    calls = []
+    picard_front = pf.picard_front
 
-        def escaping_start(ctx, tol, dt):
-            if tol == pf.START_TOL:
-                raise pf.InvariantViolation(
-                    "iterate escaped the [lower, upper] order interval")
-            return picard_front(ctx, tol, dt)
+    def start(ctx, tol, dt):
+        calls.append((tol, dt))
+        return picard_front(ctx, tol, dt)
 
-        monkeypatch.setattr(pf, "picard_front", escaping_start)
-    else:
-        monkeypatch.setattr(pf, "NEWTON_MAX_STEPS", 1)
-    prof = pf.solve_front(ctx, dt=0.02)
-    d = prof.diagnostics
-    assert d["solver"] == "picard"
-    assert d["iterations"] == ref.diagnostics["iterations"]
-    assert d["newton_steps"] == steps and reason in d["newton_failure"]
-    assert np.array_equal(prof.values, ref.values)
+    monkeypatch.setattr(pf, "picard_front", start)
+    if cap is not None:
+        monkeypatch.setattr(pf, "NEWTON_MAX_STEPS", cap)
+    with pytest.raises((pf.InvariantViolation, pf.NoConvergence),
+                       match=re.escape(reason)):
+        pf.solve_front(pf.WaveContext(c, ker.dirac(s)), dt=0.02)
+    escaped = [(pf.START_TOL, 0.04), (pf.START_TOL, 0.02)]
+    assert calls == (escaped if s == 5.0 else escaped[:1])
+
+
+@pytest.mark.parametrize("s, dt", [(-0.5, 0.02), (5.0, 0.005)],
+                         ids=["advanced", "delayed"])
+def test_front_operator_is_am_apply(nested, s, dt):
+    # on a solved front, which carries the front's tails (e^{lam t} decay to
+    # 0, the constant v[-1]), the operator the monotone-operator tests check
+    # is the one Picard and Newton-Krylov iterate, bit for bit
+    ctx = pf.WaveContext(2.5, ker.dirac(s))
+    prof = nested(dt) if s == 5.0 else pf.solve_front(ctx, dt=dt)
+    assert (prof.left_limit, prof.left_rate) == (0.0, ctx.lam)
+    assert prof.right_limit == prof.values[-1]
+    assert np.array_equal(pf.am_apply(prof, ctx).values,
+                          pf._FrontSystem(ctx, prof.dt).apply(prof.values))
 
 
 def test_front_jacobian_vector_product_is_exact():
@@ -520,8 +522,8 @@ def test_front_jacobian_vector_product_is_exact():
     v = np.minimum(up.values, 1.0)
     i0 = int(np.argmax(v >= 0.5))
     v[i0] = 0.5
-    system = pf._FrontSystem(ctx, up.dt, v.size, i0)
-    jv, _ = system.linearize(v)
+    system = pf._FrontSystem(ctx, up.dt)
+    jv, _ = system.linearize(v, i0)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(v.size) * np.minimum(v, 1e-3)
     u[i0] = 1e-3
@@ -538,7 +540,7 @@ def test_preconditioner_tridiagonal_from_the_recurrences():
     # z12 L1 L2 - (L2 R1 + L1 R2) diag(R')
     ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
     n, h = 12, 0.1
-    system = pf._FrontSystem(ctx, h, n, 5)
+    system = pf._FrontSystem(ctx, h)
     w = system.w
     L1 = np.eye(n) - w.E1 * np.eye(n, k=-1)
     L1[0, 0] = ctx.lam - w.z1
