@@ -1,10 +1,12 @@
 """Command-line front end tying all modules together.
 
 Each run writes JSON reports and CSV grids into --out together with a
-manifest (config echo, package versions, wall time).  The data artifacts are
-deterministic: identical config + seed produce byte-identical files.  A
-rerun replaces each artifact with a new file, so a symlink or hard link
-inside --out is not written through.  `manifest.json` is written last and
+manifest (command, config echo, package versions, wall time).  Only
+`classify`, `front` and `simulate` take --config; an option a command does
+not read is a usage error.  The data artifacts are deterministic: identical
+options and config produce byte-identical files.  A rerun replaces each
+artifact with a new file, so a symlink or hard link inside --out is not
+written through.  `manifest.json` is written last and
 only on success: a run removes the previous one first.
 
 Exit codes: 0 success, 1 configuration error (including an --out that cannot
@@ -137,12 +139,10 @@ def _kernel_from(cfg: dict) -> Kernel:
     return k
 
 
-def _write_manifest(out: Path, command: str, cfg: dict, seed: int,
-                    wall: float) -> None:
+def _write_manifest(out: Path, command: str, cfg: dict, wall: float) -> None:
     write_json(out / "manifest.json", {
         "command": command,
         "config": cfg,
-        "seed": seed,
         "versions": {"nlkpp": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__,
                      "python": platform.python_version()},
@@ -196,10 +196,19 @@ def cmd_front(args, cfg, out: Path) -> None:
     tol = _config_number(cfg, "tol", default=1e-9, positive=True)
     dt = _config_number(cfg, "dt", default=0.0025)
     beta = _config_number(cfg, "beta")
+    # g_beta is the identity only on [0, beta], and every front approaches 1
+    if beta is not None and not beta >= 1:
+        raise ConfigError(f"beta must be >= 1, got {beta}")
+    if beta is not None and not math.isfinite(2.0 * beta + 3.0):
+        raise ConfigError(f"beta = {beta} is too large: b = 2 beta + 3 "
+                          "overflows")
     k = _kernel_from(cfg)
     ctx = profiles.WaveContext(args.c, k, beta=beta)
     prof = profiles.solve_front(ctx, tol=tol, dt=dt)
     vals, d = prof.values, prof.diagnostics
+    if vals.max() > ctx.beta:
+        raise ConfigError(f"the front reaches phi_max = {vals.max():.6g} > "
+                          f"beta = {ctx.beta}, off the equation; raise beta")
     write_csv(out / "front.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
     write_json(out / "front.json", {
@@ -284,9 +293,11 @@ def cmd_simulate(args, cfg, out: Path) -> None:
     dx = _config_number(cfg, "dx", default=0.2)
     X = _config_number(cfg, "X", default=400.0)
     front_at = _config_number(cfg, "init", "params", "front_at", default=20.0)
+    dt = _config_number(cfg, "dt", positive=True)
     k = _kernel_from(cfg)
-    # a configured dt is checked before the grid is allocated
-    dt = pdesim.time_step(dx, cfg.get("dt"))
+    # dt and the step count are checked before the grid is allocated
+    dt = pdesim.time_step(dx, dt)
+    pdesim.step_count(args.T, dt)
     state = pdesim.initial_state(k, X=X, dx=dx, front_at=front_at)
     snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap)) \
         if args.snap else []
@@ -302,11 +313,16 @@ def cmd_simulate(args, cfg, out: Path) -> None:
         "n_records": len(state.times)})
 
 
+ATLAS_MAX_N = 1000  # the atlas builds n^2 rows in Python
+
+
 def cmd_atlas(args, cfg, out: Path) -> None:
     ap_lo, ap_hi = args.aplus_range
     am_lo, am_hi = args.aminus_range
     if ap_lo < 0 or am_lo < 0 or ap_hi < ap_lo or am_hi < am_lo:
         raise ConfigError("atlas ranges must be nonnegative and increasing")
+    if not args.n <= ATLAS_MAX_N:
+        raise ConfigError(f"atlas --n must be <= {ATLAS_MAX_N}, got {args.n}")
     rows = []
     for ap in np.linspace(ap_lo, ap_hi, args.n).tolist():
         for am in np.linspace(am_lo, am_hi, args.n).tolist():
@@ -338,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Traveling-wave numerics for the nonlocal KPP-Fisher "
                     "equation u_t = u_xx + u(1 - K*u)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--out", default=".", help="artifact directory")
-    common.add_argument("--seed", type=int, default=0)
+    # the commands that read a config file
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", default=None, help="JSON config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("roots", parents=[common],
@@ -349,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_finite, default=None)
     p.add_argument("--eps", type=_finite, default=0.0)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[configured],
                        help="regime report for a speed and kernel")
     p.add_argument("--c", type=_finite, required=True)
 
@@ -360,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P-cap", dest="P_cap", type=_finite, default=5.0)
     p.add_argument("--grid-n", dest="grid_n", type=int, default=400)
 
-    p = sub.add_parser("front", parents=[common],
+    p = sub.add_parser("front", parents=[configured],
                        help="wave profile by monotone iteration")
     p.add_argument("--c", type=_finite, required=True)
 
@@ -385,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proper", action="store_true",
                    help="periodic-tail (proper) semi-wavefront")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[configured],
                        help="direct PDE simulation")
     p.add_argument("--T", type=_finite, default=40.0)
     p.add_argument("--snap", type=_finite, default=0.0,
@@ -423,10 +440,9 @@ def main(argv=None) -> int:
             (out / "manifest.json").unlink(missing_ok=True)
         except OSError as e:
             raise ConfigError(f"cannot write {out}: {e}") from e
-        cfg = _load_config(args.config)
+        cfg = _load_config(getattr(args, "config", None))
         _DISPATCH[args.command](args, cfg, out)
-        _write_manifest(out, args.command, cfg, args.seed,
-                        time.perf_counter() - t0)
+        _write_manifest(out, args.command, cfg, time.perf_counter() - t0)
     except (ValueError, KeyError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

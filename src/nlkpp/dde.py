@@ -690,7 +690,7 @@ def heteroclinic(tau: float, eps: float = 0.0,
             t_settle = traj.t[idx[-1]] if idx.size else 0.0
             sol = {"eps": eps, "t": traj.t, "y": traj.y,
                    "delta": sign * P2P_DELTA, "orbit": orbit,
-                   "settle_time": float(t_settle), "residual": 0.0}
+                   "settle_time": float(t_settle), "residual": None}
             # approach rate to 1 after settling; the linearized slow rate
             # is the larger root of eps r^2 + r + 1 = 0, c f(c, -1) at
             # c = 1/sqrt(eps) (-1 at eps = 0)

@@ -10,8 +10,8 @@ half-line takes the atoms strictly inside it and the density's trapezoid
 cells, with the cell straddling 0 split there.  K * phi is one grid operator,
 `convolve` with a `stencil` built once per grid, in the orientations
 phi(t - s) (the stencil) and u(x + s) (`Stencil.reversed`).  Long
-stencils are applied by a numpy FFT product, so this module loads no
-scipy.
+stencils are applied by a numpy FFT product, padded to
+`scipy.fft.next_fast_len`.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 
 class KernelError(ValueError):
@@ -241,24 +242,10 @@ def stencil(k: Kernel, h: float) -> Stencil:
     return Stencil(float(h), int(j.min()) + int(nz[0]), w[nz[0]:nz[-1] + 1])
 
 
-def _fast_len(n: int) -> int:
-    """Least 2*3*5-smooth integer >= n, for n >= 1."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # least power-of-two multiple of p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _fft_convolve(st: Stencil, window: np.ndarray) -> np.ndarray:
     """The 'valid' part of window (*) st.weights by one rfft/irfft pair."""
     taps = st.weights.size
-    nfft = _fast_len(window.size + taps - 1)
+    nfft = next_fast_len(window.size + taps - 1, real=True)
     spec = st._spectra.get(nfft)
     if spec is None:
         spec = st._spectra[nfft] = np.fft.rfft(st.weights, nfft)

@@ -71,6 +71,10 @@ TRANSIENT_SKIP = 0.25
 DEFAULT_DT = 0.05
 RINGING_RATIO = 5.0
 
+# largest run in grid cells and steps (the workloads take 4,000 and 1,600)
+MAX_SIM_NODES = 10 ** 6
+MAX_SIM_STEPS = 10 ** 6
+
 
 def _is_local(kernel: Kernel) -> bool:
     return (kernel.nodes.size == 1 and kernel.nodes[0] == 0.0
@@ -83,6 +87,9 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
     explicit callable u0(x) is given."""
     if X <= 0 or dx <= 0 or X < 10 * dx:
         raise ValueError(f"need X > 0, dx > 0 and X >= 10 dx, got ({X}, {dx})")
+    if not X <= MAX_SIM_NODES * dx:
+        raise ValueError(f"a grid of X / dx = {X / dx:.3g} cells exceeds "
+                         f"{MAX_SIM_NODES}; raise dx or lower X")
     n = int(round(X / dx))
     x = np.linspace(0.0, n * dx, n + 1)
     if u0 is not None:
@@ -222,6 +229,14 @@ def _imex_step(state: SimState, dt: float, solve) -> None:
     state.t += dt
 
 
+def step_count(span: float, dt: float) -> int:
+    """Steps of at most dt covering `span`; over MAX_SIM_STEPS, ValueError."""
+    if not span <= MAX_SIM_STEPS * dt:
+        raise ValueError(f"a run of {span:g} at dt = {dt:g} takes more than "
+                         f"{MAX_SIM_STEPS} steps; raise dt or dx, or lower T")
+    return math.ceil(span / dt - 1e-12)
+
+
 def run(state: SimState, t_end: float, dt: float | None = None,
         record_dt: float = 0.5, snapshots_at=()) -> list:
     """Step the state to t_end by IMEX steps no longer than time_step(dx, dt),
@@ -231,7 +246,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
         raise ValueError(f"t_end = {t_end} must exceed current t = {state.t}")
     dx = state.dx
     dt = time_step(dx, dt)
-    n_steps = int(np.ceil((t_end - state.t) / dt - 1e-12))
+    n_steps = step_count(t_end - state.t, dt)
     dt = (t_end - state.t) / n_steps
     solve = _crank_nicolson(state.x.size, dt / (dx * dx))
     record_every = max(1, int(round(record_dt / dt)))

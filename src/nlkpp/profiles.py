@@ -20,10 +20,6 @@ from .spectral import (f_func, monotone_front_root, quad_roots,
 from .regimes import u_bound
 
 
-class ConstraintError(ValueError):
-    """A solver parameter violates one of its admissibility inequalities."""
-
-
 class InvariantViolation(RuntimeError):
     """An iterate left the upper/lower solution order interval (bug trap)."""
 
@@ -42,7 +38,7 @@ class Profile:
 
     def __init__(self, t0, dt, values, left_limit=0.0, right_limit=None,
                  right_tail="constant", tail_mesh=None, tail_period=None,
-                 left_rate=None, diagnostics=None):
+                 left_rate=None):
         self.t0 = float(t0)
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
@@ -54,7 +50,7 @@ class Profile:
         self.tail_mesh = None if tail_mesh is None else np.asarray(tail_mesh, float)
         self.tail_period = tail_period
         self.left_rate = left_rate
-        self.diagnostics = diagnostics if diagnostics is not None else {}
+        self.diagnostics = {}
         self._spline = None
 
     @property
@@ -91,9 +87,6 @@ class Profile:
                 self._spline = CubicSpline(self.grid, self.values)
             out[inside] = self._spline(t[inside])
         if left.any():
-            if self.left_limit is None:
-                raise CoverageError(
-                    f"profile evaluated at t < {self.t0} with no left extension")
             if self.left_rate is not None:
                 out[left] = self.left_limit + (
                     (self.values[0] - self.left_limit)
@@ -107,12 +100,12 @@ class Profile:
 
 @dataclass(frozen=True)
 class WaveContext:
-    """Speed c with the derived rates and fixed-point solver constants."""
+    """Speed c with its rates and solver constants, b = 2 beta + 3."""
 
     c: float
     kernel: Kernel
     beta: float = None
-    b: float = None
+    b: float = field(init=False)
     lam: float = field(init=False)
     mu: float = field(init=False)
     z1: float = field(init=False)
@@ -124,11 +117,7 @@ class WaveContext:
         beta = self.beta
         if beta is None:
             beta = u_bound(self.c, self.kernel) + 1.0
-        b = self.b
-        if b is None:
-            b = 2.0 * beta + 3.0
-        if b <= 2.0 * beta + 2.0:
-            raise ConstraintError(f"need b > 2*beta + 2, got b={b}, beta={beta}")
+        b = 2.0 * beta + 3.0
         z1 = -f_func(self.c, b)
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "b", float(b))
@@ -206,33 +195,22 @@ def kpp_upper_front(ctx: WaveContext, dt: float = 0.02) -> Profile:
     return prof
 
 
-def lower_solution(ctx: WaveContext, eps: float = None, M: float = None,
-                   upper: Profile = None, dt: float = 0.02) -> Profile:
-    """Lower solution max{0, e^{lam t}(1 - M e^{eps t})} with admissibility
-    checks; default eps = min(lam/2, (mu-lam)/2), M = twice the minimum."""
+def lower_solution(ctx: WaveContext, upper: Profile) -> Profile:
+    """Lower solution max{0, e^{lam t}(1 - M e^{eps t})} on the grid of
+    `upper`, for c > 2 (lam < mu).  eps = min(lam, mu - lam)/2 and
+    M = max(2 M_min, 1.5, 1.05 M_geom) meet the admissibility inequalities
+    0 < eps < lam, lam + eps < mu and M >= M_min by construction."""
     c, lam, mu = ctx.c, ctx.lam, ctx.mu
     if mu - lam <= 1e-10:
-        raise ConstraintError("lower solution ansatz needs c > 2 (lam < mu)")
-    if eps is None:
-        eps = min(lam / 2.0, (mu - lam) / 2.0)
-    if not (0 < eps < lam):
-        raise ConstraintError(f"need 0 < eps < lam, got eps={eps}, lam={lam}")
-    if not (lam + eps < mu):
-        raise ConstraintError(f"need lam + eps < mu, got {lam + eps} vs {mu}")
-    if upper is None:
-        upper = kpp_upper_front(ctx, dt)
+        raise DomainError("lower solution ansatz needs c > 2 (lam < mu)")
+    eps = min(lam / 2.0, (mu - lam) / 2.0)
     tg = upper.grid
     L = float(np.max(upper.values * np.exp(-eps * tg)))
     chi = (lam + eps) ** 2 - c * (lam + eps) + 1.0  # = eps*(lam+eps-mu) < 0
     M_min = L * exp_moment(ctx.kernel, -eps, "both") / (-chi)
-    if M is None:
-        # also force phi_minus <= phi_plus pointwise and vanish before t = 0
-        ratio = (1.0 - upper.values * np.exp(-lam * tg)) * np.exp(-eps * tg)
-        M_geom = float(np.max(ratio))
-        M = max(2.0 * M_min, 1.5, 1.05 * M_geom)
-    if M < M_min:
-        raise ConstraintError(
-            f"need M >= {M_min} so the damping inequality holds, got {M}")
+    # M_geom: phi_minus <= phi_plus pointwise, and vanishing before t = 0
+    ratio = (1.0 - upper.values * np.exp(-lam * tg)) * np.exp(-eps * tg)
+    M = max(2.0 * M_min, 1.5, 1.05 * float(np.max(ratio)))
     vals = np.maximum(0.0, np.exp(lam * tg) * (1.0 - M * np.exp(eps * tg)))
     prof = Profile(upper.t0, upper.dt, vals, left_limit=0.0, right_limit=0.0,
                    left_rate=lam)
@@ -334,7 +312,7 @@ def _grid_conv(phi: Profile, k: Kernel):
     the constant limits (the end values where no limit is declared)."""
     if phi.right_tail == "periodic":
         raise CoverageError("the grid convolution needs a constant right tail")
-    left = phi.left_limit if phi.left_limit is not None else phi.values[0]
+    left = phi.left_limit
     right = phi.right_limit if phi.right_limit is not None else phi.values[-1]
     conv = convolve(stencil(k, phi.dt), phi.values, left, right,
                     left_rate=phi.left_rate)
@@ -439,12 +417,9 @@ def picard_front(ctx: WaveContext, tol: float = 1e-9,
     # closed-form envelopes
     envelope = None
     if ctx.mu - ctx.lam > 1e-10:
-        try:
-            lower = lower_solution(ctx, upper=upper)
-            envelope = (upper.values * 1.005 + 1e-6,
-                        lower.values * 0.995 - 1e-6)
-        except ConstraintError:
-            pass
+        lower = lower_solution(ctx, upper)
+        envelope = (upper.values * 1.005 + 1e-6,
+                    lower.values * 0.995 - 1e-6)
     # the discrete operator drifts along the neutral translation mode, so the
     # update size plateaus at a small positive value, about 2.5e-3 dt^2;
     # detect the plateau with a 200-iteration improvement window (robust to
@@ -586,9 +561,12 @@ class _FrontSystem:
 
     def linearize(self, v, i0):
         """(u -> J u, y -> M y) at v with v[i0] pinned: the exact
-        Jacobian-vector product and the preconditioner,
-        M^-1 = (z12 L1 L2)^-1 P, both in the unknowns' layout (sigma at
-        i0)."""
+        Jacobian-vector product and the preconditioner, both in the
+        unknowns' layout (sigma at i0).  M lifts y by z12 L1 L2 and solves
+        P_s (P with the sigma column in place of column i0) by its blocks
+        either side of i0.  That is not P_s^-1: left of i0 lam and mu both
+        decay, so that block is singular to rounding and only the sigma
+        column makes P_s regular (ROADMAP item 6)."""
         ctx, w = self.ctx, self.w
         beta = ctx.beta
         gv = g_beta(v, beta)
@@ -667,8 +645,8 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     Jacobian-vector products are exact.  GMRES is preconditioned by
     z12 L1 L2 J ~ P = z12 L1 L2 - (L2 R1 + L1 R2) R' (see
     `_FrontSystem.tridiagonal`), a tridiagonal matrix with the sigma column
-    in place of column i0, solved by splitting it at i0 into two LAPACK
-    tridiagonal factorizations.
+    in place of column i0, solved approximately by splitting it at i0 into
+    two LAPACK tridiagonal factorizations (`_FrontSystem.linearize`).
     The start is min(upper, 1) for a monotone front and a coarse Picard
     front for an oscillating one (`solve_front`).  Stops at
     max|G| <= tol.  A step that does not lower max|G|, the step cap, a

@@ -169,8 +169,10 @@ def intensity_case(ap: float, am: float) -> str:
     return "d" if ap + am < 0.5 else "e"
 
 
-# tolerance of the band inequalities in the (p, P) grid scan
+# tolerance of the band inequalities in the (p, P) grid scan, and its
+# largest grid side: grid_n^2 points, about 300 MB through `region` at 1,000
 BAND_SLACK = 1e-9
+MAX_REGION_GRID = 1000
 
 
 def band_inequalities(p, P, ap: float, am: float):
@@ -204,8 +206,9 @@ def pP_feasible_set(ap: float, am: float, P_cap: float = 5.0,
     """
     if ap < 0 or am < 0:
         raise DomainError(f"intensities must be nonnegative, got ({ap}, {am})")
-    if P_cap < 1 or grid_n < 100:
-        raise DomainError("need P_cap >= 1 and grid_n >= 100")
+    if P_cap < 1 or not 100 <= grid_n <= MAX_REGION_GRID:
+        raise DomainError(f"need P_cap >= 1 and 100 <= grid_n <= "
+                          f"{MAX_REGION_GRID}, got ({P_cap}, {grid_n})")
     p_axis = np.linspace(1.0 / grid_n, 1.0, grid_n)
     P_axis = np.linspace(1.0, P_cap, grid_n)
     Pg, pg = np.meshgrid(P_axis, p_axis)

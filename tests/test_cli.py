@@ -288,10 +288,12 @@ def _simulate_with(tmp_path, cfg):
 
 
 @pytest.mark.parametrize("dt, msg", [
-    (0, "finite positive"), (-1, "finite positive"),
-    (float("inf"), "finite positive"), (float("nan"), "finite positive"),
-    ("0.01", "finite positive"), (0.1, "ringing cap")],
-    ids=["zero", "negative", "inf", "nan", "string", "10dx2"])
+    (0, "dt must be > 0"), (-1, "dt must be > 0"),
+    (float("inf"), "dt must be a finite number"),
+    (float("nan"), "dt must be a finite number"),
+    ("0.01", "dt must be a finite number"),
+    (True, "dt must be a finite number"), (0.1, "ringing cap")],
+    ids=["zero", "negative", "inf", "nan", "string", "bool", "10dx2"])
 def test_simulate_bad_dt_is_config_error(tmp_path, capsys, monkeypatch,
                                          dt, msg):
     # refused before the grid is allocated
@@ -304,6 +306,10 @@ def test_simulate_bad_dt_is_config_error(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and msg in err
     assert "Traceback" not in err
     assert not (out / "speed.json").exists()
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("called past the config check")
 
 
 @pytest.mark.parametrize("argv, cfg, msg", [
@@ -331,12 +337,10 @@ def test_bad_config_number_is_config_error(tmp_path, capsys, monkeypatch,
                                            argv, cfg, msg):
     # refused before the kernel is built, any solve runs or the grid is
     # allocated: a string tol used to fail only after a full sweep
-    def no_call(*args, **kwargs):
-        raise AssertionError("called past the config check")
     for owner, name in [(cli, "_kernel_from"), (cli.pdesim, "initial_state"),
                         (cli.profiles, "WaveContext"),
                         (cli.profiles, "solve_front")]:
-        monkeypatch.setattr(owner, name, no_call)
+        monkeypatch.setattr(owner, name, _no_call)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(cfg))
     code, out = run_cli(tmp_path, *argv, "--config", str(cfgp))
@@ -345,6 +349,135 @@ def test_bad_config_number_is_config_error(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error:") and msg in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("cfg, msg", [
+    ({"beta": 0.5, "dt": 0.02}, "beta must be >= 1, got 0.5"),
+    ({"beta": 0, "dt": 0.02}, "beta must be >= 1, got 0.0"),
+    ({"beta": 1e308}, "beta = 1e+308 is too large: b = 2 beta + 3 overflows"),
+], ids=["half", "zero", "overflow"])
+def test_front_beta_out_of_range_is_config_error(tmp_path, capsys,
+                                                 monkeypatch, cfg, msg):
+    # g_beta is the identity only on [0, beta] and every front approaches 1;
+    # refused before the kernel is built or any solve runs (beta 0.5 used to
+    # exit 0 with residual 0.125, and beta 0 with "math domain error")
+    for owner, name in [(cli, "_kernel_from"), (cli.profiles, "WaveContext"),
+                        (cli.profiles, "solve_front")]:
+        monkeypatch.setattr(owner, name, _no_call)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config", str(cfgp))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and msg in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_front_above_beta_is_config_error(tmp_path, capsys):
+    # the delayed-atom front overshoots 1 to phi_max = 1.857 > beta = 1.2,
+    # where g_beta is no longer the identity: it used to exit 0 with
+    # residual 0.663 against the paper's equation
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]},
+                                "dt": 0.01, "beta": 1.2}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config", str(cfgp))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: the front reaches phi_max = 1.857")
+    assert "> beta = 1.2" in err and "raise beta" in err
+    assert not (out / "front.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_front_small_beta_at_speed_two(tmp_path):
+    # beta = 2 is below the derived U(2, K) + 1 = 799 but above the front
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"beta": 2, "tol": 5e-5, "dt": 0.005}))
+    code, out = run_cli(tmp_path, "front", "--c", "2", "--config", str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    assert rep["beta"] == 2.0 and rep["monotone"] is True
+    assert rep["phi_max"] == pytest.approx(1.0, abs=1e-4)
+
+
+class _NoNumpy:
+    """Stands in for a module's numpy: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used past the size check")
+
+
+@pytest.mark.parametrize("argv, cfg, owner, name, msg", [
+    (["region", "--aplus", "0.1", "--aminus", "0.2", "--grid-n",
+      str(cli.regimes.MAX_REGION_GRID + 1)], None, cli.regimes, "np",
+     "100 <= grid_n <= 1000, got (5.0, 1001)"),
+    (["atlas", "--n", str(cli.ATLAS_MAX_N + 1)], None, cli, "np",
+     "atlas --n must be <= 1000, got 1001"),
+    (["simulate"], {"X": (cli.pdesim.MAX_SIM_NODES + 1) * 0.2},
+     cli.pdesim, "np", "cells exceeds 1000000; raise dx or lower X"),
+    (["simulate", "--T", str((cli.pdesim.MAX_SIM_STEPS + 1) * 0.05)], None,
+     cli.pdesim, "initial_state", "takes more than 1000000 steps"),
+], ids=["region-grid", "atlas-n", "simulate-nodes", "simulate-steps"])
+def test_size_limit_is_config_error(tmp_path, capsys, monkeypatch, argv, cfg,
+                                    owner, name, msg):
+    # each size is refused before anything of that size is allocated
+    monkeypatch.setattr(owner, name,
+                        _NoNumpy() if name == "np" else _no_call)
+    if cfg is not None:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(cfgp)]
+    code, out = run_cli(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and msg in err
+    assert not (out / "manifest.json").exists()
+
+
+# one call of each command, with only the options it needs
+_COMMANDS = {
+    "roots": ["roots", "--c", "2.5"],
+    "classify": ["classify", "--c", "2.5"],
+    "region": ["region", "--aplus", "0.1", "--aminus", "0.2"],
+    "front": ["front", "--c", "2.5"],
+    "toy": ["toy"],
+    "periodic": ["periodic", "--tau", "5"],
+    "connect": ["connect", "--tau", "5"],
+    "semiwave": ["semiwave", "--tau", "5", "--c", "7"],
+    "simulate": ["simulate"],
+    "atlas": ["atlas"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_seed_is_a_usage_error(tmp_path, capsys, command):
+    # no command reads a seed: the data artifacts depend on nothing random
+    code, out = run_cli(tmp_path, *_COMMANDS[command], "--seed", "0")
+    assert code == 1
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["roots", "region", "toy", "periodic",
+                                     "connect", "semiwave", "atlas"])
+def test_config_on_a_command_without_one_is_a_usage_error(tmp_path, capsys,
+                                                          command):
+    # only classify, front and simulate read a config file
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text("{}")
+    code, out = run_cli(tmp_path, *_COMMANDS[command], "--config", str(cfgp))
+    assert code == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_p2p_connection_reports_no_residual(tmp_path):
+    # nothing measures the nonlocal residual of the forward run yet, so
+    # connect.json must not report one
+    code, out = run_cli(tmp_path, "connect", "--tau", "4.8124", "--eps",
+                        "0.01", "--kind", "p2p")
+    assert code == 0
+    assert '"residual": null' in (out / "connect.json").read_text()
 
 
 def test_simulate_positivity_violation_is_config_error(tmp_path, capsys):
@@ -357,18 +490,18 @@ def test_simulate_positivity_violation_is_config_error(tmp_path, capsys):
 
 
 def test_manifest_written(tmp_path):
-    code, out = run_cli(tmp_path, "toy", "--seed", "7")
+    code, out = run_cli(tmp_path, "toy")
     assert code == 0
     man = load(out, "manifest.json")
     assert man["command"] == "toy"
-    assert man["seed"] == 7
+    assert set(man) == {"command", "config", "versions", "wall_time_s"}
     assert set(man["versions"]) == {"nlkpp", "numpy", "scipy", "python"}
     assert man["wall_time_s"] >= 0
 
 
 def test_determinism_byte_identical(tmp_path):
-    _, out1 = run_cli(tmp_path / "a", "atlas", "--n", "6", "--seed", "3")
-    _, out2 = run_cli(tmp_path / "b", "atlas", "--n", "6", "--seed", "3")
+    _, out1 = run_cli(tmp_path / "a", "atlas", "--n", "6")
+    _, out2 = run_cli(tmp_path / "b", "atlas", "--n", "6")
     for name in ("atlas.csv", "atlas.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -524,9 +657,10 @@ def test_connect_heteroclinic(tmp_path):
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path):
-    code, out = run_cli(tmp_path, "toy")
+    code, out = run_cli(tmp_path, "classify", "--c", "2.5")
     assert code == 0 and (out / "manifest.json").exists()
-    code, _ = run_cli(tmp_path, "toy", "--config", str(tmp_path / "no.json"))
+    code, _ = run_cli(tmp_path, "classify", "--c", "2.5", "--config",
+                      str(tmp_path / "no.json"))
     assert code == 1
     assert not (out / "manifest.json").exists()
 

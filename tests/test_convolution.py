@@ -166,17 +166,6 @@ def test_mid_length_stencil_on_short_grid_takes_fft_path(monkeypatch):
     assert np.max(np.abs(got - _direct(st_k, vals, 0.25, 1.3))) < 1e-12
 
 
-def _smooth_235(limit):
-    return sorted(2 ** a * 3 ** b * 5 ** c for a in range(15) for b in range(10)
-                  for c in range(7) if 2 ** a * 3 ** b * 5 ** c <= limit)
-
-
-def test_fast_len_is_least_235_smooth_bound():
-    smooth = np.array(_smooth_235(20000))
-    for n in range(1, 10001):
-        assert ker._fast_len(n) == smooth[np.searchsorted(smooth, n)]
-
-
 def test_orientations_read_opposite_sides():
     # a delayed atom reads behind in phi(t - s) and ahead in u(x + s)
     h = 0.1
