@@ -219,6 +219,7 @@ def cmd_front(args, cfg, out: Path) -> None:
         "alpha_plus": alpha_plus(k, args.c),
         "alpha_minus": alpha_minus(k, args.c),
         "solver": d["solver"], "picard_sweeps": d["iterations"],
+        "start_beta": d["start_beta"],
         "newton_steps": d["newton_steps"], "gmres_iters": d["gmres_iters"],
         "sigma": d["sigma"]})
 
@@ -289,7 +290,15 @@ def cmd_semiwave(args, cfg, out: Path) -> None:
     write_json(out / "semiwave.json", report)
 
 
+# largest snapshots.csv in rows (snapshot count times grid points), which
+# are built in Python: 400,200 rows peaked at 190 MB and 998,499 at 353 MB
+# (2-core x86-64 VM)
+MAX_SNAPSHOT_ROWS = 10 ** 6
+
+
 def cmd_simulate(args, cfg, out: Path) -> None:
+    if not args.snap >= 0:
+        raise ConfigError(f"--snap must be >= 0 (0 disables), got {args.snap}")
     dx = _config_number(cfg, "dx", default=0.2)
     X = _config_number(cfg, "X", default=400.0)
     front_at = _config_number(cfg, "init", "params", "front_at", default=20.0)
@@ -299,8 +308,16 @@ def cmd_simulate(args, cfg, out: Path) -> None:
     dt = pdesim.time_step(dx, dt)
     pdesim.step_count(args.T, dt)
     state = pdesim.initial_state(k, X=X, dx=dx, front_at=front_at)
-    snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap)) \
-        if args.snap else []
+    snap_times = []
+    if args.snap:
+        # the length of the np.arange below, counted in floats first: a
+        # tiny --snap gives inf here, not a huge array
+        count = np.ceil((args.T + 1e-9 - args.snap) / args.snap)
+        if not count * state.x.size <= MAX_SNAPSHOT_ROWS:
+            raise ConfigError(
+                f"--snap {args.snap:g} at --T {args.T:g} writes more than "
+                f"{MAX_SNAPSHOT_ROWS} snapshot rows; raise --snap or lower T")
+        snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap))
     snaps = pdesim.run(state, args.T, dt=dt, snapshots_at=snap_times)
     rows = []
     for t, u in snaps:

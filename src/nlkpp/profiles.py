@@ -358,9 +358,16 @@ PICARD_MAX_ITER = 5000
 PICARD_RELAX = 0.9
 # update size at which the coarse Picard start of an oscillating front hands
 # over to Newton-Krylov.  On K = delta(s - 5), c = 2.5, dt 0.005 the start
-# takes 1,130 sweeps at step 2 dt; Newton also converges from the 1,067
-# sweeps of tol 5e-2, but its first step fails from the 1,031 of tol 1e-1
+# takes 390 sweeps at step 2 dt and beta 4 (1,130 at the default beta
+# 13.18); at the default beta, Newton also converges from the 1,067 sweeps
+# of tol 5e-2, but its first step fails from the 1,031 of tol 1e-1
 START_TOL = 1e-2
+# first rung of the start's beta ladder START_BETA 2^k, capped at ctx.beta.
+# A Picard sweep is a pseudo-time step of about 0.9 / b, b = 2 beta + 3, and
+# the start wears the upper front's 2 beta plateau down to the front, so a
+# small beta takes fewer sweeps; a front that oscillates up to 3.22
+# (delta(s - 5), c = 2.5) starts at beta 4
+START_BETA = 4.0
 
 
 def solve_front(ctx: WaveContext, tol: float = 1e-9,
@@ -372,29 +379,48 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     z^2 - c z - int K(s) e^{-zs} ds), it starts from min(upper, 1).
     Elsewhere the front oscillates about 1, and it starts from the Picard
     front at step 2 dt and tolerance START_TOL (at step dt if that one
-    escapes its envelope), resampled onto the grid of step dt;
-    diagnostics["iterations"] counts that start's sweeps.  A start or
-    Newton solve that fails raises NoConvergence or InvariantViolation.
+    escapes its envelope), resampled onto the grid of step dt.  That start
+    runs on the ladder beta_k = min(START_BETA 2^k, ctx.beta): the first
+    rung whose start stays at or below beta_k, where g_beta is the
+    identity, is taken, and a rung that stays above it or raises climbs to
+    the next.  Only the last rung, ctx.beta, raises.  Newton solves at
+    ctx.beta, so the front does not depend on the rung.
+    diagnostics["iterations"] counts the sweeps of every start that
+    returned, and diagnostics["start_beta"] is the rung taken (None for a
+    monotone front).  A start or Newton solve that fails raises
+    NoConvergence or InvariantViolation.
     """
     root, _ = monotone_front_root(ctx.c, ctx.kernel)
     upper = kpp_upper_front(ctx, dt)
-    sweeps = 0
+    sweeps, beta = 0, None
     if root is not None:
         start = np.minimum(upper.values, 1.0)
     else:
-        try:
-            coarse = picard_front(ctx, START_TOL, 2.0 * dt)
-        except InvariantViolation:
-            # the start escapes its envelope at coarse steps
-            coarse = picard_front(ctx, START_TOL, dt)
-        sweeps = coarse.diagnostics["iterations"]
+        beta = START_BETA
+        while True:
+            beta = min(beta, ctx.beta)
+            rung = WaveContext(ctx.c, ctx.kernel, beta=beta)
+            try:
+                try:
+                    coarse = picard_front(rung, START_TOL, 2.0 * dt)
+                except InvariantViolation:
+                    # the start escapes its envelope at coarse steps
+                    coarse = picard_front(rung, START_TOL, dt)
+                sweeps += coarse.diagnostics["iterations"]
+                if beta == ctx.beta or coarse.values.max() <= beta:
+                    break
+            except (InvariantViolation, NoConvergence):
+                if beta == ctx.beta:
+                    raise
+            beta *= 2.0
         # the coarse grid starts where the fine one does, so its
         # untranslated points are coarse.t0 + dt * i on the fine grid
         start = coarse(coarse.t0 + dt * np.arange(upper.values.size))
     vals, stats = _newton_front(ctx, start, dt, tol,
                                 monotone=root is not None)
     return _front_profile(ctx, upper, vals, {
-        "solver": "newton-krylov", "iterations": sweeps, **stats})
+        "solver": "newton-krylov", "iterations": sweeps,
+        "start_beta": beta, **stats})
 
 
 def picard_front(ctx: WaveContext, tol: float = 1e-9,

@@ -105,6 +105,7 @@ def test_front_reports_its_solver(tmp_path, c, s, route):
     assert abs(rep["sigma"]) < 1e-15
     nested = route == "picard-newton-krylov"
     assert (rep["picard_sweeps"] > 0) == nested
+    assert (rep["start_beta"] is not None) == nested
     assert rep["monotone"] is not nested
 
 
@@ -124,8 +125,9 @@ def test_front_oscillating_where_picard_stagnates(tmp_path):
 
 
 def test_front_start_retried_at_step_dt_after_escape(tmp_path):
-    # K = delta(s - 5), c = 2.5, dt 0.01: the start at 2 dt escapes its
-    # envelope, and the one at dt converges, so Newton still runs
+    # K = delta(s - 5), c = 2.5, dt 0.01: at ctx.beta the start at 2 dt
+    # escapes its envelope, and the one at dt converges, so Newton still
+    # runs (the start now holds at 2 dt on the ladder's beta 4)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]},
                                 "dt": 0.01}))
@@ -135,6 +137,24 @@ def test_front_start_retried_at_step_dt_after_escape(tmp_path):
     rep = load(out, "front.json")
     assert rep["solver"] == "newton-krylov" and rep["picard_sweeps"] > 0
     assert rep["monotone"] is False
+
+
+def test_front_coarse_oscillating_start_holds_on_the_ladder(tmp_path):
+    # K = delta(s - 5), c = 2.5, dt 0.02: at ctx.beta the start escapes its
+    # envelope at step 2 dt and at step dt (exit 2).  At beta 4 it escapes
+    # at 2 dt only, and Newton converges from the one at dt in 3 steps
+    # (residual 2.4e-3; 7.3e-4 from the dt 0.0025 front on [-20, 20])
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]},
+                                "dt": 0.02}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config",
+                        str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    assert rep["solver"] == "newton-krylov" and rep["picard_sweeps"] > 0
+    assert rep["start_beta"] == 4.0 and rep["beta"] > 13
+    assert rep["monotone"] is False and rep["phi_max"] < 4.0
+    assert rep["residual"] < 5e-3
 
 
 def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
@@ -281,6 +301,32 @@ def test_simulate_speed_json(tmp_path):
     assert len(lines) == 1 + 2 * 2001
 
 
+def test_simulate_snapshots_at_the_row_limit(tmp_path, monkeypatch):
+    # 499 snapshots of the default 2,001-point grid, 998,499 rows, are
+    # within MAX_SNAPSHOT_ROWS: the run is asked for all of them
+    asked = []
+
+    def run(state, t_end, dt=None, snapshots_at=()):
+        asked.extend(snapshots_at)
+        raise cli.pdesim.MeasurementError("stopped after the size check")
+
+    monkeypatch.setattr(cli.pdesim, "run", run)
+    code, _ = run_cli(tmp_path, "simulate", "--T", "49.9", "--snap", "0.1")
+    assert code == 2
+    assert len(asked) * 2001 == 998499 <= cli.MAX_SNAPSHOT_ROWS
+
+
+def test_simulate_negative_snap_is_config_error(tmp_path, capsys,
+                                                monkeypatch):
+    # it used to write an empty snapshots.csv and exit 0
+    monkeypatch.setattr(cli.pdesim, "initial_state", _no_call)
+    code, out = run_cli(tmp_path, "simulate", "--T", "5", "--snap", "-1")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: --snap must be >= 0")
+    assert not (out / "snapshots.csv").exists()
+
+
 def _simulate_with(tmp_path, cfg):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(cfg))
@@ -417,7 +463,13 @@ class _NoNumpy:
      cli.pdesim, "np", "cells exceeds 1000000; raise dx or lower X"),
     (["simulate", "--T", str((cli.pdesim.MAX_SIM_STEPS + 1) * 0.05)], None,
      cli.pdesim, "initial_state", "takes more than 1000000 steps"),
-], ids=["region-grid", "atlas-n", "simulate-nodes", "simulate-steps"])
+    # 500 snapshots of the default 2,001-point grid: 1,000,500 rows
+    (["simulate", "--T", "50", "--snap", "0.1"], None, cli.pdesim, "run",
+     "--snap 0.1 at --T 50 writes more than 1000000 snapshot rows"),
+    (["simulate", "--T", "40", "--snap", "1e-300"], None, cli.pdesim, "run",
+     "writes more than 1000000 snapshot rows"),
+], ids=["region-grid", "atlas-n", "simulate-nodes", "simulate-steps",
+        "simulate-snapshots", "simulate-tiny-snap"])
 def test_size_limit_is_config_error(tmp_path, capsys, monkeypatch, argv, cfg,
                                     owner, name, msg):
     # each size is refused before anything of that size is allocated

@@ -453,10 +453,11 @@ def test_oscillating_front_gap_to_picard_falls_like_dt_squared(nested,
 
 
 @pytest.mark.parametrize("c, s, cap, reason", [
-    # K = delta(s - 5), c = 2.5, dt 0.02: the start escapes its envelope at
-    # step 2 dt and again at step dt, and the error names the last one
-    (2.5, 5.0, None, "Picard iteration at dt=0.02 escaped the [lower, "
-                     "upper] order interval at sweep 774"),
+    # K = delta(s - 8), c = 2.5, dt 0.02: on every rung of the beta ladder
+    # the start escapes its envelope at step 2 dt and again at step dt, and
+    # the error names the last one, at ctx.beta
+    (2.5, 8.0, None, "Picard iteration at dt=0.02 escaped the [lower, "
+                     "upper] order interval at sweep 716"),
     (3.0, 2.0, 1, "Newton-Krylov hit 1 steps at max|G|="),
 ], ids=["start", "newton"])
 def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
@@ -466,17 +467,109 @@ def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
     picard_front = pf.picard_front
 
     def start(ctx, tol, dt):
-        calls.append((tol, dt))
+        calls.append((ctx.beta, tol, dt))
         return picard_front(ctx, tol, dt)
 
     monkeypatch.setattr(pf, "picard_front", start)
     if cap is not None:
         monkeypatch.setattr(pf, "NEWTON_MAX_STEPS", cap)
+    ctx = pf.WaveContext(c, ker.dirac(s))
     with pytest.raises((pf.InvariantViolation, pf.NoConvergence),
                        match=re.escape(reason)):
-        pf.solve_front(pf.WaveContext(c, ker.dirac(s)), dt=0.02)
-    escaped = [(pf.START_TOL, 0.04), (pf.START_TOL, 0.02)]
-    assert calls == (escaped if s == 5.0 else escaped[:1])
+        pf.solve_front(ctx, dt=0.02)
+    if s == 8.0:
+        rungs = [4.0, 8.0, 16.0, 32.0, ctx.beta]
+        assert calls == [(b, pf.START_TOL, step) for b in rungs
+                         for step in (0.04, 0.02)]
+    else:
+        assert calls == [(min(pf.START_BETA, ctx.beta), pf.START_TOL, 0.04)]
+
+
+# -- the start's beta ladder -------------------------------------------------
+
+def _start_at_ctx_beta(ctx, dt):
+    """solve_front with the start at ctx.beta only, as before the ladder."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pf, "START_BETA", math.inf)
+        return pf.solve_front(ctx, dt=dt)
+
+
+def test_start_ladder_takes_its_first_rung(nested):
+    # delta(s - 5), c = 2.5, dt 0.005: the start at beta 4 peaks at 3.22,
+    # so the first rung is taken, in 390 sweeps where ctx.beta = 13.18 takes
+    # 1,130.  Newton solves at ctx.beta, so the front is the same: 2.7e-14
+    # apart on [-20, 20] measured
+    ctx = pf.WaveContext(2.5, ker.dirac(5.0))
+    prof, ref = nested(0.005), _start_at_ctx_beta(ctx, 0.005)
+    d, dr = prof.diagnostics, ref.diagnostics
+    assert d["start_beta"] == pf.START_BETA == 4.0
+    assert dr["start_beta"] == ctx.beta
+    assert (d["iterations"], dr["iterations"]) == (390, 1130)
+    t = np.linspace(-20.0, 20.0, 4001)
+    assert np.max(np.abs(prof(t) - ref(t))) <= 1e-12
+    assert d["residual_sup"] == pytest.approx(dr["residual_sup"], rel=1e-6)
+
+
+def test_start_ladder_climbs_past_a_start_above_its_beta(monkeypatch):
+    # delta(s - 8), c = 3, dt 0.01: the start at beta 4 peaks at 5.37 and is
+    # passed over; the one at beta 8 peaks at 6.52 and is taken.  The front
+    # is the one started at ctx.beta to 1e-9 (4.0e-11 measured)
+    calls = []
+    picard_front = pf.picard_front
+
+    def start(ctx, tol, dt):
+        prof = picard_front(ctx, tol, dt)
+        calls.append((ctx.beta, dt, prof.values.max()))
+        return prof
+
+    monkeypatch.setattr(pf, "picard_front", start)
+    ctx = pf.WaveContext(3.0, ker.dirac(8.0))
+    prof = pf.solve_front(ctx, dt=0.01)
+    assert [(b, step) for b, step, _ in calls] == [(4.0, 0.02), (8.0, 0.02)]
+    assert 4.0 < calls[0][2] < 8.0 and calls[1][2] <= 8.0
+    assert prof.diagnostics["start_beta"] == 8.0
+    ref = _start_at_ctx_beta(ctx, 0.01)
+    assert prof.diagnostics["iterations"] < ref.diagnostics["iterations"]
+    t = np.linspace(-20.0, 20.0, 4001)
+    assert np.max(np.abs(prof(t) - ref(t))) <= 1e-9
+
+
+def test_start_ladder_climbs_past_a_failed_rung(monkeypatch):
+    # a rung whose start raises climbs to the next one: delta(s - 5),
+    # c = 2.5, dt 0.02, with the start at beta 4 made to stagnate
+    picard_front = pf.picard_front
+    calls = []
+
+    def start(ctx, tol, dt):
+        calls.append((ctx.beta, dt))
+        if ctx.beta == 4.0:
+            raise pf.NoConvergence("stagnated")
+        return picard_front(ctx, tol, dt)
+
+    monkeypatch.setattr(pf, "picard_front", start)
+    prof = pf.solve_front(pf.WaveContext(2.5, ker.dirac(5.0)), dt=0.02)
+    assert calls[0] == (4.0, 0.04) and calls[1][0] == 8.0
+    assert prof.diagnostics["start_beta"] == 8.0
+    assert prof.diagnostics["newton_steps"] > 0
+
+
+def test_start_ladder_raises_its_last_rungs_reason(monkeypatch):
+    # only the last rung, ctx.beta, raises: with its own reason, after the
+    # retry at step dt
+    calls = []
+
+    def start(ctx, tol, dt):
+        calls.append((ctx.beta, dt))
+        raise pf.InvariantViolation(f"escaped at beta={ctx.beta}, dt={dt}")
+
+    monkeypatch.setattr(pf, "picard_front", start)
+    ctx = pf.WaveContext(2.5, ker.dirac(5.0))
+    with pytest.raises(pf.InvariantViolation,
+                       match=re.escape(f"escaped at beta={ctx.beta}, "
+                                       "dt=0.02")):
+        pf.solve_front(ctx, dt=0.02)
+    assert calls == [(b, step) for b in (4.0, 8.0, ctx.beta)
+                     for step in (0.04, 0.02)]
 
 
 @pytest.mark.parametrize("s, dt", [(-0.5, 0.02), (5.0, 0.005)],
