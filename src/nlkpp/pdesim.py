@@ -91,13 +91,15 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
         raise ValueError(f"a grid of X / dx = {X / dx:.3g} cells exceeds "
                          f"{MAX_SIM_NODES}; raise dx or lower X")
     n = int(round(X / dx))
+    if u0 is None and not 0.0 <= front_at < n * dx:
+        raise ValueError(f"front_at {front_at} is off the grid [0, {n * dx:g})")
     x = np.linspace(0.0, n * dx, n + 1)
     if u0 is not None:
         u = np.asarray(u0(x), dtype=float)
         if u.shape != x.shape:
             raise ValueError("u0 must map the grid to an equal-length array")
     else:
-        u = np.where(x < front_at, 1.0, np.exp(-(x - front_at) / INITIAL_RAMP))
+        u = np.exp(-np.maximum(x - front_at, 0.0) / INITIAL_RAMP)
     if np.any(u < 0):
         raise ValueError("initial datum must be nonnegative")
     return SimState(x=x, u=u, t=0.0, kernel=kernel)

@@ -378,13 +378,13 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     finds a monotone front (a negative root of
     z^2 - c z - int K(s) e^{-zs} ds), it starts from min(upper, 1).
     Elsewhere the front oscillates about 1, and it starts from the Picard
-    front at step 2 dt and tolerance START_TOL (at step dt if that one
-    escapes its envelope), resampled onto the grid of step dt.  That start
-    runs on the ladder beta_k = min(START_BETA 2^k, ctx.beta): the first
-    rung whose start stays at or below beta_k, where g_beta is the
-    identity, is taken, and a rung that stays above it or raises climbs to
-    the next.  Only the last rung, ctx.beta, raises.  Newton solves at
-    ctx.beta, so the front does not depend on the rung.
+    front at tolerance START_TOL, resampled onto the grid of step dt.  That
+    start runs on the ladder beta_k = min(START_BETA 2^k, ctx.beta) at step
+    2 dt, and at step dt from the first start that escapes its envelope on.
+    A start that peaks above its beta_k, where g_beta is not the identity,
+    climbs to the next rung; the last rung, ctx.beta, is taken as it is.
+    Any other start failure raises at once, with its rung's reason.  Newton
+    solves at ctx.beta, so the front does not depend on the rung.
     diagnostics["iterations"] counts the sweeps of every start that
     returned, and diagnostics["start_beta"] is the rung taken (None for a
     monotone front).  A start or Newton solve that fails raises
@@ -396,23 +396,20 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     if root is not None:
         start = np.minimum(upper.values, 1.0)
     else:
-        beta = START_BETA
+        beta, h = min(START_BETA, ctx.beta), 2.0 * dt
         while True:
-            beta = min(beta, ctx.beta)
-            rung = WaveContext(ctx.c, ctx.kernel, beta=beta)
             try:
-                try:
-                    coarse = picard_front(rung, START_TOL, 2.0 * dt)
-                except InvariantViolation:
-                    # the start escapes its envelope at coarse steps
-                    coarse = picard_front(rung, START_TOL, dt)
-                sweeps += coarse.diagnostics["iterations"]
-                if beta == ctx.beta or coarse.values.max() <= beta:
-                    break
-            except (InvariantViolation, NoConvergence):
-                if beta == ctx.beta:
+                coarse = picard_front(
+                    WaveContext(ctx.c, ctx.kernel, beta=beta), START_TOL, h)
+            except InvariantViolation:
+                if h == dt:
                     raise
-            beta *= 2.0
+                h = dt  # the start escapes its envelope at coarse steps
+                continue
+            sweeps += coarse.diagnostics["iterations"]
+            if beta == ctx.beta or coarse.values.max() <= beta:
+                break
+            beta = min(2.0 * beta, ctx.beta)
         # the coarse grid starts where the fine one does, so its
         # untranslated points are coarse.t0 + dt * i on the fine grid
         start = coarse(coarse.t0 + dt * np.arange(upper.values.size))
@@ -452,7 +449,7 @@ def picard_front(ctx: WaveContext, tol: float = 1e-9,
     # oscillatory decay) and accept it below a limit that scales with dt^2
     plateau = max(1e-6, 0.01 * h * h)
     diff_hist = []
-    where = f"Picard iteration at dt={h:g}"
+    where = f"Picard iteration at beta={ctx.beta:g}, dt={h:g}"
     for it in range(PICARD_MAX_ITER):
         new = PICARD_RELAX * system.apply(vals) + (1.0 - PICARD_RELAX) * vals
         diff = float(np.max(np.abs(new - vals)))

@@ -358,6 +358,19 @@ def _no_call(*args, **kwargs):
     raise AssertionError("called past the config check")
 
 
+def test_simulate_front_off_the_grid_is_config_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # it used to run and exit 2 with "no recorded front positions"
+    monkeypatch.setattr(cli.pdesim, "run", _no_call)
+    cfg = {"init": {"params": {"front_at": 1000}}}
+    code, out = _simulate_with(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: front_at 1000.0 is off the grid "
+                          "[0, 400)")
+    assert not (out / "speed.json").exists()
+
+
 @pytest.mark.parametrize("argv, cfg, msg", [
     (["simulate"], {"dx": "0.2"}, "dx must be a finite number"),
     (["simulate"], {"dx": None}, "dx must be a finite number"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,21 @@ def test_default_initial_datum():
     assert np.all(st.u[st.x < 20.0] == 1.0)
     i = np.searchsorted(st.x, 25.0)
     assert st.u[i] == pytest.approx(np.exp(-(st.x[i] - 20.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("front_at", [-1.0, 400.0, 1000.0])
+def test_front_off_the_grid_rejected(front_at):
+    # the datum would hold no front to track
+    with pytest.raises(ValueError, match=r"is off the grid \[0, 400\)"):
+        small_state(X=400.0, front_at=front_at)
+
+
+def test_far_front_datum_does_not_overflow():
+    # exp(x - front_at) on the plateau overflowed at front_at 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = small_state(X=3000.0, dx=1.0, front_at=1000.0)
+    assert np.all(st.u[:1001] == 1.0) and st.u[1001] == np.exp(-1.0)
 
 
 def test_custom_initial_datum():

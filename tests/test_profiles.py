@@ -453,11 +453,11 @@ def test_oscillating_front_gap_to_picard_falls_like_dt_squared(nested,
 
 
 @pytest.mark.parametrize("c, s, cap, reason", [
-    # K = delta(s - 8), c = 2.5, dt 0.02: on every rung of the beta ladder
-    # the start escapes its envelope at step 2 dt and again at step dt, and
-    # the error names the last one, at ctx.beta
-    (2.5, 8.0, None, "Picard iteration at dt=0.02 escaped the [lower, "
-                     "upper] order interval at sweep 716"),
+    # K = delta(s - 8), c = 2.5, dt 0.02: the start at beta 4 escapes its
+    # envelope at step 2 dt and again at step dt, and the error names that
+    # second start; no higher rung runs
+    (2.5, 8.0, None, "Picard iteration at beta=4, dt=0.02 escaped the "
+                     "[lower, upper] order interval at sweep 772"),
     (3.0, 2.0, 1, "Newton-Krylov hit 1 steps at max|G|="),
 ], ids=["start", "newton"])
 def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
@@ -478,9 +478,7 @@ def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
                        match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)
     if s == 8.0:
-        rungs = [4.0, 8.0, 16.0, 32.0, ctx.beta]
-        assert calls == [(b, pf.START_TOL, step) for b in rungs
-                         for step in (0.04, 0.02)]
+        assert calls == [(4.0, pf.START_TOL, 0.04), (4.0, pf.START_TOL, 0.02)]
     else:
         assert calls == [(min(pf.START_BETA, ctx.beta), pf.START_TOL, 0.04)]
 
@@ -534,28 +532,55 @@ def test_start_ladder_climbs_past_a_start_above_its_beta(monkeypatch):
     assert np.max(np.abs(prof(t) - ref(t))) <= 1e-9
 
 
-def test_start_ladder_climbs_past_a_failed_rung(monkeypatch):
-    # a rung whose start raises climbs to the next one: delta(s - 5),
-    # c = 2.5, dt 0.02, with the start at beta 4 made to stagnate
+def test_start_ladder_halves_its_step_once(monkeypatch):
+    # delta(s - 5), c = 2.2, dt 0.01: the start at beta 4 escapes its
+    # envelope at step 2 dt, and the one at step dt peaks at 4.53, so the
+    # ladder climbs to beta 8 and stays at step dt.  The start at ctx.beta
+    # escapes at both steps, so the reference is Newton from the start
+    # passed over at beta 4: the same front to 1e-9 (2.5e-13 measured)
+    calls, starts = [], []
     picard_front = pf.picard_front
+
+    def start(ctx, tol, dt):
+        calls.append((ctx.beta, dt))
+        starts.append(picard_front(ctx, tol, dt))
+        return starts[-1]
+
+    monkeypatch.setattr(pf, "picard_front", start)
+    ctx = pf.WaveContext(2.2, ker.dirac(5.0))
+    prof = pf.solve_front(ctx, dt=0.01)
+    assert calls == [(4.0, 0.02), (4.0, 0.01), (8.0, 0.01)]
+    assert starts[0].values.max() == pytest.approx(4.53, abs=5e-3)
+    assert starts[1].values.max() <= 8.0
+    assert prof.diagnostics["start_beta"] == 8.0
+    upper = pf.kpp_upper_front(ctx, 0.01)
+    passed = starts[0](starts[0].t0 + 0.01 * np.arange(upper.values.size))
+    vals, _ = pf._newton_front(ctx, passed, 0.01, 1e-9, monotone=False)
+    ref = pf._front_profile(ctx, upper, vals, {})
+    t = np.linspace(-20.0, 20.0, 4001)
+    assert np.max(np.abs(prof(t) - ref(t))) <= 1e-9
+
+
+def test_start_ladder_raises_a_failed_start_at_once(monkeypatch):
+    # a start that raises anything but an escape at step 2 dt does not
+    # climb: delta(s - 5), c = 2.5, dt 0.02, with the start at beta 4 made
+    # to stagnate
     calls = []
 
     def start(ctx, tol, dt):
         calls.append((ctx.beta, dt))
-        if ctx.beta == 4.0:
-            raise pf.NoConvergence("stagnated")
-        return picard_front(ctx, tol, dt)
+        raise pf.NoConvergence("stagnated")
 
     monkeypatch.setattr(pf, "picard_front", start)
-    prof = pf.solve_front(pf.WaveContext(2.5, ker.dirac(5.0)), dt=0.02)
-    assert calls[0] == (4.0, 0.04) and calls[1][0] == 8.0
-    assert prof.diagnostics["start_beta"] == 8.0
-    assert prof.diagnostics["newton_steps"] > 0
+    with pytest.raises(pf.NoConvergence, match="stagnated"):
+        pf.solve_front(pf.WaveContext(2.5, ker.dirac(5.0)), dt=0.02)
+    assert calls == [(4.0, 0.04)]
 
 
 def test_start_ladder_raises_its_last_rungs_reason(monkeypatch):
-    # only the last rung, ctx.beta, raises: with its own reason, after the
-    # retry at step dt
+    # a start that escapes at step dt raises at once with its own rung's
+    # reason: the escape at 2 dt on beta 4 halves the step, and beta 4
+    # escapes again
     calls = []
 
     def start(ctx, tol, dt):
@@ -565,11 +590,9 @@ def test_start_ladder_raises_its_last_rungs_reason(monkeypatch):
     monkeypatch.setattr(pf, "picard_front", start)
     ctx = pf.WaveContext(2.5, ker.dirac(5.0))
     with pytest.raises(pf.InvariantViolation,
-                       match=re.escape(f"escaped at beta={ctx.beta}, "
-                                       "dt=0.02")):
+                       match=re.escape("escaped at beta=4.0, dt=0.02")):
         pf.solve_front(ctx, dt=0.02)
-    assert calls == [(b, step) for b in (4.0, 8.0, ctx.beta)
-                     for step in (0.04, 0.02)]
+    assert calls == [(4.0, 0.04), (4.0, 0.02)]
 
 
 @pytest.mark.parametrize("s, dt", [(-0.5, 0.02), (5.0, 0.005)],
