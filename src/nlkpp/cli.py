@@ -9,8 +9,10 @@ artifact with a new file, so a symlink or hard link inside --out is not
 written through.  `manifest.json` is written last and
 only on success: a run removes the previous one first.
 
-Exit codes: 0 success, 1 configuration error (including an --out that cannot
-be created or written), 2 numeric non-convergence.
+Exit codes: 0 success, 1 configuration error (a `DomainError`, including an
+--out that cannot be created or written), 2 numeric non-convergence (a
+`NoConvergence`).  `main` is the one place that maps the two types to exit
+codes; any other exception is a bug and propagates as a traceback.
 """
 from __future__ import annotations
 
@@ -25,15 +27,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
-from .kernels import (Kernel, KernelError, dirac, finite_number,
-                      from_config, alpha_plus, alpha_minus)
-from .spectral import NoConvergence, quad_roots, chi1_roots
+from . import DomainError, NoConvergence, __version__
+from .kernels import (Kernel, dirac, finite_number, from_config, alpha_plus,
+                      alpha_minus)
+from .spectral import quad_roots, chi1_roots
 from . import regimes, profiles, dde, pdesim
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # -- serialization helpers -------------------------------------------------
@@ -73,7 +71,7 @@ def _write_artifact(path: Path, text: str) -> None:
         path.unlink(missing_ok=True)
         path.write_text(text)
     except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e}") from e
+        raise DomainError(f"cannot write {path}: {e}") from e
 
 
 def write_json(path: Path, obj) -> None:
@@ -100,9 +98,9 @@ def _load_config(path: str | None) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise DomainError(f"cannot read config {path}: {e}") from e
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+        raise DomainError(f"config {path} must hold a JSON object")
     return cfg
 
 
@@ -110,21 +108,18 @@ def _config_number(cfg: dict, *path: str, default=None,
                    positive: bool = False):
     """The config value at cfg[path[0]][path[1]]..., which must be a finite
     real number and not a bool (and > 0 if `positive`); `default` where the
-    key is absent.  Anything else is a ConfigError."""
+    key is absent.  Anything else is a DomainError."""
     name = ".".join(path)
     where = cfg
     for key in path[:-1]:
         where = where.get(key, {})
         if not isinstance(where, dict):
-            raise ConfigError(f"config {key!r} must be a JSON object")
+            raise DomainError(f"config {key!r} must be a JSON object")
     if path[-1] not in where:
         return default
-    try:
-        value = finite_number(where[path[-1]], name)
-    except KernelError as e:
-        raise ConfigError(str(e)) from None
+    value = finite_number(where[path[-1]], name)
     if positive and not value > 0:
-        raise ConfigError(f"{name} must be > 0, got {value!r}")
+        raise DomainError(f"{name} must be > 0, got {value!r}")
     return value
 
 
@@ -134,8 +129,8 @@ def _kernel_from(cfg: dict) -> Kernel:
         return dirac(0.0)
     try:
         k, _ = from_config(kspec)
-    except (KernelError, KeyError, TypeError) as e:
-        raise ConfigError(f"bad kernel config: {e}") from e
+    except (DomainError, KeyError, TypeError) as e:
+        raise DomainError(f"bad kernel config: {e}") from e
     return k
 
 
@@ -161,7 +156,7 @@ def cmd_roots(args, cfg, out: Path) -> None:
         rr = chi1_roots(args.tau, args.eps)
         report["census"] = rr.as_dict()
     if not report:
-        raise ConfigError("roots needs --c and/or --tau")
+        raise DomainError("roots needs --c and/or --tau")
     write_json(out / "roots.json", report)
     if args.tau is not None and not rr.converged:
         raise NoConvergence(
@@ -198,16 +193,16 @@ def cmd_front(args, cfg, out: Path) -> None:
     beta = _config_number(cfg, "beta")
     # g_beta is the identity only on [0, beta], and every front approaches 1
     if beta is not None and not beta >= 1:
-        raise ConfigError(f"beta must be >= 1, got {beta}")
+        raise DomainError(f"beta must be >= 1, got {beta}")
     if beta is not None and not math.isfinite(2.0 * beta + 3.0):
-        raise ConfigError(f"beta = {beta} is too large: b = 2 beta + 3 "
+        raise DomainError(f"beta = {beta} is too large: b = 2 beta + 3 "
                           "overflows")
     k = _kernel_from(cfg)
     ctx = profiles.WaveContext(args.c, k, beta=beta)
     prof = profiles.solve_front(ctx, tol=tol, dt=dt)
     vals, d = prof.values, prof.diagnostics
     if vals.max() > ctx.beta:
-        raise ConfigError(f"the front reaches phi_max = {vals.max():.6g} > "
+        raise DomainError(f"the front reaches phi_max = {vals.max():.6g} > "
                           f"beta = {ctx.beta}, off the equation; raise beta")
     write_csv(out / "front.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
@@ -256,7 +251,7 @@ def cmd_periodic(args, cfg, out: Path) -> None:
 def cmd_connect(args, cfg, out: Path) -> None:
     kind = {"het": "zero-to-one", "p2p": "periodic-to-point"}.get(args.kind)
     if kind is None:
-        raise ConfigError(f"--kind must be het or p2p, got {args.kind!r}")
+        raise DomainError(f"--kind must be het or p2p, got {args.kind!r}")
     run = dde.heteroclinic(args.tau, args.eps, kind=kind)
     sol = run.solutions[-1]
     write_csv(out / "trajectory.csv", ["t", "y"], zip(sol["t"], sol["y"]))
@@ -272,7 +267,7 @@ def cmd_semiwave(args, cfg, out: Path) -> None:
     # there is no semi-wavefront below c = 2: the zero-to-one profile goes
     # negative there, and the periodic-to-point one needs eps <= 1/4
     if not args.c >= 2:
-        raise ConfigError("semiwave needs --c >= 2, i.e. eps <= 1/4 with "
+        raise DomainError("semiwave needs --c >= 2, i.e. eps <= 1/4 with "
                           f"eps = 1/c^2, got c={args.c}")
     eps = 1.0 / (args.c * args.c)
     kind = "periodic-to-point" if args.proper else "zero-to-one"
@@ -297,8 +292,10 @@ MAX_SNAPSHOT_ROWS = 10 ** 6
 
 
 def cmd_simulate(args, cfg, out: Path) -> None:
+    if not args.T > 0:
+        raise DomainError(f"--T must be > 0, got {args.T}")
     if not args.snap >= 0:
-        raise ConfigError(f"--snap must be >= 0 (0 disables), got {args.snap}")
+        raise DomainError(f"--snap must be >= 0 (0 disables), got {args.snap}")
     dx = _config_number(cfg, "dx", default=0.2)
     X = _config_number(cfg, "X", default=400.0)
     front_at = _config_number(cfg, "init", "params", "front_at", default=20.0)
@@ -314,7 +311,7 @@ def cmd_simulate(args, cfg, out: Path) -> None:
         # tiny --snap gives inf here, not a huge array
         count = np.ceil((args.T + 1e-9 - args.snap) / args.snap)
         if not count * state.x.size <= MAX_SNAPSHOT_ROWS:
-            raise ConfigError(
+            raise DomainError(
                 f"--snap {args.snap:g} at --T {args.T:g} writes more than "
                 f"{MAX_SNAPSHOT_ROWS} snapshot rows; raise --snap or lower T")
         snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap))
@@ -337,9 +334,11 @@ def cmd_atlas(args, cfg, out: Path) -> None:
     ap_lo, ap_hi = args.aplus_range
     am_lo, am_hi = args.aminus_range
     if ap_lo < 0 or am_lo < 0 or ap_hi < ap_lo or am_hi < am_lo:
-        raise ConfigError("atlas ranges must be nonnegative and increasing")
+        raise DomainError("atlas ranges must be nonnegative and increasing")
+    if args.n < 1:
+        raise DomainError(f"atlas --n must be >= 1, got {args.n}")
     if not args.n <= ATLAS_MAX_N:
-        raise ConfigError(f"atlas --n must be <= {ATLAS_MAX_N}, got {args.n}")
+        raise DomainError(f"atlas --n must be <= {ATLAS_MAX_N}, got {args.n}")
     rows = []
     for ap in np.linspace(ap_lo, ap_hi, args.n).tolist():
         for am in np.linspace(am_lo, am_hi, args.n).tolist():
@@ -456,15 +455,14 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
             (out / "manifest.json").unlink(missing_ok=True)
         except OSError as e:
-            raise ConfigError(f"cannot write {out}: {e}") from e
+            raise DomainError(f"cannot write {out}: {e}") from e
         cfg = _load_config(getattr(args, "config", None))
         _DISPATCH[args.command](args, cfg, out)
         _write_manifest(out, args.command, cfg, time.perf_counter() - t0)
-    except (ValueError, KeyError) as e:
+    except DomainError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (NoConvergence, pdesim.MeasurementError,
-            profiles.InvariantViolation) as e:
+    except NoConvergence as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
     return 0

@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from scipy import sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-from .spectral import DomainError, NoConvergence
+from . import DomainError, NoConvergence
 from .profiles import Profile
 
 HOPF_TAU = 1.5 * math.pi
@@ -40,6 +40,9 @@ HOPF_TAU = 1.5 * math.pi
 WRIGHT_BLOWUP = 1e6
 WRIGHT_MAX_STEPS = 10 ** 7
 CONNECT_N_PER_DELAY = 50
+# zero-to-one collocation nodes: 121,197 (tau = 0.01) took 13.7 s and
+# 230 MB, and Newton stalled there (2-core x86-64 VM)
+CONNECT_MAX_NODES = 2 * 10 ** 5
 P2P_DELTA = 1e-4
 P2P_T_MAX = 400.0
 # a periodic-to-point run has settled once |y - 1| < P2P_SETTLE_TOL over the
@@ -114,9 +117,12 @@ def _continue(solve, eps):
 
 def growth_rate(tau: float, eps: float = 0.0) -> float:
     """Real positive root of eps z^2 + z - e^(-tau z) = 0: the monotone
-    escape rate from the zero state."""
-    return brentq(lambda z: eps * z * z + z - math.exp(-tau * z), 1e-9, 2.0,
-                  xtol=1e-14)
+    escape rate from the zero state; one below 1e-9 (tau above about
+    2e10) is refused."""
+    g = lambda z: eps * z * z + z - math.exp(-tau * z)
+    if not g(1e-9) < 0:
+        raise DomainError(f"the growth rate at tau={tau} is below 1e-9")
+    return brentq(g, 1e-9, 2.0, xtol=1e-14)
 
 
 # -- trigonometric interpolation -------------------------------------------
@@ -550,7 +556,12 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     and the map x -> (residual, Jacobian thunk)."""
     z1 = growth_rate(tau, eps)
     h = tau / n_per_delay
-    half = math.ceil(max(20.0 * tau, 12.0 / z1) / h)
+    span = max(20.0 * tau, 12.0 / z1)
+    if not span <= 0.5 * (CONNECT_MAX_NODES - 1) * h:
+        raise DomainError(
+            f"a connection mesh over [-{span:g}, {span:g}] at step {h:g} "
+            f"needs more than {CONNECT_MAX_NODES} nodes; raise tau")
+    half = math.ceil(span / h)
     n = 2 * half + 1
     tg = h * (np.arange(n) - half)
     m = n_per_delay

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len
 
-
-class KernelError(ValueError):
-    """Invalid kernel data (zero mass, bad grid, negative weights)."""
-
-
-class CoverageError(ValueError):
-    """A profile was needed outside what its values and tails cover."""
+from . import DomainError
 
 
 @dataclass(frozen=True)
@@ -42,14 +36,14 @@ class Density:
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or g.size < 2 or g.size != v.size:
-            raise KernelError("density grid/values must be 1-d and of equal length >= 2")
+            raise DomainError("density grid/values must be 1-d and of equal length >= 2")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-            raise KernelError("density grid and values must be finite")
+            raise DomainError("density grid and values must be finite")
         dg = np.diff(g)
         if np.any(dg <= 0) or not np.allclose(dg, dg[0], rtol=1e-9, atol=0.0):
-            raise KernelError("density grid must be strictly increasing and uniform")
+            raise DomainError("density grid must be strictly increasing and uniform")
         if np.any(v < 0):
-            raise KernelError("density values must be nonnegative")
+            raise DomainError("density values must be nonnegative")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -87,15 +81,15 @@ class Kernel:
         atoms = tuple((float(s), float(m)) for s, m in self.atoms)
         for s, m in atoms:
             if not (math.isfinite(s) and math.isfinite(m)):
-                raise KernelError(f"atom (s={s}, mass={m}) is not finite")
+                raise DomainError(f"atom (s={s}, mass={m}) is not finite")
             if m < 0:
-                raise KernelError(f"atom at s={s} has negative mass {m}")
+                raise DomainError(f"atom at s={s} has negative mass {m}")
         object.__setattr__(self, "atoms", atoms)
         mass = sum(m for _, m in atoms)
         if self.density is not None:
             mass += self.density.mass()
         if not math.isfinite(mass):
-            raise KernelError(f"kernel mass {mass} overflows a float")
+            raise DomainError(f"kernel mass {mass} overflows a float")
         object.__setattr__(self, "total_mass", float(mass))
         nodes = np.array([s for s, _ in atoms], dtype=float)
         masses = np.array([m for _, m in atoms], dtype=float)
@@ -113,7 +107,7 @@ class Kernel:
     def support(self) -> tuple[float, float]:
         """Smallest interval containing every node of positive mass."""
         if self.nodes.size == 0:
-            raise KernelError("kernel has empty support")
+            raise DomainError("kernel has empty support")
         return float(self.nodes.min()), float(self.nodes.max())
 
     # -- moments ----------------------------------------------------------
@@ -132,7 +126,7 @@ class Kernel:
         if side == "both":
             return float(self.masses @ fn(self.nodes))
         if side not in ("left", "right"):
-            raise ValueError(f"side must be left/right/both, got {side!r}")
+            raise DomainError(f"side must be left/right/both, got {side!r}")
         s, m = self.nodes[:self._atom_count], self.masses[:self._atom_count]
         half = s < 0 if side == "left" else s > 0
         total = float(m[half] @ fn(s[half]))
@@ -159,10 +153,10 @@ class Kernel:
 def normalize(k: Kernel) -> Kernel:
     """Rescale masses so the kernel integrates to one."""
     if k.total_mass <= 0:
-        raise KernelError("cannot normalize a zero-mass kernel")
+        raise DomainError("cannot normalize a zero-mass kernel")
     c = 1.0 / k.total_mass
     if math.isinf(c):
-        raise KernelError(f"kernel mass {k.total_mass} is too small to "
+        raise DomainError(f"kernel mass {k.total_mass} is too small to "
                           "normalize: its inverse overflows a float")
     atoms = tuple((s, m * c) for s, m in k.atoms)
     dens = None
@@ -173,7 +167,7 @@ def normalize(k: Kernel) -> Kernel:
 
 def _check_speed(c: float):
     if c <= 0:
-        raise ValueError(f"wave speed must be positive, got c={c}")
+        raise DomainError(f"wave speed must be positive, got c={c}")
 
 
 def alpha_plus(k: Kernel, c: float) -> float:
@@ -228,7 +222,7 @@ def stencil(k: Kernel, h: float) -> Stencil:
     1e-9 of an integer are snapped to it."""
     pos, masses = k.nodes / h, k.masses
     if pos.size == 0:
-        raise KernelError("kernel has zero mass")
+        raise DomainError("kernel has zero mass")
     near = np.rint(pos)
     pos = np.where(np.abs(pos - near) < 1e-9, near, pos)
     j = np.floor(pos)
@@ -238,7 +232,7 @@ def stencil(k: Kernel, h: float) -> Stencil:
     np.add.at(w, idx + 1, masses * (pos - j))
     (nz,) = np.nonzero(w)
     if nz.size == 0:    # subnormal masses may lump to zero weights
-        raise KernelError("kernel mass lumps to zero weights")
+        raise DomainError("kernel mass lumps to zero weights")
     return Stencil(float(h), int(j.min()) + int(nz[0]), w[nz[0]:nz[-1] + 1])
 
 
@@ -294,17 +288,17 @@ MAX_DENSITY_NODES = 10 ** 6
 def finite_number(value, name: str) -> float:
     """`value` as a float if it is a finite real number and not a bool (an
     int is converted); anything else, a numeric string included, is a
-    KernelError.  The one rule for numbers read from a JSON config."""
+    DomainError.  The one rule for numbers read from a JSON config."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         value = float(value) if abs(value) < 1e308 else math.inf
     if not (isinstance(value, float) and math.isfinite(value)):
-        raise KernelError(f"{name} must be a finite number, got {value!r}")
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
-        raise KernelError(f"{what} config must be a JSON object, "
+        raise DomainError(f"{what} config must be a JSON object, "
                           f"got {type(value).__name__}")
     return value
 
@@ -325,12 +319,12 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
         n = _object(d, "density").get("n", 401)
         if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
                 or not 2 <= n <= MAX_DENSITY_NODES):
-            raise KernelError(f"density n must be an integer in "
+            raise DomainError(f"density n must be an integer in "
                               f"[2, {MAX_DENSITY_NODES}], got {n!r}")
         lo = finite_number(d["lo"], "density lo")
         hi = finite_number(d["hi"], "density hi")
         if not lo < hi:
-            raise KernelError(f"density window [{lo}, {hi}] is empty")
+            raise DomainError(f"density window [{lo}, {hi}] is empty")
         grid = np.linspace(lo, hi, n)
         kind = d.get("kind", "table")
         if kind == "uniform":
@@ -339,7 +333,7 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
             params = _object(d.get("params", {}), "density params")
             sigma = finite_number(params.get("sigma", 1.0), "gaussian sigma")
             if not sigma > 0:
-                raise KernelError(f"gaussian sigma must be > 0, got {sigma}")
+                raise DomainError(f"gaussian sigma must be > 0, got {sigma}")
             # for a tiny sigma, (grid / sigma)**2 may overflow, giving
             # exp(-inf) = 0, and a peak that overflows is rejected by Density
             with np.errstate(over="ignore"):
@@ -349,9 +343,9 @@ def from_config(cfg: dict) -> tuple[Kernel, float]:
             vals = np.array([finite_number(x, "table value")
                              for x in d["values"]])
             if vals.size != n:
-                raise KernelError("table density needs exactly n values")
+                raise DomainError("table density needs exactly n values")
         else:
-            raise KernelError(f"unknown density kind {kind!r}")
+            raise DomainError(f"unknown density kind {kind!r}")
         dens = Density(grid, vals)
     raw = Kernel(atoms, dens)
     return normalize(raw), raw.total_mass

@@ -22,15 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from . import DomainError, NoConvergence
 from .kernels import Kernel, Stencil, convolve, dirac, stencil
-
-
-class StepSizeError(ValueError):
-    """dt violates a stability or positivity constraint (named in message)."""
-
-
-class MeasurementError(RuntimeError):
-    """Front position cannot be measured (level set off-grid or too few data)."""
 
 
 @dataclass
@@ -86,22 +79,22 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
     """Fresh state: u = 1 for x < front_at, exponential ramp after, unless an
     explicit callable u0(x) is given."""
     if X <= 0 or dx <= 0 or X < 10 * dx:
-        raise ValueError(f"need X > 0, dx > 0 and X >= 10 dx, got ({X}, {dx})")
+        raise DomainError(f"need X > 0, dx > 0 and X >= 10 dx, got ({X}, {dx})")
     if not X <= MAX_SIM_NODES * dx:
-        raise ValueError(f"a grid of X / dx = {X / dx:.3g} cells exceeds "
-                         f"{MAX_SIM_NODES}; raise dx or lower X")
+        raise DomainError(f"a grid of X / dx = {X / dx:.3g} cells exceeds "
+                          f"{MAX_SIM_NODES}; raise dx or lower X")
     n = int(round(X / dx))
     if u0 is None and not 0.0 <= front_at < n * dx:
-        raise ValueError(f"front_at {front_at} is off the grid [0, {n * dx:g})")
+        raise DomainError(f"front_at {front_at} is off the grid [0, {n * dx:g})")
     x = np.linspace(0.0, n * dx, n + 1)
     if u0 is not None:
         u = np.asarray(u0(x), dtype=float)
         if u.shape != x.shape:
-            raise ValueError("u0 must map the grid to an equal-length array")
+            raise DomainError("u0 must map the grid to an equal-length array")
     else:
         u = np.exp(-np.maximum(x - front_at, 0.0) / INITIAL_RAMP)
     if np.any(u < 0):
-        raise ValueError("initial datum must be nonnegative")
+        raise DomainError("initial datum must be nonnegative")
     return SimState(x=x, u=u, t=0.0, kernel=kernel)
 
 
@@ -144,14 +137,14 @@ def step(state: SimState, dt: float) -> SimState:
     """
     dx = state.dx
     if dt <= 0:
-        raise StepSizeError(f"dt must be positive, got {dt}")
+        raise DomainError(f"dt must be positive, got {dt}")
     if dt > 0.4 * dx * dx + 1e-15:
-        raise StepSizeError(
+        raise DomainError(
             f"diffusion stability violated: dt = {dt} > 0.4 dx^2 = {0.4 * dx * dx}")
     r = 1.0 - convolve_grid(state.kernel, state.x, state.u, state.stencil)
     rmax = float(np.max(np.abs(r)))
     if rmax > 0 and dt > 0.5 / rmax + 1e-15:
-        raise StepSizeError(
+        raise DomainError(
             f"positivity violated: dt = {dt} > 0.5/max|1 - K*u| = {0.5 / rmax}")
     f0 = _laplacian(state.u, dx) + state.u * r
     u_half = state.u + 0.5 * dt * f0
@@ -165,11 +158,11 @@ def front_position(state: SimState) -> float:
     u = state.u
     above = u >= FRONT_LEVEL
     if not above.any() or above.all():
-        raise MeasurementError(
+        raise NoConvergence(
             f"level {FRONT_LEVEL} set is off-grid at t = {state.t}")
     i = int(np.nonzero(above)[0][-1])
     if i == len(u) - 1:
-        raise MeasurementError(
+        raise NoConvergence(
             f"level {FRONT_LEVEL} crossing hit the right boundary "
             f"at t = {state.t}")
     frac = (u[i] - FRONT_LEVEL) / (u[i] - u[i + 1])
@@ -184,9 +177,9 @@ def time_step(dx: float, dt=None) -> float:
     if dt is None:
         return max(0.4 * dx * dx, min(DEFAULT_DT, cap))
     if not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
-        raise StepSizeError(f"dt must be a finite positive number, got {dt!r}")
+        raise DomainError(f"dt must be a finite positive number, got {dt!r}")
     if dt > cap * (1.0 + 1e-12):
-        raise StepSizeError(
+        raise DomainError(
             f"ringing cap violated: dt = {dt} > {RINGING_RATIO:g} dx^2 = {cap}")
     return float(dt)
 
@@ -200,7 +193,7 @@ def _crank_nicolson(n: int, ratio: float):
     d[[0, -1]] *= 0.5
     d, e, info = dpttrf(d, np.full(n - 1, -0.5 * ratio))
     if info != 0:
-        raise np.linalg.LinAlgError(f"dpttrf failed, info = {info}")
+        raise NoConvergence(f"dpttrf failed, info = {info}")
 
     def solve(b: np.ndarray) -> np.ndarray:
         b[0] *= 0.5
@@ -220,7 +213,7 @@ def _imex_step(state: SimState, dt: float, solve) -> None:
     r = 1.0 - convolve_grid(state.kernel, state.x, u, state.stencil)
     rmax = float(np.max(np.abs(r)))
     if rmax > 0 and dt > 0.5 / rmax + 1e-15:
-        raise StepSizeError(
+        raise DomainError(
             f"positivity violated: dt = {dt} > 0.5/max|1 - K*u| = {0.5 / rmax}")
     f0 = u * r
     rhs = u + 0.5 * dt * _laplacian(u, state.dx)
@@ -232,11 +225,12 @@ def _imex_step(state: SimState, dt: float, solve) -> None:
 
 
 def step_count(span: float, dt: float) -> int:
-    """Steps of at most dt covering `span`; over MAX_SIM_STEPS, ValueError."""
+    """Steps of at most dt covering `span`, at least one; over MAX_SIM_STEPS,
+    DomainError."""
     if not span <= MAX_SIM_STEPS * dt:
-        raise ValueError(f"a run of {span:g} at dt = {dt:g} takes more than "
-                         f"{MAX_SIM_STEPS} steps; raise dt or dx, or lower T")
-    return math.ceil(span / dt - 1e-12)
+        raise DomainError(f"a run of {span:g} at dt = {dt:g} takes more than "
+                          f"{MAX_SIM_STEPS} steps; raise dt or dx, or lower T")
+    return max(1, math.ceil(span / dt - 1e-12))
 
 
 def run(state: SimState, t_end: float, dt: float | None = None,
@@ -245,7 +239,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
     recording the level-crossing position every record_dt into the state
     history.  Returns (t, u-copy) snapshots at the requested times."""
     if t_end <= state.t:
-        raise ValueError(f"t_end = {t_end} must exceed current t = {state.t}")
+        raise DomainError(f"t_end = {t_end} must exceed current t = {state.t}")
     dx = state.dx
     dt = time_step(dx, dt)
     n_steps = step_count(t_end - state.t, dt)
@@ -257,7 +251,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
     def record():
         try:
             pos = front_position(state)
-        except MeasurementError:
+        except NoConvergence:
             return
         state.times.append(state.t)
         state.fronts.append(pos)
@@ -280,11 +274,11 @@ def front_speed(state: SimState) -> float:
     t = np.asarray(state.times, dtype=float)
     p = np.asarray(state.fronts, dtype=float)
     if t.size == 0:
-        raise MeasurementError("no recorded front positions")
+        raise NoConvergence("no recorded front positions")
     t_cut = t[0] + TRANSIENT_SKIP * (t[-1] - t[0])
     keep = t >= t_cut
     if int(keep.sum()) < 20:
-        raise MeasurementError(
+        raise NoConvergence(
             f"only {int(keep.sum())} front positions after transient skip; need >= 20")
     slope, _ = np.polyfit(t[keep], p[keep], 1)
     return float(slope)
@@ -294,7 +288,7 @@ def local_reference_step(state: SimState, dt: float) -> SimState:
     """Dedicated local Fisher-KPP step (convolution short-circuited to u);
     identical discretization to step() for K = delta(s)."""
     if not _is_local(state.kernel):
-        raise ValueError("local reference requires the unit atom at 0")
+        raise DomainError("local reference requires the unit atom at 0")
     dx = state.dx
     f0 = _laplacian(state.u, dx) + state.u * (1.0 - state.u)
     u_half = state.u + 0.5 * dt * f0

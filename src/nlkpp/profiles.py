@@ -14,14 +14,10 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .kernels import Kernel, CoverageError, convolve, exp_moment, stencil
-from .spectral import (f_func, monotone_front_root, quad_roots,
-                       toy_steady_roots, DomainError, NoConvergence)
+from . import DomainError, InvariantViolation, NoConvergence
+from .kernels import Kernel, convolve, exp_moment, stencil
+from .spectral import f_func, monotone_front_root, quad_roots, toy_steady_roots
 from .regimes import u_bound
-
-
-class InvariantViolation(RuntimeError):
-    """An iterate left the upper/lower solution order interval (bug trap)."""
 
 
 # -- profile container -----------------------------------------------------
@@ -44,6 +40,8 @@ class Profile:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 5:
             raise DomainError("profile needs at least 5 grid values")
+        if right_tail == "periodic" and (tail_mesh is None or not tail_period):
+            raise DomainError("periodic tail declared without mesh/period")
         self.left_limit = left_limit
         self.right_limit = right_limit
         self.right_tail = right_tail
@@ -64,8 +62,6 @@ class Profile:
     def _right_value(self, t):
         """Tail value for t beyond the grid end."""
         if self.right_tail == "periodic":
-            if self.tail_mesh is None or not self.tail_period:
-                raise CoverageError("periodic tail declared without mesh/period")
             ph = np.mod(t - self.t_end, self.tail_period)
             m = self.tail_mesh
             xs = np.linspace(0.0, self.tail_period, m.size)
@@ -311,7 +307,7 @@ def _grid_conv(phi: Profile, k: Kernel):
     """K * phi on the grid of phi, with its tails; returns it together with
     the constant limits (the end values where no limit is declared)."""
     if phi.right_tail == "periodic":
-        raise CoverageError("the grid convolution needs a constant right tail")
+        raise DomainError("the grid convolution needs a constant right tail")
     left = phi.left_limit
     right = phi.right_limit if phi.right_limit is not None else phi.values[-1]
     conv = convolve(stencil(k, phi.dt), phi.values, left, right,
@@ -680,7 +676,9 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     """
     n = v.size
     i0 = int(np.argmax(v >= 0.5))
-    if not 1 < i0 < n - 1:
+    # the preconditioner factors the rows either side of i0 by dgttrf,
+    # whose scipy wrapper takes 3 or more rows
+    if not 2 < i0 < n - 3:
         raise NoConvergence("start has no interior half-level")
     v[i0] = 0.5
     sigma = 0.0

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from . import DomainError
 from .kernels import Kernel, alpha_plus, alpha_minus, exp_moment
-from .spectral import quad_roots, monotone_front_root, f_func, DomainError
+from .spectral import quad_roots, monotone_front_root, f_func
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,6 @@ class RegimeReport:
         d = dict(self.__dict__)
         d["pP_extremes"] = list(self.pP_extremes)
         return d
-
-
-class RepresentationError(ValueError):
-    """Kernel cannot express the requested construction (e.g. no left mass)."""
 
 
 def _left_radius(k: Kernel) -> int | None:
@@ -81,7 +78,7 @@ def u_bound(c: float, k: Kernel) -> float:
     (needs right mass), U2 = 2 exp(lam (r + sigma)) from the concentration
     radius r of the advanced half (needs right mass < 0.001).  On the
     overlap both are valid upper bounds, so take the minimum.  Raises
-    RepresentationError when neither applies or the bound overflows a float.
+    DomainError when neither applies or the bound overflows a float.
     """
     lam, _ = quad_roots(c)
     rm = k.moment(np.ones_like, "right")
@@ -95,17 +92,17 @@ def u_bound(c: float, k: Kernel) -> float:
     if rm < 1e-3:
         r = _left_radius(k)
         if r is None or r > 10 ** 6:
-            raise RepresentationError(
+            raise DomainError(
                 "kernel carries less than 0.99 of its mass on [-1e6, 0]")
         try:
             candidates.append(2.0 * math.exp(lam * (r + _u2_radius(c))))
         except OverflowError:
             candidates.append(math.inf)
     if not candidates:
-        raise RepresentationError("no U(c,K) formula applies to this kernel")
+        raise DomainError("no U(c,K) formula applies to this kernel")
     U = min(candidates)
     if math.isinf(U):
-        raise RepresentationError(f"U(c,K) overflows a float at c={c}")
+        raise DomainError(f"U(c,K) overflows a float at c={c}")
     return max(1.0, U)
 
 
@@ -226,24 +223,6 @@ def pP_feasible_set(ap: float, am: float, P_cap: float = 5.0,
             "p_min": p_min, "P_max": P_max, "anchors": anchors}
 
 
-def theta_improved(p: float, P: float, c: float, k: Kernel) -> float:
-    """Theta(p, P): the kernel average of the piecewise-linear test profile
-    capped below at p; Theta <= 1 certifies the improved oscillation band."""
-    if not (0 < p <= 1 <= P):
-        raise DomainError(f"need 0 < p <= 1 <= P, got ({p}, {P})")
-    if c < 2:
-        raise DomainError(f"need c >= 2, got {c}")
-
-    def phi_minus(s):
-        s = np.asarray(s, dtype=float)
-        tilde = np.where(s >= 0,
-                         P - P * (1.0 - p) * s / c,
-                         P + P * (P - 1.0) * s / c)
-        return np.maximum(p, tilde)
-
-    return k.moment(phi_minus)
-
-
 def mM_inequality_check(m: float, M: float, c: float, k: Kernel) -> dict:
     """Consistency test of measured profile extremes (m, M) = (-ln P, -ln p).
 
@@ -294,7 +273,7 @@ def classify(c: float, k: Kernel) -> RegimeReport:
     inf = [name for name, v in {**detail, "b": b, **alc}.items()
            if isinstance(v, float) and math.isinf(v)]
     if inf:
-        raise RepresentationError(
+        raise DomainError(
             f"report values {', '.join(inf)} overflow a float at c={c}")
     return RegimeReport(c, ap, am, U, beta, b, fz, True, fz is not None,
                         detail["verdict"], detail,

@@ -20,15 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from . import DomainError, NoConvergence
 from .kernels import Kernel, _exp_clip, exp_moment
-
-
-class DomainError(ValueError):
-    pass
-
-
-class NoConvergence(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)

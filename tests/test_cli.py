@@ -1,3 +1,5 @@
+import ast
+import builtins
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlkpp import cli, dde
+from nlkpp import DomainError, InvariantViolation, NoConvergence, cli, dde
 
 
 def run_cli(tmp_path, *argv):
@@ -171,6 +173,21 @@ def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("c, dt", [(2.5, 20.0), (2.5, 30.0), (50.0, 40.0)])
+def test_front_half_level_near_the_grid_end_is_numeric_failure(
+        tmp_path, capsys, c, dt):
+    # the preconditioner's dgttrf raised a ValueError on a block of one or
+    # two rows, which main reported as a config error
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"dt": dt}))
+    code, out = run_cli(tmp_path, "front", "--c", str(c), "--config",
+                        str(cfgp))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "numeric failure: start has no interior half-level\n"
+    assert not (out / "manifest.json").exists()
+
+
 def _front_with_kernel(tmp_path, kernel_text):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text('{"kernel": %s}' % kernel_text)
@@ -308,12 +325,20 @@ def test_simulate_snapshots_at_the_row_limit(tmp_path, monkeypatch):
 
     def run(state, t_end, dt=None, snapshots_at=()):
         asked.extend(snapshots_at)
-        raise cli.pdesim.MeasurementError("stopped after the size check")
+        raise NoConvergence("stopped after the size check")
 
     monkeypatch.setattr(cli.pdesim, "run", run)
     code, _ = run_cli(tmp_path, "simulate", "--T", "49.9", "--snap", "0.1")
     assert code == 2
     assert len(asked) * 2001 == 998499 <= cli.MAX_SNAPSHOT_ROWS
+
+
+def test_simulate_span_below_one_step_takes_one_step(tmp_path, capsys):
+    # it took zero steps and divided by zero
+    code, out = run_cli(tmp_path, "simulate", "--T", "1e-300")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: only 1 front positions")
 
 
 def test_simulate_negative_snap_is_config_error(tmp_path, capsys,
@@ -675,11 +700,23 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
     (["connect", "--tau", "5", "--eps", "0.3", "--kind", "p2p"],
      "eps <= 1/4"),
     (["semiwave", "--tau", "5", "--c", "1.9", "--proper"], "eps <= 1/4"),
+    # numpy's own error for a negative sample count is not caught; --n 0
+    # wrote an empty atlas
+    (["atlas", "--n", "-1"], "atlas --n must be >= 1, got -1"),
+    (["atlas", "--n", "0"], "atlas --n must be >= 1, got 0"),
+    # brentq's and numpy's own errors, before the connection was solved
+    (["connect", "--tau", "1e-300"], "needs more than 200000 nodes"),
+    (["semiwave", "--tau", "1e300", "--c", "7"],
+     "growth rate at tau=1e+300 is below 1e-9"),
+    # the snapshot times were built before the run refused the span
+    (["simulate", "--T", "-1", "--snap", "1e-300"], "--T must be > 0"),
 ], ids=["connect-tau0", "semiwave-c-underflow", "semiwave-c1",
         "semiwave-c1.9", "roots-tiny-tau",
         "classify-huge-c", "front-huge-c", "periodic-neg-eps",
         "connect-neg-eps", "region-neg-intensity", "front-grid-limit",
-        "p2p-step-limit", "p2p-eps-limit", "semiwave-p2p-eps-limit"])
+        "p2p-step-limit", "p2p-eps-limit", "semiwave-p2p-eps-limit",
+        "atlas-negative-n", "atlas-zero-n", "connect-tiny-tau",
+        "semiwave-huge-tau", "simulate-negative-T"])
 def test_out_of_range_input_is_config_error(tmp_path, capsys, argv, msg):
     code, out = run_cli_quietly(tmp_path, *argv)
     assert code == 1
@@ -902,3 +939,66 @@ def test_classify_wide_straddling_cell_has_finite_bound(tmp_path):
     rep = load(out, "classify.json")
     assert _all_finite(rep), rep
     assert rep["u_bound"] == pytest.approx(1130.29, abs=0.01)
+
+
+# -- the failure types and their exit codes --------------------------------
+
+_FAILURE_TYPES = {"DomainError": "ValueError", "NoConvergence": "RuntimeError",
+                  "InvariantViolation": "NoConvergence"}
+
+
+def _base_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else node.id
+
+
+def _is_exception_name(name):
+    obj = getattr(builtins, name, None)
+    return ((isinstance(obj, type) and issubclass(obj, BaseException))
+            or name in _FAILURE_TYPES or name.endswith(("Error", "Warning")))
+
+
+def test_package_defines_and_raises_only_its_failure_types():
+    defined, raised = set(), set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    _is_exception_name(_base_name(b)) for b in node.bases):
+                defined.add((path.name, node.name,
+                             tuple(_base_name(b) for b in node.bases)))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add((path.name, ast.unparse(exc)))
+    assert defined == {("__init__.py", name, (base,))
+                       for name, base in _FAILURE_TYPES.items()}
+    # argparse turns a type function's ArgumentTypeError into a usage
+    # error inside parse_args, so it never reaches main's exit mapping
+    others = {r for r in raised if r[1] not in _FAILURE_TYPES}
+    assert others == {("cli.py", "argparse.ArgumentTypeError")}
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (DomainError("outside the construction"), 1, "config error:"),
+    (NoConvergence("did not converge"), 2, "numeric failure:"),
+    (InvariantViolation("escaped its envelope"), 2, "numeric failure:"),
+])
+def test_main_maps_each_failure_type_to_its_exit_code(tmp_path, capsys,
+                                                      monkeypatch, error,
+                                                      code, prefix):
+    def command(args, cfg, out):
+        raise error
+    monkeypatch.setitem(cli._DISPATCH, "toy", command)
+    assert run_cli(tmp_path, "toy")[0] == code
+    assert capsys.readouterr().err == f"{prefix} {error}\n"
+
+
+@pytest.mark.parametrize("error", [ValueError("a bug"), KeyError("a bug"),
+                                   RuntimeError("a bug")])
+def test_main_lets_any_other_exception_propagate(tmp_path, monkeypatch,
+                                                 error):
+    # an internal bug shows as a traceback, not as a config error
+    def command(args, cfg, out):
+        raise error
+    monkeypatch.setitem(cli._DISPATCH, "toy", command)
+    with pytest.raises(type(error), match="a bug"):
+        run_cli(tmp_path, "toy")

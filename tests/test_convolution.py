@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nlkpp import DomainError
 from nlkpp import kernels as ker
 from nlkpp import pdesim
 
@@ -188,13 +189,13 @@ def test_stencil_lumps_fractional_atom_linearly():
 
 
 def test_stencil_rejects_zero_mass():
-    with pytest.raises(ker.KernelError):
+    with pytest.raises(DomainError, match="kernel has zero mass"):
         ker.stencil(ker.Kernel(atoms=((1.0, 0.0),)), 0.1)
 
 
 def test_stencil_rejects_mass_lumped_to_zero():
     # half of the smallest subnormal rounds to zero on both nodes
-    with pytest.raises(ker.KernelError):
+    with pytest.raises(DomainError, match="lumps to zero weights"):
         ker.stencil(ker.Kernel(atoms=((1.0, 5e-324),)), 2.0)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from nlkpp import DomainError
 from nlkpp import kernels as ker
 
 
@@ -33,17 +34,17 @@ def test_normalize_uniform_halves():
 
 
 def test_zero_mass_rejected():
-    with pytest.raises(ker.KernelError):
+    with pytest.raises(DomainError, match="zero-mass kernel"):
         ker.normalize(ker.Kernel(atoms=((0.0, 0.0),)))
 
 
 def test_negative_atom_rejected():
-    with pytest.raises(ker.KernelError):
+    with pytest.raises(DomainError, match="negative mass"):
         ker.Kernel(atoms=((0.0, -1.0),))
 
 
 def test_nonuniform_grid_rejected():
-    with pytest.raises(ker.KernelError):
+    with pytest.raises(DomainError, match="strictly increasing and uniform"):
         ker.Density(np.array([0.0, 1.0, 3.0]), np.ones(3))
 
 
@@ -121,7 +122,7 @@ def test_from_config_roundtrip():
 def test_from_config_table_length_mismatch():
     cfg = {"density": {"lo": 0.0, "hi": 1.0, "n": 5, "kind": "table",
                        "values": [1.0, 2.0]}}
-    with pytest.raises(ker.KernelError):
+    with pytest.raises(DomainError, match="exactly n values"):
         ker.from_config(cfg)
 
 
@@ -131,7 +132,7 @@ def test_from_config_table_length_mismatch():
                  "params": {"sigma": 3e-309}}},
 ])
 def test_from_config_overflowing_mass_rejected(cfg):
-    with pytest.raises(ker.KernelError, match="overflows"):
+    with pytest.raises(DomainError, match="overflows"):
         ker.from_config(cfg)
 
 
@@ -189,14 +190,14 @@ def test_alpha_on_straddling_grid(c):
 
 
 def test_moment_rejects_unknown_side():
-    with pytest.raises(ValueError, match="side"):
+    with pytest.raises(DomainError, match="side"):
         ker.dirac(1.0).moment(np.ones_like, "up")
 
 
 @pytest.mark.parametrize("n", [401.5, 10 ** 6 + 1])
 def test_from_config_density_node_count_checked(n):
     # a float was truncated, and any count went to np.linspace unchecked
-    with pytest.raises(ker.KernelError, match="density n must be an integer"):
+    with pytest.raises(DomainError, match="density n must be an integer"):
         ker.from_config({"density": {"lo": -1.0, "hi": 1.0, "n": n,
                                      "kind": "uniform"}})
 
@@ -223,7 +224,7 @@ def test_from_config_density_node_count_checked(n):
         "lo-string", "hi-bool", "sigma-string", "table-string",
         "table-bool", "hi-huge-int"])
 def test_from_config_rejects_non_numbers(cfg):
-    with pytest.raises(ker.KernelError, match="must be a finite number"):
+    with pytest.raises(DomainError, match="must be a finite number"):
         ker.from_config(cfg)
 
 

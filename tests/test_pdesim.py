@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlkpp import pdesim
+from nlkpp import DomainError, NoConvergence, pdesim
 from nlkpp.kernels import Kernel, Density, dirac, from_config
 from nlkpp.spectral import monotone_front_root
 
@@ -26,7 +26,7 @@ def test_default_initial_datum():
 @pytest.mark.parametrize("front_at", [-1.0, 400.0, 1000.0])
 def test_front_off_the_grid_rejected(front_at):
     # the datum would hold no front to track
-    with pytest.raises(ValueError, match=r"is off the grid \[0, 400\)"):
+    with pytest.raises(DomainError, match=r"is off the grid \[0, 400\)"):
         small_state(X=400.0, front_at=front_at)
 
 
@@ -44,7 +44,7 @@ def test_custom_initial_datum():
 
 
 def test_negative_initial_datum_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="must be nonnegative"):
         small_state(u0=lambda x: np.sin(x))
 
 
@@ -60,13 +60,13 @@ def test_equilibria_preserved():
 
 def test_diffusion_constraint_named():
     st = small_state()
-    with pytest.raises(pdesim.StepSizeError, match="diffusion"):
+    with pytest.raises(DomainError, match="diffusion"):
         pdesim.step(st, 0.1)
 
 
 def test_positivity_constraint_named():
     st = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
-    with pytest.raises(pdesim.StepSizeError, match="positivity"):
+    with pytest.raises(DomainError, match="positivity"):
         pdesim.step(st, 0.1)
 
 
@@ -137,17 +137,17 @@ def test_front_position_interpolates():
 
 def test_front_off_grid_raises():
     st = small_state(u0=lambda x: np.full_like(x, 0.1))
-    with pytest.raises(pdesim.MeasurementError):
+    with pytest.raises(NoConvergence, match="set is off-grid"):
         pdesim.front_position(st)
     st2 = small_state(u0=lambda x: np.full_like(x, 0.9))
-    with pytest.raises(pdesim.MeasurementError):
+    with pytest.raises(NoConvergence, match="set is off-grid"):
         pdesim.front_position(st2)
 
 
 def test_front_speed_needs_enough_records():
     st = small_state(X=120.0)
     pdesim.run(st, 2.0, record_dt=1.0)
-    with pytest.raises(pdesim.MeasurementError):
+    with pytest.raises(NoConvergence, match="front positions after transient"):
         pdesim.front_speed(st)
 
 
@@ -244,5 +244,5 @@ def test_no_ringing_at_the_cap():
 
 def test_run_keeps_positivity_precondition():
     st = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
-    with pytest.raises(pdesim.StepSizeError, match="positivity"):
+    with pytest.raises(DomainError, match="positivity"):
         pdesim.run(st, 1.0, dt=0.1)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from nlkpp import DomainError, InvariantViolation, NoConvergence
 from nlkpp import kernels as ker
 from nlkpp import profiles as pf
 
@@ -43,6 +44,30 @@ def test_profile_periodic_tail():
     assert p(1.25) == pytest.approx(p(2.25), abs=1e-12)
 
 
+@pytest.mark.parametrize("tail", [{}, {"tail_mesh": np.ones(5)},
+                                  {"tail_period": 1.0},
+                                  {"tail_mesh": np.ones(5), "tail_period": 0.0}])
+def test_profile_periodic_tail_needs_mesh_and_period(tail):
+    # refused when built, not at the first evaluation beyond the grid
+    with pytest.raises(DomainError, match="without mesh/period"):
+        pf.Profile(0.0, 0.1, np.linspace(0.0, 1.0, 11), right_tail="periodic",
+                   **tail)
+
+
+def test_grid_operator_refuses_a_periodic_tail():
+    # the grid convolution closes the right end with a constant tail, so a
+    # periodic one is outside what the operator covers
+    ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
+    t_lo, dt, n = pf.default_grid(ctx, 0.05)
+    prof = pf.Profile(t_lo, dt, np.ones(n), left_limit=1.0,
+                      right_tail="periodic", tail_mesh=np.ones(5),
+                      tail_period=1.0)
+    with pytest.raises(DomainError, match="needs a constant right tail"):
+        pf.am_apply(prof, ctx)
+    with pytest.raises(DomainError, match="needs a constant right tail"):
+        pf.residual(prof, ctx.c, ctx.kernel)
+
+
 # -- context and envelopes -------------------------------------------------
 
 @pytest.mark.parametrize("c", [3.0, 1e3, 1e6])
@@ -60,7 +85,7 @@ def test_wave_context_constants(c):
 ])
 def test_default_grid_rejects_bad_step(dt, msg):
     ctx = pf.WaveContext(3.0, ker.dirac(0.0))
-    with pytest.raises(pf.DomainError, match=msg):
+    with pytest.raises(DomainError, match=msg):
         pf.default_grid(ctx, dt)
 
 
@@ -126,7 +151,7 @@ def test_lower_solution_below_upper():
 
 def test_lower_solution_needs_speed_gap():
     ctx = pf.WaveContext(2.0, ker.dirac(0.0), beta=2.0)
-    with pytest.raises(pf.DomainError, match="needs c > 2"):
+    with pytest.raises(DomainError, match="needs c > 2"):
         pf.lower_solution(ctx, pf.kpp_upper_front(ctx))
 
 
@@ -259,7 +284,7 @@ def test_two_sided_integrals_second_order_for_exponential(exp_left_tail):
 def test_operator_rejects_out_of_range_input():
     ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
     bad = _constant_profile(2 * ctx.beta + 1.0, ctx)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match=r"0 <= phi <= 2 beta"):
         pf.am_apply(bad, ctx)
 
 
@@ -420,7 +445,7 @@ def test_newton_failure_raises(monkeypatch, name, value, reason):
     # the requested tol stands in for it
     ctx = pf.WaveContext(3.0, _mixed_kernel())
     monkeypatch.setattr(pf, name, value)
-    with pytest.raises(pf.NoConvergence, match=re.escape(reason)):
+    with pytest.raises(NoConvergence, match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)
 
 
@@ -474,8 +499,7 @@ def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
     if cap is not None:
         monkeypatch.setattr(pf, "NEWTON_MAX_STEPS", cap)
     ctx = pf.WaveContext(c, ker.dirac(s))
-    with pytest.raises((pf.InvariantViolation, pf.NoConvergence),
-                       match=re.escape(reason)):
+    with pytest.raises(NoConvergence, match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)
     if s == 8.0:
         assert calls == [(4.0, pf.START_TOL, 0.04), (4.0, pf.START_TOL, 0.02)]
@@ -569,10 +593,10 @@ def test_start_ladder_raises_a_failed_start_at_once(monkeypatch):
 
     def start(ctx, tol, dt):
         calls.append((ctx.beta, dt))
-        raise pf.NoConvergence("stagnated")
+        raise NoConvergence("stagnated")
 
     monkeypatch.setattr(pf, "picard_front", start)
-    with pytest.raises(pf.NoConvergence, match="stagnated"):
+    with pytest.raises(NoConvergence, match="stagnated"):
         pf.solve_front(pf.WaveContext(2.5, ker.dirac(5.0)), dt=0.02)
     assert calls == [(4.0, 0.04)]
 
@@ -585,11 +609,11 @@ def test_start_ladder_raises_its_last_rungs_reason(monkeypatch):
 
     def start(ctx, tol, dt):
         calls.append((ctx.beta, dt))
-        raise pf.InvariantViolation(f"escaped at beta={ctx.beta}, dt={dt}")
+        raise InvariantViolation(f"escaped at beta={ctx.beta}, dt={dt}")
 
     monkeypatch.setattr(pf, "picard_front", start)
     ctx = pf.WaveContext(2.5, ker.dirac(5.0))
-    with pytest.raises(pf.InvariantViolation,
+    with pytest.raises(InvariantViolation,
                        match=re.escape("escaped at beta=4.0, dt=0.02")):
         pf.solve_front(ctx, dt=0.02)
     assert calls == [(4.0, 0.04), (4.0, 0.02)]

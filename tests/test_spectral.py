@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from nlkpp import DomainError, NoConvergence
 from nlkpp import kernels as ker
 from nlkpp import spectral as sp
 
@@ -24,7 +25,7 @@ def test_quad_roots_critical_speed():
 
 
 def test_quad_roots_subcritical_raises():
-    with pytest.raises(sp.DomainError):
+    with pytest.raises(DomainError, match="no real decay rates"):
         sp.quad_roots(1.9)
 
 
@@ -173,7 +174,7 @@ def test_chi1_overflowing_newton_seed_emits_no_warning():
 
 
 def test_chi1_domain_error():
-    with pytest.raises(sp.DomainError):
+    with pytest.raises(DomainError, match="needs tau > 0"):
         sp.chi1_roots(0.0)
 
 
@@ -239,7 +240,7 @@ def test_toy_steady_complex_pair():
 
 
 def test_toy_steady_no_convergence_raises():
-    with pytest.raises(sp.NoConvergence):
+    with pytest.raises(NoConvergence, match="Newton did not converge"):
         # seed far out in the left half-plane where the exponential swamps
         # Newton; iteration wanders without converging
         sp.toy_steady_roots(TOY_C, TOY_CTAU, -300.0 + 1.0j)
