@@ -104,11 +104,10 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _config_number(cfg: dict, *path: str, default=None,
-                   positive: bool = False):
+def _config_number(cfg: dict, *path: str, positive: bool = False):
     """The config value at cfg[path[0]][path[1]]..., which must be a finite
-    real number and not a bool (and > 0 if `positive`); `default` where the
-    key is absent.  Anything else is a DomainError."""
+    real number and not a bool (and > 0 if `positive`); None where the key
+    is absent.  Anything else is a DomainError."""
     name = ".".join(path)
     where = cfg
     for key in path[:-1]:
@@ -116,11 +115,17 @@ def _config_number(cfg: dict, *path: str, default=None,
         if not isinstance(where, dict):
             raise DomainError(f"config {key!r} must be a JSON object")
     if path[-1] not in where:
-        return default
+        return None
     value = finite_number(where[path[-1]], name)
     if positive and not value > 0:
         raise DomainError(f"{name} must be > 0, got {value!r}")
     return value
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that are not None: the config numbers present,
+    so the solver's own defaults stand for the rest."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _kernel_from(cfg: dict) -> Kernel:
@@ -188,8 +193,8 @@ def cmd_region(args, cfg, out: Path) -> None:
 
 
 def cmd_front(args, cfg, out: Path) -> None:
-    tol = _config_number(cfg, "tol", default=1e-9, positive=True)
-    dt = _config_number(cfg, "dt", default=0.0025)
+    given = _given(tol=_config_number(cfg, "tol", positive=True),
+                   dt=_config_number(cfg, "dt"))
     beta = _config_number(cfg, "beta")
     # g_beta is the identity only on [0, beta], and every front approaches 1
     if beta is not None and not beta >= 1:
@@ -199,7 +204,7 @@ def cmd_front(args, cfg, out: Path) -> None:
                           "overflows")
     k = _kernel_from(cfg)
     ctx = profiles.WaveContext(args.c, k, beta=beta)
-    prof = profiles.solve_front(ctx, tol=tol, dt=dt)
+    prof = profiles.solve_front(ctx, **given)
     vals, d = prof.values, prof.diagnostics
     if vals.max() > ctx.beta:
         raise DomainError(f"the front reaches phi_max = {vals.max():.6g} > "
@@ -285,46 +290,21 @@ def cmd_semiwave(args, cfg, out: Path) -> None:
     write_json(out / "semiwave.json", report)
 
 
-# largest snapshots.csv in rows (snapshot count times grid points), which
-# are built in Python: 400,200 rows peaked at 190 MB and 998,499 at 353 MB
-# (2-core x86-64 VM)
-MAX_SNAPSHOT_ROWS = 10 ** 6
-
-
 def cmd_simulate(args, cfg, out: Path) -> None:
     if not args.T > 0:
         raise DomainError(f"--T must be > 0, got {args.T}")
     if not args.snap >= 0:
         raise DomainError(f"--snap must be >= 0 (0 disables), got {args.snap}")
-    dx = _config_number(cfg, "dx", default=0.2)
-    X = _config_number(cfg, "X", default=400.0)
-    front_at = _config_number(cfg, "init", "params", "front_at", default=20.0)
-    dt = _config_number(cfg, "dt", positive=True)
-    k = _kernel_from(cfg)
-    # dt and the step count are checked before the grid is allocated
-    dt = pdesim.time_step(dx, dt)
-    pdesim.step_count(args.T, dt)
-    state = pdesim.initial_state(k, X=X, dx=dx, front_at=front_at)
-    snap_times = []
-    if args.snap:
-        # the length of the np.arange below, counted in floats first: a
-        # tiny --snap gives inf here, not a huge array
-        count = np.ceil((args.T + 1e-9 - args.snap) / args.snap)
-        if not count * state.x.size <= MAX_SNAPSHOT_ROWS:
-            raise DomainError(
-                f"--snap {args.snap:g} at --T {args.T:g} writes more than "
-                f"{MAX_SNAPSHOT_ROWS} snapshot rows; raise --snap or lower T")
-        snap_times = list(np.arange(args.snap, args.T + 1e-9, args.snap))
-    snaps = pdesim.run(state, args.T, dt=dt, snapshots_at=snap_times)
-    rows = []
-    for t, u in snaps:
-        for xi, ui in zip(state.x, u):
-            rows.append((t, xi, ui))
-    write_csv(out / "snapshots.csv", ["t", "x", "u"], rows)
-    write_json(out / "speed.json", {
-        "T": args.T, "speed": pdesim.front_speed(state),
-        "u_min": float(state.u.min()), "u_max": float(state.u.max()),
-        "n_records": len(state.times)})
+    given = _given(dx=_config_number(cfg, "dx"), X=_config_number(cfg, "X"),
+                   front_at=_config_number(cfg, "init", "params", "front_at"),
+                   dt=_config_number(cfg, "dt", positive=True))
+    rep = pdesim.measure_speed(_kernel_from(cfg), T=args.T, snap=args.snap,
+                               **given)
+    x = rep.pop("state").x
+    write_csv(out / "snapshots.csv", ["t", "x", "u"],
+              [(t, xi, ui) for t, u in rep.pop("snapshots")
+               for xi, ui in zip(x, u)])
+    write_json(out / "speed.json", rep)
 
 
 ATLAS_MAX_N = 1000  # the atlas builds n^2 rows in Python

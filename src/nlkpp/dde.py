@@ -543,6 +543,20 @@ class ConnectionRun:
     decay_fits: list = field(default_factory=list)
 
 
+def _zero_to_one_mesh(tau, eps, n_per_delay=CONNECT_N_PER_DELAY):
+    """Growth rate z1, step h and half-width in steps of the zero-to-one
+    mesh over +-max(20 tau, 12 / z1), which grows with eps as z1 falls; over
+    CONNECT_MAX_NODES nodes, DomainError."""
+    z1 = growth_rate(tau, eps)
+    h = tau / n_per_delay
+    span = max(20.0 * tau, 12.0 / z1)
+    if not span <= 0.5 * (CONNECT_MAX_NODES - 1) * h:
+        raise DomainError(
+            f"a connection mesh over [-{span:g}, {span:g}] at step {h:g} "
+            f"needs more than {CONNECT_MAX_NODES} nodes; raise tau")
+    return z1, h, math.ceil(span / h)
+
+
 def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     """Collocation BVP for the zero-to-one connection: trapezoid boxes on a
     uniform mesh whose step divides the delay, left tail projected on the
@@ -554,14 +568,7 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     Returns the mesh, the growth rate, the starting point (the `warm`
     solution's profile interpolated, else the logistic at the growth rate)
     and the map x -> (residual, Jacobian thunk)."""
-    z1 = growth_rate(tau, eps)
-    h = tau / n_per_delay
-    span = max(20.0 * tau, 12.0 / z1)
-    if not span <= 0.5 * (CONNECT_MAX_NODES - 1) * h:
-        raise DomainError(
-            f"a connection mesh over [-{span:g}, {span:g}] at step {h:g} "
-            f"needs more than {CONNECT_MAX_NODES} nodes; raise tau")
-    half = math.ceil(span / h)
+    z1, h, half = _zero_to_one_mesh(tau, eps, n_per_delay)
     n = 2 * half + 1
     tg = h * (np.arange(n) - half)
     m = n_per_delay
@@ -664,6 +671,9 @@ def heteroclinic(tau: float, eps: float = 0.0,
     if tau <= 0:
         raise DomainError(f"connecting orbits need tau > 0, got tau={tau}")
     if kind == "zero-to-one":
+        # the target rung has the largest mesh: refuse it before the climb
+        if 0 <= eps < math.inf:
+            _zero_to_one_mesh(tau, eps)
         sols = _continue(lambda e, warm: _solve_zero_to_one(tau, e, warm), eps)
         return ConnectionRun(
             tau=tau, kind=kind, eps_ladder=[s["eps"] for s in sols],

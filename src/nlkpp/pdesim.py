@@ -11,7 +11,9 @@ predictor-corrector for the reaction u(1 - K*u).  Unless a dt is given it
 takes dt = max(0.4 dx^2, min(0.05, 5 dx^2)): never more steps than the
 explicit rule dt = 0.4 dx^2, and dt/dx^2 never above 5.  `step` (explicit
 midpoint) and `local_reference_step` are the explicit oracles the tests
-compare `run` against.
+compare `run` against.  `measure_speed` is the one run from settings to
+report, the one `simulate` writes, under the limits MAX_SIM_NODES,
+MAX_SIM_STEPS and MAX_SNAPSHOT_ROWS.
 """
 from __future__ import annotations
 
@@ -42,8 +44,11 @@ class SimState:
     stencil: Stencil | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not _is_local(self.kernel):
-            self.stencil = stencil(self.kernel, self.dx).reversed()
+        # K*u in the u(x + s) orientation; None for delta(s), where K*u = u
+        k = self.kernel
+        if not (k.nodes.size == 1 and k.nodes[0] == 0.0
+                and k.masses[0] == 1.0):
+            self.stencil = stencil(k, self.dx).reversed()
 
     @property
     def dx(self) -> float:
@@ -67,11 +72,10 @@ RINGING_RATIO = 5.0
 # largest run in grid cells and steps (the workloads take 4,000 and 1,600)
 MAX_SIM_NODES = 10 ** 6
 MAX_SIM_STEPS = 10 ** 6
-
-
-def _is_local(kernel: Kernel) -> bool:
-    return (kernel.nodes.size == 1 and kernel.nodes[0] == 0.0
-            and kernel.masses[0] == 1.0)
+# largest snapshot record in rows (snapshot count times grid points), which
+# the CLI writes from Python: 400,200 rows peaked at 190 MB and 998,499 at
+# 353 MB (2-core x86-64 VM)
+MAX_SNAPSHOT_ROWS = 10 ** 6
 
 
 def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
@@ -98,22 +102,19 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
     return SimState(x=x, u=u, t=0.0, kernel=kernel)
 
 
-def convolve_grid(kernel: Kernel, x: np.ndarray, u: np.ndarray,
-                  st: Stencil | None = None) -> np.ndarray:
-    """Nonlocal interaction (K*u)(x_i) = integral of u(x_i + s) dK(s), with u
-    extended by its boundary values outside [x_0, x_n]; `st` is the reversed
-    stencil a SimState builds once.
+def convolve_grid(state: SimState, u: np.ndarray) -> np.ndarray:
+    """Nonlocal interaction (K*u)(x_i) = integral of u(x_i + s) dK(s) on the
+    state's mesh, with u extended by its boundary values outside
+    [x_0, x_n].
 
     The + sign matches the wave ansatz u(t, x) = phi(ct - x) used with the
     default datum (u = 1 on the left): a delayed kernel atom (s > 0) samples
     toward the leading edge of a rightward-moving front, exactly as the
     profile convolution samples phi(t - s).
     """
-    if _is_local(kernel):
+    if state.stencil is None:
         return u.copy()
-    if st is None:
-        st = stencil(kernel, float(x[1] - x[0])).reversed()
-    return convolve(st, u, u[0], u[-1])
+    return convolve(state.stencil, u, u[0], u[-1])
 
 
 def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
@@ -124,9 +125,20 @@ def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
     return lap / (dx * dx)
 
 
+def _reaction(state: SimState, u: np.ndarray, dt: float | None = None):
+    """The growth rate 1 - K*u; given the step dt, first checks positivity
+    of the reaction update, dt <= 0.5 / max|1 - K*u|."""
+    r = 1.0 - convolve_grid(state, u)
+    if dt is not None:
+        rmax = float(np.max(np.abs(r)))
+        if rmax > 0 and dt > 0.5 / rmax + 1e-15:
+            raise DomainError(f"positivity violated: dt = {dt} > "
+                              f"0.5/max|1 - K*u| = {0.5 / rmax}")
+    return r
+
+
 def _rhs(state: SimState, u: np.ndarray) -> np.ndarray:
-    conv = convolve_grid(state.kernel, state.x, u, state.stencil)
-    return _laplacian(u, state.dx) + u * (1.0 - conv)
+    return _laplacian(u, state.dx) + u * _reaction(state, u)
 
 
 def step(state: SimState, dt: float) -> SimState:
@@ -141,12 +153,7 @@ def step(state: SimState, dt: float) -> SimState:
     if dt > 0.4 * dx * dx + 1e-15:
         raise DomainError(
             f"diffusion stability violated: dt = {dt} > 0.4 dx^2 = {0.4 * dx * dx}")
-    r = 1.0 - convolve_grid(state.kernel, state.x, state.u, state.stencil)
-    rmax = float(np.max(np.abs(r)))
-    if rmax > 0 and dt > 0.5 / rmax + 1e-15:
-        raise DomainError(
-            f"positivity violated: dt = {dt} > 0.5/max|1 - K*u| = {0.5 / rmax}")
-    f0 = _laplacian(state.u, dx) + state.u * r
+    f0 = _laplacian(state.u, dx) + state.u * _reaction(state, state.u, dt)
     u_half = state.u + 0.5 * dt * f0
     state.u = state.u + dt * _rhs(state, u_half)
     state.t += dt
@@ -210,16 +217,10 @@ def _imex_step(state: SimState, dt: float, solve) -> None:
     M u* = rhs + dt f(u) and the corrector M u+ = rhs + (dt/2)(f(u) + f(u*)),
     where M = I - (dt/2) lap."""
     u = state.u
-    r = 1.0 - convolve_grid(state.kernel, state.x, u, state.stencil)
-    rmax = float(np.max(np.abs(r)))
-    if rmax > 0 and dt > 0.5 / rmax + 1e-15:
-        raise DomainError(
-            f"positivity violated: dt = {dt} > 0.5/max|1 - K*u| = {0.5 / rmax}")
-    f0 = u * r
+    f0 = u * _reaction(state, u, dt)
     rhs = u + 0.5 * dt * _laplacian(u, state.dx)
     u_star = solve(rhs + dt * f0)
-    f1 = u_star * (1.0 - convolve_grid(state.kernel, state.x, u_star,
-                                       state.stencil))
+    f1 = u_star * _reaction(state, u_star)
     state.u = solve(rhs + 0.5 * dt * (f0 + f1))
     state.t += dt
 
@@ -287,7 +288,7 @@ def front_speed(state: SimState) -> float:
 def local_reference_step(state: SimState, dt: float) -> SimState:
     """Dedicated local Fisher-KPP step (convolution short-circuited to u);
     identical discretization to step() for K = delta(s)."""
-    if not _is_local(state.kernel):
+    if state.stencil is not None:
         raise DomainError("local reference requires the unit atom at 0")
     dx = state.dx
     f0 = _laplacian(state.u, dx) + state.u * (1.0 - state.u)
@@ -298,15 +299,30 @@ def local_reference_step(state: SimState, dt: float) -> SimState:
 
 
 def measure_speed(kernel: Kernel = None, T: float = 40.0, X: float = 400.0,
-                  dx: float = 0.2) -> dict:
-    """End-to-end convenience: build the default state, run to T, report the
-    fitted speed and positivity floor."""
+                  dx: float = 0.2, dt: float | None = None,
+                  front_at: float = 20.0, snap: float = 0.0) -> dict:
+    """The PDE cross-check `simulate` writes: the default datum, front at
+    front_at, on [0, X], run to T at time_step(dx, dt) with a snapshot
+    every `snap` (0 takes none).  The step count is checked before the grid
+    is built, and the snapshot rows (at most MAX_SNAPSHOT_ROWS) before the
+    run.  Returns the fitted speed, the range of u and the record count,
+    with the final `state` and the (t, u) `snapshots`."""
     if kernel is None:
         kernel = dirac(0.0)
-    state = initial_state(kernel, X=X, dx=dx)
-    run(state, T)
-    return {"speed": front_speed(state),
-            "u_min": float(state.u.min()),
-            "u_max": float(state.u.max()),
-            "n_records": len(state.times),
-            "state": state}
+    dt = time_step(dx, dt)
+    step_count(T, dt)
+    state = initial_state(kernel, X=X, dx=dx, front_at=front_at)
+    snap_times = []
+    if snap:
+        # the length of the np.arange below, counted in floats first: a
+        # tiny snap gives inf here, not a huge array
+        count = np.ceil((T + 1e-9 - snap) / snap)
+        if not count * state.x.size <= MAX_SNAPSHOT_ROWS:
+            raise DomainError(
+                f"--snap {snap:g} at --T {T:g} writes more than "
+                f"{MAX_SNAPSHOT_ROWS} snapshot rows; raise --snap or lower T")
+        snap_times = list(np.arange(snap, T + 1e-9, snap))
+    snaps = run(state, T, dt=dt, snapshots_at=snap_times)
+    return {"T": T, "speed": front_speed(state), "u_min": float(state.u.min()),
+            "u_max": float(state.u.max()), "n_records": len(state.times),
+            "state": state, "snapshots": snaps}

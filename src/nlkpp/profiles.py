@@ -738,8 +738,9 @@ TOY_CTAU = 2.0 * math.log(1.5)
 
 
 def _toy_branches():
-    """Closed-form branch functions and their derivatives for the three toy
-    fronts; returns (funcs, constants)."""
+    """The three toy fronts in closed form, each f(t, order): the order-th
+    derivative of 1/2 e^{lam t} for t <= 0 and of 1 + Re sum a e^{z t} for
+    t > 0; returns (funcs, constants)."""
     z4 = toy_steady_roots(TOY_C, TOY_CTAU, -4.0 + 0j).real
     zc = toy_steady_roots(TOY_C, TOY_CTAU, -6.0 + 10.0j)
     x0, y0 = zc.real, abs(zc.imag)
@@ -751,32 +752,20 @@ def _toy_branches():
     ahat = math.sqrt(0.25 + sin_term ** 2)
     z0 = math.atan2(sin_term / ahat, -0.5 / ahat)
 
-    def mk(leftrate, right, dright, d2right):
-        lf = lambda t: 0.5 * np.exp(leftrate * t)
-        dlf = lambda t: 0.5 * leftrate * np.exp(leftrate * t)
-        d2lf = lambda t: 0.5 * leftrate ** 2 * np.exp(leftrate * t)
-        f = lambda t: np.where(t <= 0, lf(np.minimum(t, 0.0)),
-                               right(np.maximum(t, 0.0)))
-        df = lambda t: np.where(t <= 0, dlf(np.minimum(t, 0.0)),
-                                dright(np.maximum(t, 0.0)))
-        d2f = lambda t: np.where(t <= 0, d2lf(np.minimum(t, 0.0)),
-                                 d2right(np.maximum(t, 0.0)))
-        return f, df, d2f
+    def front(lam, terms):
+        def f(t, order=0):
+            t = np.asarray(t, dtype=float)
+            right, tr = float(order == 0), np.maximum(t, 0.0)
+            for amp, z in terms:
+                right = right + (amp * z ** order * np.exp(z * tr)).real
+            return np.where(t <= 0, 0.5 * lam ** order
+                            * np.exp(lam * np.minimum(t, 0.0)), right)
+        return f
 
-    f1 = mk(0.5, lambda t: 1 - 0.5 * np.exp(-0.5 * t),
-            lambda t: 0.25 * np.exp(-0.5 * t),
-            lambda t: -0.125 * np.exp(-0.5 * t))
-    f2 = mk(2.0,
-            lambda t: 1 - a * np.exp(-0.5 * t) - bb * np.exp(z4 * t),
-            lambda t: 0.5 * a * np.exp(-0.5 * t) - z4 * bb * np.exp(z4 * t),
-            lambda t: -0.25 * a * np.exp(-0.5 * t) - z4 * z4 * bb * np.exp(z4 * t))
-    f3 = mk(2.0,
-            lambda t: 1 + ahat * np.exp(x0 * t) * np.cos(y0 * t + z0),
-            lambda t: ahat * np.exp(x0 * t) * (
-                x0 * np.cos(y0 * t + z0) - y0 * np.sin(y0 * t + z0)),
-            lambda t: ahat * np.exp(x0 * t) * (
-                (x0 * x0 - y0 * y0) * np.cos(y0 * t + z0)
-                - 2 * x0 * y0 * np.sin(y0 * t + z0)))
+    f1 = front(0.5, [(-0.5, -0.5)])
+    f2 = front(2.0, [(-a, -0.5), (-bb, z4)])
+    # ahat e^{x0 t} cos(y0 t + z0) = Re(ahat e^{i z0} e^{(x0 + i y0) t})
+    f3 = front(2.0, [(ahat * np.exp(1j * z0), complex(x0, y0))])
     consts = {"z4": z4, "x0": x0, "y0": y0, "a": float(a), "b": float(bb),
               "ahat": ahat, "z0": z0,
               # previously reported values for the oscillating profile; the
@@ -785,12 +774,13 @@ def _toy_branches():
     return (f1, f2, f3), consts
 
 
-def toy_residual(f, df, d2f, t):
-    """Defect of a closed-form toy front against the piecewise equation:
-    phi'' - c phi' = -phi where phi < 1/2, else -(1 - phi(t - c tau))."""
+def toy_residual(f, t):
+    """Defect of a closed-form toy front f(t, order) against the piecewise
+    equation: phi'' - c phi' = -phi where phi < 1/2, else
+    -(1 - phi(t - c tau))."""
     t = np.asarray(t, dtype=float)
     phi = f(t)
-    lhs = d2f(t) - TOY_C * df(t)
+    lhs = f(t, 2) - TOY_C * f(t, 1)
     rhs = np.where(phi < 0.5, -phi, -(1.0 - f(t - TOY_CTAU)))
     return lhs - rhs
 
@@ -799,7 +789,7 @@ def toy_fronts(dt: float = 1e-3, half_width: float = 12.0):
     """The three closed-form toy-model fronts (two monotone, one
     oscillating) with junction/residual diagnostics and all derived
     constants."""
-    (f1, f2, f3), consts = _toy_branches()
+    funcs, consts = _toy_branches()
     t0 = -half_width
     n = int(round(2 * half_width / dt)) + 1
     tg = t0 + dt * np.arange(n)
@@ -807,18 +797,18 @@ def toy_fronts(dt: float = 1e-3, half_width: float = 12.0):
     window = np.linspace(1e-9, TOY_CTAU, 4001)
     outside = np.concatenate([np.linspace(-half_width, -1e-6, 2001),
                               np.linspace(TOY_CTAU + 1e-9, half_width, 2001)])
-    for name, (f, df, d2f) in zip(("phi1", "phi2", "phi3"), (f1, f2, f3)):
+    for name, f in zip(("phi1", "phi2", "phi3"), funcs):
         prof = Profile(t0, dt, f(tg), left_limit=0.0, right_limit=1.0,
                        left_rate=0.5 if name == "phi1" else 2.0)
         c0 = abs(float(f(-1e-12)) - float(f(1e-12)))
-        c1 = abs(float(df(-1e-12)) - float(df(1e-12)))
+        c1 = abs(float(f(-1e-12, 1)) - float(f(1e-12, 1)))
         prof.diagnostics.update({
             "c0_mismatch": c0,
             "c1_mismatch": c1,
             "residual_outside_window": float(
-                np.max(np.abs(toy_residual(f, df, d2f, outside)))),
+                np.max(np.abs(toy_residual(f, outside)))),
             "residual_window_sup": float(
-                np.max(np.abs(toy_residual(f, df, d2f, window)))),
+                np.max(np.abs(toy_residual(f, window)))),
         })
         profiles.append(prof)
     return profiles[0], profiles[1], profiles[2], consts

@@ -305,3 +305,16 @@ def test_12_monotone_front_for_far_advanced_atom(tmp_path):
         assert np.all(np.diff(phi) > -1e-10)
         assert 0.0 < phi.min() and phi.max() <= rg.u_bound(c, ker.dirac(s))
         assert phi.max() == pytest.approx(1.0, abs=1e-4)
+
+
+def test_oversized_connection_mesh_is_refused_before_the_ladder(tmp_path,
+                                                                 capsys):
+    # the mesh grows with eps: the target's 240,721 nodes are refused at
+    # once, where the climb to it took 31 rungs, up to 176,573 nodes
+    with Budget(5.0):
+        code = cli.main(["connect", "--tau", "5", "--eps", "1e6",
+                         "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "needs more than 200000 nodes" in err

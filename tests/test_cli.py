@@ -318,6 +318,42 @@ def test_simulate_speed_json(tmp_path):
     assert len(lines) == 1 + 2 * 2001
 
 
+MIXED_KERNEL = {"atoms": [{"s": 1.0, "mass": 0.3}],
+                "density": {"lo": -4, "hi": 4, "n": 201, "kind": "gaussian",
+                            "params": {"sigma": 0.5}}}
+
+
+@pytest.mark.parametrize("kspec", [None, MIXED_KERNEL],
+                         ids=["local", "atom+gaussian"])
+def test_simulate_writes_the_measure_speed_report(tmp_path, kspec):
+    # simulate is measure_speed at the config's settings, nothing more
+    cfg = {"X": 200, "dx": 0.25, "init": {"params": {"front_at": 15}}}
+    kernel = cli.dirac(0.0)
+    if kspec is not None:
+        cfg["kernel"] = kspec
+        kernel = cli.from_config(kspec)[0]
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    code, out = run_cli(tmp_path, "simulate", "--T", "15", "--snap", "5",
+                        "--config", str(cfgp))
+    assert code == 0
+    rep = cli.pdesim.measure_speed(kernel, T=15.0, X=200.0, dx=0.25,
+                                   front_at=15.0, snap=5.0)
+    x, snaps = rep.pop("state").x, rep.pop("snapshots")
+    assert load(out, "speed.json") == rep
+    rows = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3 * x.size, 3)
+    assert np.allclose(rows[:, 2], np.concatenate([u for _, u in snaps]),
+                       rtol=1e-11, atol=1e-300)
+
+
+def test_measure_speed_refuses_snapshot_rows_before_the_run(monkeypatch):
+    # 500 snapshots of the default 2,001-point grid: 1,000,500 rows
+    monkeypatch.setattr(cli.pdesim, "run", _no_call)
+    with pytest.raises(DomainError, match="more than 1000000 snapshot rows"):
+        cli.pdesim.measure_speed(T=50.0, snap=0.1)
+
+
 def test_simulate_snapshots_at_the_row_limit(tmp_path, monkeypatch):
     # 499 snapshots of the default 2,001-point grid, 998,499 rows, are
     # within MAX_SNAPSHOT_ROWS: the run is asked for all of them
@@ -330,7 +366,7 @@ def test_simulate_snapshots_at_the_row_limit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.pdesim, "run", run)
     code, _ = run_cli(tmp_path, "simulate", "--T", "49.9", "--snap", "0.1")
     assert code == 2
-    assert len(asked) * 2001 == 998499 <= cli.MAX_SNAPSHOT_ROWS
+    assert len(asked) * 2001 == 998499 <= cli.pdesim.MAX_SNAPSHOT_ROWS
 
 
 def test_simulate_span_below_one_step_takes_one_step(tmp_path, capsys):

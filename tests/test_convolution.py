@@ -102,10 +102,12 @@ def test_pde_adapter_matches_edge_extension_oracle(kind):
     kernel = asymmetric_kernel(kind, 1.1, 0.2)
     state = pdesim.initial_state(kernel, X=40.0, dx=0.2)
     u = state.u
-    got = pdesim.convolve_grid(kernel, state.x, u, state.stencil)
+    got = pdesim.convolve_grid(state, u)
     ref = oracle(kernel, state.dx, u, u[0], u[-1], None, sign=+1)
     assert np.max(np.abs(got - ref)) < 1e-12
-    assert np.array_equal(got, pdesim.convolve_grid(kernel, state.x, u))
+    # the state's stencil is the grid operator's, in the u(x + s) orientation
+    st_u = ker.stencil(kernel, state.dx).reversed()
+    assert np.array_equal(got, ker.convolve(st_u, u, u[0], u[-1]))
 
 
 @pytest.mark.parametrize("sign", [-1, +1])

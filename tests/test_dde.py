@@ -364,6 +364,20 @@ def test_eps_ladder_rejects_eps_out_of_range(eps):
         dde._continue(solve, eps)
 
 
+def test_oversized_target_mesh_is_refused_before_any_rung(monkeypatch):
+    # the mesh grows with eps, so the target's is the one to check: rungs
+    # up to eps = 536,870.9 (176,573 nodes) fit, the target's 240,721 not
+    halves = [dde._zero_to_one_mesh(5.0, e)[2]
+              for e in (0.0, 1e-3, 1.0, 1e3, 536870.9)]
+    assert halves == sorted(halves) and 2 * halves[-1] + 1 == 176573
+
+    def solve(*args):
+        raise AssertionError("no rung may be solved")
+    monkeypatch.setattr(dde, "_solve_zero_to_one", solve)
+    with pytest.raises(DomainError, match="needs more than 200000 nodes"):
+        dde.heteroclinic(5.0, 1e6)
+
+
 def test_orbit_eps_continuation():
     o = dde.find_periodic(TAU, eps=5e-3)
     assert o.residual < 1e-10

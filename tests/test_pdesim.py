@@ -99,10 +99,10 @@ def test_local_kernel_reduction_per_step():
 
 
 def test_atom_shift_convolution():
-    st = small_state()
+    st = small_state(dirac(1.0))
     # a delayed atom samples toward the leading edge: u(x + 1); whole-cell
     # shifts are exact, and the right edge extends by the boundary value
-    conv = pdesim.convolve_grid(dirac(1.0), st.x, st.u)
+    conv = pdesim.convolve_grid(st, st.u)
     n = int(round(1.0 / st.dx))
     assert np.max(np.abs(conv[:-n] - st.u[n:])) < 1e-14
     assert np.all(conv[-n:] == st.u[-1])
@@ -111,8 +111,8 @@ def test_atom_shift_convolution():
 def test_density_convolution_mass():
     g = np.linspace(-1.0, 1.0, 21)
     k = Kernel(density=Density(g, np.ones_like(g) / 2.0))
-    st = small_state(u0=lambda x: np.full_like(x, 0.7))
-    conv = pdesim.convolve_grid(k, st.x, st.u)
+    st = small_state(k, u0=lambda x: np.full_like(x, 0.7))
+    conv = pdesim.convolve_grid(st, st.u)
     assert np.max(np.abs(conv - 0.7)) < 1e-12
 
 

@@ -707,6 +707,22 @@ def test_toy_constants():
     assert consts["a"] + consts["b"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["phi1", "phi2", "phi3"])
+def test_toy_derivatives_match_central_differences(k):
+    # f(t, 1) and f(t, 2) are what the residual and the C^1 check read;
+    # away from the junction at t = 0 the difference quotients of f(t, 0)
+    # and f(t, 1) agree with them to 4e-8 relative (at most)
+    f = pf._toy_branches()[0][k]
+    t = np.concatenate([np.linspace(-6.0, -0.05, 200),
+                        np.linspace(0.05, 6.0, 200)])
+    h = 1e-5
+    for order in (0, 1):
+        quotient = (f(t + h, order) - f(t - h, order)) / (2.0 * h)
+        exact = f(t, order + 1)
+        assert np.max(np.abs(quotient - exact)
+                      / np.maximum(1.0, np.abs(exact))) < 1e-7
+
+
 def test_toy_junction_matching():
     p1, p2, p3, _ = pf.toy_fronts(dt=0.01, half_width=6.0)
     for p in (p1, p2, p3):
