@@ -262,9 +262,12 @@ def cmd_connect(args, cfg, out: Path) -> None:
     write_csv(out / "trajectory.csv", ["t", "y"], zip(sol["t"], sol["y"]))
     fits = [{"eps": e, "decay_rate": f, "target": t}
             for e, (f, t) in zip(run.eps_ladder, run.decay_fits)]
+    rungs = [{k: s.get(k) for k in ("eps", "residual", "newton_steps",
+                                    "factorizations")}
+             for s in run.solutions]
     write_json(out / "connect.json", {
         "tau": args.tau, "kind": kind, "eps_ladder": list(run.eps_ladder),
-        "decay_fits": fits,
+        "decay_fits": fits, "rungs": rungs,
         "residual": sol.get("residual")})
 
 

@@ -8,9 +8,13 @@ fits.  The orbit (`_orbit_system`, Fourier collocation with unknown period)
 and the zero-to-one connection (`_zero_to_one_system`, one sparse lag
 operator for eps = 0 and eps > 0) are maps x -> (residual, Jacobian thunk);
 one Newton loop, `_newton`, solves both with the same guards, and one
-eps-ladder, `_continue`, continues both from eps = 0.  An orbit Newton that
-lands on a flat equilibrium is a numeric failure.  The adjoint (eps v''
-term included) is the left null vector of the orbit Jacobian.
+eps-ladder, `_continue`, continues both from eps = 0.  The dense orbit
+Jacobian is solved afresh at every step; the sparse connection Jacobian is
+factored once and its LU reused for chord steps while each step cuts the
+residual tenfold, and factored again at the current point when one does
+not (at tau = 5, one factor per warm-started rung).  An orbit Newton that
+lands on a flat equilibrium is a numeric failure.  The adjoint (eps v'' term
+included) is the left null vector of the orbit Jacobian.
 
 Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block shorter than the delay at a time: the cubic
@@ -22,13 +26,12 @@ coefficients are evaluated once, on arrays of times.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import splu
 
 from . import DomainError, NoConvergence
 from .profiles import Profile
@@ -40,8 +43,8 @@ HOPF_TAU = 1.5 * math.pi
 WRIGHT_BLOWUP = 1e6
 WRIGHT_MAX_STEPS = 10 ** 7
 CONNECT_N_PER_DELAY = 50
-# zero-to-one collocation nodes: 121,197 (tau = 0.01) took 13.7 s and
-# 230 MB, and Newton stalled there (2-core x86-64 VM)
+# zero-to-one collocation nodes: 121,197 (tau = 0.01) peak at 210 MB, and
+# Newton stalls there at residual 2e-12 (2-core x86-64 VM)
 CONNECT_MAX_NODES = 2 * 10 ** 5
 P2P_DELTA = 1e-4
 P2P_T_MAX = 400.0
@@ -55,6 +58,13 @@ P2P_FIT_FLOOR = 1e-10
 # nonzero rung (then doubling) and the smallest step a bisection may take
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 40
+# a sparse Newton keeps its LU factor while each step cuts max|r| by
+# CHORD_CONTRACTION; a residual below STALL_RESIDUAL that a step on a fresh
+# factor does not lower is at the rounding floor (2e-12 at tau = 0.01).
+# Far above it a full Newton step may raise max|r| on its way in (tau = 50,
+# eps = 0: 5.6e-3 -> 1.6e-2 -> 3.1e-3 -> converged)
+CHORD_CONTRACTION = 0.1
+STALL_RESIDUAL = 100 * NEWTON_TOL
 EPS_START = 1e-3
 EPS_MIN_STEP = 1e-6
 
@@ -70,25 +80,42 @@ def hopf_amplitude(tau: float) -> float:
 
 def _newton(system, x):
     """Newton on a map x -> (residual, Jacobian thunk) to a sup-norm residual
-    below NEWTON_TOL; returns (x, residual).  A step builds the Jacobian and
-    solves dense or sparse by its type.  A non-finite residual, a singular
-    Jacobian or NEWTON_MAX_ITER steps raise NoConvergence."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        for _ in range(NEWTON_MAX_ITER):
+    below NEWTON_TOL; returns (x, counts) with counts = {residual,
+    newton_steps, factorizations}.
+
+    A dense Jacobian is built and solved afresh at every step.  A sparse one
+    is factored once (`splu`) and its factor kept for chord steps while each
+    step cuts max|r| by CHORD_CONTRACTION or more; after a step that cuts it
+    by less, the Jacobian is built and factored again at the current x.  A
+    step taken on a fresh factor that does not lower a max|r| already below
+    STALL_RESIDUAL is a stall.  A non-finite residual, a singular Jacobian,
+    a stall or NEWTON_MAX_ITER steps raise NoConvergence."""
+    lu, fresh, res, factors = None, False, math.inf, 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for steps in range(NEWTON_MAX_ITER):
             r, jac = system(x)
-            res = float(np.max(np.abs(r)))
+            last, res = res, float(np.max(np.abs(r)))
             if not math.isfinite(res):
                 raise NoConvergence("Newton diverged: residual not finite")
             if res < NEWTON_TOL:
-                return x, res
-            j = jac()
-            try:
-                x = x - (spsolve(j, r) if sparse.issparse(j)
-                         else np.linalg.solve(j, r))
-            except (np.linalg.LinAlgError, MatrixRankWarning) as e:
-                raise NoConvergence(f"Newton diverged: {e}") from e
+                return x, {"residual": res, "newton_steps": steps,
+                           "factorizations": factors}
+            if lu is not None and res > CHORD_CONTRACTION * last:
+                if fresh and res >= last and last < STALL_RESIDUAL:
+                    break
+                lu = None
+            fresh = lu is None
+            if fresh:
+                j = jac()
+                factors += 1
+                try:
+                    if not sparse.issparse(j):
+                        x = x - np.linalg.solve(j, r)
+                        continue
+                    lu = splu(j)
+                except (np.linalg.LinAlgError, RuntimeError) as e:
+                    raise NoConvergence(f"Newton diverged: {e}") from e
+            x = x - lu.solve(r)
     raise NoConvergence(f"Newton stalled at residual {res}")
 
 
@@ -281,13 +308,14 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
     def solve(e, prev):
         p, om = ((hopf_amplitude(tau) * np.cos(th), 2 * np.pi)
                  if prev is None else (prev.values, prev.period))
-        x, res = _newton(_orbit_system(tau, e, p, om), np.append(p, om))
+        x, counts = _newton(_orbit_system(tau, e, p, om), np.append(p, om))
         p, om, spread = x[:-1], float(x[-1]), float(np.ptp(x[:-1]))
         if not spread >= ORBIT_FLAT:
             raise NoConvergence(
                 f"Newton collapsed onto p = {round(p.mean())}")
         return PeriodicOrbit(tau=tau, eps=e, period=om, values=p,
-                             residual=res, amplitude=0.5 * spread)
+                             residual=counts["residual"],
+                             amplitude=0.5 * spread)
 
     try:
         orbits = _continue(solve, eps)
@@ -625,14 +653,14 @@ def _solve_zero_to_one(tau, eps, warm):
     solution `warm` (or None), with a fit of the left-tail growth rate."""
     tg, z1, x, system = _zero_to_one_system(tau, eps, warm=warm)
     try:
-        x, res = _newton(system, x)
+        x, counts = _newton(system, x)
     except NoConvergence as err:
         raise NoConvergence(f"connection {err}") from err
     y = x[:tg.size]
     sel = (y > 1e-8) & (y < 1e-3)
     rate = float(np.polyfit(tg[sel], np.log(y[sel]), 1)[0]) if sel.sum() > 5 else math.nan
     return {"eps": eps, "t": tg, "y": y, "kappa": float(x[-1]),
-            "residual": res, "decay_rate": rate, "rate_target": z1}
+            "decay_rate": rate, "rate_target": z1, **counts}
 
 
 def _settle_test(tau):

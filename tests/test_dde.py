@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from nlkpp import dde
 from nlkpp import DomainError, NoConvergence
@@ -315,14 +316,91 @@ def test_orbit_eps_ladder_matches_uniform_path():
 
 
 def test_newton_singular_sparse_jacobian_is_no_convergence():
-    # spsolve warns and returns nan on an exactly singular matrix; the
-    # warning becomes NoConvergence and does not leak
+    # splu raises "Factor is exactly singular" on an exactly singular
+    # matrix; that becomes NoConvergence, and no warning leaks
     system = lambda x: (x - 1.0, lambda: sparse.csc_matrix((2, 2)))
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(NoConvergence, match="exactly singular"):
             dde._newton(system, np.zeros(2))
     assert not seen
+
+
+def test_newton_stall_exits_on_a_fresh_factor():
+    # max|r| never falls below 5e-12: a chord step stops contracting, the
+    # step on the refactored Jacobian does not lower max|r|, and Newton
+    # raises there instead of taking all NEWTON_MAX_ITER steps
+    a = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    factored = []
+
+    def jac():
+        factored.append(1)
+        return a
+
+    def system(x):
+        d = x - 1.0
+        return a @ d + 5e-12 * np.where(d >= 0, 1.0, -1.0), jac
+
+    with pytest.raises(NoConvergence, match="Newton stalled at residual"):
+        dde._newton(system, np.zeros(2))
+    assert len(factored) <= 3
+
+
+def test_newton_rise_far_above_the_floor_is_not_a_stall():
+    # at tau = 50 the eps = 0 connection's second full Newton step raises
+    # max|r| from 5.6e-3 to 1.6e-2, and Newton converges from there
+    _, _, x0, system = dde._zero_to_one_system(50.0, 0.0)
+    _, counts = dde._newton(system, x0)
+    assert counts["residual"] < dde.NEWTON_TOL
+
+
+def test_newton_non_finite_residual_is_no_convergence():
+    # x^2 + 1 has no real root: from x = 1e-300 the first step lands near
+    # -5e299, where the residual overflows to inf
+    system = lambda x: (x * x + 1.0,
+                        lambda: sparse.csc_matrix(2.0 * x[:, None]))
+    with pytest.raises(NoConvergence, match="residual not finite"):
+        dde._newton(system, np.array([1e-300]))
+
+
+def _newton_per_step(system, x, solve):
+    # reference: the Jacobian built and factored afresh at every step
+    for steps in range(dde.NEWTON_MAX_ITER):
+        r, jac = system(x)
+        res = float(np.max(np.abs(r)))
+        if res < dde.NEWTON_TOL:
+            return x, res, steps
+        x = x - solve(jac(), r)
+    raise AssertionError(f"reference Newton stalled at {res}")
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_chord_newton_matches_per_step_factoring(eps):
+    # the chord steps reach the same connection as a fresh spsolve at every
+    # step, from the logistic start; measured sup gaps are 2.8e-14 (eps 0)
+    # and 1.1e-16 (eps 0.01), held to 1e-12
+    _, _, x0, system = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
+    ref, ref_res, _ = _newton_per_step(system, x0, spsolve)
+    x, counts = dde._newton(system, x0)
+    assert ref_res < dde.NEWTON_TOL
+    assert counts["residual"] < dde.NEWTON_TOL
+    assert np.max(np.abs(x - ref)) < 1e-12
+    assert counts["factorizations"] < counts["newton_steps"]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02])
+def test_orbit_newton_solves_every_step_dense(eps):
+    # the dense orbit path factors at every step, so it equals a per-step
+    # np.linalg.solve loop bit for bit
+    n = dde.ORBIT_NODES
+    p0 = dde.hopf_amplitude(TAU) * np.cos(2 * np.pi * np.arange(n) / n)
+    system = dde._orbit_system(TAU, eps, p0, 2 * np.pi)
+    x0 = np.append(p0, 2 * np.pi)
+    ref, ref_res, steps = _newton_per_step(system, x0, np.linalg.solve)
+    x, counts = dde._newton(system, x0)
+    assert np.array_equal(x, ref)
+    assert counts == {"residual": ref_res, "newton_steps": steps,
+                      "factorizations": steps}
 
 
 def test_eps_ladder_doubles_and_bisects_a_failed_step():
@@ -508,6 +586,15 @@ def test_ladder_residuals(ladder_run):
         assert np.all(np.diff(sol["y"]) > -1e-10)
         assert abs(sol["y"][-1] - 1.0) < 1e-3
         assert abs(sol["y"][0]) < 1e-3
+
+
+def test_ladder_newton_counts(ladder_run):
+    # each warm-started rung takes three steps on one factor; the eps = 0
+    # rung, from the logistic start, refactors once
+    sols = ladder_run.solutions
+    assert all(s["residual"] < dde.NEWTON_TOL for s in sols)
+    assert [s["factorizations"] for s in sols] == [2, 1, 1, 1, 1, 1]
+    assert sum(s["newton_steps"] for s in sols) == 21
 
 
 def test_ladder_decay_rates(ladder_run):
