@@ -25,11 +25,10 @@ def main():
               f"{sol['decay_rate']:12.6f} {sol['rate_target']:12.6f}")
 
     tau_p = dde.HOPF_TAU + 0.1
-    eps_p = 5e-3
-    c = 1.0 / math.sqrt(eps_p)
-    p2p = dde.heteroclinic(tau_p, eps_p, kind="periodic-to-point")
-    prof = dde.to_wavefront(p2p, c)
-    print(f"\nperiodic-to-point, tau = {tau_p:.4f}, eps = {eps_p}")
+    c = 1.0 / math.sqrt(5e-3)
+    p2p, prof = dde.semiwave(tau_p, c, proper=True)
+    print(f"\nperiodic-to-point, tau = {tau_p:.4f}, "
+          f"eps = {p2p.eps_ladder[-1]:.4g}")
     print(f"settle time {p2p.solutions[0]['settle_time']:.2f}, "
           f"wave speed {c:.3f}, tail period {prof.tail_period:.3f} "
           f"(2 pi c = {2 * math.pi * c:.3f})")

@@ -24,8 +24,7 @@ def main():
     for d in args.deltas:
         tau = dde.HOPF_TAU + d
         orbit = dde.find_periodic(tau)
-        mods = np.abs(dde.floquet(orbit))
-        dde.adjoint_periodic(orbit)
+        mods = np.abs(dde.floquet(orbit)[0])
         pair = dde.resonance_pairing(orbit)
         print(f"{d:8.3f} {orbit.period:10.5f} {orbit.amplitude:10.5f} "
               f"{orbit.amplitude / math.sqrt(d):12.5f} "

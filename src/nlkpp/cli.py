@@ -237,10 +237,9 @@ def cmd_toy(args, cfg, out: Path) -> None:
 
 def cmd_periodic(args, cfg, out: Path) -> None:
     orbit = dde.find_periodic(args.tau, eps=args.eps)
-    adj = None
+    mults, adj = [], None
     if args.eps == 0:
-        dde.floquet(orbit)
-        dde.adjoint_periodic(orbit)
+        mults = dde.floquet(orbit)[0]
         adj = dde.resonance_pairing(orbit)
     write_csv(out / "orbit.csv", ["t", "p", "dp"],
               orbit.mesh)
@@ -248,7 +247,7 @@ def cmd_periodic(args, cfg, out: Path) -> None:
         "tau": args.tau, "eps": args.eps, "period": orbit.period,
         "gamma": orbit.gamma, "amplitude": orbit.amplitude,
         "residual": orbit.residual,
-        "multipliers": [abs(m) for m in (orbit.multipliers or [])],
+        "multipliers": [abs(m) for m in mults],
         "adjoint_pairing": adj,
         "critical_points": orbit.critical_points()})
 
@@ -266,26 +265,19 @@ def cmd_connect(args, cfg, out: Path) -> None:
                                     "factorizations")}
              for s in run.solutions]
     write_json(out / "connect.json", {
-        "tau": args.tau, "kind": kind, "eps_ladder": list(run.eps_ladder),
+        "tau": args.tau, "kind": kind, "eps_ladder": run.eps_ladder,
         "decay_fits": fits, "rungs": rungs,
         "residual": sol.get("residual")})
 
 
 def cmd_semiwave(args, cfg, out: Path) -> None:
-    # there is no semi-wavefront below c = 2: the zero-to-one profile goes
-    # negative there, and the periodic-to-point one needs eps <= 1/4
-    if not args.c >= 2:
-        raise DomainError("semiwave needs --c >= 2, i.e. eps <= 1/4 with "
-                          f"eps = 1/c^2, got c={args.c}")
-    eps = 1.0 / (args.c * args.c)
-    kind = "periodic-to-point" if args.proper else "zero-to-one"
-    run = dde.heteroclinic(args.tau, eps, kind=kind)
-    prof = dde.to_wavefront(run, args.c)
+    run, prof = dde.semiwave(args.tau, args.c, proper=args.proper)
     write_csv(out / "semiwave.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
-    report = {"tau": args.tau, "c": args.c, "eps": eps, "kind": kind}
-    if prof.tail_period is not None:
-        sol = run.solutions[-1]
+    sol = run.solutions[-1]
+    report = {"tau": args.tau, "c": args.c, "eps": sol["eps"],
+              "kind": run.kind}
+    if args.proper:
         report.update(tail_period=prof.tail_period,
                       settle_time=sol["settle_time"],
                       decay_rate=run.decay_fits[-1][0],

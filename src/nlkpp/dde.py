@@ -2,9 +2,14 @@
 
 Covers the scaled profile equation eps*y'' + y' = y(t-tau)(1-y(t)) and its
 eps = 0 limit: method-of-steps integration, periodic orbits, Floquet
-spectra of the linearized period map, the normalized periodic adjoint, and
+spectra of the linearized period map, the normalized periodic adjoint,
 connecting orbits (zero-to-one and periodic-to-point) with asymptotic-rate
-fits.  The orbit (`_orbit_system`, Fourier collocation with unknown period)
+fits, and `semiwave`, the semi-wavefront of K = delta(s + tau c) at speed c
+and the one place where eps = 1/c^2 is set.  Orbits are frozen: one at
+eps > 0 keeps its eps = 0 rung as `base`, and the Floquet and adjoint
+routines return their results instead of storing them.
+
+The orbit (`_orbit_system`, Fourier collocation with unknown period)
 and the zero-to-one connection (`_zero_to_one_system`, one sparse lag
 operator for eps = 0 and eps > 0) are maps x -> (residual, Jacobian thunk);
 one Newton loop, `_newton`, solves both with the same guards, and one
@@ -26,7 +31,7 @@ coefficients are evaluated once, on arrays of times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -35,6 +40,7 @@ from scipy.sparse.linalg import splu
 
 from . import DomainError, NoConvergence
 from .profiles import Profile
+from .spectral import quad_roots
 
 HOPF_TAU = 1.5 * math.pi
 # forward runs stop once |y| exceeds WRIGHT_BLOWUP and take at most
@@ -204,21 +210,24 @@ WINDOW_TIMES = 40
 WINDOW_SAMPLES = 400
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicOrbit:
-    """Slowly oscillating periodic solution with period, samples over one
-    period, and (once computed) Floquet multipliers and adjoint."""
+    """Slowly oscillating periodic solution: period and samples over one
+    period, and `base`, the eps = 0 orbit it was continued from (None at
+    eps = 0)."""
 
     tau: float
     eps: float
     period: float
     values: np.ndarray
     residual: float
-    gamma: float = 0.0
     amplitude: float = 0.0
-    multipliers: list | None = None
-    adjoint: np.ndarray | None = None
-    unstable_mode: tuple | None = None
+    base: PeriodicOrbit | None = None
+
+    @property
+    def gamma(self) -> float:
+        """Relative period shift from the eps = 0 orbit (0 at eps = 0)."""
+        return 0.0 if self.base is None else self.period / self.base.period - 1.0
 
     def p(self, t, order: int = 0):
         return _trig_eval(self.values, self.period, t, order)
@@ -315,13 +324,13 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
                 f"Newton collapsed onto p = {round(p.mean())}")
         return PeriodicOrbit(tau=tau, eps=e, period=om, values=p,
                              residual=counts["residual"],
-                             amplitude=0.5 * spread)
+                             amplitude=0.5 * spread,
+                             base=None if prev is None else prev.base or prev)
 
     try:
-        orbits = _continue(solve, eps)
+        orbit = _continue(solve, eps)[-1]
     except NoConvergence as err:
         raise NoConvergence(f"periodic-orbit {err}") from err
-    orbit = orbits[-1]
     crit = orbit.critical_points()
     lo, hi = orbit.delay_window_sign_changes()
     if crit != 2 or not 1 <= lo <= hi <= 2:
@@ -329,7 +338,6 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
             f"periodic-orbit Newton found an orbit that is not slowly "
             f"oscillating: {crit} critical points per period, {lo}-{hi} "
             f"sign changes per delay window (need 2 and 1-2)")
-    orbit.gamma = orbit.period / orbits[0].period - 1.0
     return orbit
 
 
@@ -403,13 +411,13 @@ def _period_map(a, b, period, tau, n_disc, steps):
     return out, hist_s
 
 
-def floquet(orbit: PeriodicOrbit, n_disc: int = 100,
-            steps: int = 2000) -> np.ndarray:
+def floquet(orbit: PeriodicOrbit, n_disc: int = 100, steps: int = 2000):
     """Floquet multipliers of the orbit's linearized period map,
-    z'(t) = -p(t-tau) z(t) + (1-p(t)) z(t-tau), sorted by modulus; stores
-    them (and the dominant history-mode) on the orbit.  The coefficients
-    come from one evaluation of p at every half-step time; `steps` must
-    leave at least three steps per delay."""
+    z'(t) = -p(t-tau) z(t) + (1-p(t)) z(t-tau), sorted by modulus, and the
+    dominant history mode: returns (multipliers, (mesh, mode)), the mode
+    scaled to sup-norm 1 on the history mesh over [-tau, 0].  The
+    coefficients come from one evaluation of p at every half-step time;
+    `steps` must leave at least three steps per delay."""
     if orbit.eps > 0:
         raise DomainError("period-map discretization covers eps = 0 orbits")
     if n_disc < 100:
@@ -426,10 +434,8 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100,
     ev, vec = np.linalg.eig(mat)
     order = np.argsort(-np.abs(ev))
     ev, vec = ev[order], vec[:, order]
-    orbit.multipliers = list(ev)
     top = np.real(vec[:, 0])
-    orbit.unstable_mode = (hist_s, top / np.max(np.abs(top)))
-    return ev
+    return ev, (hist_s, top / np.max(np.abs(top)))
 
 
 def adjoint_periodic(orbit: PeriodicOrbit) -> np.ndarray:
@@ -438,8 +444,9 @@ def adjoint_periodic(orbit: PeriodicOrbit) -> np.ndarray:
     period integral of p'(t) v(t) equals 1: the left null vector of the
     `_orbit_system` Jacobian block in p at the orbit, whose transpose turns
     the collocated derivative into its negative and the delay into the
-    advance.  A second singular value below ADJOINT_GAP_TOL of the largest
-    raises NoConvergence."""
+    advance.  Returns the samples (t, v) as an (n, 2) array.  A second
+    singular value below ADJOINT_GAP_TOL of the largest raises
+    NoConvergence."""
     n, om = orbit.values.size, orbit.period
     jac = _orbit_system(orbit.tau, orbit.eps, orbit.values, om)(
         np.append(orbit.values, om))[1]()
@@ -454,17 +461,14 @@ def adjoint_periodic(orbit: PeriodicOrbit) -> np.ndarray:
     scale = float(np.sum(dp * v)) * om / n
     if abs(scale) < 1e-12:
         raise NoConvergence("adjoint normalization integral vanished")
-    v = v / scale
-    orbit.adjoint = np.column_stack([t, v])
-    return orbit.adjoint
+    return np.column_stack([t, v / scale])
 
 
 def resonance_pairing(orbit: PeriodicOrbit) -> float:
-    """Period integral of p'(t) p*(t): equals 1 after normalization, and a
-    nonzero value flags resonant forcing along the orbit derivative."""
-    if orbit.adjoint is None:
-        adjoint_periodic(orbit)
-    t, v = orbit.adjoint[:, 0], orbit.adjoint[:, 1]
+    """Period integral of p'(t) p*(t) for the orbit's normalized adjoint p*:
+    equals 1 after normalization, and a nonzero value flags resonant
+    forcing along the orbit derivative."""
+    t, v = adjoint_periodic(orbit).T
     dp = orbit.p(t, 1)
     return float(np.sum(dp * v)) * orbit.period / t.size
 
@@ -566,9 +570,18 @@ class ConnectionRun:
 
     tau: float
     kind: str
-    eps_ladder: list
     solutions: list
-    decay_fits: list = field(default_factory=list)
+
+    @property
+    def eps_ladder(self) -> list:
+        return [s["eps"] for s in self.solutions]
+
+    @property
+    def decay_fits(self) -> list:
+        """(fitted, linearized) asymptotic rate per solution (fit nan if
+        too few points lie in its window)."""
+        return [(s.get("decay_rate", math.nan), s["rate_target"])
+                for s in self.solutions]
 
 
 def _zero_to_one_mesh(tau, eps, n_per_delay=CONNECT_N_PER_DELAY):
@@ -702,11 +715,8 @@ def heteroclinic(tau: float, eps: float = 0.0,
         # the target rung has the largest mesh: refuse it before the climb
         if 0 <= eps < math.inf:
             _zero_to_one_mesh(tau, eps)
-        sols = _continue(lambda e, warm: _solve_zero_to_one(tau, e, warm), eps)
-        return ConnectionRun(
-            tau=tau, kind=kind, eps_ladder=[s["eps"] for s in sols],
-            solutions=sols,
-            decay_fits=[(s["decay_rate"], s["rate_target"]) for s in sols])
+        return ConnectionRun(tau, kind, _continue(
+            lambda e, warm: _solve_zero_to_one(tau, e, warm), eps))
 
     if kind != "periodic-to-point":
         raise DomainError(f"unknown connection kind {kind!r}")
@@ -715,9 +725,7 @@ def heteroclinic(tau: float, eps: float = 0.0,
                           f"got eps={eps}")
 
     orbit = find_periodic(tau, eps)
-    base = find_periodic(tau, 0.0) if eps > 0 else orbit
-    floquet(base)
-    hist_s, mode = base.unstable_mode
+    _, (hist_s, mode) = floquet(orbit.base or orbit)
 
     last_err = None
     for sign in (+1.0, -1.0):
@@ -747,43 +755,37 @@ def heteroclinic(tau: float, eps: float = 0.0,
             if fit_sel.sum() > 10:
                 sol["decay_rate"] = float(
                     np.polyfit(traj.t[fit_sel], np.log(dev[fit_sel]), 1)[0])
-            rate_target = -2.0 / (1.0 + math.sqrt(1.0 - 4.0 * eps))
-            sol["rate_target"] = rate_target
-            return ConnectionRun(
-                tau=tau, kind=kind, eps_ladder=[eps], solutions=[sol],
-                decay_fits=[(sol.get("decay_rate", math.nan), rate_target)])
+            sol["rate_target"] = -2.0 / (1.0 + math.sqrt(1.0 - 4.0 * eps))
+            return ConnectionRun(tau, kind, [sol])
         last_err = f"sign {sign:+.0f} did not settle at 1 within t={P2P_T_MAX}"
     raise NoConvergence(f"periodic-to-point run failed: {last_err}")
 
 
-def to_wavefront(run: ConnectionRun, c: float) -> Profile:
-    """Map a y-variable connection back to the wave profile
-    phi(t) = 1 - y(-t/c); periodic-to-point runs produce a profile with a
-    periodic tail of period c * (orbit period)."""
-    sol = run.solutions[-1]
-    eps = sol["eps"]
+def semiwave(tau: float, c: float, proper: bool = False):
+    """Semi-wavefront of K = delta(s + tau c) at speed c: the delay
+    equation's connection at eps = 1/c^2 (periodic-to-point if `proper`,
+    else zero-to-one) as phi(t) = 1 - y(-t/c); returns (run, profile).  phi
+    leaves 0 at lam(c) = quad_roots(c)[0] and continues right of its grid
+    as 1, or as the orbit's tail of period c * (orbit period).  Refused
+    below c = 2 (the zero-to-one profile goes negative, and
+    periodic-to-point needs eps <= 1/4) and where 1/c^2 rounds to 0."""
+    if not c >= 2:
+        raise DomainError("semiwave needs --c >= 2, i.e. eps <= 1/4 with "
+                          f"eps = 1/c^2, got c={c}")
+    eps = 1.0 / (c * c)
     if eps == 0:
         raise DomainError("the eps = 0 connection has no finite wave speed")
-    if abs(c - 1.0 / math.sqrt(eps)) > 1e-8 * c:
-        raise DomainError(
-            f"speed mismatch: eps={eps} corresponds to c={1.0/math.sqrt(eps)}")
-    t_y = sol["t"]
-    y = sol["y"]
-    phi_t = -c * t_y[::-1]
-    vals = 1.0 - y[::-1]
-    dt = float(phi_t[1] - phi_t[0])
-    if run.kind == "zero-to-one":
-        prof = Profile(float(phi_t[0]), dt, vals, left_limit=0.0,
-                       right_limit=1.0, left_rate=sol["rate_target"] / c)
-        prof.diagnostics.update({"speed": c, "eps": eps})
-        return prof
-    orbit = sol["orbit"]
-    period = c * orbit.period
-    s = np.linspace(0.0, period, 257)
-    tail = 1.0 - orbit.p(-s / c)
-    prof = Profile(float(phi_t[0]), dt, vals, left_limit=0.0,
-                   right_tail="periodic", tail_mesh=tail, tail_period=period,
-                   left_rate=1.0 / c)
-    prof.diagnostics.update({"speed": c, "eps": eps, "tail_period": period,
-                             "orbit_period": orbit.period})
-    return prof
+    run = heteroclinic(tau, eps,
+                       kind="periodic-to-point" if proper else "zero-to-one")
+    sol = run.solutions[-1]
+    phi_t = -c * sol["t"][::-1]
+    if proper:
+        period = c * sol["orbit"].period
+        s = np.linspace(0.0, period, 257)
+        tail = {"tail_mesh": 1.0 - sol["orbit"].p(-s / c),
+                "tail_period": period}
+    else:
+        tail = {"right_limit": 1.0}
+    return run, Profile(float(phi_t[0]), float(phi_t[1] - phi_t[0]),
+                        1.0 - sol["y"][::-1], left_limit=0.0,
+                        left_rate=quad_roots(c)[0], **tail)

@@ -27,24 +27,24 @@ class Profile:
 
     Left of the grid the profile continues as
     left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when left_rate is
-    set, else as the constant left_limit.  Right of the grid it continues as
-    the constant right_limit, or periodically by `tail_mesh` (one period,
-    uniform) when right_tail == "periodic".
+    set, else as the constant left_limit.  Right of the grid it continues
+    periodically by `tail_mesh` (one period, uniform) when `tail_period` is
+    given, else as the constant right_limit (the last value if None).
     """
 
     def __init__(self, t0, dt, values, left_limit=0.0, right_limit=None,
-                 right_tail="constant", tail_mesh=None, tail_period=None,
-                 left_rate=None):
+                 tail_mesh=None, tail_period=None, left_rate=None):
         self.t0 = float(t0)
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 5:
             raise DomainError("profile needs at least 5 grid values")
-        if right_tail == "periodic" and (tail_mesh is None or not tail_period):
-            raise DomainError("periodic tail declared without mesh/period")
+        if (tail_mesh is None) != (tail_period is None) or not (
+                tail_period is None or tail_period > 0):
+            raise DomainError("a periodic tail needs both tail_mesh and "
+                              "tail_period > 0")
         self.left_limit = left_limit
         self.right_limit = right_limit
-        self.right_tail = right_tail
         self.tail_mesh = None if tail_mesh is None else np.asarray(tail_mesh, float)
         self.tail_period = tail_period
         self.left_rate = left_rate
@@ -61,7 +61,7 @@ class Profile:
 
     def _right_value(self, t):
         """Tail value for t beyond the grid end."""
-        if self.right_tail == "periodic":
+        if self.tail_period is not None:
             ph = np.mod(t - self.t_end, self.tail_period)
             m = self.tail_mesh
             xs = np.linspace(0.0, self.tail_period, m.size)
@@ -306,7 +306,7 @@ def am_core(vals: np.ndarray, conv: np.ndarray, phi_left: float,
 def _grid_conv(phi: Profile, k: Kernel):
     """K * phi on the grid of phi, with its tails; returns it together with
     the constant limits (the end values where no limit is declared)."""
-    if phi.right_tail == "periodic":
+    if phi.tail_period is not None:
         raise DomainError("the grid convolution needs a constant right tail")
     left = phi.left_limit
     right = phi.right_limit if phi.right_limit is not None else phi.values[-1]

@@ -144,6 +144,8 @@ WINDING_TOL = 1e-3
 WINDING_N0 = 64
 WINDING_REFINE = 12
 ROOT_DEDUPE_RADIUS = 1e-6
+# a located root with |Re z| below this is on the imaginary axis
+ROOT_AXIS_TOL = 1e-12
 
 
 def _winding_number(f, df, corners):
@@ -238,7 +240,10 @@ def chi1_roots(tau: float, eps: float = 0.0) -> RootReport:
     plus the argument principle gives a certified census.  If the contour
     passes too close to a root (at eps = 0, tau at 3pi/2 + 2pi n, where a
     pair sits on the imaginary axis), the left edge is shifted slightly into
-    the left half-plane and the report is flagged as boundary.
+    the left half-plane and the report is flagged as boundary.  Roots the
+    shifted rectangle holds left of the axis by more than Newton's accuracy
+    are dropped from both the roots and the count: near, not on, a crossing
+    the pair is still in the left half-plane and has |z| > 1.
     """
     if tau <= 0 or eps < 0:
         raise DomainError(f"chi1_roots needs tau > 0 and eps >= 0, "
@@ -261,8 +266,9 @@ def chi1_roots(tau: float, eps: float = 0.0) -> RootReport:
 
     seeds = [complex(0.6, 0.0), complex(0.2, 1.0), complex(0.1, 1.0),
              complex(0.4, 0.9)]
-    roots = _locate_in_rectangle(f, df, shift, 2.0, im_hi, seeds)
-    roots = [z for z in roots if z.real >= shift - 1e-12]
+    located = _locate_in_rectangle(f, df, shift, 2.0, im_hi, seeds)
+    roots = [z for z in located if z.real >= -ROOT_AXIS_TOL]
+    count -= len(located) - len(roots)
     return RootReport(
         function_id="eps_advanced" if eps > 0 else "chi1",
         region=f"rect [{shift:.1e}, 2] x [-{im_hi:.3f}, {im_hi:.3f}]",

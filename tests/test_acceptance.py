@@ -211,13 +211,12 @@ def test_08_periodic_orbit_at_onset():
 def test_09_orbit_stability_spectrum():
     with Budget(120.0):
         orbit = dde.find_periodic(dde.HOPF_TAU + 0.1)
-        mods = np.abs(dde.floquet(orbit, n_disc=100))
+        mods = np.abs(dde.floquet(orbit, n_disc=100)[0])
         assert min(abs(m - 1.0) for m in mods) < 1e-2
         assert int(np.sum(mods > 1.0 + 1e-3)) == 1
-        dde.adjoint_periodic(orbit)
         assert dde.resonance_pairing(orbit) == pytest.approx(1.0, abs=1e-6)
         m1 = np.sort(mods)[::-1][:3]
-        m2 = np.sort(np.abs(dde.floquet(orbit, n_disc=200)))[::-1][:3]
+        m2 = np.sort(np.abs(dde.floquet(orbit, n_disc=200)[0]))[::-1][:3]
         assert np.max(np.abs(m1 - m2) / m2) < 1e-2
 
 
@@ -251,7 +250,7 @@ def test_10_connecting_orbits():
             assert np.max(np.abs(sol["y"][late] - 1.0)) < 1e-3
             if eps > 0:
                 c = 1.0 / math.sqrt(eps)
-                prof = dde.to_wavefront(run, c)
+                _, prof = dde.semiwave(tau, c, proper=True)
                 assert prof.tail_period == pytest.approx(2 * math.pi * c,
                                                          rel=0.1)
                 tail = prof.tail_mesh

@@ -722,6 +722,8 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
     # below c = 2 the zero-to-one profile goes negative
     (["semiwave", "--tau", "2", "--c", "1"], "--c >= 2"),
     (["semiwave", "--tau", "2", "--c", "1.9"], "--c >= 2"),
+    # c^2 overflows, so eps = 1/c^2 is 0: no finite wave speed
+    (["semiwave", "--tau", "5", "--c", "1e200"], "no finite wave speed"),
     (["roots", "--tau", "1e-300"], "out of float range"),
     (["classify", "--c", "1e300"], "c^2 overflows"),
     (["front", "--c", "1e300"], "c^2 overflows"),
@@ -747,7 +749,7 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
     # the snapshot times were built before the run refused the span
     (["simulate", "--T", "-1", "--snap", "1e-300"], "--T must be > 0"),
 ], ids=["connect-tau0", "semiwave-c-underflow", "semiwave-c1",
-        "semiwave-c1.9", "roots-tiny-tau",
+        "semiwave-c1.9", "semiwave-c-overflow", "roots-tiny-tau",
         "classify-huge-c", "front-huge-c", "periodic-neg-eps",
         "connect-neg-eps", "region-neg-intensity", "front-grid-limit",
         "p2p-step-limit", "p2p-eps-limit", "semiwave-p2p-eps-limit",

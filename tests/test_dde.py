@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +10,7 @@ from scipy.sparse.linalg import spsolve
 
 from nlkpp import dde
 from nlkpp import DomainError, NoConvergence
+from nlkpp.spectral import quad_roots
 
 TAU = dde.HOPF_TAU + 0.1
 
@@ -467,7 +470,7 @@ def test_orbit_eps_continuation():
 # -- Floquet and adjoint ---------------------------------------------------
 
 def test_floquet_spectrum(orbit):
-    ev = dde.floquet(orbit)
+    ev, _ = dde.floquet(orbit)
     mods = np.abs(ev)
     assert min(abs(m - 1.0) for m in mods) < 1e-2          # trivial
     assert int(np.sum(mods > 1.0 + 1e-3)) == 1             # one unstable
@@ -476,8 +479,8 @@ def test_floquet_spectrum(orbit):
 
 
 def test_floquet_doubling_stability(orbit):
-    e1 = np.sort(np.abs(dde.floquet(orbit, n_disc=100)))[::-1][:3]
-    e2 = np.sort(np.abs(dde.floquet(orbit, n_disc=200)))[::-1][:3]
+    e1 = np.sort(np.abs(dde.floquet(orbit, n_disc=100)[0]))[::-1][:3]
+    e2 = np.sort(np.abs(dde.floquet(orbit, n_disc=200)[0]))[::-1][:3]
     assert np.max(np.abs(e1 - e2) / e2) < 1e-2
 
 
@@ -512,7 +515,7 @@ def _period_map_per_step(a_fun, b_fun, period, tau, n_disc, steps):
 
 
 def test_floquet_matches_per_step_period_map(orbit):
-    ev = dde.floquet(orbit)
+    ev, _ = dde.floquet(orbit)
     mat = _period_map_per_step(lambda t: -orbit.p(t - orbit.tau),
                                lambda t: 1.0 - orbit.p(t), orbit.period,
                                orbit.tau, 100, 2000)
@@ -537,8 +540,20 @@ def test_floquet_rejects_eps(orbit):
 
 
 def test_adjoint_normalization(orbit):
-    dde.adjoint_periodic(orbit)
     assert dde.resonance_pairing(orbit) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_periodic_orbit_is_frozen_and_left_as_it_was(orbit):
+    # the spectrum and the adjoint are returned, not stored on the orbit
+    before = copy.deepcopy(orbit)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        orbit.period = 1.0
+    dde.floquet(orbit)
+    dde.adjoint_periodic(orbit)
+    dde.resonance_pairing(orbit)
+    for f in dataclasses.fields(dde.PeriodicOrbit):
+        a, b = getattr(orbit, f.name), getattr(before, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 def test_adjoint_not_unique_at_hopf_point():
@@ -559,8 +574,7 @@ def test_adjoint_solves_formal_adjoint_off_grid(tau, eps):
     # adjoint samples, put into eps v'' - v' + p(t-tau) v - (1-p(t+tau)) v(t+tau)
     # at 4n times between the samples, against the largest of its terms
     orbit = dde.find_periodic(tau, eps=eps)
-    dde.adjoint_periodic(orbit)
-    v = orbit.adjoint[:, 1]
+    v = dde.adjoint_periodic(orbit)[:, 1]
     n, om = v.size, orbit.period
     t = om * (np.arange(4 * n) + 0.5) / (4 * n)
     terms = [eps * dde._trig_eval(v, om, t, 2), -dde._trig_eval(v, om, t, 1),
@@ -664,6 +678,33 @@ def test_periodic_to_point_settles():
     assert fit == pytest.approx(target, rel=0.05)
 
 
+def test_periodic_to_point_solves_the_orbit_once(monkeypatch):
+    # the run at eps > 0 takes its Floquet mode from the eps = 0 rung of
+    # its own orbit ladder, not from a second find_periodic(tau, 0)
+    calls, modes = [], []
+    find, floq = dde.find_periodic, dde.floquet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        out = floq(*args, **kwargs)
+        modes.append(out[1])
+        return out
+
+    monkeypatch.setattr(dde, "find_periodic", counted)
+    monkeypatch.setattr(dde, "floquet", recorded)
+    run = dde.heteroclinic(TAU, 5e-3, kind="periodic-to-point")
+    monkeypatch.undo()
+    assert calls == [(TAU, 5e-3)] and len(modes) == 1
+    base = run.solutions[0]["orbit"].base
+    assert base.eps == 0.0 and base.base is None
+    mesh, mode = dde.floquet(dde.find_periodic(TAU, 0.0))[1]
+    assert np.array_equal(modes[0][0], mesh)
+    assert np.array_equal(modes[0][1], mode)
+
+
 # the periodic-to-point runs of test_10 (TAU, eps 0 and 5e-3) and of the
 # benchmark's `semiwave --proper` (c = 7 and 14.14), and eps = 0 at its tau
 @pytest.mark.parametrize("tau, eps", [
@@ -713,32 +754,54 @@ def test_unknown_kind_raises():
         dde.heteroclinic(5.0, 0.0, kind="saddle-to-saddle")
 
 
-# -- wavefront mapping -----------------------------------------------------
+# -- semi-wavefronts --------------------------------------------------------
 
-def test_to_wavefront_zero_to_one(ladder_run):
-    c = 1.0 / math.sqrt(1e-2)
-    prof = dde.to_wavefront(ladder_run, c)
+def test_semiwave_zero_to_one(ladder_run):
+    # eps = 1/10^2 is the ladder run's 1e-2: the profile is 1 - y(-t/c) of
+    # that run, bit for bit
+    c = 10.0
+    run, prof = dde.semiwave(5.0, c)
+    y, t = ladder_run.solutions[-1]["y"], ladder_run.solutions[-1]["t"]
+    assert run.eps_ladder == ladder_run.eps_ladder
+    assert np.array_equal(prof.values, 1.0 - y[::-1])
+    assert (prof.t0, prof.dt) == (-c * t[-1], -c * t[-2] + c * t[-1])
+    assert prof.tail_period is None and prof.right_limit == 1.0
     assert prof.values.min() >= -1e-12
     assert prof.values.max() == pytest.approx(1.0, abs=1e-6)
     assert prof(prof.t0 - 50.0) < 1e-6
 
 
-def test_to_wavefront_requires_matching_speed(ladder_run):
-    with pytest.raises(DomainError, match="speed mismatch"):
-        dde.to_wavefront(ladder_run, 7.0)
+@pytest.mark.parametrize("c", [1.5, 1e160])
+@pytest.mark.parametrize("proper", [False, True])
+def test_semiwave_refuses_speed_before_solving(monkeypatch, c, proper):
+    # below c = 2 there is no semi-wavefront; at c = 1e160, c^2 overflows
+    # and eps = 1/c^2 is 0, the limit with no finite speed
+    def solve(*args, **kwargs):
+        raise AssertionError("no connection may be solved")
+    monkeypatch.setattr(dde, "heteroclinic", solve)
+    with pytest.raises(DomainError,
+                       match="c >= 2" if c < 2 else "no finite wave speed"):
+        dde.semiwave(5.0, c, proper=proper)
 
 
-def test_to_wavefront_rejects_limit_run():
-    run = dde.heteroclinic(5.0, 0.0)
-    with pytest.raises(DomainError, match="no finite wave speed"):
-        dde.to_wavefront(run, 10.0)
+# the profiles leave 0 at lam(c), not at the delay equation's growth rate
+# over c (0.0265 at tau 5, c 10) or 1/c (0.4545 at c 2.2)
+@pytest.mark.parametrize("tau, c, proper", [(5.0, 10.0, False),
+                                            (5.0, 2.5, False),
+                                            (4.8124, 2.2, True)])
+def test_semiwave_left_rate_is_lam(tau, c, proper):
+    _, prof = dde.semiwave(tau, c, proper=proper)
+    lam = quad_roots(c)[0]
+    assert prof.left_rate == lam
+    edge = (prof.values > 1e-12) & (prof.values < 1e-5)
+    assert edge.sum() > 10
+    fit = np.polyfit(prof.grid[edge], np.log(prof.values[edge]), 1)[0]
+    assert fit == pytest.approx(lam, rel=1e-2)
 
 
-def test_to_wavefront_periodic_tail():
-    eps = 5e-3
-    c = 1.0 / math.sqrt(eps)
-    run = dde.heteroclinic(TAU, eps, kind="periodic-to-point")
-    prof = dde.to_wavefront(run, c)
+def test_semiwave_periodic_tail():
+    c = 1.0 / math.sqrt(5e-3)
+    _, prof = dde.semiwave(TAU, c, proper=True)
     assert prof.tail_period == pytest.approx(2 * math.pi * c, rel=0.1)
     tail = prof.tail_mesh
     assert tail.min() < 1.0 < tail.max()

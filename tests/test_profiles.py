@@ -39,19 +39,19 @@ def test_profile_left_constant_extension():
 def test_profile_periodic_tail():
     t = np.linspace(0.0, 1.0, 11)
     mesh = np.sin(2 * math.pi * np.linspace(0.0, 1.0, 50))
-    p = pf.Profile(0.0, 0.1, t, left_limit=0.0, right_tail="periodic",
-                   tail_mesh=mesh, tail_period=1.0)
+    p = pf.Profile(0.0, 0.1, t, left_limit=0.0, tail_mesh=mesh,
+                   tail_period=1.0)
     assert p(1.25) == pytest.approx(p(2.25), abs=1e-12)
 
 
-@pytest.mark.parametrize("tail", [{}, {"tail_mesh": np.ones(5)},
+@pytest.mark.parametrize("tail", [{"tail_mesh": np.ones(5), "tail_period": -1.0},
+                                  {"tail_mesh": np.ones(5)},
                                   {"tail_period": 1.0},
                                   {"tail_mesh": np.ones(5), "tail_period": 0.0}])
 def test_profile_periodic_tail_needs_mesh_and_period(tail):
     # refused when built, not at the first evaluation beyond the grid
-    with pytest.raises(DomainError, match="without mesh/period"):
-        pf.Profile(0.0, 0.1, np.linspace(0.0, 1.0, 11), right_tail="periodic",
-                   **tail)
+    with pytest.raises(DomainError, match="needs both tail_mesh and"):
+        pf.Profile(0.0, 0.1, np.linspace(0.0, 1.0, 11), **tail)
 
 
 def test_grid_operator_refuses_a_periodic_tail():
@@ -60,8 +60,7 @@ def test_grid_operator_refuses_a_periodic_tail():
     ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
     t_lo, dt, n = pf.default_grid(ctx, 0.05)
     prof = pf.Profile(t_lo, dt, np.ones(n), left_limit=1.0,
-                      right_tail="periodic", tail_mesh=np.ones(5),
-                      tail_period=1.0)
+                      tail_mesh=np.ones(5), tail_period=1.0)
     with pytest.raises(DomainError, match="needs a constant right tail"):
         pf.am_apply(prof, ctx)
     with pytest.raises(DomainError, match="needs a constant right tail"):
