@@ -17,19 +17,18 @@ def main():
     ap.add_argument("--eps", type=float, default=1e-2)
     args = ap.parse_args()
 
-    run = dde.heteroclinic(args.tau, args.eps)
+    rungs = dde.zero_to_one(args.tau, args.eps)
     print(f"zero-to-one, tau = {args.tau}")
     print(f"{'eps':>10} {'residual':>12} {'decay rate':>12} {'target':>12}")
-    for sol in run.solutions:
+    for sol in rungs:
         print(f"{sol['eps']:10.2e} {sol['residual']:12.3e} "
               f"{sol['decay_rate']:12.6f} {sol['rate_target']:12.6f}")
 
     tau_p = dde.HOPF_TAU + 0.1
     c = 1.0 / math.sqrt(5e-3)
     p2p, prof = dde.semiwave(tau_p, c, proper=True)
-    print(f"\nperiodic-to-point, tau = {tau_p:.4f}, "
-          f"eps = {p2p.eps_ladder[-1]:.4g}")
-    print(f"settle time {p2p.solutions[0]['settle_time']:.2f}, "
+    print(f"\nperiodic-to-point, tau = {tau_p:.4f}, eps = {p2p['eps']:.4g}")
+    print(f"settle time {p2p['settle_time']:.2f}, "
           f"wave speed {c:.3f}, tail period {prof.tail_period:.3f} "
           f"(2 pi c = {2 * math.pi * c:.3f})")
 

@@ -253,34 +253,35 @@ def cmd_periodic(args, cfg, out: Path) -> None:
 
 
 def cmd_connect(args, cfg, out: Path) -> None:
-    kind = {"het": "zero-to-one", "p2p": "periodic-to-point"}.get(args.kind)
-    if kind is None:
+    if args.kind == "het":
+        kind, sols = "zero-to-one", dde.zero_to_one(args.tau, args.eps)
+    elif args.kind == "p2p":
+        kind = "periodic-to-point"
+        sols = [dde.periodic_to_point(args.tau, args.eps)]
+    else:
         raise DomainError(f"--kind must be het or p2p, got {args.kind!r}")
-    run = dde.heteroclinic(args.tau, args.eps, kind=kind)
-    sol = run.solutions[-1]
-    write_csv(out / "trajectory.csv", ["t", "y"], zip(sol["t"], sol["y"]))
-    fits = [{"eps": e, "decay_rate": f, "target": t}
-            for e, (f, t) in zip(run.eps_ladder, run.decay_fits)]
+    write_csv(out / "trajectory.csv", ["t", "y"],
+              zip(sols[-1]["t"], sols[-1]["y"]))
+    # a periodic-to-point run has no Newton residual or counts: null
     rungs = [{k: s.get(k) for k in ("eps", "residual", "newton_steps",
-                                    "factorizations")}
-             for s in run.solutions]
+                                    "factorizations")} for s in sols]
     write_json(out / "connect.json", {
-        "tau": args.tau, "kind": kind, "eps_ladder": run.eps_ladder,
-        "decay_fits": fits, "rungs": rungs,
-        "residual": sol.get("residual")})
+        "tau": args.tau, "kind": kind, "eps_ladder": [s["eps"] for s in sols],
+        "decay_fits": [{"eps": s["eps"], "decay_rate": s["decay_rate"],
+                        "target": s["rate_target"]} for s in sols],
+        "rungs": rungs, "residual": rungs[-1]["residual"]})
 
 
 def cmd_semiwave(args, cfg, out: Path) -> None:
-    run, prof = dde.semiwave(args.tau, args.c, proper=args.proper)
+    sol, prof = dde.semiwave(args.tau, args.c, proper=args.proper)
     write_csv(out / "semiwave.csv", ["t", "phi"],
               zip(prof.grid, prof.values))
-    sol = run.solutions[-1]
     report = {"tau": args.tau, "c": args.c, "eps": sol["eps"],
-              "kind": run.kind}
+              "kind": "periodic-to-point" if args.proper else "zero-to-one"}
     if args.proper:
         report.update(tail_period=prof.tail_period,
                       settle_time=sol["settle_time"],
-                      decay_rate=run.decay_fits[-1][0],
+                      decay_rate=sol["decay_rate"],
                       t_end=float(sol["t"][-1]))
     write_json(out / "semiwave.json", report)
 

@@ -3,8 +3,9 @@
 Covers the scaled profile equation eps*y'' + y' = y(t-tau)(1-y(t)) and its
 eps = 0 limit: method-of-steps integration, periodic orbits, Floquet
 spectra of the linearized period map, the normalized periodic adjoint,
-connecting orbits (zero-to-one and periodic-to-point) with asymptotic-rate
-fits, and `semiwave`, the semi-wavefront of K = delta(s + tau c) at speed c
+the two connecting orbits, `zero_to_one` (its eps-ladder of rungs) and
+`periodic_to_point` (one forward run), with asymptotic-rate fits, and
+`semiwave`, the semi-wavefront of K = delta(s + tau c) at speed c
 and the one place where eps = 1/c^2 is set.  Orbits are frozen: one at
 eps > 0 keeps its eps = 0 rung as `base`, and the Floquet and adjoint
 routines return their results instead of storing them.
@@ -95,12 +96,14 @@ def _newton(system, x):
     by less, the Jacobian is built and factored again at the current x.  A
     step taken on a fresh factor that does not lower a max|r| already below
     STALL_RESIDUAL is a stall.  A non-finite residual, a singular Jacobian,
-    a stall or NEWTON_MAX_ITER steps raise NoConvergence."""
+    a stall or NEWTON_MAX_ITER steps raise NoConvergence, as a divergence
+    where the last max|r| exceeds the first."""
     lu, fresh, res, factors = None, False, math.inf, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for steps in range(NEWTON_MAX_ITER):
             r, jac = system(x)
             last, res = res, float(np.max(np.abs(r)))
+            first = res if steps == 0 else first
             if not math.isfinite(res):
                 raise NoConvergence("Newton diverged: residual not finite")
             if res < NEWTON_TOL:
@@ -122,6 +125,9 @@ def _newton(system, x):
                 except (np.linalg.LinAlgError, RuntimeError) as e:
                     raise NoConvergence(f"Newton diverged: {e}") from e
             x = x - lu.solve(r)
+    if res > first:
+        raise NoConvergence(f"Newton diverged: max|r| rose from {first:.3g} "
+                            f"to {res:.3g} in {steps} steps")
     raise NoConvergence(f"Newton stalled at residual {res}")
 
 
@@ -477,11 +483,10 @@ def resonance_pairing(orbit: PeriodicOrbit) -> float:
 
 @dataclass
 class Trajectory:
-    """Dense forward run: times, values and a divergence report."""
+    """Dense forward run: times, values and the blow-up time (or None)."""
 
     t: np.ndarray
     y: np.ndarray
-    escaped: bool = False
     escape_time: float | None = None
 
 
@@ -526,7 +531,6 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
         else:
             w = float(y[nback - 1] - y[nback - 2]) / dt
     lag = tau / dt
-    escaped = False
     esc_t = None
     for s0 in range(0, steps, nlag - 1):
         i = nback - 1 + s0 + np.arange(min(nlag - 1, steps - s0))
@@ -550,7 +554,6 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
                 break
         y[i[0] + 1:i[0] + 1 + len(new)] = new
         if not abs(yv) <= WRIGHT_BLOWUP:
-            escaped = True
             esc_t = (s0 + len(new)) * dt
             y = y[:i[0] + 1 + len(new)]
             break
@@ -559,30 +562,10 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
             break
     vals = y[nback - 1:]
     tgrid = dt * np.arange(vals.size)
-    return Trajectory(t=tgrid, y=vals, escaped=escaped, escape_time=esc_t)
+    return Trajectory(t=tgrid, y=vals, escape_time=esc_t)
 
 
 # -- connecting orbits -----------------------------------------------------
-
-@dataclass
-class ConnectionRun:
-    """Family of connecting solutions along an eps ladder."""
-
-    tau: float
-    kind: str
-    solutions: list
-
-    @property
-    def eps_ladder(self) -> list:
-        return [s["eps"] for s in self.solutions]
-
-    @property
-    def decay_fits(self) -> list:
-        """(fitted, linearized) asymptotic rate per solution (fit nan if
-        too few points lie in its window)."""
-        return [(s.get("decay_rate", math.nan), s["rate_target"])
-                for s in self.solutions]
-
 
 def _zero_to_one_mesh(tau, eps, n_per_delay=CONNECT_N_PER_DELAY):
     """Growth rate z1, step h and half-width in steps of the zero-to-one
@@ -699,35 +682,30 @@ def _settle_test(tau):
     return stop
 
 
-def heteroclinic(tau: float, eps: float = 0.0,
-                 kind: str = "zero-to-one") -> ConnectionRun:
-    """Connecting orbits of the scaled profile equation.
-
-    zero-to-one: warm-started Newton continuation along the eps-ladder of
-    `_continue`.  periodic-to-point: forward runs from the orbit perturbed
-    along its dominant history mode, both perturbation signs tried;
-    succeeds when y settles at 1.  A run stops by `_settle_test`, about one
-    delay after |y - 1| falls below P2P_FIT_FLOOR, or at P2P_T_MAX.
-    """
+def zero_to_one(tau: float, eps: float = 0.0) -> list:
+    """Zero-to-one connections along the eps-ladder of `_continue`, each
+    warm-started from the rung below; returns the rungs, the last at eps."""
     if tau <= 0:
         raise DomainError(f"connecting orbits need tau > 0, got tau={tau}")
-    if kind == "zero-to-one":
-        # the target rung has the largest mesh: refuse it before the climb
-        if 0 <= eps < math.inf:
-            _zero_to_one_mesh(tau, eps)
-        return ConnectionRun(tau, kind, _continue(
-            lambda e, warm: _solve_zero_to_one(tau, e, warm), eps))
+    # the target rung has the largest mesh: refuse it before the climb
+    if 0 <= eps < math.inf:
+        _zero_to_one_mesh(tau, eps)
+    return _continue(lambda e, warm: _solve_zero_to_one(tau, e, warm), eps)
 
-    if kind != "periodic-to-point":
-        raise DomainError(f"unknown connection kind {kind!r}")
+
+def periodic_to_point(tau: float, eps: float = 0.0) -> dict:
+    """Periodic-to-point connection: forward runs from the orbit perturbed
+    along its dominant history mode, both perturbation signs tried, until y
+    settles at 1.  A run stops by `_settle_test`, about one delay after
+    |y - 1| falls below P2P_FIT_FLOOR, or at P2P_T_MAX.  The approach rate
+    to 1, `decay_rate`, is nan below 11 fit points."""
+    if tau <= 0:
+        raise DomainError(f"connecting orbits need tau > 0, got tau={tau}")
     if not eps <= 0.25:
         raise DomainError(f"periodic-to-point needs eps <= 1/4 (speed c >= 2), "
                           f"got eps={eps}")
-
     orbit = find_periodic(tau, eps)
     _, (hist_s, mode) = floquet(orbit.base or orbit)
-
-    last_err = None
     for sign in (+1.0, -1.0):
         def hist(s, sign=sign):
             return orbit.p(s) + sign * P2P_DELTA * np.interp(s, hist_s, mode)
@@ -735,49 +713,44 @@ def heteroclinic(tau: float, eps: float = 0.0,
         traj = integrate_wright(tau, eps, hist, P2P_T_MAX,
                                 dhistory=lambda s: orbit.p(s, 1),
                                 stop=_settle_test(tau))
-        if traj.escaped:
-            last_err = f"sign {sign:+.0f} diverged at t={traj.escape_time}"
-            continue
-        # settled at 1: the final stretch of five delays stays within 1e-3
-        win = traj.t >= traj.t[-1] - P2P_SETTLE_DELAYS * tau
-        if np.max(np.abs(traj.y[win] - 1.0)) < P2P_SETTLE_TOL:
-            # settling time: the last time y is 1e-3 or more away from 1
-            dev = np.abs(traj.y - 1.0)
-            idx = np.nonzero(dev >= P2P_SETTLE_TOL)[0]
-            t_settle = traj.t[idx[-1]] if idx.size else 0.0
-            sol = {"eps": eps, "t": traj.t, "y": traj.y,
-                   "delta": sign * P2P_DELTA, "orbit": orbit,
-                   "settle_time": float(t_settle), "residual": None}
-            # approach rate to 1 after settling; the linearized slow rate
-            # is the larger root of eps r^2 + r + 1 = 0, c f(c, -1) at
-            # c = 1/sqrt(eps) (-1 at eps = 0)
-            fit_sel = (traj.t > t_settle) & (dev > P2P_FIT_FLOOR)
-            if fit_sel.sum() > 10:
-                sol["decay_rate"] = float(
-                    np.polyfit(traj.t[fit_sel], np.log(dev[fit_sel]), 1)[0])
-            sol["rate_target"] = -2.0 / (1.0 + math.sqrt(1.0 - 4.0 * eps))
-            return ConnectionRun(tau, kind, [sol])
-        last_err = f"sign {sign:+.0f} did not settle at 1 within t={P2P_T_MAX}"
-    raise NoConvergence(f"periodic-to-point run failed: {last_err}")
+        # settle time: the last time |y - 1| >= P2P_SETTLE_TOL; the run has
+        # settled at 1 if that is before its last P2P_SETTLE_DELAYS delays
+        dev = np.abs(traj.y - 1.0)
+        far = np.flatnonzero(dev >= P2P_SETTLE_TOL)
+        t_settle = float(traj.t[far[-1]]) if far.size else 0.0
+        if traj.escape_time is not None:
+            err = f"sign {sign:+.0f} diverged at t={traj.escape_time}"
+        elif far.size and t_settle >= traj.t[-1] - P2P_SETTLE_DELAYS * tau:
+            err = f"sign {sign:+.0f} did not settle at 1 within t={P2P_T_MAX}"
+        else:
+            # the linearized slow rate is the larger root of
+            # eps r^2 + r + 1 = 0, c f(c, -1) at c = 1/sqrt(eps) (-1 at eps 0)
+            fit = (traj.t > t_settle) & (dev > P2P_FIT_FLOOR)
+            rate = (float(np.polyfit(traj.t[fit], np.log(dev[fit]), 1)[0])
+                    if fit.sum() > 10 else math.nan)
+            return {"eps": eps, "t": traj.t, "y": traj.y, "orbit": orbit,
+                    "delta": sign * P2P_DELTA, "settle_time": t_settle,
+                    "decay_rate": rate,
+                    "rate_target": -2.0 / (1.0 + math.sqrt(1.0 - 4.0 * eps))}
+    raise NoConvergence(f"periodic-to-point run failed: {err}")
 
 
 def semiwave(tau: float, c: float, proper: bool = False):
     """Semi-wavefront of K = delta(s + tau c) at speed c: the delay
-    equation's connection at eps = 1/c^2 (periodic-to-point if `proper`,
-    else zero-to-one) as phi(t) = 1 - y(-t/c); returns (run, profile).  phi
-    leaves 0 at lam(c) = quad_roots(c)[0] and continues right of its grid
-    as 1, or as the orbit's tail of period c * (orbit period).  Refused
-    below c = 2 (the zero-to-one profile goes negative, and
-    periodic-to-point needs eps <= 1/4) and where 1/c^2 rounds to 0."""
+    equation's connection at eps = 1/c^2 (`periodic_to_point` if `proper`,
+    else the last rung of `zero_to_one`) as phi(t) = 1 - y(-t/c); returns
+    (solution, profile).  phi leaves 0 at lam(c) = quad_roots(c)[0] and
+    continues right of its grid as 1, or as the orbit's tail of period
+    c * (orbit period).  Refused below c = 2 (the zero-to-one profile goes
+    negative, and periodic-to-point needs eps <= 1/4) and where 1/c^2
+    rounds to 0."""
     if not c >= 2:
         raise DomainError("semiwave needs --c >= 2, i.e. eps <= 1/4 with "
                           f"eps = 1/c^2, got c={c}")
     eps = 1.0 / (c * c)
     if eps == 0:
         raise DomainError("the eps = 0 connection has no finite wave speed")
-    run = heteroclinic(tau, eps,
-                       kind="periodic-to-point" if proper else "zero-to-one")
-    sol = run.solutions[-1]
+    sol = periodic_to_point(tau, eps) if proper else zero_to_one(tau, eps)[-1]
     phi_t = -c * sol["t"][::-1]
     if proper:
         period = c * sol["orbit"].period
@@ -786,6 +759,6 @@ def semiwave(tau: float, c: float, proper: bool = False):
                 "tail_period": period}
     else:
         tail = {"right_limit": 1.0}
-    return run, Profile(float(phi_t[0]), float(phi_t[1] - phi_t[0]),
+    return sol, Profile(float(phi_t[0]), float(phi_t[1] - phi_t[0]),
                         1.0 - sol["y"][::-1], left_limit=0.0,
                         left_rate=quad_roots(c)[0], **tail)

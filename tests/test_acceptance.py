@@ -225,10 +225,10 @@ def test_10_connecting_orbits():
         # monotone connections along the singular ladder
         sols = {0.0: None}
         for eps in (1e-3, 5e-3, 1e-2):
-            run = dde.heteroclinic(5.0, eps)
+            rungs = dde.zero_to_one(5.0, eps)
             if sols[0.0] is None:
-                sols[0.0] = run.solutions[0]
-            sols[eps] = run.solutions[-1]
+                sols[0.0] = rungs[0]
+            sols[eps] = rungs[-1]
         base = sols[0.0]
         dists = []
         for eps in (0.0, 1e-3, 5e-3, 1e-2):
@@ -244,8 +244,7 @@ def test_10_connecting_orbits():
         # periodic-to-point connections and the mapped oscillating profile
         tau = dde.HOPF_TAU + 0.1
         for eps in (0.0, 5e-3):
-            run = dde.heteroclinic(tau, eps, kind="periodic-to-point")
-            sol = run.solutions[0]
+            sol = dde.periodic_to_point(tau, eps)
             late = sol["t"] >= sol["settle_time"] + 5.0 * tau
             assert np.max(np.abs(sol["y"][late] - 1.0)) < 1e-3
             if eps > 0:

@@ -604,6 +604,12 @@ def test_p2p_connection_reports_no_residual(tmp_path):
                         "0.01", "--kind", "p2p")
     assert code == 0
     assert '"residual": null' in (out / "connect.json").read_text()
+    # one rung, whose Newton residual and counts are null as well
+    rep = load(out, "connect.json")
+    assert rep["kind"] == "periodic-to-point"
+    assert rep["rungs"] == [{"eps": 0.01, "residual": None,
+                             "newton_steps": None, "factorizations": None}]
+    assert len(rep["decay_fits"]) == 1
 
 
 def test_simulate_positivity_violation_is_config_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -44,13 +45,12 @@ def test_invariant_region_zero_one():
 
 def test_blowup_detection():
     tr = dde.integrate_wright(2.0, 0.0, lambda s: -0.5, 200.0)
-    assert tr.escaped
     assert tr.escape_time is not None and tr.escape_time < 200.0
 
 
 def test_second_order_relaxes_to_one():
     tr = dde.integrate_wright(2.0, 5e-3, lambda s: 0.9, 30.0)
-    assert not tr.escaped
+    assert tr.escape_time is None
     assert tr.y[-1] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -136,7 +136,7 @@ def test_integrate_wright_matches_per_step_loop(tau, eps, hist, t_end, dt,
                                                 escapes):
     tr = dde.integrate_wright(tau, eps, hist, t_end, dt=dt)
     ref, esc_t = _wright_per_step(tau, eps, hist, t_end, dt=dt)
-    assert tr.escaped is escapes
+    assert (tr.escape_time is not None) is escapes
     assert tr.escape_time == esc_t
     _assert_close_to(tr.y, ref, 1e-12)
 
@@ -148,7 +148,7 @@ def test_integrate_wright_shadowing_matches_per_step_loop(orbit):
     hist = lambda s: orbit.p(s) * (1.0 + 1e-6)
     tr = dde.integrate_wright(TAU, 0.0, hist, 300.0, dt=TAU / 400.0)
     ref, esc_t = _wright_per_step(TAU, 0.0, hist, 300.0, dt=TAU / 400.0)
-    assert not tr.escaped and esc_t is None
+    assert tr.escape_time is None and esc_t is None
     early = tr.t < 3 * orbit.period
     _assert_close_to(tr.y[early], ref[early], 1e-12)
     _assert_close_to(tr.y, ref, 1e-10)
@@ -285,6 +285,20 @@ def test_orbit_newton_singular_jacobian_is_no_convergence():
     assert np.max(np.abs(jac()[-1])) < 1e-15
     with pytest.raises(NoConvergence, match="Newton diverged"):
         dde._newton(system, x0)
+
+
+def test_orbit_newton_divergence_is_named():
+    # from the small-amplitude seed at tau = 5.5, max|r| rises from 1.5 to
+    # 1.1e5 over the NEWTON_MAX_ITER dense steps: a divergence, not a stall
+    with pytest.raises(NoConvergence) as info:
+        dde.find_periodic(5.5)
+    msg = str(info.value)
+    assert "stalled" not in msg
+    m = re.search(r"Newton diverged: max\|r\| rose from (\S+) to (\S+) in "
+                  r"(\d+) steps", msg)
+    assert m, msg
+    assert float(m[1]) < 10.0 < 1e4 < float(m[2])
+    assert int(m[3]) == dde.NEWTON_MAX_ITER - 1
 
 
 @pytest.mark.parametrize("tau", [7.0, 7.54])
@@ -456,7 +470,7 @@ def test_oversized_target_mesh_is_refused_before_any_rung(monkeypatch):
         raise AssertionError("no rung may be solved")
     monkeypatch.setattr(dde, "_solve_zero_to_one", solve)
     with pytest.raises(DomainError, match="needs more than 200000 nodes"):
-        dde.heteroclinic(5.0, 1e6)
+        dde.zero_to_one(5.0, 1e6)
 
 
 def test_orbit_eps_continuation():
@@ -589,13 +603,13 @@ def test_adjoint_solves_formal_adjoint_off_grid(tau, eps):
 
 @pytest.fixture(scope="module")
 def ladder_run():
-    return dde.heteroclinic(5.0, 1e-2)
+    return dde.zero_to_one(5.0, 1e-2)
 
 
 def test_ladder_residuals(ladder_run):
-    assert ladder_run.eps_ladder[0] == 0.0
-    assert ladder_run.eps_ladder[-1] == 1e-2
-    for sol in ladder_run.solutions:
+    assert ladder_run[0]["eps"] == 0.0
+    assert ladder_run[-1]["eps"] == 1e-2
+    for sol in ladder_run:
         assert sol["residual"] < 1e-6
         assert np.all(np.diff(sol["y"]) > -1e-10)
         assert abs(sol["y"][-1] - 1.0) < 1e-3
@@ -605,21 +619,21 @@ def test_ladder_residuals(ladder_run):
 def test_ladder_newton_counts(ladder_run):
     # each warm-started rung takes three steps on one factor; the eps = 0
     # rung, from the logistic start, refactors once
-    sols = ladder_run.solutions
+    sols = ladder_run
     assert all(s["residual"] < dde.NEWTON_TOL for s in sols)
     assert [s["factorizations"] for s in sols] == [2, 1, 1, 1, 1, 1]
     assert sum(s["newton_steps"] for s in sols) == 21
 
 
 def test_ladder_decay_rates(ladder_run):
-    for fit, target in ladder_run.decay_fits:
-        assert fit == pytest.approx(target, rel=0.05)
+    for sol in ladder_run:
+        assert sol["decay_rate"] == pytest.approx(sol["rate_target"], rel=0.05)
 
 
 def test_ladder_distances_shrink_with_eps(ladder_run):
-    base = ladder_run.solutions[0]
+    base = ladder_run[0]
     dists = []
-    for sol in ladder_run.solutions[1:]:
+    for sol in ladder_run[1:]:
         y_on_base = np.interp(base["t"], sol["t"], sol["y"])
         dists.append(float(np.max(np.abs(y_on_base - base["y"]))))
     assert all(a < b for a, b in zip(dists, dists[1:]))
@@ -671,11 +685,9 @@ def test_connection_jacobian_matches_finite_differences(eps):
 
 
 def test_periodic_to_point_settles():
-    run = dde.heteroclinic(TAU, 0.0, kind="periodic-to-point")
-    sol = run.solutions[0]
+    sol = dde.periodic_to_point(TAU, 0.0)
     assert abs(sol["y"][-1] - 1.0) < 1e-3
-    fit, target = run.decay_fits[0]
-    assert fit == pytest.approx(target, rel=0.05)
+    assert sol["decay_rate"] == pytest.approx(sol["rate_target"], rel=0.05)
 
 
 def test_periodic_to_point_solves_the_orbit_once(monkeypatch):
@@ -695,10 +707,10 @@ def test_periodic_to_point_solves_the_orbit_once(monkeypatch):
 
     monkeypatch.setattr(dde, "find_periodic", counted)
     monkeypatch.setattr(dde, "floquet", recorded)
-    run = dde.heteroclinic(TAU, 5e-3, kind="periodic-to-point")
+    sol = dde.periodic_to_point(TAU, 5e-3)
     monkeypatch.undo()
     assert calls == [(TAU, 5e-3)] and len(modes) == 1
-    base = run.solutions[0]["orbit"].base
+    base = sol["orbit"].base
     assert base.eps == 0.0 and base.base is None
     mesh, mode = dde.floquet(dde.find_periodic(TAU, 0.0))[1]
     assert np.array_equal(modes[0][0], mesh)
@@ -713,10 +725,9 @@ def test_periodic_to_point_solves_the_orbit_once(monkeypatch):
 def test_periodic_to_point_stop_is_exact(monkeypatch, tau, eps):
     # the run stops once settled; it is a prefix of the run to P2P_T_MAX
     # with no stop test, and its settle time and decay fit are the same
-    stopped = dde.heteroclinic(tau, eps, kind="periodic-to-point")
+    a = dde.periodic_to_point(tau, eps)
     monkeypatch.setattr(dde, "_settle_test", lambda tau: None)
-    full = dde.heteroclinic(tau, eps, kind="periodic-to-point")
-    a, b = stopped.solutions[0], full.solutions[0]
+    b = dde.periodic_to_point(tau, eps)
     n = a["t"].size
     assert a["delta"] == b["delta"]
     assert b["t"][-1] >= dde.P2P_T_MAX and n < b["t"].size
@@ -746,23 +757,19 @@ def test_periodic_to_point_cap_still_fails(monkeypatch):
     # a cap below the settle time (40.7) leaves the run unsettled
     monkeypatch.setattr(dde, "P2P_T_MAX", 30.0)
     with pytest.raises(NoConvergence, match="did not settle at 1 within t=30"):
-        dde.heteroclinic(TAU, 0.0, kind="periodic-to-point")
-
-
-def test_unknown_kind_raises():
-    with pytest.raises(DomainError, match="unknown connection kind"):
-        dde.heteroclinic(5.0, 0.0, kind="saddle-to-saddle")
+        dde.periodic_to_point(TAU, 0.0)
 
 
 # -- semi-wavefronts --------------------------------------------------------
 
 def test_semiwave_zero_to_one(ladder_run):
     # eps = 1/10^2 is the ladder run's 1e-2: the profile is 1 - y(-t/c) of
-    # that run, bit for bit
+    # that run's last rung, bit for bit
     c = 10.0
-    run, prof = dde.semiwave(5.0, c)
-    y, t = ladder_run.solutions[-1]["y"], ladder_run.solutions[-1]["t"]
-    assert run.eps_ladder == ladder_run.eps_ladder
+    sol, prof = dde.semiwave(5.0, c)
+    y, t = ladder_run[-1]["y"], ladder_run[-1]["t"]
+    assert sol["eps"] == ladder_run[-1]["eps"]
+    assert np.array_equal(sol["y"], y)
     assert np.array_equal(prof.values, 1.0 - y[::-1])
     assert (prof.t0, prof.dt) == (-c * t[-1], -c * t[-2] + c * t[-1])
     assert prof.tail_period is None and prof.right_limit == 1.0
@@ -778,7 +785,8 @@ def test_semiwave_refuses_speed_before_solving(monkeypatch, c, proper):
     # and eps = 1/c^2 is 0, the limit with no finite speed
     def solve(*args, **kwargs):
         raise AssertionError("no connection may be solved")
-    monkeypatch.setattr(dde, "heteroclinic", solve)
+    monkeypatch.setattr(dde, "zero_to_one", solve)
+    monkeypatch.setattr(dde, "periodic_to_point", solve)
     with pytest.raises(DomainError,
                        match="c >= 2" if c < 2 else "no finite wave speed"):
         dde.semiwave(5.0, c, proper=proper)
