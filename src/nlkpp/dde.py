@@ -12,15 +12,14 @@ routines return their results instead of storing them.
 
 The orbit (`_orbit_system`, Fourier collocation with unknown period)
 and the zero-to-one connection (`_zero_to_one_system`, one sparse lag
-operator for eps = 0 and eps > 0) are maps x -> (residual, Jacobian thunk);
-one Newton loop, `_newton`, solves both with the same guards, and one
-eps-ladder, `_continue`, continues both from eps = 0.  The dense orbit
-Jacobian is solved afresh at every step; the sparse connection Jacobian is
-factored once and its LU reused for chord steps while each step cuts the
-residual tenfold, and factored again at the current point when one does
-not (at tau = 5, one factor per warm-started rung).  An orbit Newton that
-lands on a flat equilibrium is a numeric failure.  The adjoint (eps v'' term
-included) is the left null vector of the orbit Jacobian.
+operator for eps = 0 and eps > 0) are maps x -> (residual, Jacobian
+thunk).  The package's one Newton loop, `profiles.newton`, solves both
+(`_direct`): the dense orbit Jacobian afresh at every step, the sparse
+connection Jacobian by one `splu` factor kept for chord steps (at tau = 5,
+one per warm-started rung).  One eps-ladder, `_continue`, continues both
+from eps = 0.  An orbit Newton that lands on a flat equilibrium is a
+numeric failure.  The adjoint (eps v'' term included) is the left null
+vector of the orbit Jacobian.
 
 Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block shorter than the delay at a time: the cubic
@@ -40,7 +39,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import DomainError, NoConvergence
-from .profiles import Profile
+from .profiles import Profile, newton
 from .spectral import quad_roots
 
 HOPF_TAU = 1.5 * math.pi
@@ -61,17 +60,9 @@ P2P_T_MAX = 400.0
 P2P_SETTLE_TOL = 1e-3
 P2P_SETTLE_DELAYS = 5
 P2P_FIT_FLOOR = 1e-10
-# Newton: sup-norm residual tolerance and iteration cap; eps-ladder: first
-# nonzero rung (then doubling) and the smallest step a bisection may take
+# Newton: sup-norm residual tolerance; eps-ladder: first nonzero rung (then
+# doubling) and the smallest step a bisection may take
 NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 40
-# a sparse Newton keeps its LU factor while each step cuts max|r| by
-# CHORD_CONTRACTION; a residual below STALL_RESIDUAL that a step on a fresh
-# factor does not lower is at the rounding floor (2e-12 at tau = 0.01).
-# Far above it a full Newton step may raise max|r| on its way in (tau = 50,
-# eps = 0: 5.6e-3 -> 1.6e-2 -> 3.1e-3 -> converged)
-CHORD_CONTRACTION = 0.1
-STALL_RESIDUAL = 100 * NEWTON_TOL
 EPS_START = 1e-3
 EPS_MIN_STEP = 1e-6
 
@@ -85,50 +76,20 @@ def hopf_amplitude(tau: float) -> float:
     return math.sqrt(20.0 * delta / (4.5 * math.pi + 1.0))
 
 
-def _newton(system, x):
-    """Newton on a map x -> (residual, Jacobian thunk) to a sup-norm residual
-    below NEWTON_TOL; returns (x, counts) with counts = {residual,
-    newton_steps, factorizations}.
+def _direct(system):
+    """`newton`'s map for a map x -> (residual, Jacobian thunk): a sparse
+    Jacobian is factored by `splu` and kept for chord steps, and a dense
+    one is solved afresh at every step."""
+    def linearize(j):
+        if sparse.issparse(j):
+            return splu(j).solve, True
+        return (lambda r: np.linalg.solve(j, r)), False
 
-    A dense Jacobian is built and solved afresh at every step.  A sparse one
-    is factored once (`splu`) and its factor kept for chord steps while each
-    step cuts max|r| by CHORD_CONTRACTION or more; after a step that cuts it
-    by less, the Jacobian is built and factored again at the current x.  A
-    step taken on a fresh factor that does not lower a max|r| already below
-    STALL_RESIDUAL is a stall.  A non-finite residual, a singular Jacobian,
-    a stall or NEWTON_MAX_ITER steps raise NoConvergence, as a divergence
-    where the last max|r| exceeds the first."""
-    lu, fresh, res, factors = None, False, math.inf, 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for steps in range(NEWTON_MAX_ITER):
-            r, jac = system(x)
-            last, res = res, float(np.max(np.abs(r)))
-            first = res if steps == 0 else first
-            if not math.isfinite(res):
-                raise NoConvergence("Newton diverged: residual not finite")
-            if res < NEWTON_TOL:
-                return x, {"residual": res, "newton_steps": steps,
-                           "factorizations": factors}
-            if lu is not None and res > CHORD_CONTRACTION * last:
-                if fresh and res >= last and last < STALL_RESIDUAL:
-                    break
-                lu = None
-            fresh = lu is None
-            if fresh:
-                j = jac()
-                factors += 1
-                try:
-                    if not sparse.issparse(j):
-                        x = x - np.linalg.solve(j, r)
-                        continue
-                    lu = splu(j)
-                except (np.linalg.LinAlgError, RuntimeError) as e:
-                    raise NoConvergence(f"Newton diverged: {e}") from e
-            x = x - lu.solve(r)
-    if res > first:
-        raise NoConvergence(f"Newton diverged: max|r| rose from {first:.3g} "
-                            f"to {res:.3g} in {steps} steps")
-    raise NoConvergence(f"Newton stalled at residual {res}")
+    def newton_map(x):
+        r, jac = system(x)
+        return r, lambda: linearize(jac())
+
+    return newton_map
 
 
 def _continue(solve, eps):
@@ -323,7 +284,8 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
     def solve(e, prev):
         p, om = ((hopf_amplitude(tau) * np.cos(th), 2 * np.pi)
                  if prev is None else (prev.values, prev.period))
-        x, counts = _newton(_orbit_system(tau, e, p, om), np.append(p, om))
+        x, counts = newton(_direct(_orbit_system(tau, e, p, om)),
+                           np.append(p, om), NEWTON_TOL)
         p, om, spread = x[:-1], float(x[-1]), float(np.ptp(x[:-1]))
         if not spread >= ORBIT_FLAT:
             raise NoConvergence(
@@ -649,7 +611,7 @@ def _solve_zero_to_one(tau, eps, warm):
     solution `warm` (or None), with a fit of the left-tail growth rate."""
     tg, z1, x, system = _zero_to_one_system(tau, eps, warm=warm)
     try:
-        x, counts = _newton(system, x)
+        x, counts = newton(_direct(system), x, NEWTON_TOL)
     except NoConvergence as err:
         raise NoConvergence(f"connection {err}") from err
     y = x[:tg.size]

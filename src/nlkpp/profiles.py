@@ -501,16 +501,68 @@ def _front_profile(ctx: WaveContext, upper: Profile, vals: np.ndarray,
     return prof
 
 
-# Newton-Krylov: step cap, and GMRES's tolerance, restart length and
-# restart cycles.  The reference fronts and the c = 14.14, K = delta(s + 68)
-# front take 4 Newton steps at every rtol from 1e-4 to 1e-8; 1e-6 takes
-# 0-36% fewer GMRES iterations than 1e-8 (30 against 41 on delta(s + 0.5)).
-# The GMRES basis is restart + 1 grid vectors: restart 30 raised the
-# benchmark's peak RSS by 12%, and 10 is as fast on the reference fronts
-NEWTON_MAX_STEPS = 20
+# Newton on fronts, delay-equation orbits and zero-to-one connections: the
+# step cap, the cut in max|r| per step that keeps a reusable factor for
+# chord steps, and the stall floor in units of tol.  The orbit Newton takes
+# up to 38 steps to orbits the slow-oscillation gate then names (tau 9.82)
+NEWTON_MAX_STEPS = 40
+CHORD_CONTRACTION = 0.1
+STALL_FACTOR = 100.0
+# GMRES's tolerance, restart length and restart cycles.  The reference
+# fronts and the c = 14.14, K = delta(s + 68) front take 4 Newton steps at
+# every rtol from 1e-4 to 1e-8; 1e-6 takes 0-36% fewer GMRES iterations
+# than 1e-8 (30 against 41 on delta(s + 0.5)).  The GMRES basis is
+# restart + 1 grid vectors: restart 30 raised the benchmark's peak RSS by
+# 12%, and 10 is as fast on the reference fronts
 GMRES_RTOL = 1e-6
 GMRES_RESTART = 10
 GMRES_MAX_CYCLES = 20
+
+
+def newton(system, x, tol: float):
+    """Newton on a map x -> (r, linearize) to max|r| <= tol; returns x and
+    counts {residual, newton_steps, factorizations (linearizations built)}.
+
+    linearize() returns (solve, reuse), solve(r) = J^-1 r.  A reusable
+    factor serves chord steps while each cuts max|r| by CHORD_CONTRACTION
+    and is rebuilt at x after one that does not; any other is built at
+    every step.  A step may raise max|r| on its way in (tau 50, eps 0:
+    5.6e-3 -> 1.6e-2 -> converged).  NoConvergence names the exit:
+    diverged (a non-finite residual, a linearize or solve that raises
+    LinAlgError or RuntimeError, or a last max|r| above the first), stalled
+    (a step on a fresh reusable factor that does not lower a max|r| below
+    STALL_FACTOR tol, the rounding floor) or NEWTON_MAX_STEPS steps."""
+    solve, reuse, fresh, stalled = None, False, False, False
+    res, built = math.inf, 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for steps in range(NEWTON_MAX_STEPS + 1):
+            r, linearize = system(x)
+            last, res = res, float(np.max(np.abs(r)))
+            first = res if steps == 0 else first
+            if not math.isfinite(res):
+                raise NoConvergence("Newton diverged: residual not finite")
+            if res <= tol:
+                return x, {"residual": res, "newton_steps": steps,
+                           "factorizations": built}
+            stalled = (fresh and reuse and res >= last
+                       and last < STALL_FACTOR * tol)
+            if stalled or steps == NEWTON_MAX_STEPS:
+                break
+            fresh = not (reuse and res <= CHORD_CONTRACTION * last)
+            try:
+                if fresh:
+                    solve, reuse = linearize()
+                    built += 1
+                x = x - solve(r)
+            except (np.linalg.LinAlgError, RuntimeError) as e:
+                raise NoConvergence(f"Newton diverged: {e}") from e
+    if res > first:
+        raise NoConvergence(f"Newton diverged: max|r| rose from {first:.3g} "
+                            f"to {res:.3g} in {steps} steps")
+    if stalled:
+        raise NoConvergence(f"Newton stalled at residual {last:.3g} (next "
+                            f"step: {res:.3g})")
+    raise NoConvergence(f"Newton hit {steps} steps at max|r| = {res:.3g}")
 
 
 def _g_prime(v, beta: float):
@@ -520,13 +572,13 @@ def _g_prime(v, beta: float):
 
 class _FrontSystem:
     """The front's grid operator A on a grid of step h, with its stencil
-    and cell weights built once, and the Newton-Krylov equations
-    G(v, sigma) = v - A(v) - sigma e_0 on it."""
+    and cell weights built once, and the Newton-Krylov equations on it."""
 
     def __init__(self, ctx: WaveContext, h: float):
         self.ctx = ctx
         self.st = stencil(ctx.kernel, h)
         self.w = _cell_weights(ctx.z1, ctx.z2, h)
+        self.gmres_trace = []  # per Newton step, GMRES's residual norms
 
     def tridiagonal(self, rp):
         """(sub, diag, super) of P = z12 L1 L2 - (L2 R1 + L1 R2) diag(rp).
@@ -561,11 +613,37 @@ class _FrontSystem:
         return am_core(v, self._conv(v), 0.0, v[-1], self.ctx, self.w,
                        left_rate=self.ctx.lam)
 
-    def residual(self, v, sigma):
-        """G(v, sigma)."""
+    def equations(self, x, i0):
+        """G(v, sigma) = v - A(v) - sigma e_0 and its linearization for
+        `newton`, in the unknowns' layout: x holds v with sigma in slot i0,
+        where v[i0] = 1/2 is pinned.  A linearization solves by
+        preconditioned GMRES and appends its trace to `gmres_trace`."""
+        v = x.copy()
+        v[i0] = 0.5
         G = v - self.apply(v)
-        G[0] -= sigma
-        return G
+        G[0] -= x[i0]
+
+        def linearize():
+            a, m = (LinearOperator((v.size,) * 2, matvec=f)
+                    for f in self.linearize(v, i0))
+            trace = []
+            self.gmres_trace.append(trace)
+
+            def solve(r):
+                step, info = gmres(a, r, rtol=GMRES_RTOL, atol=0.0, M=m,
+                                   restart=GMRES_RESTART,
+                                   maxiter=GMRES_MAX_CYCLES,
+                                   callback=trace.append,
+                                   callback_type="pr_norm")
+                if info != 0:
+                    raise NoConvergence(
+                        f"GMRES did not reach rtol={GMRES_RTOL} in "
+                        f"Newton-Krylov step {len(self.gmres_trace)}")
+                return step
+
+            return solve, False
+
+        return G, linearize
 
     def lift(self, y):
         """z12 L1 L2 y."""
@@ -585,7 +663,7 @@ class _FrontSystem:
         P_s (P with the sigma column in place of column i0) by its blocks
         either side of i0.  That is not P_s^-1: left of i0 lam and mu both
         decay, so that block is singular to rounding and only the sigma
-        column makes P_s regular (ROADMAP item 6)."""
+        column makes P_s regular."""
         ctx, w = self.ctx, self.w
         beta = ctx.beta
         gv = g_beta(v, beta)
@@ -648,7 +726,7 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
                   monotone: bool) -> tuple[np.ndarray, dict]:
     """Front by Newton-Krylov with a phase condition and one unfolding
     parameter (Beyn & Thuemmler 2004; Knoll & Keyes 2004), from the start
-    values v on the front grid of step h (overwritten).
+    values v on the front grid of step h.
 
     Unknowns are the grid values v, with v[i0] = 1/2 pinned at the start's
     half-level index i0, and a scalar sigma in the slot of v[i0].  The
@@ -661,65 +739,28 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     singular to rounding, along the speed family c -> phi_c.)  sigma
     converges to the order of v[0], about e^{-40}.
 
-    Jacobian-vector products are exact.  GMRES is preconditioned by
-    z12 L1 L2 J ~ P = z12 L1 L2 - (L2 R1 + L1 R2) R' (see
-    `_FrontSystem.tridiagonal`), a tridiagonal matrix with the sigma column
-    in place of column i0, solved approximately by splitting it at i0 into
-    two LAPACK tridiagonal factorizations (`_FrontSystem.linearize`).
-    The start is min(upper, 1) for a monotone front and a coarse Picard
-    front for an oscillating one (`solve_front`).  Stops at
-    max|G| <= tol.  A step that does not lower max|G|, the step cap, a
-    GMRES failure, and a result that is not positive or above U(c, K), or
-    with `monotone` not monotone, raise NoConvergence.  Returns the front
-    and its stats: Newton steps, GMRES iterations and sigma (None where no
-    step ran).
+    `newton` solves to max|G| <= tol by exact Jacobian-vector products and
+    preconditioned GMRES (`_FrontSystem.equations`), and its failure is
+    raised prefixed "front".  A result that is not positive or above
+    U(c, K), or with `monotone` not monotone, raises NoConvergence.
+    Returns the front and its stats: `newton`'s counts, GMRES iterations
+    and sigma (None where no step ran).
     """
-    n = v.size
     i0 = int(np.argmax(v >= 0.5))
     # the preconditioner factors the rows either side of i0 by dgttrf,
     # whose scipy wrapper takes 3 or more rows
-    if not 2 < i0 < n - 3:
+    if not 2 < i0 < v.size - 3:
         raise NoConvergence("start has no interior half-level")
-    v[i0] = 0.5
-    sigma = 0.0
-    stats = {"newton_steps": 0, "gmres_iters": 0, "sigma": None}
     system = _FrontSystem(ctx, h)
-
-    def count(_):
-        stats["gmres_iters"] += 1
-
-    G = system.residual(v, sigma)
-    gnorm = float(np.max(np.abs(G)))
-    # a diverging step may overflow; the max|G| check below catches it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while not gnorm <= tol:
-            if stats["newton_steps"] == NEWTON_MAX_STEPS:
-                raise NoConvergence(
-                    f"Newton-Krylov hit {NEWTON_MAX_STEPS} steps at "
-                    f"max|G|={gnorm}")
-            jv, precondition = system.linearize(v, i0)
-            step, info = gmres(
-                LinearOperator((n, n), matvec=jv), np.negative(G, out=G),
-                rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-                maxiter=GMRES_MAX_CYCLES,
-                M=LinearOperator((n, n), matvec=precondition),
-                callback=count, callback_type="pr_norm")
-            if info != 0:
-                raise NoConvergence(
-                    f"GMRES did not reach rtol={GMRES_RTOL} in Newton-Krylov "
-                    f"step {stats['newton_steps'] + 1}")
-            stats["newton_steps"] += 1
-            sigma += step[i0]
-            step[i0] = 0.0
-            v += step
-            stats["sigma"] = sigma
-            G = system.residual(v, sigma)
-            new = float(np.max(np.abs(G)))
-            if not new < gnorm:
-                raise NoConvergence(
-                    f"Newton-Krylov step {stats['newton_steps']} raised "
-                    f"max|G| from {gnorm} to {new}")
-            gnorm = new
+    x = v.copy()
+    x[i0] = 0.0  # sigma
+    try:
+        v, stats = newton(lambda x: system.equations(x, i0), x, tol)
+    except NoConvergence as err:
+        raise NoConvergence(f"front {err}") from err
+    stats.update(gmres_iters=sum(map(len, system.gmres_trace)),
+                 sigma=v[i0] if stats["newton_steps"] else None)
+    v[i0] = 0.5
     if monotone and not np.all(np.diff(v) > -1e-10):
         raise NoConvergence("Newton-Krylov front is not monotone")
     if not v.min() > 0.0:

@@ -159,6 +159,33 @@ def test_front_coarse_oscillating_start_holds_on_the_ladder(tmp_path):
     assert rep["residual"] < 5e-3
 
 
+def test_front_converges_after_a_step_that_raises_the_residual(
+        tmp_path, monkeypatch):
+    # K = delta(s - 5), c = 2.05, dt 0.01: Newton's first step raises max|G|
+    # from 3.0e-3 to 4.2e-3, and Newton converges in 3 steps to an
+    # oscillating, positive front (residual 1.8e-3; 4.5e-4 at dt 0.005)
+    seen = []
+    equations = cli.profiles._FrontSystem.equations
+
+    def record(self, x, i0):
+        G, linearize = equations(self, x, i0)
+        seen.append(float(np.max(np.abs(G))))
+        return G, linearize
+
+    monkeypatch.setattr(cli.profiles._FrontSystem, "equations", record)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]},
+                                "dt": 0.01}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.05", "--config",
+                        str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    assert rep["newton_steps"] == 3 and len(seen) == 4
+    assert seen[1] > seen[0]
+    assert rep["residual"] < 2.5e-3
+    assert rep["monotone"] is False and rep["phi_min"] > 0
+
+
 def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
                                                  monkeypatch):
     # a failed Newton solve exits 2 with its own reason: nothing falls back
@@ -169,7 +196,8 @@ def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
     code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config",
                         str(cfgp))
     assert code == 2
-    assert "numeric failure: Newton-Krylov hit 1 steps" in capsys.readouterr().err
+    assert "numeric failure: front Newton hit 1 steps at max|r| = " in \
+        capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

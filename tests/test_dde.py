@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from nlkpp import dde
 from nlkpp import DomainError, NoConvergence
+from nlkpp.profiles import NEWTON_MAX_STEPS, newton
 from nlkpp.spectral import quad_roots
 
 TAU = dde.HOPF_TAU + 0.1
@@ -284,12 +285,13 @@ def test_orbit_newton_singular_jacobian_is_no_convergence():
     assert np.max(np.abs(r)) > 0.1
     assert np.max(np.abs(jac()[-1])) < 1e-15
     with pytest.raises(NoConvergence, match="Newton diverged"):
-        dde._newton(system, x0)
+        newton(dde._direct(system), x0, dde.NEWTON_TOL)
 
 
 def test_orbit_newton_divergence_is_named():
     # from the small-amplitude seed at tau = 5.5, max|r| rises from 1.5 to
-    # 1.1e5 over the NEWTON_MAX_ITER dense steps: a divergence, not a stall
+    # above 1e4 over the NEWTON_MAX_STEPS dense steps: a divergence, not a
+    # stall
     with pytest.raises(NoConvergence) as info:
         dde.find_periodic(5.5)
     msg = str(info.value)
@@ -298,7 +300,7 @@ def test_orbit_newton_divergence_is_named():
                   r"(\d+) steps", msg)
     assert m, msg
     assert float(m[1]) < 10.0 < 1e4 < float(m[2])
-    assert int(m[3]) == dde.NEWTON_MAX_ITER - 1
+    assert int(m[3]) == NEWTON_MAX_STEPS
 
 
 @pytest.mark.parametrize("tau", [7.0, 7.54])
@@ -319,8 +321,8 @@ def test_orbit_eps_ladder_matches_uniform_path():
     p = dde.hopf_amplitude(4.8124) * np.cos(2 * np.pi * np.arange(n) / n)
     om = 2 * np.pi
     for e in np.linspace(0.0, eps, 5):
-        x, _ = dde._newton(dde._orbit_system(4.8124, e, p, om),
-                           np.append(p, om))
+        x, _ = newton(dde._direct(dde._orbit_system(4.8124, e, p, om)),
+                      np.append(p, om), dde.NEWTON_TOL)
         p, om = x[:-1], x[-1]
     assert ladder.period == pytest.approx(om, rel=1e-12)
     # ladder.p(t - shift) = p(t) moves the first Fourier mode by
@@ -335,31 +337,32 @@ def test_orbit_eps_ladder_matches_uniform_path():
 def test_newton_singular_sparse_jacobian_is_no_convergence():
     # splu raises "Factor is exactly singular" on an exactly singular
     # matrix; that becomes NoConvergence, and no warning leaks
-    system = lambda x: (x - 1.0, lambda: sparse.csc_matrix((2, 2)))
+    system = lambda x: (x - 1.0,
+                        lambda: (splu(sparse.csc_matrix((2, 2))).solve, True))
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(NoConvergence, match="exactly singular"):
-            dde._newton(system, np.zeros(2))
+            newton(system, np.zeros(2), dde.NEWTON_TOL)
     assert not seen
 
 
 def test_newton_stall_exits_on_a_fresh_factor():
     # max|r| never falls below 5e-12: a chord step stops contracting, the
     # step on the refactored Jacobian does not lower max|r|, and Newton
-    # raises there instead of taking all NEWTON_MAX_ITER steps
+    # raises there instead of taking all NEWTON_MAX_STEPS steps
     a = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     factored = []
 
-    def jac():
+    def linearize():
         factored.append(1)
-        return a
+        return splu(a).solve, True
 
     def system(x):
         d = x - 1.0
-        return a @ d + 5e-12 * np.where(d >= 0, 1.0, -1.0), jac
+        return a @ d + 5e-12 * np.where(d >= 0, 1.0, -1.0), linearize
 
     with pytest.raises(NoConvergence, match="Newton stalled at residual"):
-        dde._newton(system, np.zeros(2))
+        newton(system, np.zeros(2), dde.NEWTON_TOL)
     assert len(factored) <= 3
 
 
@@ -367,22 +370,23 @@ def test_newton_rise_far_above_the_floor_is_not_a_stall():
     # at tau = 50 the eps = 0 connection's second full Newton step raises
     # max|r| from 5.6e-3 to 1.6e-2, and Newton converges from there
     _, _, x0, system = dde._zero_to_one_system(50.0, 0.0)
-    _, counts = dde._newton(system, x0)
+    _, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
     assert counts["residual"] < dde.NEWTON_TOL
 
 
 def test_newton_non_finite_residual_is_no_convergence():
     # x^2 + 1 has no real root: from x = 1e-300 the first step lands near
     # -5e299, where the residual overflows to inf
-    system = lambda x: (x * x + 1.0,
-                        lambda: sparse.csc_matrix(2.0 * x[:, None]))
+    system = lambda x: (
+        x * x + 1.0, lambda: (splu(sparse.csc_matrix(2.0 * x[:, None])).solve,
+                              True))
     with pytest.raises(NoConvergence, match="residual not finite"):
-        dde._newton(system, np.array([1e-300]))
+        newton(system, np.array([1e-300]), dde.NEWTON_TOL)
 
 
 def _newton_per_step(system, x, solve):
     # reference: the Jacobian built and factored afresh at every step
-    for steps in range(dde.NEWTON_MAX_ITER):
+    for steps in range(NEWTON_MAX_STEPS + 1):
         r, jac = system(x)
         res = float(np.max(np.abs(r)))
         if res < dde.NEWTON_TOL:
@@ -398,7 +402,7 @@ def test_chord_newton_matches_per_step_factoring(eps):
     # and 1.1e-16 (eps 0.01), held to 1e-12
     _, _, x0, system = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
     ref, ref_res, _ = _newton_per_step(system, x0, spsolve)
-    x, counts = dde._newton(system, x0)
+    x, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
     assert ref_res < dde.NEWTON_TOL
     assert counts["residual"] < dde.NEWTON_TOL
     assert np.max(np.abs(x - ref)) < 1e-12
@@ -414,7 +418,7 @@ def test_orbit_newton_solves_every_step_dense(eps):
     system = dde._orbit_system(TAU, eps, p0, 2 * np.pi)
     x0 = np.append(p0, 2 * np.pi)
     ref, ref_res, steps = _newton_per_step(system, x0, np.linalg.solve)
-    x, counts = dde._newton(system, x0)
+    x, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
     assert np.array_equal(x, ref)
     assert counts == {"residual": ref_res, "newton_steps": steps,
                       "factorizations": steps}

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import gmres
 
 from nlkpp import DomainError, InvariantViolation, NoConvergence
 from nlkpp import kernels as ker
@@ -435,7 +436,7 @@ def test_newton_front_converges_past_picard_plateau(picard):
 
 
 @pytest.mark.parametrize("name, value, reason", [
-    ("NEWTON_MAX_STEPS", 1, "Newton-Krylov hit 1 steps at max|G|="),
+    ("NEWTON_MAX_STEPS", 1, "front Newton hit 1 steps at max|r| = "),
     ("u_bound", lambda c, k: 0.99,
      "Newton-Krylov front exceeds U(c, K) = 0.99"),
 ], ids=["step-cap", "above-bound"])
@@ -446,6 +447,32 @@ def test_newton_failure_raises(monkeypatch, name, value, reason):
     monkeypatch.setattr(pf, name, value)
     with pytest.raises(NoConvergence, match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)
+
+
+def test_newton_gmres_solve_follows_the_one_rule():
+    # a GMRES solve is not reusable, so Newton builds one at every step,
+    # and a step that raises max|r| does not stop it: on r = (sin x0,
+    # x1 - x0) from x = (1.2, 1.2), max|r| goes 0.93 -> 0.98, and Newton
+    # converges onto x0 = pi
+    seen = []
+
+    def system(x):
+        r = np.array([math.sin(x[0]), x[1] - x[0]])
+        seen.append(float(np.max(np.abs(r))))
+        j = np.array([[math.cos(x[0]), 0.0], [-1.0, 1.0]])
+
+        def solve(r):
+            step, info = gmres(j, r, rtol=1e-14, atol=0.0)
+            assert info == 0
+            return step
+
+        return r, lambda: (solve, False)
+
+    x, counts = pf.newton(system, np.array([1.2, 1.2]), 1e-12)
+    assert seen[1] > seen[0] > 0.9
+    assert x[0] == pytest.approx(math.pi, abs=1e-12)
+    assert counts["residual"] <= 1e-12
+    assert counts["factorizations"] == counts["newton_steps"] == len(seen) - 1
 
 
 # -- oscillating fronts: Newton-Krylov from a coarse Picard start ----------
@@ -482,7 +509,7 @@ def test_oscillating_front_gap_to_picard_falls_like_dt_squared(nested,
     # second start; no higher rung runs
     (2.5, 8.0, None, "Picard iteration at beta=4, dt=0.02 escaped the "
                      "[lower, upper] order interval at sweep 772"),
-    (3.0, 2.0, 1, "Newton-Krylov hit 1 steps at max|G|="),
+    (3.0, 2.0, 1, "front Newton hit 1 steps at max|r| = "),
 ], ids=["start", "newton"])
 def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
     # a failed start or Newton solve raises with its own reason, and Picard
@@ -645,11 +672,11 @@ def test_front_jacobian_vector_product_is_exact():
     rng = np.random.default_rng(3)
     u = rng.standard_normal(v.size) * np.minimum(v, 1e-3)
     u[i0] = 1e-3
-    du = u.copy()
-    du[i0] = 0.0
+    x = v.copy()
+    x[i0] = 0.0  # sigma
     eps = 1e-4
-    fd = (system.residual(v + eps * du, eps * u[i0])
-          - system.residual(v - eps * du, -eps * u[i0])) / (2 * eps)
+    fd = (system.equations(x + eps * u, i0)[0]
+          - system.equations(x - eps * u, i0)[0]) / (2 * eps)
     assert np.max(np.abs(jv(u) - fd)) <= 1e-9 * np.max(np.abs(fd))
 
 
