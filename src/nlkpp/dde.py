@@ -11,12 +11,14 @@ eps > 0 keeps its eps = 0 rung as `base`, and the Floquet and adjoint
 routines return their results instead of storing them.
 
 The orbit (`_orbit_system`, Fourier collocation with unknown period)
-and the zero-to-one connection (`_zero_to_one_system`, one sparse lag
-operator for eps = 0 and eps > 0) are maps x -> (residual, Jacobian
-thunk).  The package's one Newton loop, `profiles.newton`, solves both
-(`_direct`): the dense orbit Jacobian afresh at every step, the sparse
-connection Jacobian by one `splu` factor kept for chord steps (at tau = 5,
-one per warm-started rung).  One eps-ladder, `_continue`, continues both
+and the zero-to-one connection (`_zero_to_one_system`, trapezoid boxes
+with unknowns and equations ordered node by node, for eps = 0 and
+eps > 0) are maps x -> (residual, Jacobian thunk).  The package's one
+Newton loop, `profiles.newton`, solves both (`_direct`): the dense orbit
+Jacobian afresh at every step, the sparse connection Jacobian, assembled
+from index arrays fixed per mesh, by one `splu` factor in its natural
+order with diagonal pivots, kept for chord steps (at tau = 5, one per
+warm-started rung).  One eps-ladder, `_continue`, continues both
 from eps = 0.  An orbit Newton that lands on a flat equilibrium is a
 numeric failure.  The adjoint (eps v'' term included) is the left null
 vector of the orbit Jacobian.
@@ -65,6 +67,20 @@ P2P_FIT_FLOOR = 1e-10
 NEWTON_TOL = 1e-12
 EPS_START = 1e-3
 EPS_MIN_STEP = 1e-6
+# sparse Newton factor (`_direct`): SuperLU keeps a diagonal pivot down to
+# PIVOT_THRESHOLD of its column's largest entry.  With the connection's rows
+# scaled to a unit diagonal, each eps > 0 box's y-row pivot +1/h ties with
+# the next box's -1/h below it; the tie is exact, so the tau = 5, eps = 0.01
+# Jacobian (4,003 unknowns) fills 7.9 entries of L + U per unknown at 1.0,
+# 0.5 and 0.1 alike, and below 1 the diagonal also wins a tie that rounding
+# breaks.  Unscaled, the fill is 101, 82 and 14 per unknown.
+PIVOT_THRESHOLD = 0.5
+# the diagonal pivots let U's kappa column grow with the left tail (about
+# e^{z1 T}: 1e11 at tau 5, 1e20 at tau 25).  A solve leaves J dx - r at
+# 3e-16 to 9e-15 |r| at tau 5 and 8, but 1.5e-8 |r| at tau 25 and 1.9e-4 |r|
+# at tau 50; one above REFINE_TOL |r| takes a refinement step, which
+# brings it to 2e-15 |r|
+REFINE_TOL = 1e-13
 
 
 def hopf_amplitude(tau: float) -> float:
@@ -77,12 +93,33 @@ def hopf_amplitude(tau: float) -> float:
 
 
 def _direct(system):
-    """`newton`'s map for a map x -> (residual, Jacobian thunk): a sparse
-    Jacobian is factored by `splu` and kept for chord steps, and a dense
-    one is solved afresh at every step."""
+    """`newton`'s map for a map x -> (residual, Jacobian thunk).  A dense
+    Jacobian is solved afresh at every step.  A sparse one comes with its
+    unknowns and equations in elimination order (the connection's, node by
+    node), so its rows are scaled to a unit diagonal (a zero diagonal entry
+    leaves its row as it is) and `splu` factors it in that natural order,
+    keeping the diagonal pivot down to PIVOT_THRESHOLD of its column's
+    largest entry; the factor is kept for chord steps.  A solve that
+    leaves J dx - r above REFINE_TOL |r| takes one step of iterative
+    refinement against the unscaled Jacobian.  The scaling lives in the
+    solve only: the residual is the system's."""
     def linearize(j):
         if sparse.issparse(j):
-            return splu(j).solve, True
+            j = j.tocsc()
+            d = np.abs(j.diagonal())
+            s = 1.0 / np.where(d > 0, d, 1.0)
+            lu = splu(sparse.csc_matrix((j.data * s[j.indices], j.indices,
+                                         j.indptr), shape=j.shape),
+                      permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD)
+
+            def solve(r):
+                dx = lu.solve(s * r)
+                rr = r - j @ dx
+                if np.max(np.abs(rr)) > REFINE_TOL * np.max(np.abs(r)):
+                    dx = dx + lu.solve(s * rr)
+                return dx
+
+            return solve, True
         return (lambda r: np.linalg.solve(j, r)), False
 
     def newton_map(x):
@@ -548,60 +585,82 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     uniform mesh whose step divides the delay, left tail projected on the
     growth direction with free scale kappa, phase y(0) = 1/2.
 
-    The unknowns are x = (y, kappa) for eps = 0 and x = (y, w = y', kappa)
-    for eps > 0.  The lag y(t - tau) = lag @ x is linear in x, so residual
-    and Jacobian are both built from the same fixed sparse operators.
-    Returns the mesh, the growth rate, the starting point (the `warm`
-    solution's profile interpolated, else the logistic at the growth rate)
-    and the map x -> (residual, Jacobian thunk)."""
+    Unknowns and equations run node by node: x = (y_0, y_1, ..., kappa)
+    for eps = 0 and x = (y_0, w_0, y_1, w_1, ..., kappa), w = y', for
+    eps > 0; the residual holds the left boundary rows (node 0's), then
+    each box's rows (its right node's), then the phase row (kappa's).  So
+    the Jacobian's diagonal holds each node's own pivots, the lag y(t - tau)
+    sits one band m = tau/h nodes left of it, and kappa's column reaches the
+    first m boxes.  The Jacobian is one `csc_matrix` on index arrays fixed
+    per mesh, its entries a few vectors in y, w and the lag.  Returns the
+    mesh, the growth rate, the starting point (the `warm` solution's
+    profile interpolated, else the logistic at the growth rate) and the
+    map x -> (residual, Jacobian thunk)."""
     z1, h, half = _zero_to_one_mesh(tau, eps, n_per_delay)
     n = 2 * half + 1
     tg = h * (np.arange(n) - half)
     m = n_per_delay
     nch = 1 if eps == 0 else 2
-    nvar = nch * n + 1
-    ik = nvar - 1
-    tail_w = np.exp(z1 * (tg[:m] - tau - tg[0]))
-
-    lag = sparse.csr_matrix(
-        (np.concatenate([tail_w, np.ones(n - m)]),
-         (np.arange(n), np.concatenate([np.full(m, ik), np.arange(n - m)]))),
-        shape=(n, nvar))
-    pick = sparse.identity(nvar, format="csr")
-    p_y, p_w = pick[:n], pick[n:2 * n]
-    dif = sparse.block_diag(
-        [sparse.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n))] * nch)
-    avg = sparse.block_diag(
-        [sparse.diags([0.5, 0.5], [0, 1], shape=(n - 1, n))] * nch)
-    dif_s = dif @ pick[:nch * n]
-    # y(-T) = kappa, w(-T) = z1 kappa (eps > 0), y(0) = 1/2
-    bc_rows = [pick[0] - pick[ik]]
+    ik = nch * n
+    ih = 1.0 / h
+    # node j's lag is y_{j-m}, or kappa times the growth tail for j < m
+    lag_w = np.concatenate([np.exp(z1 * (tg[:m] - tau - tg[0])),
+                            np.ones(n - m)])
+    lag_col = np.concatenate([np.full(m, ik), nch * np.arange(n - m)])
+    # box i (nodes i, i + 1) owns node i + 1's rows; `row` is the last,
+    # y' = f (eps = 0) or w' = (f - w) / eps, the one with y and the lag
+    row, yc = nch * np.arange(2, n + 1) - 1, nch * np.arange(n)
+    # constant Jacobian entries (rows, cols, value): y(-T) = kappa,
+    # y(0) = 1/2, the difference quotient of `row` (in y, or w) and, for
+    # eps > 0, w(-T) = z1 kappa, the w-rows' w / eps and the y-rows' y' = w
+    # (duplicates add up)
+    const = [(0, 0, 1.0), (0, ik, -1.0), (ik, nch * half, 1.0)]
+    dc = yc if eps == 0 else yc + 1
+    const += [(row, dc[:-1], -ih), (row, dc[1:], ih)]
     if eps > 0:
-        bc_rows.append(pick[n] - z1 * pick[ik])
-    bc = sparse.vstack(bc_rows + [pick[half]])
-    bc_rhs = np.zeros(bc.shape[0])
-    bc_rhs[-1] = 0.5
+        q = 0.5 * (1.0 / eps)
+        const += [(1, 1, 1.0), (1, ik, -z1), (row, dc[:-1], q),
+                  (row, dc[1:], q), (row - 1, yc[:-1], -ih),
+                  (row - 1, yc[1:], ih), (row - 1, dc[:-1], -0.5),
+                  (row - 1, dc[1:], -0.5)]
+    const = [np.broadcast_arrays(*e) for e in const]
+    fixed = np.concatenate([np.ravel(v) for _, _, v in const])
+    rows = np.concatenate([np.ravel(r) for r, _, _ in const] + [row] * 4)
+    cols = np.concatenate([np.ravel(c) for _, c, _ in const]
+                          + [yc[:-1], yc[1:], lag_col[:-1], lag_col[1:]])
 
     def system(x):
-        y, la = x[:n], lag @ x
+        y, kappa = x[:ik:nch], x[ik]
+        la = np.concatenate([lag_w[:m] * kappa, y[:n - m]])
         f = la * (1.0 - y)
+        r = np.empty(ik + 1)
+        r[0], r[ik] = y[0] - kappa, y[half] - 0.5
+        pairs = [(y, f)]
         if eps > 0:
-            w = x[n:2 * n]
-            f = np.concatenate([w, (f - w) / eps])
+            w = x[1:ik:nch]
+            r[1] = w[0] - z1 * kappa
+            pairs = [(y, w), (w, (f - w) / eps)]
+        # each box: the difference quotient less the trapezoid average
+        for k, (u, v) in enumerate(pairs):
+            r[nch + k:ik:nch] = ((-ih * u[:-1] + ih * u[1:])
+                                 - (0.5 * v[:-1] + 0.5 * v[1:]))
 
         def jac():
-            df = sparse.diags(1.0 - y) @ lag - sparse.diags(la) @ p_y
+            # -1/2 d/dy_j and -1/2 d/d(lag_j) of f_j (of f_j / eps)
+            a, b = 0.5 * la, -0.5 * ((1.0 - y) * lag_w)
             if eps > 0:
-                df = sparse.vstack([p_w, (df - p_w) / eps])
-            return sparse.vstack([dif_s - avg @ df, bc], format="csc")
+                a, b = a / eps, b / eps
+            data = np.concatenate([fixed, a[:-1], a[1:], b[:-1], b[1:]])
+            return sparse.csc_matrix((data, (rows, cols)),
+                                     shape=(ik + 1, ik + 1))
 
-        return np.concatenate([dif_s @ x - avg @ f, bc @ x - bc_rhs]), jac
+        return r, jac
 
-    x = np.empty(nvar)
-    x[:n] = (1.0 / (1.0 + np.exp(-z1 * tg)) if warm is None
-             else np.interp(tg, warm["t"], warm["y"]))
+    x = np.empty(ik + 1)
+    x[:ik:nch] = (1.0 / (1.0 + np.exp(-z1 * tg)) if warm is None
+                  else np.interp(tg, warm["t"], warm["y"]))
     if eps > 0:
-        x[n:2 * n] = np.gradient(x[:n], h)
+        x[1:ik:nch] = np.gradient(x[:ik:nch], h)
     x[ik] = max(x[0], 1e-14)
     return tg, z1, x, system
 
@@ -614,7 +673,7 @@ def _solve_zero_to_one(tau, eps, warm):
         x, counts = newton(_direct(system), x, NEWTON_TOL)
     except NoConvergence as err:
         raise NoConvergence(f"connection {err}") from err
-    y = x[:tg.size]
+    y = x[:-1:1 if eps == 0 else 2]
     sel = (y > 1e-8) & (y < 1e-3)
     rate = float(np.polyfit(tg[sel], np.log(y[sel]), 1)[0]) if sel.sum() > 5 else math.nan
     return {"eps": eps, "t": tg, "y": y, "kappa": float(x[-1]),

@@ -737,12 +737,13 @@ def test_periodic_collapse_onto_equilibrium_is_numeric_failure(tmp_path,
 
 
 @pytest.mark.parametrize("argv", [
-    ["connect", "--tau", "100"],
-    ["semiwave", "--tau", "5", "--c", "1e10"],
+    ["connect", "--tau", "500"],
+    ["semiwave", "--tau", "500", "--c", "3"],
 ])
 def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
                                                         argv):
     # the Newton iterates overflow before the sparse Jacobian turns singular
+    # (on the eps = 0 rung at tau = 500)
     code, out = run_cli_quietly(tmp_path, *argv)
     assert code == 2
     assert "numeric failure: connection Newton diverged: residual not " \

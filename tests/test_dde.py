@@ -367,11 +367,22 @@ def test_newton_stall_exits_on_a_fresh_factor():
 
 
 def test_newton_rise_far_above_the_floor_is_not_a_stall():
-    # at tau = 50 the eps = 0 connection's second full Newton step raises
-    # max|r| from 5.6e-3 to 1.6e-2, and Newton converges from there
-    _, _, x0, system = dde._zero_to_one_system(50.0, 0.0)
-    _, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
+    # a step on a fresh reusable factor that raises max|r| far above the
+    # rounding floor does not stop Newton: on r = (sin x0, x1 - x0) from
+    # x = (1.2, 1.2), max|r| goes 0.93 -> 0.98, and Newton converges onto
+    # x0 = pi
+    seen = []
+
+    def system(x):
+        r = np.array([math.sin(x[0]), x[1] - x[0]])
+        seen.append(float(np.max(np.abs(r))))
+        j = sparse.csc_matrix(np.array([[math.cos(x[0]), 0.0], [-1.0, 1.0]]))
+        return r, lambda: (splu(j).solve, True)
+
+    x, counts = newton(system, np.array([1.2, 1.2]), dde.NEWTON_TOL)
+    assert seen[1] > seen[0] > 0.9
     assert counts["residual"] < dde.NEWTON_TOL
+    assert x[0] == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_newton_non_finite_residual_is_no_convergence():
@@ -647,24 +658,30 @@ def test_ladder_distances_shrink_with_eps(ladder_run):
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 def test_connection_residual_matches_slice_formula(eps):
     # reference: the lag read by slicing, y(t_j - tau) = y[j - m] for j >= m
-    # and kappa times the growth tail exp(z1 (t_j - tau - t_0)) for j < m
+    # and kappa times the growth tail exp(z1 (t_j - tau - t_0)) for j < m;
+    # unknowns and equations run node by node: x = (y_0, [w_0,] y_1, ...,
+    # kappa), and the rows are y(-T) = kappa [and w(-T) = z1 kappa], each
+    # box's rows, then the phase y(0) = 1/2
     tau, m = 5.0, 5
     tg, z1, x0, system = dde._zero_to_one_system(tau, eps, n_per_delay=m)
     x = x0 + 1e-2 * np.random.default_rng(3).standard_normal(x0.size)
     n, h, kappa = tg.size, tau / m, x[-1]
-    y = x[:n]
+    nch = 1 if eps == 0 else 2
+    assert x.size == nch * n + 1
+    y = x[:-1:nch]
     la = np.concatenate([kappa * np.exp(z1 * (tg[:m] - tau - tg[0])),
                          y[:n - m]])
     f = la * (1.0 - y)
     if eps == 0:
-        ref = [np.diff(y) / h - 0.5 * (f[:-1] + f[1:]),
-               [y[0] - kappa, y[n // 2] - 0.5]]
+        ref = [[y[0] - kappa], np.diff(y) / h - 0.5 * (f[:-1] + f[1:]),
+               [y[n // 2] - 0.5]]
     else:
-        w = x[n:2 * n]
+        w = x[1:-1:2]
         fw = (f - w) / eps
-        ref = [np.diff(y) / h - 0.5 * (w[:-1] + w[1:]),
-               np.diff(w) / h - 0.5 * (fw[:-1] + fw[1:]),
-               [y[0] - kappa, w[0] - z1 * kappa, y[n // 2] - 0.5]]
+        boxes = np.column_stack([np.diff(y) / h - 0.5 * (w[:-1] + w[1:]),
+                                 np.diff(w) / h - 0.5 * (fw[:-1] + fw[1:])])
+        ref = [[y[0] - kappa, w[0] - z1 * kappa], boxes.ravel(),
+               [y[n // 2] - 0.5]]
     np.testing.assert_allclose(system(x)[0], np.concatenate(ref),
                                rtol=1e-12, atol=1e-12)
 
@@ -686,6 +703,105 @@ def test_connection_jacobian_matches_finite_differences(eps):
         fd[:, j] = (resid(x + e) - resid(x - e)) / (2 * step)
     jd = system(x)[1]().toarray()
     assert np.max(np.abs(fd - jd)) <= 1e-6 * np.max(np.abs(jd))
+
+
+def _block_jacobian(tg, z1, tau, m, eps, x):
+    # the connection's Jacobian as scipy.sparse block algebra, in the block
+    # layout x = (y, [w,] kappa) with rows (y-boxes, [w-boxes,] y(-T) =
+    # kappa, [w(-T) = z1 kappa,] y(0) = 1/2)
+    n = tg.size
+    nch = 1 if eps == 0 else 2
+    nvar = nch * n + 1
+    ik, half = nvar - 1, n // 2
+    h = tau / m
+    tail_w = np.exp(z1 * (tg[:m] - tau - tg[0]))
+    lag = sparse.csr_matrix(
+        (np.concatenate([tail_w, np.ones(n - m)]),
+         (np.arange(n), np.concatenate([np.full(m, ik), np.arange(n - m)]))),
+        shape=(n, nvar))
+    pick = sparse.identity(nvar, format="csr")
+    p_y, p_w = pick[:n], pick[n:2 * n]
+    dif = sparse.block_diag(
+        [sparse.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(n - 1, n))] * nch)
+    avg = sparse.block_diag(
+        [sparse.diags([0.5, 0.5], [0, 1], shape=(n - 1, n))] * nch)
+    bc_rows = [pick[0] - pick[ik]]
+    if eps > 0:
+        bc_rows.append(pick[n] - z1 * pick[ik])
+    bc = sparse.vstack(bc_rows + [pick[half]])
+    y = x[:n]
+    la = lag @ x
+    df = sparse.diags(1.0 - y) @ lag - sparse.diags(la) @ p_y
+    if eps > 0:
+        df = sparse.vstack([p_w, (df - p_w) / eps])
+    return sparse.vstack([dif @ pick[:nch * n] - avg @ df, bc])
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_connection_jacobian_matches_block_algebra(eps):
+    # the node-by-node assembly from index arrays equals the block-algebra
+    # Jacobian entry for entry at a perturbed point, once its rows and
+    # columns are put in the block layout
+    tau, m = 5.0, 5
+    tg, z1, x0, system = dde._zero_to_one_system(tau, eps, n_per_delay=m)
+    x = x0 + 1e-2 * np.random.default_rng(11).standard_normal(x0.size)
+    n = tg.size
+    nch = 1 if eps == 0 else 2
+    node = nch * np.arange(n)
+    cols = np.concatenate([node + k for k in range(nch)] + [[nch * n]])
+    rows = np.concatenate([node[1:] + k for k in range(nch)]
+                          + [np.arange(nch), [nch * n]])
+    ref = _block_jacobian(tg, z1, tau, m, eps, x[cols]).toarray()
+    got = system(x)[1]().toarray()[np.ix_(rows, cols)]
+    assert np.count_nonzero(ref) > 3 * n
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_connection_factor_keeps_the_node_order(eps, monkeypatch):
+    # the LU of the node-by-node Jacobian takes every pivot on the diagonal
+    # and fills little: 5.9 (eps 0) and 7.9 (eps 0.01) entries of L + U
+    # per unknown at the logistic start, where a fill-reducing column
+    # order (COLAMD, splu's default) gives 16.5 and 32
+    factors = []
+
+    def record(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(dde, "splu", record)
+    _, _, x0, system = dde._zero_to_one_system(5.0, eps)
+    dde._direct(system)(x0)[1]()
+    (lu,) = factors
+    assert np.array_equal(lu.perm_r, np.arange(x0.size))
+    assert np.array_equal(lu.perm_c, np.arange(x0.size))
+    assert lu.L.nnz + lu.U.nnz < 10 * x0.size
+
+
+@pytest.mark.parametrize("tau", [25.0, 50.0])
+def test_connection_solve_refines_to_rounding(tau):
+    # the diagonal pivots let U's kappa column grow with the left tail, so
+    # one triangular solve leaves J dx - r at 1.5e-8 |r| (tau 25) and
+    # 1.9e-4 |r| (tau 50) at the logistic start; the solve's refinement
+    # step brings it to 1.7e-15 and 1.2e-15 |r|
+    _, _, x0, system = dde._zero_to_one_system(tau, 0.0)
+    r, jac = system(x0)
+    solve, reuse = dde._direct(system)(x0)[1]()
+    assert reuse
+    dx = solve(r)
+    assert np.max(np.abs(jac() @ dx - r)) < 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("tau", [45.0, 55.0])
+def test_zero_to_one_converges_at_large_delay(tau):
+    # the left end of the mesh sits where y is about kappa ~ 1e-25 and
+    # cond(J) ~ 1e17; the node-order factor takes kappa's pivot last and
+    # converges here in 7-8 steps
+    (sol,) = dde.zero_to_one(tau, 0.0)
+    assert sol["residual"] < dde.NEWTON_TOL
+    assert 0.0 < sol["kappa"] < 1e-20
+    assert np.all(np.diff(sol["y"]) > -1e-10)
+    assert sol["decay_rate"] == pytest.approx(sol["rate_target"], rel=0.05)
 
 
 def test_periodic_to_point_settles():
