@@ -221,7 +221,8 @@ def cmd_front(args, cfg, out: Path) -> None:
         "solver": d["solver"], "picard_sweeps": d["iterations"],
         "start_beta": d["start_beta"],
         "newton_steps": d["newton_steps"], "gmres_iters": d["gmres_iters"],
-        "sigma": d["sigma"]})
+        "gmres_per_step": d["gmres_per_step"],
+        "gmres_rtols": d["gmres_rtols"], "sigma": d["sigma"]})
 
 
 def cmd_toy(args, cfg, out: Path) -> None:

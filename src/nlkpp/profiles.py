@@ -508,13 +508,20 @@ def _front_profile(ctx: WaveContext, upper: Profile, vals: np.ndarray,
 NEWTON_MAX_STEPS = 40
 CHORD_CONTRACTION = 0.1
 STALL_FACTOR = 100.0
-# GMRES's tolerance, restart length and restart cycles.  The reference
-# fronts and the c = 14.14, K = delta(s + 68) front take 4 Newton steps at
-# every rtol from 1e-4 to 1e-8; 1e-6 takes 0-36% fewer GMRES iterations
-# than 1e-8 (30 against 41 on delta(s + 0.5)).  The GMRES basis is
-# restart + 1 grid vectors: restart 30 raised the benchmark's peak RSS by
-# 12%, and 10 is as fast on the reference fronts
+# GMRES's relative tolerance per Newton step (Eisenstat & Walker 1996,
+# choice 2): GMRES_ETA_MAX at the first step, then
+# 0.9 (res_k / res_{k-1})^2 clamped to [GMRES_RTOL, GMRES_ETA_MAX], with
+# res the max|G| the step linearizes at.  So a step far from the front is
+# solved only as far as its Newton step can use, and the last steps are
+# solved to the floor GMRES_RTOL.  A cap of 3e-2 or 1e-1 costs delta(s - 5),
+# c 2.05, dt 0.01 a fourth Newton step and moves the delta(s - 5), c 2.5
+# front by over 1e-12; so does a floor raised to 0.5 tol / res.  The floor:
+# the reference fronts and the c = 14.14, K = delta(s + 68) front take 4
+# Newton steps at every fixed rtol from 1e-4 to 1e-8.  Restart length and
+# cycles: the GMRES basis is restart + 1 grid vectors, restart 30 raised
+# the benchmark's peak RSS by 12%, and 10 is as fast on the reference fronts
 GMRES_RTOL = 1e-6
+GMRES_ETA_MAX = 1e-2
 GMRES_RESTART = 10
 GMRES_MAX_CYCLES = 20
 
@@ -579,7 +586,9 @@ class _FrontSystem:
         self.ctx = ctx
         self.st = stencil(ctx.kernel, h)
         self.w = _cell_weights(ctx.z1, ctx.z2, h)
-        self.gmres_trace = []  # per Newton step, GMRES's residual norms
+        # per Newton step: GMRES's residual norms, and its rtol
+        self.gmres_trace, self.gmres_rtols = [], []
+        self._res = None  # max|G| at the last linearization
 
     def tridiagonal(self, rp):
         """(sub, diag, super) of P = z12 L1 L2 - (L2 R1 + L1 R2) diag(rp).
@@ -617,28 +626,36 @@ class _FrontSystem:
     def equations(self, x, i0):
         """G(v, sigma) = v - A(v) - sigma e_0 and its linearization for
         `newton`, in the unknowns' layout: x holds v with sigma in slot i0,
-        where v[i0] = 1/2 is pinned.  A linearization solves by
-        preconditioned GMRES and appends its trace to `gmres_trace`."""
+        where v[i0] = 1/2 is pinned.  G is a function of x alone.  A
+        linearization solves by preconditioned GMRES to the forcing term
+        eta, set from its max|G| and the previous linearization's (see
+        GMRES_RTOL), and appends eta to `gmres_rtols` and GMRES's trace to
+        `gmres_trace`."""
         v = x.copy()
         v[i0] = 0.5
         G = v - self.apply(v)
         G[0] -= x[i0]
 
         def linearize():
+            res, last = float(np.max(np.abs(G))), self._res
+            self._res = res
+            eta = GMRES_ETA_MAX if last is None else min(
+                GMRES_ETA_MAX, max(GMRES_RTOL, 0.9 * (res / last) ** 2))
             a, m = (LinearOperator((v.size,) * 2, matvec=f)
                     for f in self.linearize(v, i0))
             trace = []
             self.gmres_trace.append(trace)
+            self.gmres_rtols.append(eta)
 
             def solve(r):
-                step, info = gmres(a, r, rtol=GMRES_RTOL, atol=0.0, M=m,
+                step, info = gmres(a, r, rtol=eta, atol=0.0, M=m,
                                    restart=GMRES_RESTART,
                                    maxiter=GMRES_MAX_CYCLES,
                                    callback=trace.append,
                                    callback_type="pr_norm")
                 if info != 0:
                     raise NoConvergence(
-                        f"GMRES did not reach rtol={GMRES_RTOL} in "
+                        f"GMRES did not reach rtol={eta:.3g} in "
                         f"Newton-Krylov step {len(self.gmres_trace)}")
                 return step
 
@@ -741,11 +758,13 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     converges to the order of v[0], about e^{-40}.
 
     `newton` solves to max|G| <= tol by exact Jacobian-vector products and
-    preconditioned GMRES (`_FrontSystem.equations`), and its failure is
-    raised prefixed "front".  A result that is not positive or above
-    U(c, K), or with `monotone` not monotone, raises NoConvergence.
-    Returns the front and its stats: `newton`'s counts, GMRES iterations
-    and sigma (None where no step ran).
+    preconditioned GMRES (`_FrontSystem.equations`), an inexact Newton: each
+    step's GMRES stops at its forcing term, 1e-2 at the first step and down
+    to GMRES_RTOL as max|G| falls.  Its failure is raised prefixed "front".
+    A result that is not positive or above U(c, K), or with `monotone` not
+    monotone, raises NoConvergence.  Returns the front and its stats:
+    `newton`'s counts, GMRES iterations in all and per step, each step's
+    GMRES rtol, and sigma (None where no step ran).
     """
     i0 = int(np.argmax(v >= 0.5))
     # the preconditioner factors the rows either side of i0 by dgttrf,
@@ -759,7 +778,9 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
         v, stats = newton(lambda x: system.equations(x, i0), x, tol)
     except NoConvergence as err:
         raise NoConvergence(f"front {err}") from err
-    stats.update(gmres_iters=sum(map(len, system.gmres_trace)),
+    per_step = [len(t) for t in system.gmres_trace]
+    stats.update(gmres_iters=sum(per_step), gmres_per_step=per_step,
+                 gmres_rtols=system.gmres_rtols,
                  sigma=v[i0] if stats["newton_steps"] else None)
     v[i0] = 0.5
     if monotone and not np.all(np.diff(v) > -1e-10):

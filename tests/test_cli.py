@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlkpp import DomainError, InvariantViolation, NoConvergence, cli, dde
+from nlkpp import kernels, profiles
 
 
 def run_cli(tmp_path, *argv):
@@ -198,6 +199,46 @@ def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
     assert code == 2
     assert "numeric failure: front Newton hit 1 steps at max|r| = " in \
         capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_front_reports_gmres_per_step(tmp_path):
+    # one entry per Newton step: GMRES's iterations and its rtol, the
+    # forcing term, which starts at GMRES_ETA_MAX
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": -0.5, "mass": 1.0}]},
+                                "dt": 0.02}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config",
+                        str(cfgp))
+    assert code == 0
+    rep = load(out, "front.json")
+    per_step, rtols = rep["gmres_per_step"], rep["gmres_rtols"]
+    assert len(per_step) == len(rtols) == rep["newton_steps"] > 0
+    assert sum(per_step) == rep["gmres_iters"] and min(per_step) > 0
+    assert rtols[0] == profiles.GMRES_ETA_MAX
+    assert all(profiles.GMRES_RTOL <= r <= profiles.GMRES_ETA_MAX
+               for r in rtols)
+
+
+def test_front_gmres_failure_names_its_tolerance(tmp_path, capsys,
+                                                monkeypatch):
+    # with one restart cycle (10 iterations) delta(s + 0.5), c 2.5, dt 0.02
+    # fails at Newton step 3, whose GMRES runs to that step's forcing term
+    # (4.4e-4), not to the floor GMRES_RTOL
+    ctx = profiles.WaveContext(2.5, kernels.dirac(-0.5))
+    rtols = profiles.solve_front(ctx, dt=0.02).diagnostics["gmres_rtols"]
+    monkeypatch.setattr(profiles, "GMRES_MAX_CYCLES", 1)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": -0.5, "mass": 1.0}]},
+                                "dt": 0.02}))
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config",
+                        str(cfgp))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("numeric failure: front Newton diverged: GMRES did not "
+                   f"reach rtol={rtols[2]:.3g} in Newton-Krylov step 3\n")
+    assert rtols[2] != profiles.GMRES_RTOL
+    assert not (out / "front.json").exists()
     assert not (out / "manifest.json").exists()
 
 

@@ -475,6 +475,87 @@ def test_newton_gmres_solve_follows_the_one_rule():
     assert counts["factorizations"] == counts["newton_steps"] == len(seen) - 1
 
 
+# -- the forcing terms of the front's GMRES solves -------------------------
+
+def _linearized_residuals(monkeypatch):
+    """max|G| at each linearization of the front's equations, in order."""
+    seen = []
+    equations = pf._FrontSystem.equations
+
+    def recorded(self, x, i0):
+        G, linearize = equations(self, x, i0)
+
+        def lin():
+            seen.append(float(np.max(np.abs(G))))
+            return linearize()
+
+        return G, lin
+
+    monkeypatch.setattr(pf._FrontSystem, "equations", recorded)
+    return seen
+
+
+def _solve_at_fixed_rtol(ctx, dt, cycles=None):
+    """solve_front with every GMRES solve to GMRES_RTOL, as before the
+    forcing terms (and with GMRES_MAX_CYCLES raised to `cycles`)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pf, "GMRES_ETA_MAX", pf.GMRES_RTOL)
+        if cycles is not None:
+            mp.setattr(pf, "GMRES_MAX_CYCLES", cycles)
+        return pf.solve_front(ctx, dt=dt)
+
+
+# the benchmark's three fronts: GMRES iterations at a fixed rtol of 1e-6
+# were 92, 30 and 20 in 3, 4 and 4 Newton steps; with the forcing terms
+# they are 67, 16 and 12 in the same steps, and the fronts agree to 3.4e-13
+# on [-20, 20] measured
+@pytest.mark.parametrize("c, kernel, dt, most", [
+    (2.5, ker.dirac(5.0), 0.005, 70),
+    (2.5, ker.dirac(-0.5), 0.0025, 20),
+    (3.0, _mixed_kernel(), 0.02, 14),
+], ids=["delayed", "advanced", "mixed"])
+def test_front_gmres_follows_the_forcing_terms(monkeypatch, c, kernel, dt,
+                                               most):
+    ctx = pf.WaveContext(c, kernel)
+    ref = _solve_at_fixed_rtol(ctx, dt)
+    res = _linearized_residuals(monkeypatch)
+    prof = pf.solve_front(ctx, dt=dt)
+    d, dr = prof.diagnostics, ref.diagnostics
+    rtols = d["gmres_rtols"]
+    assert len(rtols) == len(res) == len(d["gmres_per_step"]) \
+        == d["newton_steps"]
+    assert rtols[0] == pf.GMRES_ETA_MAX
+    for k in range(1, len(rtols)):
+        eta = 0.9 * (res[k] / res[k - 1]) ** 2
+        assert rtols[k] == pytest.approx(
+            min(pf.GMRES_ETA_MAX, max(pf.GMRES_RTOL, eta)), rel=1e-12)
+    assert min(rtols) >= pf.GMRES_RTOL and rtols[-1] < 1e-3
+    assert dr["gmres_rtols"] == [pf.GMRES_RTOL] * dr["newton_steps"]
+    assert sum(d["gmres_per_step"]) == d["gmres_iters"]
+    assert d["newton_steps"] == dr["newton_steps"]
+    assert d["gmres_iters"] <= most < dr["gmres_iters"]
+    t = np.linspace(-20.0, 20.0, 4001)
+    assert np.max(np.abs(prof(t) - ref(t))) <= 1e-10
+
+
+def test_delayed_front_fits_the_gmres_budget():
+    # delta(s - 6), c = 2.5, dt 0.01: at a fixed rtol of 1e-6 Newton step 1
+    # needs 250 GMRES iterations, over the budget of GMRES_RESTART x
+    # GMRES_MAX_CYCLES = 200.  With the forcing terms each step fits (160,
+    # 54, 75 measured), and the front is 1.9e-12 from the fixed-rtol front
+    # solved with 100 restart cycles
+    ctx = pf.WaveContext(2.5, ker.dirac(6.0))
+    prof = pf.solve_front(ctx, dt=0.01)
+    d = prof.diagnostics
+    budget = pf.GMRES_RESTART * pf.GMRES_MAX_CYCLES
+    assert d["newton_steps"] <= 4 and max(d["gmres_per_step"]) <= budget
+    assert not d["monotone"] and prof.values.min() > 0
+    ref = _solve_at_fixed_rtol(ctx, 0.01, cycles=100)
+    assert ref.diagnostics["gmres_per_step"][0] > budget
+    t = np.linspace(-20.0, 20.0, 4001)
+    assert np.max(np.abs(prof(t) - ref(t))) <= 1e-10
+
+
 # -- oscillating fronts: Newton-Krylov from a coarse Picard start ----------
 
 # sup |nested - Picard| over [-20, 20] on K = delta(s - 5), c = 2.5: 8.9e-5
