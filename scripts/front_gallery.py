@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from nlkpp import profiles as pf
-from nlkpp import regimes as rg
 from nlkpp.kernels import dirac
 
 
@@ -35,13 +34,12 @@ def main():
         ctx = pf.WaveContext(c, k)
         prof = pf.solve_front(ctx, dt=dt)
         d = prof.diagnostics
-        U = rg.u_bound(c, k)
         rows = np.column_stack([prof.grid, prof.values])
         np.savetxt(out / f"{name}.csv", rows, delimiter=",",
                    header="t,phi", comments="")
         print(f"{name:>16} {d['residual_sup']:12.3e} "
               f"{str(d['monotone']):>9} {prof.values.min():10.4f} "
-              f"{prof.values.max():10.4f} {U:10.4f}")
+              f"{prof.values.max():10.4f} {ctx.U:10.4f}")
 
 
 if __name__ == "__main__":

@@ -170,12 +170,8 @@ def cmd_roots(args, cfg, out: Path) -> None:
 
 
 def cmd_classify(args, cfg, out: Path) -> None:
-    k = _kernel_from(cfg)
-    rep = regimes.classify(args.c, k)
-    d = rep.as_dict()
-    d["intensity_case"] = regimes.intensity_case(rep.alpha_plus,
-                                                 rep.alpha_minus)
-    write_json(out / "classify.json", d)
+    write_json(out / "classify.json",
+               regimes.classify(args.c, _kernel_from(cfg)))
 
 
 def cmd_region(args, cfg, out: Path) -> None:
@@ -196,12 +192,8 @@ def cmd_front(args, cfg, out: Path) -> None:
     given = _given(tol=_config_number(cfg, "tol", positive=True),
                    dt=_config_number(cfg, "dt"))
     beta = _config_number(cfg, "beta")
-    # g_beta is the identity only on [0, beta], and every front approaches 1
-    if beta is not None and not beta >= 1:
-        raise DomainError(f"beta must be >= 1, got {beta}")
-    if beta is not None and not math.isfinite(2.0 * beta + 3.0):
-        raise DomainError(f"beta = {beta} is too large: b = 2 beta + 3 "
-                          "overflows")
+    if beta is not None:
+        regimes.operator_b(beta)    # before the kernel is built
     k = _kernel_from(cfg)
     ctx = profiles.WaveContext(args.c, k, beta=beta)
     prof = profiles.solve_front(ctx, **given)

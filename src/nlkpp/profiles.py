@@ -17,7 +17,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from . import DomainError, InvariantViolation, NoConvergence
 from .kernels import Kernel, convolve, exp_moment, stencil
 from .spectral import f_func, monotone_front_root, quad_roots, toy_steady_roots
-from .regimes import u_bound
+from .regimes import wave_constants
 
 
 # -- profile container -----------------------------------------------------
@@ -96,11 +96,14 @@ class Profile:
 
 @dataclass(frozen=True)
 class WaveContext:
-    """Speed c with its rates and solver constants, b = 2 beta + 3."""
+    """Speed c with its rates and solver constants; U(c, K), beta (derived
+    unless given) and b come from `regimes.wave_constants`, so a U(c, K)
+    that overflows, or a beta it refuses, raises when the context is built."""
 
     c: float
     kernel: Kernel
     beta: float = None
+    U: float = field(init=False)
     b: float = field(init=False)
     lam: float = field(init=False)
     mu: float = field(init=False)
@@ -110,18 +113,12 @@ class WaveContext:
 
     def __post_init__(self):
         lam, mu = quad_roots(self.c)
-        beta = self.beta
-        if beta is None:
-            beta = u_bound(self.c, self.kernel) + 1.0
-        b = 2.0 * beta + 3.0
+        U, beta, b = wave_constants(self.c, self.kernel, self.beta)
         z1 = -f_func(self.c, b)
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", self.c - z1)
-        object.__setattr__(self, "z12", self.z2 - z1)
+        z2 = self.c - z1
+        for name, value in dict(U=U, beta=beta, b=b, lam=lam, mu=mu, z1=z1,
+                                z2=z2, z12=z2 - z1).items():
+            object.__setattr__(self, name, value)
 
 
 def g_beta(u, beta: float):
@@ -176,15 +173,14 @@ def kpp_upper_front(ctx: WaveContext, dt: float = 0.02) -> Profile:
         # when U(c, K), and so beta, is large
         tm = np.minimum(t, T)
         low = np.exp(lam * tm) - (eT - beta) * np.exp(mu * (tm - T))
-        D = beta * math.exp(-nu * T)
-        vals = np.where(t <= T, low, 2.0 * beta - D * np.exp(nu * t))
     else:
         # c = 2: lam = mu = 1, front (a - t) e^t below the junction
         T = math.log(beta * (1.0 + nu))
         a = T + beta * math.exp(-T)
-        low = (a - np.minimum(t, T)) * np.exp(np.minimum(t, T))
-        D = beta * math.exp(-nu * T)
-        vals = np.where(t <= T, low, 2.0 * beta - D * np.exp(nu * t))
+        tm = np.minimum(t, T)
+        low = (a - tm) * np.exp(tm)
+    D = beta * math.exp(-nu * T)
+    vals = np.where(t <= T, low, 2.0 * beta - D * np.exp(nu * t))
     prof = Profile(t_lo, dt, vals, left_limit=0.0, right_limit=2.0 * beta,
                    left_rate=lam)
     prof.diagnostics.update({"junction": T, "monotone": True})
@@ -473,6 +469,11 @@ def picard_front(ctx: WaveContext, tol: float = 1e-9,
         "solver": "picard", "iterations": it + 1, "last_diff": diff})
 
 
+def _monotone(v: np.ndarray) -> bool:
+    """Nondecreasing to rounding: diagnostics["monotone"] and Newton's check."""
+    return bool(np.all(np.diff(v) > -1e-10))
+
+
 def _front_profile(ctx: WaveContext, upper: Profile, vals: np.ndarray,
                    diagnostics: dict) -> Profile:
     """The solved grid values on the upper front's grid as a Profile,
@@ -494,7 +495,7 @@ def _front_profile(ctx: WaveContext, upper: Profile, vals: np.ndarray,
     tail = vals[2 * vals.size // 3:]
     prof.diagnostics.update(diagnostics)
     prof.diagnostics.update({
-        "monotone": bool(np.all(np.diff(vals) > -1e-10)),
+        "monotone": _monotone(vals),
         "p": float(tail.min()), "P": float(tail.max()),
         "residual_sup": residual(prof, ctx.c, ctx.kernel),
     })
@@ -783,14 +784,13 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
                  gmres_rtols=system.gmres_rtols,
                  sigma=v[i0] if stats["newton_steps"] else None)
     v[i0] = 0.5
-    if monotone and not np.all(np.diff(v) > -1e-10):
+    if monotone and not _monotone(v):
         raise NoConvergence("Newton-Krylov front is not monotone")
     if not v.min() > 0.0:
         raise NoConvergence("Newton-Krylov front is not positive")
-    bound = u_bound(ctx.c, ctx.kernel)
-    if not v.max() <= bound:
+    if not v.max() <= ctx.U:
         raise NoConvergence(
-            f"Newton-Krylov front exceeds U(c, K) = {bound}")
+            f"Newton-Krylov front exceeds U(c, K) = {ctx.U}")
     return v, stats
 
 

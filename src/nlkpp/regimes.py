@@ -1,15 +1,15 @@
 """A priori bounds and convergence criteria for semi-wavefronts.
 
 This is the decision layer: given a speed c and a kernel K it produces the
-uniform bound U(c,K), the interaction intensities, the convergence verdict,
-and the (p,P) feasibility geometry bounding profile oscillations.  Rates
-come from `spectral.f_func` (imported here by name), the U(c,K) radius from
-`brentq`.
+uniform bound U(c,K) with the operator constants beta and b built from it
+(`wave_constants`, the one rule for all three), the interaction intensities,
+the convergence verdict, and the (p,P) feasibility geometry bounding profile
+oscillations.  Rates come from `spectral.f_func` (imported here by name),
+the U(c,K) radius from `brentq`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -17,28 +17,6 @@ from scipy.optimize import brentq
 from . import DomainError
 from .kernels import Kernel, alpha_plus, alpha_minus, exp_moment
 from .spectral import quad_roots, monotone_front_root, f_func
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    c: float
-    alpha_plus: float
-    alpha_minus: float
-    u_bound: float
-    beta: float
-    b: float
-    fz_root: float | None
-    semi_wavefront_exists: bool
-    monotone_front_exists: bool
-    convergence: str
-    convergence_detail: dict
-    pP_extremes: tuple[float, float]
-    alc_informational: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["pP_extremes"] = list(self.pP_extremes)
-        return d
 
 
 def _left_radius(k: Kernel) -> int | None:
@@ -106,6 +84,31 @@ def u_bound(c: float, k: Kernel) -> float:
     return max(1.0, U)
 
 
+def operator_b(beta: float) -> float:
+    """b = 2 beta + 3 of the monotone-iteration operator at its saturation
+    level beta.  g_beta is the identity only on [0, beta], and every front
+    approaches 1, so beta below 1 or a b that overflows raises DomainError.
+    It needs no kernel, so a configured beta is checked before one is built."""
+    if not beta >= 1:
+        raise DomainError(f"beta must be >= 1, got {beta}")
+    b = 2.0 * beta + 3.0
+    if not math.isfinite(b):
+        raise DomainError(f"beta = {beta} is too large: b = 2 beta + 3 "
+                          "overflows")
+    return b
+
+
+def wave_constants(c: float, k: Kernel,
+                   beta: float | None = None) -> tuple[float, float, float]:
+    """(U, beta, b): the bound U(c, K), the operator's saturation level
+    beta, one above U unless given, and its b (`operator_b`).  U is
+    computed whether or not beta is given, so a kernel without a finite
+    U(c, K) raises DomainError either way."""
+    U = u_bound(c, k)
+    beta = float(U + 1.0 if beta is None else beta)
+    return U, beta, operator_b(beta)
+
+
 def estm_bound(ap: float, am: float) -> float:
     """Oscillation bound (1 + a+ - a- + sqrt((1 + a+ - a-)^2 - 4 a+)) / (2 a+).
 
@@ -125,14 +128,12 @@ def estm_bound(ap: float, am: float) -> float:
     return (q + math.sqrt(disc)) / (2.0 * ap)
 
 
-def convergence_check(c: float, k: Kernel, m_star: float | None = None) -> dict:
-    """Verdict on guaranteed wavefront convergence: one of three sufficient
-    conditions, with all inequality values reported.  m_star defaults to
-    u_bound(c, k)."""
+def convergence_check(c: float, k: Kernel, m_star: float) -> dict:
+    """Verdict on guaranteed wavefront convergence for profiles bounded by
+    m_star (U(c, K) in `classify`): one of three sufficient conditions,
+    with all inequality values reported."""
     ap = alpha_plus(k, c)
     am = alpha_minus(k, c)
-    if m_star is None:
-        m_star = u_bound(c, k)
     detail = {"alpha_plus": ap, "alpha_minus": am, "m_star": m_star,
               "case1_lhs": m_star * (ap + am)}
     if m_star * (ap + am) < 1.0:
@@ -249,20 +250,23 @@ def mM_inequality_check(m: float, M: float, c: float, k: Kernel) -> dict:
             "holds2": s2 <= math.exp(m) + 1e-12}
 
 
-def classify(c: float, k: Kernel) -> RegimeReport:
-    """Full regime report for (c, K): existence, bounds, verdicts, geometry."""
-    semi = c >= 2
+def classify(c: float, k: Kernel) -> dict:
+    """Regime report for (c, K), as `classify.json` holds it: existence, the
+    bounds of `wave_constants`, verdicts, geometry and the intensity case."""
     ap = alpha_plus(k, c)
     am = alpha_minus(k, c)
-    if not semi:
-        return RegimeReport(c, ap, am, math.nan, math.nan, math.nan, None,
-                            False, False, "not-guaranteed",
-                            {"verdict": "not-guaranteed",
-                             "reason": "no semi-wavefront for c < 2"},
-                            (math.nan, math.nan))
-    U = u_bound(c, k)
-    beta = U + 1.0
-    b = 2.0 * beta + 3.0
+    report = {"c": c, "alpha_plus": ap, "alpha_minus": am,
+              "intensity_case": intensity_case(ap, am)}
+    if not c >= 2:
+        nan = math.nan
+        return {**report, "u_bound": nan, "beta": nan, "b": nan,
+                "fz_root": None, "semi_wavefront_exists": False,
+                "monotone_front_exists": False,
+                "convergence": "not-guaranteed", "convergence_detail": {
+                    "verdict": "not-guaranteed",
+                    "reason": "no semi-wavefront for c < 2"},
+                "pP_extremes": [nan, nan], "alc_informational": {}}
+    U, beta, b = wave_constants(c, k)
     fz, _ = monotone_front_root(c, k)
     detail = convergence_check(c, k, U)
     geo = pP_feasible_set(ap, am)
@@ -270,11 +274,14 @@ def classify(c: float, k: Kernel) -> RegimeReport:
         second_moment = k.moment(lambda s: np.asarray(s, dtype=float) ** 2)
     alc = {"c": c, "threshold": detail["m_star"] * math.sqrt(second_moment),
            "informational": True}
-    inf = [name for name, v in {**detail, "b": b, **alc}.items()
+    inf = [name for name, v in {**detail, **alc}.items()
            if isinstance(v, float) and math.isinf(v)]
     if inf:
         raise DomainError(
             f"report values {', '.join(inf)} overflow a float at c={c}")
-    return RegimeReport(c, ap, am, U, beta, b, fz, True, fz is not None,
-                        detail["verdict"], detail,
-                        (geo["p_min"], geo["P_max"]), alc)
+    return {**report, "u_bound": U, "beta": beta, "b": b, "fz_root": fz,
+            "semi_wavefront_exists": True,
+            "monotone_front_exists": fz is not None,
+            "convergence": detail["verdict"], "convergence_detail": detail,
+            "pP_extremes": [geo["p_min"], geo["P_max"]],
+            "alc_informational": alc}

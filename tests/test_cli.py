@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlkpp import DomainError, InvariantViolation, NoConvergence, cli, dde
-from nlkpp import kernels, profiles
+from nlkpp import kernels, profiles, regimes
 
 
 def run_cli(tmp_path, *argv):
@@ -295,6 +296,51 @@ def test_front_far_atom_is_config_error(tmp_path, capsys, s):
     assert code == 1
     assert "config error:" in err and "overflows" in err
     assert not (out / "front.csv").exists()
+
+
+@pytest.mark.parametrize("beta", [None, 10.0], ids=["derived", "configured"])
+def test_front_overflowing_bound_is_refused_with_or_without_beta(
+        tmp_path, capsys, beta):
+    # U(c, K) of delta(s + 1e5) overflows, and a context computes it whether
+    # or not beta is configured: with beta 10 a full Newton-Krylov solve
+    # used to run for 15 s and exit 2 ("GMRES did not reach rtol=0.01")
+    cfg = {"kernel": {"atoms": [{"s": -1e5, "mass": 1}]}, "dt": 1}
+    if beta is not None:
+        cfg["beta"] = beta
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, "front", "--c", "2.5", "--config", str(cfgp))
+    wall = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "config error: U(c,K) overflows a float at c=2.5\n"
+    assert not (out / "front.json").exists()
+    assert wall < 2.0
+
+
+@pytest.mark.parametrize("c, kernel", [
+    (2.5, {"atoms": [{"s": 5.0, "mass": 1.0}]}),
+    (3.0, {"atoms": [{"s": 1.0, "mass": 0.3}],
+           "density": {"lo": -4, "hi": 4, "n": 201, "kind": "gaussian",
+                       "params": {"sigma": 0.5}}}),
+], ids=["delayed", "mixed"])
+def test_classify_and_front_share_beta(tmp_path, c, kernel):
+    # U(c, K), beta and b come from one rule, and `classify` returns the
+    # classify.json dict itself
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"kernel": kernel, "dt": 0.02}))
+    runs = {}
+    for command in ("classify", "front"):
+        out = tmp_path / command
+        assert cli.main([command, "--c", str(c), "--config", str(cfgp),
+                         "--out", str(out)]) == 0
+        runs[command] = load(out, f"{command}.json")
+    assert runs["classify"]["beta"] == runs["front"]["beta"]
+    k, _ = kernels.from_config(kernel)
+    rep = regimes.classify(c, k)
+    assert rep.keys() == runs["classify"].keys()
+    assert json.loads(json.dumps(cli._plain(rep))) == runs["classify"]
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):

@@ -435,16 +435,21 @@ def test_newton_front_converges_past_picard_plateau(picard):
     assert picard_err > 3 * err[0.02]
 
 
+_WAVE_CONSTANTS = pf.wave_constants
+
+
 @pytest.mark.parametrize("name, value, reason", [
     ("NEWTON_MAX_STEPS", 1, "front Newton hit 1 steps at max|r| = "),
-    ("u_bound", lambda c, k: 0.99,
+    # the one U/beta/b rule with U(c, K) set to 0.99, beta and b as derived
+    ("wave_constants",
+     lambda c, k, beta=None: (0.99, *_WAVE_CONSTANTS(c, k, beta)[1:]),
      "Newton-Krylov front exceeds U(c, K) = 0.99"),
 ], ids=["step-cap", "above-bound"])
 def test_newton_failure_raises(monkeypatch, name, value, reason):
     # a failed Newton solve raises with its own reason: no Picard solve at
     # the requested tol stands in for it
-    ctx = pf.WaveContext(3.0, _mixed_kernel())
     monkeypatch.setattr(pf, name, value)
+    ctx = pf.WaveContext(3.0, _mixed_kernel())
     with pytest.raises(NoConvergence, match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)
 

@@ -203,24 +203,24 @@ def test_mM_matches_direct_node_sum_with_atom_at_zero():
 
 def test_classify_subcritical_speed():
     rep = reg.classify(1.5, ker.dirac(0.0))
-    assert not rep.semi_wavefront_exists
-    assert not rep.monotone_front_exists
+    assert not rep["semi_wavefront_exists"]
+    assert not rep["monotone_front_exists"]
 
 
 def test_classify_advanced_kernel_monotone():
     rep = reg.classify(2.5, ker.dirac(-0.5))
-    assert rep.semi_wavefront_exists
-    assert rep.monotone_front_exists
-    assert rep.fz_root is not None and rep.fz_root < 0
-    assert rep.beta > rep.u_bound
-    assert rep.b > 2 * rep.beta + 2
+    assert rep["semi_wavefront_exists"]
+    assert rep["monotone_front_exists"]
+    assert rep["fz_root"] is not None and rep["fz_root"] < 0
+    assert rep["beta"] > rep["u_bound"]
+    assert rep["b"] > 2 * rep["beta"] + 2
 
 
 def test_classify_large_delay_nonmonotone():
     rep = reg.classify(2.5, ker.dirac(5.0))
-    assert rep.semi_wavefront_exists
-    assert not rep.monotone_front_exists
-    assert rep.alc_informational["informational"] is True
+    assert rep["semi_wavefront_exists"]
+    assert not rep["monotone_front_exists"]
+    assert rep["alc_informational"]["informational"] is True
 
 
 def test_riccati_comparison_bounds():
