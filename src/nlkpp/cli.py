@@ -224,8 +224,9 @@ def cmd_toy(args, cfg, out: Path) -> None:
         report[name + "_diagnostics"] = prof.diagnostics
     write_json(out / "toy.json", report)
     t = np.linspace(-10.0, 10.0, 601)
+    funcs, _ = profiles._toy_branches()
     write_csv(out / "toy.csv", ["t", "phi1", "phi2", "phi3"],
-              zip(t, p1(t), p2(t), p3(t)))
+              zip(t, *(f(t) for f in funcs)))
 
 
 def cmd_periodic(args, cfg, out: Path) -> None:
@@ -248,11 +249,9 @@ def cmd_periodic(args, cfg, out: Path) -> None:
 def cmd_connect(args, cfg, out: Path) -> None:
     if args.kind == "het":
         kind, sols = "zero-to-one", dde.zero_to_one(args.tau, args.eps)
-    elif args.kind == "p2p":
+    else:
         kind = "periodic-to-point"
         sols = [dde.periodic_to_point(args.tau, args.eps)]
-    else:
-        raise DomainError(f"--kind must be het or p2p, got {args.kind!r}")
     write_csv(out / "trajectory.csv", ["t", "y"],
               zip(sols[-1]["t"], sols[-1]["y"]))
     # a periodic-to-point run has no Newton residual or counts: null
@@ -378,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="connecting orbits by continuation")
     p.add_argument("--tau", type=_finite, required=True)
     p.add_argument("--eps", type=_finite, default=0.0)
-    p.add_argument("--kind", default="het", help="het | p2p")
+    p.add_argument("--kind", default="het", choices=("het", "p2p"))
 
     p = sub.add_parser("semiwave", parents=[common],
                        help="semi-wavefront profile from the delay equation")

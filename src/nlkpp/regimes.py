@@ -180,8 +180,13 @@ def band_inequalities(p, P, ap: float, am: float):
     """
     p = np.asarray(p, dtype=float)
     P = np.asarray(P, dtype=float)
-    lower = p + ap * P * (1.0 - p) + am * P * (P - 1.0)
-    upper = P - ap * P * (P - 1.0) - am * P * (1.0 - p)
+    # each intensity meets its factor that can vanish first: a+ (1 - p) at
+    # p = 1 is 0 for any a+, where a+ P can overflow to give inf * 0 = nan.
+    # For p in (0, 1], finite P >= 1, an overflow is +inf in lower and -inf
+    # in upper: the P -> inf verdicts
+    with np.errstate(over="ignore"):
+        lower = p + ap * (1.0 - p) * P + am * (P - 1.0) * P
+        upper = P - ap * (P - 1.0) * P - am * (1.0 - p) * P
     return lower, upper
 
 

@@ -383,6 +383,26 @@ def test_toy_constants_json(tmp_path):
     assert lines[0] == "t,phi1,phi2,phi3"
 
 
+def test_toy_csv_holds_the_closed_forms(tmp_path):
+    # each row is the closed-form branches at its t, to the printed digits
+    code, out = run_cli(tmp_path, "toy")
+    assert code == 0
+    t = np.linspace(-10.0, 10.0, 601)
+    funcs, _ = profiles._toy_branches()
+    rows = (out / "toy.csv").read_text().strip().split("\n")[1:]
+    assert rows == [",".join("%.12g" % v for v in vals)
+                    for vals in zip(t, *(f(t) for f in funcs))]
+
+
+def test_region_with_a_huge_cap_is_finite(tmp_path):
+    # a+ P (1 - p) at P = 1e200 overflowed to inf before meeting 1 - p = 0
+    code, out = run_cli_quietly(tmp_path, "region", "--aplus", "0.1",
+                                "--aminus", "0.1", "--P-cap", "1e200")
+    assert code == 0
+    rep = load(out, "region.json")
+    assert math.isfinite(rep["p_min"]) and math.isfinite(rep["P_max"])
+
+
 # a fresh interpreter runs the commands that need no front solve and reports
 # the exit codes, the FFT-path convolutions and which heavy modules it loaded
 STARTUP_PROBE = """\
@@ -397,14 +417,16 @@ codes = [nlkpp.cli.main(argv + ["--out", out]) for argv in (
     ["classify", "--c", "2.5", "--config", cfg],
     ["simulate", "--T", "15", "--config", cfg])]
 print(json.dumps({"codes": codes, "fft_calls": len(calls), "loaded": [
-    m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]}))
+    m for m in ("scipy.signal", "scipy.stats", "scipy.interpolate")
+    if m in sys.modules]}))
 """
 
 
 def test_startup_commands_do_not_load_scipy_signal(tmp_path):
     # scipy.signal, with the scipy.stats it loads, was most of the start-up
-    # time; only the front solve may load it.  The gaussian (321 taps at
-    # dx = 0.2) on 3,501 points takes the FFT path of K * u.
+    # time; only the front solve may load it.  scipy.interpolate is loaded
+    # only to evaluate a profile, which no command does.  The gaussian (321
+    # taps at dx = 0.2) on 3,501 points takes the FFT path of K * u.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"X": 700, "kernel": {"density": {
         "lo": -32, "hi": 32, "n": 401, "kind": "gaussian",
@@ -899,8 +921,10 @@ def test_classify_large_speed_has_finite_report(tmp_path, c):
 
 
 def test_connect_unknown_kind(tmp_path):
-    code, _ = run_cli(tmp_path, "connect", "--tau", "5", "--kind", "spiral")
+    # refused by the parser, before --out is created
+    code, out = run_cli(tmp_path, "connect", "--tau", "5", "--kind", "spiral")
     assert code == 1
+    assert not out.exists()
 
 
 def test_connect_heteroclinic(tmp_path):

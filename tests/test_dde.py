@@ -895,7 +895,7 @@ def test_semiwave_zero_to_one(ladder_run):
     assert prof.tail_period is None and prof.right_limit == 1.0
     assert prof.values.min() >= -1e-12
     assert prof.values.max() == pytest.approx(1.0, abs=1e-6)
-    assert prof(prof.t0 - 50.0) < 1e-6
+    assert prof.values[0] * math.exp(-50.0 * prof.left_rate) < 1e-6
 
 
 @pytest.mark.parametrize("c", [1.5, 1e160])

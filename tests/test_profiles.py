@@ -25,24 +25,17 @@ def test_profile_interpolates_inside():
     assert p(1.23) == pytest.approx(1.0 / (1.0 + math.exp(-1.23)), abs=1e-6)
 
 
-def test_profile_left_exponential_extension():
+@pytest.mark.parametrize("t", [-5.0 - 1e-9, 5.0 + 1e-9,
+                               [0.0, 5.0 + 1e-9], float("nan")])
+def test_profile_refuses_evaluation_outside_its_grid(t):
+    # the tails are declared for the grid operators, not evaluated
+    with pytest.raises(DomainError, match="outside its grid"):
+        _ramp_profile()(t)
+
+
+def test_profile_evaluates_at_both_grid_ends():
     p = _ramp_profile()
-    v0 = p.values[0]
-    assert p(-7.0) == pytest.approx(v0 * math.exp(-2.0), rel=1e-12)
-
-
-def test_profile_left_constant_extension():
-    t = np.linspace(0.0, 1.0, 11)
-    p = pf.Profile(0.0, 0.1, t, left_limit=0.25)
-    assert p(-3.0) == 0.25
-
-
-def test_profile_periodic_tail():
-    t = np.linspace(0.0, 1.0, 11)
-    mesh = np.sin(2 * math.pi * np.linspace(0.0, 1.0, 50))
-    p = pf.Profile(0.0, 0.1, t, left_limit=0.0, tail_mesh=mesh,
-                   tail_period=1.0)
-    assert p(1.25) == pytest.approx(p(2.25), abs=1e-12)
+    assert p(p.grid[[0, -1]]) == pytest.approx(p.values[[0, -1]], abs=1e-15)
 
 
 @pytest.mark.parametrize("tail", [{"tail_mesh": np.ones(5), "tail_period": -1.0},

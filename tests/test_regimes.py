@@ -169,6 +169,13 @@ def test_pP_corner_always_feasible():
         assert math.isfinite(geo["p_min"]) and math.isfinite(geo["P_max"])
 
 
+def test_pP_huge_intensity_row_p_one_feasible():
+    # at p = 1 the a+ term is a+ P (1 - p) = 0 however large a+ and P are:
+    # every point of the row satisfies both inequalities
+    geo = reg.pP_feasible_set(1e200, 0.1, P_cap=1e200, grid_n=100)
+    assert geo["mask"][-1].all()
+
+
 def test_mM_zero_pair_equality():
     out = reg.mM_inequality_check(0.0, 0.0, 2.0, ker.dirac(0.0))
     assert out["s1"] == pytest.approx(1.0) and out["s2"] == pytest.approx(1.0)
