@@ -22,6 +22,7 @@ import math
 import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -177,11 +178,12 @@ def cmd_classify(args, cfg, out: Path) -> None:
 def cmd_region(args, cfg, out: Path) -> None:
     geo = regimes.pP_feasible_set(args.aplus, args.aminus,
                                   P_cap=args.P_cap, grid_n=args.grid_n)
-    rows = []
-    for i, p in enumerate(geo["p_axis"]):
-        for j, P in enumerate(geo["P_axis"]):
-            rows.append((p, P, int(geo["mask"][i, j])))
-    write_csv(out / "region.csv", ["p", "P", "feasible"], rows)
+    p_axis, P_axis, mask = geo["p_axis"], geo["P_axis"], geo["mask"]
+    # row-major over (p, P), as the mask is
+    write_csv(out / "region.csv", ["p", "P", "feasible"],
+              zip(np.repeat(p_axis, P_axis.size).tolist(),
+                  np.tile(P_axis, p_axis.size).tolist(),
+                  mask.ravel().astype(int).tolist()))
     write_json(out / "region.json", {
         "alpha_plus": args.aplus, "alpha_minus": args.aminus,
         "p_min": geo["p_min"], "P_max": geo["P_max"],
@@ -218,13 +220,9 @@ def cmd_front(args, cfg, out: Path) -> None:
 
 
 def cmd_toy(args, cfg, out: Path) -> None:
-    p1, p2, p3, consts = profiles.toy_fronts()
-    report = dict(consts)
-    for name, prof in (("phi1", p1), ("phi2", p2), ("phi3", p3)):
-        report[name + "_diagnostics"] = prof.diagnostics
+    funcs, report = profiles.toy_fronts()
     write_json(out / "toy.json", report)
     t = np.linspace(-10.0, 10.0, 601)
-    funcs, _ = profiles._toy_branches()
     write_csv(out / "toy.csv", ["t", "phi1", "phi2", "phi3"],
               zip(t, *(f(t) for f in funcs)))
 
@@ -316,9 +314,7 @@ def cmd_atlas(args, cfg, out: Path) -> None:
     write_csv(out / "atlas.csv",
               ["alpha_plus", "alpha_minus", "case", "oscillation_bound"],
               rows)
-    counts = {}
-    for _, _, label, _ in rows:
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(label for _, _, label, _ in rows)
     write_json(out / "atlas.json", {"n": args.n, "cases": counts})
 
 

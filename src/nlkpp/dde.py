@@ -104,23 +104,23 @@ def _direct(system):
     refinement against the unscaled Jacobian.  The scaling lives in the
     solve only: the residual is the system's."""
     def linearize(j):
-        if sparse.issparse(j):
-            j = j.tocsc()
-            d = np.abs(j.diagonal())
-            s = 1.0 / np.where(d > 0, d, 1.0)
-            lu = splu(sparse.csc_matrix((j.data * s[j.indices], j.indices,
-                                         j.indptr), shape=j.shape),
-                      permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD)
+        if isinstance(j, np.ndarray):
+            return (lambda r: np.linalg.solve(j, r)), False
+        j = j.tocsc()
+        d = np.abs(j.diagonal())
+        s = 1.0 / np.where(d > 0, d, 1.0)
+        lu = splu(sparse.csc_matrix((j.data * s[j.indices], j.indices,
+                                     j.indptr), shape=j.shape),
+                  permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD)
 
-            def solve(r):
-                dx = lu.solve(s * r)
-                rr = r - j @ dx
-                if np.max(np.abs(rr)) > REFINE_TOL * np.max(np.abs(r)):
-                    dx = dx + lu.solve(s * rr)
-                return dx
+        def solve(r):
+            dx = lu.solve(s * r)
+            rr = r - j @ dx
+            if np.max(np.abs(rr)) > REFINE_TOL * np.max(np.abs(r)):
+                dx = dx + lu.solve(s * rr)
+            return dx
 
-            return solve, True
-        return (lambda r: np.linalg.solve(j, r)), False
+        return solve, True
 
     def newton_map(x):
         r, jac = system(x)

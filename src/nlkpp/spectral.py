@@ -153,7 +153,7 @@ def _winding_number(f, df, corners):
 
     Trapezoid evaluation of (1/2pi i) oint f'/f, refined until within
     WINDING_TOL of an integer.  Returns (count, ok_flag, min |f| seen on the
-    contour).
+    contour); count is None when f overflows on the contour.
     """
     corners = list(corners) + [corners[0]]
     minmod = math.inf
@@ -164,11 +164,14 @@ def _winding_number(f, df, corners):
         for a, b in zip(corners[:-1], corners[1:]):
             t = np.linspace(0.0, 1.0, n + 1)
             z = a + (b - a) * t
-            fz = f(z)
-            minmod = min(minmod, float(np.abs(fz).min()))
-            integrand = df(z) / fz * (b - a)
-            total += np.trapezoid(integrand, t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                fz = f(z)
+                minmod = min(minmod, float(np.abs(fz).min()))
+                integrand = df(z) / fz * (b - a)
+                total += np.trapezoid(integrand, t)
         w = total / (2j * math.pi)
+        if not cmath.isfinite(w):
+            return None, False, minmod
         count = round(w.real)
         if abs(w - count) < WINDING_TOL and abs(w.imag) < WINDING_TOL:
             return int(count), True, minmod
@@ -257,26 +260,37 @@ def chi1_roots(tau: float, eps: float = 0.0) -> RootReport:
     f = lambda z: eps * z * z + z - np.exp(-z * tau)
     df = lambda z: 2 * eps * z + 1.0 + tau * np.exp(-z * tau)
 
+    seeds = [complex(0.6, 0.0), complex(0.2, 1.0), complex(0.1, 1.0),
+             complex(0.4, 0.9)]
+    located = _locate_in_rectangle(f, df, -1e-3, 2.0, im_hi, seeds)
     for shift in (0.0, -1e-3):
         corners = [complex(shift, -im_hi), complex(2.0, -im_hi),
                    complex(2.0, im_hi), complex(shift, im_hi)]
-        count, ok, minmod = _winding_number(f, df, corners)
-        if ok and minmod > 1e-4:
+        wound = _winding_number(f, df, corners)
+        if wound[0] is None:
+            # exp(-tau z) overflows on the shifted edge (large tau): the
+            # unshifted count stands, uncertified
+            ok = False
+            break
+        edge = shift
+        count, ok, minmod = wound
+        # min |f| is taken over the contour's samples, which step over a
+        # root nearer the left edge than their spacing
+        near = any(abs(z.real - edge) < 1e-4 for z in located)
+        if ok and minmod > 1e-4 and not near:
             break
 
-    seeds = [complex(0.6, 0.0), complex(0.2, 1.0), complex(0.1, 1.0),
-             complex(0.4, 0.9)]
-    located = _locate_in_rectangle(f, df, shift, 2.0, im_hi, seeds)
+    located = [z for z in located if z.real >= edge]
     roots = [z for z in located if z.real >= -ROOT_AXIS_TOL]
     count -= len(located) - len(roots)
     return RootReport(
         function_id="eps_advanced" if eps > 0 else "chi1",
-        region=f"rect [{shift:.1e}, 2] x [-{im_hi:.3f}, {im_hi:.3f}]",
+        region=f"rect [{edge:.1e}, 2] x [-{im_hi:.3f}, {im_hi:.3f}]",
         roots=tuple(roots),
         residuals=tuple(abs(f(z)) for z in roots),
         count=count,
         parameters={"tau": tau, "eps": eps} if eps > 0 else {"tau": tau},
-        boundary=shift != 0.0,
+        boundary=edge != 0.0,
         converged=ok and count == len(roots),
     )
 

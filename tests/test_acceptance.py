@@ -59,16 +59,17 @@ def test_03_piecewise_toy_model():
     with Budget(5.0):
         ctau = 2.0 * math.log(1.5)
         assert abs(sp.toy_steady_roots(2.5, ctau, -0.5 + 0j) + 0.5) < 1e-12
-        p1, p2, p3, consts = pf.toy_fronts(dt=0.01, half_width=6.0)
+        _, consts = pf.toy_fronts()
         assert consts["z4"] == pytest.approx(-4.035, abs=1e-3)
         assert consts["x0"] == pytest.approx(-6.2402, abs=1e-3)
         assert consts["y0"] == pytest.approx(10.054, abs=1e-3)
         assert consts["a"] == pytest.approx(0.2878, abs=5e-4)
         assert consts["b"] == pytest.approx(0.2122, abs=5e-4)
-        for p in (p1, p2, p3):
-            assert p.diagnostics["residual_outside_window"] <= 1e-10
-        assert p1.diagnostics["residual_window_sup"] == pytest.approx(
-            1.0 / 12.0, abs=1e-6)
+        for name in ("phi1", "phi2", "phi3"):
+            assert consts[name + "_diagnostics"][
+                "residual_outside_window"] <= 1e-10
+        assert consts["phi1_diagnostics"]["residual_window_sup"] == (
+            pytest.approx(1.0 / 12.0, abs=1e-6))
 
 
 def test_04_negative_root_classification():

@@ -388,10 +388,29 @@ def test_toy_csv_holds_the_closed_forms(tmp_path):
     code, out = run_cli(tmp_path, "toy")
     assert code == 0
     t = np.linspace(-10.0, 10.0, 601)
-    funcs, _ = profiles._toy_branches()
+    funcs, _ = profiles.toy_fronts()
     rows = (out / "toy.csv").read_text().strip().split("\n")[1:]
     assert rows == [",".join("%.12g" % v for v in vals)
                     for vals in zip(t, *(f(t) for f in funcs))]
+
+
+def test_toy_json_is_the_report(tmp_path):
+    code, out = run_cli(tmp_path, "toy")
+    assert code == 0
+    assert load(out, "toy.json") == cli._plain(profiles.toy_fronts()[1])
+
+
+def test_region_csv_rows_follow_the_mask(tmp_path):
+    # row k is (p_i, P_j, mask[i, j]) with k = i * grid_n + j
+    code, out = run_cli(tmp_path, "region", "--aplus", "0.1", "--aminus",
+                        "0.2", "--grid-n", "100")
+    assert code == 0
+    geo = regimes.pP_feasible_set(0.1, 0.2, P_cap=5.0, grid_n=100)
+    assert 0 < geo["mask"].sum() < geo["mask"].size
+    rows = (out / "region.csv").read_text().strip().split("\n")[1:]
+    assert rows == ["%.12g,%.12g,%d" % (p, P, geo["mask"][i, j])
+                    for i, p in enumerate(geo["p_axis"])
+                    for j, P in enumerate(geo["P_axis"])]
 
 
 def test_region_with_a_huge_cap_is_finite(tmp_path):

@@ -803,7 +803,7 @@ def test_residual_detects_defect():
 # -- piecewise toy model ---------------------------------------------------
 
 def test_toy_constants():
-    _, _, _, consts = pf.toy_fronts(dt=0.01, half_width=6.0)
+    _, consts = pf.toy_fronts()
     assert consts["z4"] == pytest.approx(-4.0352, abs=1e-3)
     assert consts["x0"] == pytest.approx(-6.2402, abs=1e-3)
     assert consts["y0"] == pytest.approx(10.0548, abs=1e-2)
@@ -817,7 +817,7 @@ def test_toy_derivatives_match_central_differences(k):
     # f(t, 1) and f(t, 2) are what the residual and the C^1 check read;
     # away from the junction at t = 0 the difference quotients of f(t, 0)
     # and f(t, 1) agree with them to 4e-8 relative (at most)
-    f = pf._toy_branches()[0][k]
+    f = pf.toy_fronts()[0][k]
     t = np.concatenate([np.linspace(-6.0, -0.05, 200),
                         np.linspace(0.05, 6.0, 200)])
     h = 1e-5
@@ -829,27 +829,27 @@ def test_toy_derivatives_match_central_differences(k):
 
 
 def test_toy_junction_matching():
-    p1, p2, p3, _ = pf.toy_fronts(dt=0.01, half_width=6.0)
-    for p in (p1, p2, p3):
-        assert p.diagnostics["c0_mismatch"] < 1e-10
-        assert p.diagnostics["c1_mismatch"] < 1e-9
+    _, report = pf.toy_fronts()
+    for name in ("phi1", "phi2", "phi3"):
+        assert report[name + "_diagnostics"]["c0_mismatch"] < 1e-10
+        assert report[name + "_diagnostics"]["c1_mismatch"] < 1e-9
 
 
 def test_toy_residual_outside_window():
-    p1, p2, p3, _ = pf.toy_fronts(dt=0.01, half_width=6.0)
-    for p in (p1, p2, p3):
-        assert p.diagnostics["residual_outside_window"] < 1e-10
+    _, report = pf.toy_fronts()
+    for name in ("phi1", "phi2", "phi3"):
+        assert report[name + "_diagnostics"]["residual_outside_window"] < 1e-10
 
 
 def test_toy_monotone_window_defect_is_one_twelfth():
     # the simplest branch satisfies the equation exactly except on the lag
     # window, where the sup defect is exactly 1/12
-    p1, _, _, _ = pf.toy_fronts(dt=0.01, half_width=6.0)
-    assert p1.diagnostics["residual_window_sup"] == pytest.approx(1.0 / 12.0,
-                                                                  abs=1e-6)
+    _, report = pf.toy_fronts()
+    assert report["phi1_diagnostics"]["residual_window_sup"] == pytest.approx(
+        1.0 / 12.0, abs=1e-6)
 
 
 def test_toy_oscillating_profile_overshoots():
-    _, _, p3, _ = pf.toy_fronts(dt=0.001, half_width=8.0)
-    assert float(np.max(p3.values)) > 1.0 + 1e-4
-    assert not np.all(np.diff(p3.values) >= 0)
+    phi3 = pf.toy_fronts()[0][2](-8.0 + 0.001 * np.arange(16001))
+    assert float(np.max(phi3)) > 1.0 + 1e-4
+    assert not np.all(np.diff(phi3) >= 0)

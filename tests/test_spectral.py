@@ -251,6 +251,8 @@ def test_toy_steady_no_convergence_raises():
 # just short of the second crossing, where the shifted contour holds a pair
 # in the left half-plane with |z| > 1
 @example(tau=10.9921875, eps=0.0)
+# a pair 5e-6 right of the axis, nearer the contour than its samples' spacing
+@example(tau=10.950653192218367, eps=0.09765625)
 @settings(max_examples=25, deadline=None)
 def test_chi1_census_consistent(tau, eps):
     rep = sp.chi1_roots(tau, eps)
