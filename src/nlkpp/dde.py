@@ -36,13 +36,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import DomainError, NoConvergence
 from .profiles import Profile, newton
-from .spectral import quad_roots
+from .spectral import brentq, quad_roots
 
 HOPF_TAU = 1.5 * math.pi
 # forward runs stop once |y| exceeds WRIGHT_BLOWUP and take at most

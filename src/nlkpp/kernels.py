@@ -10,8 +10,9 @@ half-line takes the atoms strictly inside it and the density's trapezoid
 cells, with the cell straddling 0 split there.  K * phi is one grid operator,
 `convolve` with a `stencil` built once per grid, in the orientations
 phi(t - s) (the stencil) and u(x + s) (`Stencil.reversed`).  Long
-stencils are applied by a numpy FFT product, padded to
-`scipy.fft.next_fast_len`.
+stencils are applied by a numpy FFT product, padded to the next 2·3·5-smooth
+length (`smooth_len`, the length `scipy.fft.next_fast_len` gives a real
+transform).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import DomainError
 
@@ -194,15 +194,35 @@ def exp_moment(k: Kernel, rate: float, side: str = "both") -> float:
     return k.moment(lambda s: _exp_clip(rate * s), side)
 
 
+def smooth_len(n: int) -> int:
+    """Smallest 2·3·5-smooth integer >= n >= 1: for each 3^b 5^c below the
+    best length so far, its smallest power-of-two multiple >= n."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        m = odd
+        while m < best:
+            # m 2^k >= n from k = bit length of (n - 1) // m
+            k = m << ((n - 1) // m).bit_length()
+            if k < best:
+                best = k
+            m *= 3
+        odd *= 5
+    return best
+
+
 @dataclass(frozen=True)
 class Stencil:
     """K lumped onto the offsets lo..hi of a grid of step h: `convolve`
     computes (K * phi)_i = sum_k weights[k - lo] phi_{i-k}.  The FFT path
-    caches the weights' spectrum here, keyed by transform length."""
+    caches here the transform length of each window length and the
+    weights' spectrum of each transform length."""
 
     h: float
     lo: int
     weights: np.ndarray
+    _lengths: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -239,7 +259,9 @@ def stencil(k: Kernel, h: float) -> Stencil:
 def _fft_convolve(st: Stencil, window: np.ndarray) -> np.ndarray:
     """The 'valid' part of window (*) st.weights by one rfft/irfft pair."""
     taps = st.weights.size
-    nfft = next_fast_len(window.size + taps - 1, real=True)
+    nfft = st._lengths.get(window.size)
+    if nfft is None:
+        nfft = st._lengths[window.size] = smooth_len(window.size + taps - 1)
     spec = st._spectra.get(nfft)
     if spec is None:
         spec = st._spectra[nfft] = np.fft.rfft(st.weights, nfft)

@@ -234,9 +234,10 @@ def _two_sided_integrals(r: np.ndarray, r_left: float, r_right: float,
     the filter's initial state.  The left tail is r(t0) e^{left_rate (s - t0)}
     when a rate is given (decaying profile), else the constant r_left; the
     right tail is the constant r_right."""
-    # imported here, not at module level: scipy.signal and the scipy.stats
-    # it loads add about 0.19 s to the package import (2-core x86-64 VM),
-    # and only `front` needs them
+    # imported here, not at module level: scipy.signal and what it loads
+    # (scipy.stats, optimize, special, fft) add 0.5-0.7 s to the package
+    # import (median 0.56 s of 9 fresh processes, 2-core x86-64 VM), and
+    # only `front` needs them
     from scipy.signal import lfilter
     n = r.size
     Iminus = np.empty(n)

@@ -5,18 +5,18 @@ uniform bound U(c,K) with the operator constants beta and b built from it
 (`wave_constants`, the one rule for all three), the interaction intensities,
 the convergence verdict, and the (p,P) feasibility geometry bounding profile
 oscillations.  Rates come from `spectral.f_func` (imported here by name),
-the U(c,K) radius from `brentq`.
+the U(c,K) radius from `spectral.brentq`, the package's one bracketed
+solver.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import DomainError
 from .kernels import Kernel, alpha_plus, alpha_minus, exp_moment
-from .spectral import quad_roots, monotone_front_root, f_func
+from .spectral import brentq, quad_roots, monotone_front_root, f_func
 
 
 def _left_radius(k: Kernel) -> int | None:

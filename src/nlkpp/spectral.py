@@ -9,7 +9,8 @@ functions attached to the traveling-wave problem:
   toy_steady:   z^2 - c z - exp(-ctau z) (piecewise toy model at 1)
 
 Every root of z^2 - c z - s comes from `f_func`, in a cancellation-free
-form; every real scalar root is bracketed and found by `brentq`.
+form; every real scalar root is bracketed and found by `brentq`, the
+package's one bracketed solver (Brent's method).
 """
 from __future__ import annotations
 
@@ -18,10 +19,71 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import DomainError, NoConvergence
 from .kernels import Kernel, _exp_clip, exp_moment
+
+BRENT_RTOL = float(4 * np.finfo(float).eps)
+BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = BRENT_RTOL) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the rules of scipy's `brentq.c`: inverse quadratic
+    extrapolation or secant interpolation while the step is short, else
+    bisection; stop once the bracket's half-width is below
+    delta = (xtol + rtol |x|) / 2, after at most BRENT_MAXITER steps.  So it
+    returns the same float as `scipy.optimize.brentq` with these tolerances.
+    A bracket without a sign change is a DomainError; a function value that
+    is not a number, or the step cap, is a NoConvergence.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NoConvergence(f"f is not a number at an end of [{a}, {b}]")
+    if (fpre < 0) == (fcur < 0):
+        raise DomainError(f"f has the same sign at both ends of [{a}, {b}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by 0 to +-inf or nan, which fails the test below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den \
+                    else math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NoConvergence(f"f is not a number at {xcur}")
+    raise NoConvergence(f"brentq did not converge in {BRENT_MAXITER} "
+                        f"steps; last iterate {xcur}")
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,23 @@ def test_12_monotone_front_for_far_advanced_atom(tmp_path):
         assert phi.max() == pytest.approx(1.0, abs=1e-4)
 
 
+# measured sup gaps 3.8e-6, 9.2e-7 and 1.4e-5; each bound is about 3x its gap
+@pytest.mark.parametrize("a, c, dt, bound", [
+    (0.5, 2.5, 0.01, 1.2e-5), (2.0, 3.0, 0.005, 3e-6),
+    (5.0, 2.5, 0.01, 4.5e-5),
+], ids=["a0.5-c2.5", "a2-c3", "a5-c2.5"])
+def test_13_front_and_semiwave_agree_on_advanced_atoms(a, c, dt, bound):
+    # on K = delta(s + a) the front equation at speed c is the delay
+    # equation at tau = a/c, eps = 1/c^2, so two independent solvers (a
+    # Newton-Krylov front from the monotone-front root, and the zero-to-one
+    # connection from the delay equation's growth rate) give one profile
+    with Budget(5.0):
+        front = pf.solve_front(pf.WaveContext(c, ker.dirac(-a)), dt=dt)
+        _, wave = dde.semiwave(a / c, c)
+        t = np.linspace(-20.0, 20.0, 4001)
+        assert np.max(np.abs(front(t) - wave(t))) < bound
+
+
 def test_oversized_connection_mesh_is_refused_before_the_ladder(tmp_path,
                                                                  capsys):
     # the mesh grows with eps: the target's 240,721 nodes are refused at

@@ -422,44 +422,70 @@ def test_region_with_a_huge_cap_is_finite(tmp_path):
     assert math.isfinite(rep["p_min"]) and math.isfinite(rep["P_max"])
 
 
-# a fresh interpreter runs the commands that need no front solve and reports
-# the exit codes, the FFT-path convolutions and which heavy modules it loaded
+# a fresh interpreter runs commands that need no front solve and reports
+# the exit codes, the FFT-path convolutions and which heavy scipy
+# subpackages it loaded, right after the import and after the commands
 STARTUP_PROBE = """\
 import json, sys
+HEAVY = ("scipy.optimize", "scipy.fft", "scipy.special", "scipy.signal",
+         "scipy.stats", "scipy.interpolate")
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
 import nlkpp.cli
+at_import = loaded()
 from nlkpp import kernels
 fft, calls = kernels._fft_convolve, []
 kernels._fft_convolve = lambda *a: calls.append(1) or fft(*a)
-cfg, out = sys.argv[1:3]
-codes = [nlkpp.cli.main(argv + ["--out", out]) for argv in (
-    ["roots", "--c", "2.5", "--tau", "5"],
-    ["classify", "--c", "2.5", "--config", cfg],
-    ["simulate", "--T", "15", "--config", cfg])]
-print(json.dumps({"codes": codes, "fft_calls": len(calls), "loaded": [
-    m for m in ("scipy.signal", "scipy.stats", "scipy.interpolate")
-    if m in sys.modules]}))
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+codes = [nlkpp.cli.main(argv + ["--out", out]) for argv in commands]
+print(json.dumps({"codes": codes, "fft_calls": len(calls),
+                  "at_import": at_import, "loaded": loaded()}))
 """
 
 
-def test_startup_commands_do_not_load_scipy_signal(tmp_path):
-    # scipy.signal, with the scipy.stats it loads, was most of the start-up
-    # time; only the front solve may load it.  scipy.interpolate is loaded
-    # only to evaluate a profile, which no command does.  The gaussian (321
-    # taps at dx = 0.2) on 3,501 points takes the FFT path of K * u.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"X": 700, "kernel": {"density": {
-        "lo": -32, "hi": 32, "n": 401, "kind": "gaussian",
-        "params": {"sigma": 4}}}}))
+def _startup_probe(tmp_path, commands):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     child = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "out"),
+         json.dumps(commands)],
         env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    rep = json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_startup_commands_do_not_load_scipy_signal(tmp_path):
+    # scipy.signal, with the scipy.stats it loads, was most of the start-up
+    # time; only the front solve may load it.  scipy.optimize (with
+    # scipy.special) and scipy.fft would be loaded for one function each, a
+    # root bracket and an FFT length, which the package computes itself.
+    # scipy.interpolate is loaded only to evaluate a profile, which no
+    # command does.  The gaussian (321 taps at dx = 0.2) on 3,501 points
+    # takes the FFT path of K * u.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"X": 700, "kernel": {"density": {
+        "lo": -32, "hi": 32, "n": 401, "kind": "gaussian",
+        "params": {"sigma": 4}}}}))
+    rep = _startup_probe(tmp_path, [
+        ["roots", "--c", "2.5", "--tau", "5"],
+        ["classify", "--c", "2.5", "--config", str(cfg)],
+        ["simulate", "--T", "15", "--config", str(cfg)]])
     assert rep["codes"] == [0, 0, 0]
     assert rep["fft_calls"] > 0
+    assert rep["at_import"] == []
+    assert rep["loaded"] == []
+
+
+def test_delay_commands_do_not_load_scipy_optimize(tmp_path):
+    # connect solves the delay equation's growth rate by the package's own
+    # bracketed solver; periodic and semiwave --proper (periodic to point)
+    # need no root bracket
+    rep = _startup_probe(tmp_path, [
+        ["connect", "--tau", "5", "--eps", "0.01"],
+        ["periodic", "--tau", "5"],
+        ["semiwave", "--tau", "4.8124", "--c", "7", "--proper"]])
+    assert rep["codes"] == [0, 0, 0]
+    assert rep["at_import"] == []
     assert rep["loaded"] == []
 
 
@@ -905,7 +931,8 @@ def test_diverging_connection_newton_is_numeric_failure(tmp_path, capsys,
     # wrote an empty atlas
     (["atlas", "--n", "-1"], "atlas --n must be >= 1, got -1"),
     (["atlas", "--n", "0"], "atlas --n must be >= 1, got 0"),
-    # brentq's and numpy's own errors, before the connection was solved
+    # refused before the connection is solved, not left to the root
+    # solver's or numpy's own errors
     (["connect", "--tau", "1e-300"], "needs more than 200000 nodes"),
     (["semiwave", "--tau", "1e300", "--c", "7"],
      "growth rate at tau=1e+300 is below 1e-9"),

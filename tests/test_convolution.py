@@ -3,6 +3,7 @@ asymmetric kernels in both orientations and with every tail kind."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 from nlkpp import DomainError
 from nlkpp import kernels as ker
@@ -152,6 +153,31 @@ def test_fft_path_caches_one_spectrum_per_length():
             assert np.max(np.abs(got - _direct(st_k, vals, 0.25, 1.3))) < 1e-12
         assert len(st_k._spectra) == 2
     assert st_phi.reversed()._spectra is not st_phi._spectra
+
+
+def test_smooth_len_is_scipys_real_fft_length():
+    ns = range(1, 200_001)
+    assert [ker.smooth_len(n) for n in ns] == [
+        next_fast_len(n, real=True) for n in ns]
+
+
+def test_fft_length_is_searched_once_per_window_length(monkeypatch):
+    # repeated convolutions on one grid, as in Picard sweeps or PDE steps,
+    # search for the transform length once; a second grid once more
+    search, calls = ker.smooth_len, []
+    monkeypatch.setattr(ker, "smooth_len",
+                        lambda n: calls.append(n) or search(n))
+    h = 0.005
+    st_k = ker.stencil(asymmetric_kernel("atom + gaussian", 1.0, h), h)
+    assert st_k.weights.size > 128
+    rng = np.random.default_rng(11)
+    for n, searches in ((3000, 1), (4321, 2), (3000, 2)):
+        for _ in range(3):
+            vals = rng.uniform(0.0, 2.0, n)
+            got = ker.convolve(st_k, vals, 0.25, 1.3)
+            assert np.max(np.abs(got - _direct(st_k, vals, 0.25, 1.3))) < 1e-12
+        assert len(calls) == searches
+    assert len(st_k._lengths) == 2
 
 
 def test_mid_length_stencil_on_short_grid_takes_fft_path(monkeypatch):

@@ -41,6 +41,81 @@ def test_quad_roots_product_one(c):
     assert 0 < lam <= 1 <= mu
 
 
+# increasing through r, so f(r - da) < 0 < f(r + db), and f(r) is 0 but for
+# "exp" and "step"; "step" and "flat" defeat interpolation, "root10"
+# extrapolation
+_BRACKETED = {
+    "cubic": lambda r, p: lambda x: (x - r) ** 3 + p * (x - r),
+    "tanh": lambda r, p: lambda x: math.tanh(p * (x - r)),
+    "exp": lambda r, p: lambda x: math.exp(p * x) - math.exp(p * r),
+    "atan": lambda r, p: lambda x: math.atan(x - r) + 0.01 * (x - r) ** 3,
+    "step": lambda r, p: lambda x: -p if x < r else 1.0,
+    "flat": lambda r, p: lambda x: (x - r) ** 9,
+    "root10": lambda r, p: lambda x: math.copysign(abs(x - r) ** 0.1, x - r),
+    "wiggle": lambda r, p: lambda x: (x - r) * (1.5 + math.sin(3 * p * x)),
+}
+# the defaults, then monotone_front_root's, _u2_radius's and growth_rate's
+_TOLERANCES = [{}, {"xtol": 1e-300, "rtol": 1e-14}, {"xtol": 1e-12},
+               {"xtol": 1e-14}]
+
+
+@given(kind=st.sampled_from(sorted(_BRACKETED)), r=st.floats(-5, 5),
+       p=st.floats(0.1, 5), da=st.floats(1e-9, 30), db=st.floats(1e-9, 30),
+       tol=st.sampled_from(_TOLERANCES), swap=st.booleans(),
+       # one example in three with a bracket end at r
+       end=st.sampled_from(["a", "b", None, None, None, None]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_brentq_returns_scipys_root_exactly(kind, r, p, da, db, tol, swap,
+                                            end):
+    # the port repeats scipy's brentq.c step for step, so every root the
+    # package computes is the float scipy.optimize.brentq returns; a bracket
+    # end where f is exactly 0 is returned as it is
+    f = _BRACKETED[kind](r, p)
+    a, b = r - da, r + db
+    if end == "a":
+        a = r
+    elif end == "b":
+        b = r
+    if swap:
+        a, b = b, a
+    try:
+        want = brentq(f, a, b, **tol)
+    except ValueError:    # "exp" or "step" with an end at r keeps one sign
+        with pytest.raises(DomainError, match="same sign"):
+            sp.brentq(f, a, b, **tol)
+        return
+    except RuntimeError:
+        with pytest.raises(NoConvergence, match="did not converge"):
+            sp.brentq(f, a, b, **tol)
+        return
+    got = sp.brentq(f, a, b, **tol)
+    assert got == want and type(got) is float
+
+
+def test_brentq_without_a_sign_change_is_domain_error():
+    with pytest.raises(DomainError, match="same sign at both ends"):
+        sp.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(DomainError, match="same sign at both ends"):
+        sp.brentq(lambda x: x - 3.0, 0.0, 2.0)
+
+
+def test_brentq_step_cap_is_no_convergence():
+    # a jump at 0 with no root: the bracket must shrink to about xtol = 1e-300
+    # around it, some 1,000 halvings, past the cap of 100 steps
+    f = lambda x: -1.0 if x < 0 else 1.0
+    with pytest.raises(RuntimeError, match="Failed to converge"):
+        brentq(f, -1.0, 2.0, xtol=1e-300, rtol=1e-14)
+    with pytest.raises(NoConvergence, match="did not converge in 100 steps"):
+        sp.brentq(f, -1.0, 2.0, xtol=1e-300, rtol=1e-14)
+
+
+def test_brentq_nan_is_no_convergence():
+    with pytest.raises(NoConvergence, match="not a number"):
+        sp.brentq(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(NoConvergence, match="not a number"):
+        sp.brentq(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5, 0.0, 1.0)
+
+
 def test_monotone_front_root_local_kernel_recovers_quadratic():
     # K = delta at 0: criterion polynomial is z^2 - c z - 1, negative root
     # (c - sqrt(c^2+4))/2
