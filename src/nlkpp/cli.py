@@ -80,17 +80,20 @@ def write_json(path: Path, obj) -> None:
                     json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Rows of numbers as %.12g; strings are written as they are."""
-    fmt = ",".join(["%.12g"] * len(header))
-    lines = [",".join(header)]
-    for row in rows:
-        try:
-            lines.append(fmt % tuple(row))
-        except TypeError:   # a string value, or a row of another length
-            lines.append(",".join(
-                v if isinstance(v, str) else "%.12g" % v for v in row))
-    _write_artifact(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, header, columns) -> None:
+    """Write the table of `columns` (equal-length arrays or lists), one line
+    per row, in one `%` format call: a column of strings as it is (`%s`),
+    any other column's values as numbers in `%.12g`.  Columns of unequal
+    length are refused with a ValueError."""
+    cols = [np.asarray(c) for c in columns]
+    n = cols[0].size
+    fmt = ",".join("%s" if c.dtype.kind == "U" else "%.12g" for c in cols)
+    # the values row by row: column j fills every len(cols)-th place
+    flat = [None] * (len(cols) * n)
+    for j, c in enumerate(cols):
+        flat[j::len(cols)] = c.tolist()
+    _write_artifact(path, ",".join(header) + "\n"
+                    + (fmt + "\n") * n % tuple(flat))
 
 
 def _load_config(path: str | None) -> dict:
@@ -181,9 +184,8 @@ def cmd_region(args, cfg, out: Path) -> None:
     p_axis, P_axis, mask = geo["p_axis"], geo["P_axis"], geo["mask"]
     # row-major over (p, P), as the mask is
     write_csv(out / "region.csv", ["p", "P", "feasible"],
-              zip(np.repeat(p_axis, P_axis.size).tolist(),
-                  np.tile(P_axis, p_axis.size).tolist(),
-                  mask.ravel().astype(int).tolist()))
+              [np.repeat(p_axis, P_axis.size), np.tile(P_axis, p_axis.size),
+               mask.ravel()])
     write_json(out / "region.json", {
         "alpha_plus": args.aplus, "alpha_minus": args.aminus,
         "p_min": geo["p_min"], "P_max": geo["P_max"],
@@ -203,8 +205,7 @@ def cmd_front(args, cfg, out: Path) -> None:
     if vals.max() > ctx.beta:
         raise DomainError(f"the front reaches phi_max = {vals.max():.6g} > "
                           f"beta = {ctx.beta}, off the equation; raise beta")
-    write_csv(out / "front.csv", ["t", "phi"],
-              zip(prof.grid, prof.values))
+    write_csv(out / "front.csv", ["t", "phi"], [prof.grid, prof.values])
     write_json(out / "front.json", {
         "c": args.c, "beta": ctx.beta,
         "residual": d["residual_sup"],
@@ -224,7 +225,7 @@ def cmd_toy(args, cfg, out: Path) -> None:
     write_json(out / "toy.json", report)
     t = np.linspace(-10.0, 10.0, 601)
     write_csv(out / "toy.csv", ["t", "phi1", "phi2", "phi3"],
-              zip(t, *(f(t) for f in funcs)))
+              [t] + [f(t) for f in funcs])
 
 
 def cmd_periodic(args, cfg, out: Path) -> None:
@@ -233,8 +234,7 @@ def cmd_periodic(args, cfg, out: Path) -> None:
     if args.eps == 0:
         mults = dde.floquet(orbit)[0]
         adj = dde.resonance_pairing(orbit)
-    write_csv(out / "orbit.csv", ["t", "p", "dp"],
-              orbit.mesh)
+    write_csv(out / "orbit.csv", ["t", "p", "dp"], orbit.mesh.T)
     write_json(out / "orbit.json", {
         "tau": args.tau, "eps": args.eps, "period": orbit.period,
         "gamma": orbit.gamma, "amplitude": orbit.amplitude,
@@ -251,7 +251,7 @@ def cmd_connect(args, cfg, out: Path) -> None:
         kind = "periodic-to-point"
         sols = [dde.periodic_to_point(args.tau, args.eps)]
     write_csv(out / "trajectory.csv", ["t", "y"],
-              zip(sols[-1]["t"], sols[-1]["y"]))
+              [sols[-1]["t"], sols[-1]["y"]])
     # a periodic-to-point run has no Newton residual or counts: null
     rungs = [{k: s.get(k) for k in ("eps", "residual", "newton_steps",
                                     "factorizations")} for s in sols]
@@ -264,8 +264,7 @@ def cmd_connect(args, cfg, out: Path) -> None:
 
 def cmd_semiwave(args, cfg, out: Path) -> None:
     sol, prof = dde.semiwave(args.tau, args.c, proper=args.proper)
-    write_csv(out / "semiwave.csv", ["t", "phi"],
-              zip(prof.grid, prof.values))
+    write_csv(out / "semiwave.csv", ["t", "phi"], [prof.grid, prof.values])
     report = {"tau": args.tau, "c": args.c, "eps": sol["eps"],
               "kind": "periodic-to-point" if args.proper else "zero-to-one"}
     if args.proper:
@@ -286,10 +285,12 @@ def cmd_simulate(args, cfg, out: Path) -> None:
                    dt=_config_number(cfg, "dt", positive=True))
     rep = pdesim.measure_speed(_kernel_from(cfg), T=args.T, snap=args.snap,
                                **given)
-    x = rep.pop("state").x
+    x, snaps = rep.pop("state").x, rep.pop("snapshots")
+    # snapshot by snapshot, x ascending within each
     write_csv(out / "snapshots.csv", ["t", "x", "u"],
-              [(t, xi, ui) for t, u in rep.pop("snapshots")
-               for xi, ui in zip(x, u)])
+              [np.repeat([t for t, _ in snaps], x.size),
+               np.tile(x, len(snaps)),
+               np.ravel([u for _, u in snaps])])
     write_json(out / "speed.json", rep)
 
 
@@ -305,17 +306,16 @@ def cmd_atlas(args, cfg, out: Path) -> None:
         raise DomainError(f"atlas --n must be >= 1, got {args.n}")
     if not args.n <= ATLAS_MAX_N:
         raise DomainError(f"atlas --n must be <= {ATLAS_MAX_N}, got {args.n}")
-    rows = []
-    for ap in np.linspace(ap_lo, ap_hi, args.n).tolist():
-        for am in np.linspace(am_lo, am_hi, args.n).tolist():
-            bound = (regimes.estm_bound(ap, am) if ap > 0 and ap + am <= 0.5
-                     else float("nan"))
-            rows.append((ap, am, regimes.intensity_case(ap, am), bound))
+    # row-major over (alpha_plus, alpha_minus)
+    ap = np.repeat(np.linspace(ap_lo, ap_hi, args.n), args.n).tolist()
+    am = np.tile(np.linspace(am_lo, am_hi, args.n), args.n).tolist()
+    cases = [regimes.intensity_case(p, m) for p, m in zip(ap, am)]
+    bounds = [regimes.estm_bound(p, m) if p > 0 and p + m <= 0.5
+              else math.nan for p, m in zip(ap, am)]
     write_csv(out / "atlas.csv",
               ["alpha_plus", "alpha_minus", "case", "oscillation_bound"],
-              rows)
-    counts = Counter(label for _, _, label, _ in rows)
-    write_json(out / "atlas.json", {"n": args.n, "cases": counts})
+              [ap, am, cases, bounds])
+    write_json(out / "atlas.json", {"n": args.n, "cases": Counter(cases)})
 
 
 # -- argument parsing and dispatch -----------------------------------------

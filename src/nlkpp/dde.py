@@ -26,9 +26,11 @@ vector of the orbit Jacobian.
 Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block shorter than the delay at a time: the cubic
 delayed lookups of a block read rows written before it and are evaluated
-in one call, and with the lag known each RK4 step is affine in the current
-state, so only that recurrence runs step by step.  Histories and orbit
-coefficients are evaluated once, on arrays of times.
+in one call, and with the lag known each RK4 step is an affine map of the
+current state, so a block is one prefix composition of its steps' maps
+(`_scan`: log2 of the block length rounds of array operations, no Python
+loop per step).  Histories and orbit coefficients are evaluated once, on
+arrays of times.
 """
 from __future__ import annotations
 
@@ -376,6 +378,34 @@ def _rk4_increment(a0, ah, a1, dt):
     return dt / 6 * (a0 + 2 * k2 + 2 * k3 + k4)
 
 
+def _scan(maps, n, compose):
+    """Inclusive prefix composition, in place, of n maps m_0, ..., m_{n-1}
+    held in `maps`: entry k becomes m_k o ... o m_0.  Hillis-Steele (Kogge
+    & Stone 1973): round r composes every entry with the one 2^r steps
+    before it, so log2 n rounds of array operations replace the n
+    sequential steps.  `compose(maps, shift)` is one round."""
+    shift = 1
+    while shift < n:
+        compose(maps, shift)
+        shift *= 2
+    return maps
+
+
+def _compose_2x2(p, shift):
+    """One round on 2x2 matrices p of shape (2, 2, steps):
+    p_k <- p_k p_{k - shift}."""
+    p[..., shift:] = np.einsum("ijk,jlk->ilk", p[..., shift:], p[..., :-shift])
+
+
+def _compose_affine(maps, shift):
+    """One round on affine maps z -> r z + F, maps = (r, F) with r of shape
+    (steps,) and F (steps, z.size): (r, F)_k <- (r_k r_{k - shift},
+    r_k F_{k - shift} + F_k)."""
+    r, f = maps
+    f[shift:] += r[shift:, None] * f[:-shift]
+    r[shift:] *= r[:-shift]
+
+
 def _period_map(a, b, period, tau, n_disc, steps):
     """Matrix of the time-period map of z'(t) = a(t) z(t) + b(t) z(t-tau)
     on a history mesh of n_disc+1 nodes (unit-impulse columns); `a` and `b`
@@ -386,7 +416,8 @@ def _period_map(a, b, period, tau, n_disc, steps):
     the augmented system (z, L0, Lh, L1), in which each lag enters only at
     its own stage.  Blocks of floor(tau/dt) - 2 steps read only rows written
     before the block, so their lagged rows come from three `_cubic_rows`
-    calls and only z <- R z + F runs step by step."""
+    calls, and the block's maps z <- R z + F, the first applied to the
+    block's first row, compose in one `_scan`."""
     m = n_disc + 1
     hist_s = np.linspace(-tau, 0.0, m)
     dt = period / steps
@@ -407,10 +438,13 @@ def _period_map(a, b, period, tau, n_disc, steps):
     for s0 in range(0, steps, blk):
         c = coef[s0:s0 + blk]
         i = nback - 1 + s0 + np.arange(c.shape[0])
-        z[i + 1] = sum(c[:, [j + 1]] * _cubic_rows(z, i + off - lag)
-                       for j, off in enumerate((0.0, 0.5, 1.0)))
-        for k, r in zip(i.tolist(), (1.0 + c[:, 0]).tolist()):
-            z[k + 1] += r * z[k]
+        f = sum(c[:, [j + 1]] * _cubic_rows(z, i + off - lag)
+                for j, off in enumerate((0.0, 0.5, 1.0)))
+        # step 0 applied to the block's first row: its F is then that row's
+        # successor, and entry k's F after the scan is row k's
+        r = 1.0 + c[:, 0]
+        f[0] += r[0] * z[i[0]]
+        z[i + 1] = _scan((r, f), i.size, _compose_affine)[1]
     out = _cubic_rows(z, (nback - 1) + (steps * dt + hist_s) / dt)
     return out, hist_s
 
@@ -420,8 +454,9 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100, steps: int = 2000):
     z'(t) = -p(t-tau) z(t) + (1-p(t)) z(t-tau), sorted by modulus, and the
     dominant history mode: returns (multipliers, (mesh, mode)), the mode
     scaled to sup-norm 1 on the history mesh over [-tau, 0].  The
-    coefficients come from one evaluation of p at every half-step time;
-    `steps` must leave at least three steps per delay."""
+    coefficients are p at the 2 steps + 1 half-step times and at the same
+    times less tau, one `_trig_grid` of base times by offsets; `steps`
+    must leave at least three steps per delay."""
     if orbit.eps > 0:
         raise DomainError("period-map discretization covers eps = 0 orbits")
     if n_disc < 100:
@@ -431,9 +466,13 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100, steps: int = 2000):
     if not tau / dt >= 3:
         raise DomainError(
             f"need at least 3 steps per delay, got tau/dt = {tau / dt}")
-    th = dt / 2 * np.arange(2 * steps + 1)
-    pv = orbit.p(np.concatenate([th - tau, th]))
-    a, b = -pv[:th.size], 1.0 - pv[th.size:]
+    # half-step time k dt/2 = base i + offset j, k = i * nof + j
+    nt = 2 * steps + 1
+    nof = math.isqrt(nt - 1) + 1
+    base = dt / 2 * nof * np.arange(-(-nt // nof))
+    pv = _trig_grid(orbit.values, om, np.concatenate([base - tau, base]),
+                    dt / 2 * np.arange(nof)).reshape(2, -1)[:, :nt]
+    a, b = -pv[0], 1.0 - pv[1]
     mat, hist_s = _period_map(a, b, om, tau, n_disc, steps)
     ev, vec = np.linalg.eig(mat)
     order = np.argsort(-np.abs(ev))
@@ -502,10 +541,16 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
     which `stop(values, dt)` is true; `values` holds y at t = 0, dt, 2 dt,
     ... up to that block's end.
 
-    With the lag known, v = 1 - y (and w = y') obeys a linear system, so an
-    RK4 step is v <- v + D v with D from `_rk4_increment`.  Blocks of
-    nlag - 1 steps read only rows written before the block; y is updated by
-    its increment, since rebuilding it as 1 - v rounds to 1."""
+    With the lag known, s = (v, w), v = 1 - y (w = y'), obeys a linear
+    system, so an RK4 step is s <- (I + D) s with D from `_rk4_increment`.
+    Blocks of nlag - 1 steps read only rows written before the block, so a
+    block's states are prefix products of the identity and its maps I + D:
+    a `cumprod` of 1 + D00 for eps = 0, a `_scan` of the 2x2 matrices for
+    eps > 0.  y is
+    the running sum of y0 and the steps' decrements D s (the first row),
+    since rebuilding it as 1 - v rounds to 1.  Overflow past the blow-up
+    within a block is silenced there; the run is cut at the first step
+    whose |y| exceeds WRIGHT_BLOWUP."""
     if tau <= 0 or t_end <= 0:
         raise DomainError("need tau > 0 and t_end > 0")
     if dt is None:
@@ -541,21 +586,34 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
             a[..., 0, 1] = -1.0
             a[..., 1, 0] = la / eps
             a[..., 1, 1] = -1.0 / eps
-        coef = _rk4_increment(*a, dt).reshape(-1, 4).tolist()
-        yv = float(y[i[0]])
-        new = []
-        for d00, d01, d10, d11 in coef:
-            v = 1.0 - yv
-            yv -= d00 * v + d01 * w
-            w += d10 * v + d11 * w
-            new.append(yv)
-            if not abs(yv) <= WRIGHT_BLOWUP:
-                break
-        y[i[0] + 1:i[0] + 1 + len(new)] = new
-        if not abs(yv) <= WRIGHT_BLOWUP:
-            esc_t = (s0 + len(new)) * dt
-            y = y[:i[0] + 1 + len(new)]
+        d = _rk4_increment(*a, dt)
+        d00, d01 = d[:, 0, 0], d[:, 0, 1]
+        v0, w0 = 1.0 - y[i[0]], w
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the states (v, w) before each step of the block and after it,
+            # from the prefix products of the identity and the maps I + D
+            if eps == 0:
+                v = v0 * np.cumprod(np.append(1.0, 1.0 + d00))
+                ws = np.zeros(v.size)
+            else:
+                p = np.zeros((2, 2, i.size + 1))   # steps last, contiguous
+                p[..., 1:] = d.transpose(1, 2, 0)
+                p[0, 0] += 1.0
+                p[1, 1] += 1.0
+                p = _scan(p, i.size + 1, _compose_2x2)
+                v, ws = p[:, 0] * v0 + p[:, 1] * w0
+            # y less each step's decrement, summed in step order
+            new = np.cumsum(np.append(y[i[0]],
+                                      -(d00 * v[:-1] + d01 * ws[:-1])))[1:]
+            far = np.flatnonzero(~(np.abs(new) <= WRIGHT_BLOWUP))
+        w = ws[-1]
+        if far.size:
+            new = new[:far[0] + 1]
+            y = y[:i[0] + 1 + new.size]
+            y[i[0] + 1:] = new
+            esc_t = (s0 + new.size) * dt
             break
+        y[i + 1] = new
         if stop is not None and stop(y[nback - 1:i[-1] + 2], dt):
             y = y[:i[-1] + 2]
             break

@@ -344,21 +344,38 @@ def test_classify_and_front_share_beta(tmp_path, c, kernel):
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
-    def per_value(header, rows):
+    def per_value(header, columns):
         lines = [",".join(header)]
-        for row in rows:
+        for row in zip(*columns):
             lines.append(",".join(
                 v if isinstance(v, str) else "%.12g" % v for v in row))
         return "\n".join(lines) + "\n"
 
     rng = np.random.default_rng(5)
     x = rng.standard_normal(50) * 10.0 ** rng.integers(-30, 30, 50)
-    rows = list(zip(x.tolist(), x[::-1], range(50)))
-    rows += [(float("nan"), float("inf"), -0.0), (1, True, np.int64(7)),
-             (0.1, "label", float("nan")), ("a", "b", "c"), (1e300, 2.5)]
-    header = ["a", "b", "c"]
-    cli.write_csv(tmp_path / "x.csv", header, iter(rows))
-    assert (tmp_path / "x.csv").read_text() == per_value(header, rows)
+    n = x.size + 4
+    columns = [np.append(x, [float("nan"), float("inf"), -float("inf"), -0.0]),
+               x[::-1].tolist() + [1e300, 2.5, np.int64(7), True],
+               np.arange(n) % 3 == 0,
+               np.arange(n, dtype=np.int64),
+               [f"label{i}" for i in range(x.size)] + ["a", "b", "nan", ""]]
+    header = ["a", "b", "c", "d", "e"]
+    cli.write_csv(tmp_path / "x.csv", header, columns)
+    assert (tmp_path / "x.csv").read_text() == per_value(header, columns)
+
+
+@pytest.mark.parametrize("lengths", [(3, 4), (4, 3)])
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path, lengths):
+    with pytest.raises(ValueError):
+        cli.write_csv(tmp_path / "x.csv", ["a", "b"],
+                      [np.arange(float(k)) for k in lengths])
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_write_csv_header_only_table(tmp_path):
+    cli.write_csv(tmp_path / "x.csv", ["t", "x", "case"],
+                  [np.empty(0), np.empty(0), []])
+    assert (tmp_path / "x.csv").read_text() == "t,x,case\n"
 
 
 def test_region_artifacts(tmp_path):

@@ -168,6 +168,74 @@ def test_integrate_wright_step_just_below_delay():
     _assert_close_to(tr.y, ref, 1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2357])
+def test_scan_matches_sequential_composition(n):
+    # near-identity maps, as RK4 steps are, against products and affine
+    # updates taken one step at a time; the products' size moves by
+    # e^{+-0.5} or so over 2,357 steps, so errors are relative to it
+    rng = np.random.default_rng(n)
+    mats = np.eye(2)[..., None] + 0.01 * rng.standard_normal((2, 2, n))
+    ref = mats.copy()
+    for k in range(1, n):
+        ref[..., k] = ref[..., k] @ ref[..., k - 1]
+    got = dde._scan(mats.copy(), n, dde._compose_2x2)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    r, f = 1.0 + 0.01 * rng.standard_normal(n), rng.standard_normal((n, 5))
+    ref_r, ref_f = r.copy(), f.copy()
+    for k in range(1, n):
+        ref_f[k] += r[k] * ref_f[k - 1]
+        ref_r[k] *= ref_r[k - 1]
+    got_r, got_f = dde._scan((r.copy(), f.copy()), n, dde._compose_affine)
+    assert np.max(np.abs(got_r - ref_r)) <= 1e-13 * np.max(np.abs(ref_r))
+    assert np.max(np.abs(got_f - ref_f)) <= 1e-13 * np.max(np.abs(ref_f))
+
+
+def _blowup_threshold(y, k):
+    # a bound that |y| first exceeds at index k, halfway (geometrically)
+    # between its largest value before k and its value at k
+    below = np.max(np.abs(y[:k]))
+    assert abs(y[k]) > below
+    return math.sqrt(below * abs(y[k]))
+
+
+# tau = 2, eps = 1e-2: dt = 1e-3 and blocks of 1,999 steps, and |y| grows
+# at every step from either start.  The bound is set between |y| at the
+# step before the edge and at the edge step: from -5 that edge is y[2000],
+# the first step of the second block, whose rest overflows to inf and nan;
+# from -0.5 it is y[3998], the last step of the second block
+@pytest.mark.parametrize("start, k", [(-5.0, 2000), (-0.5, 3998)],
+                         ids=["first", "last"])
+def test_blowup_at_a_block_edge_matches_per_step_loop(monkeypatch, start, k):
+    tau, eps, hist = 2.0, 1e-2, lambda s: start
+    ref, _ = _wright_per_step(tau, eps, hist, 10.0)
+    bound = _blowup_threshold(ref, k)
+    monkeypatch.setattr(dde, "WRIGHT_BLOWUP", bound)
+    ref, esc_t = _wright_per_step(tau, eps, hist, 10.0, blowup=bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = dde.integrate_wright(tau, eps, hist, 10.0)
+    assert esc_t == k * 1e-3
+    assert tr.escape_time == esc_t
+    _assert_close_to(tr.y, ref, 1e-12)
+
+
+def test_benchmark_semiwave_run_matches_per_step_loop():
+    # the periodic-to-point run of semiwave --tau 4.8124 --c 7 --proper
+    # (eps = 1/49, blocks of 2,358 steps) while it shadows the orbit, over
+    # three periods; its initial derivative by finite difference, as the
+    # reference's
+    tau, eps = 4.8124, 1.0 / 49.0
+    orbit = dde.find_periodic(tau, eps)
+    _, (hist_s, mode) = dde.floquet(orbit.base)
+    hist = lambda s: orbit.p(s) + dde.P2P_DELTA * np.interp(s, hist_s, mode)
+    t_end = 3 * orbit.period
+    tr = dde.integrate_wright(tau, eps, hist, t_end)
+    ref, esc_t = _wright_per_step(tau, eps, hist, t_end)
+    assert tr.escape_time is None and esc_t is None
+    _assert_close_to(tr.y, ref, 1e-12)
+
+
 def test_cubic_rows_matches_scalar_formula():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((40, 3))
@@ -543,14 +611,26 @@ def _period_map_per_step(a_fun, b_fun, period, tau, n_disc, steps):
                      for s in hist_s])
 
 
-def test_floquet_matches_per_step_period_map(orbit):
-    ev, _ = dde.floquet(orbit)
+def _assert_floquet_matches_per_step(orbit, steps):
+    ev, _ = dde.floquet(orbit, steps=steps)
     mat = _period_map_per_step(lambda t: -orbit.p(t - orbit.tau),
                                lambda t: 1.0 - orbit.p(t), orbit.period,
-                               orbit.tau, 100, 2000)
+                               orbit.tau, 100, steps)
     ref = np.linalg.eigvals(mat)
     ref = ref[np.argsort(-np.abs(ref))]
     np.testing.assert_allclose(np.abs(ev), np.abs(ref), rtol=0, atol=1e-12)
+
+
+def test_floquet_matches_per_step_period_map(orbit):
+    # 2,000 steps: blocks of 1,500 and 500
+    _assert_floquet_matches_per_step(orbit, 2000)
+
+
+# 4 steps: tau/dt = 3.004, blocks of one step; 100 steps: blocks of 73
+# and 27
+@pytest.mark.parametrize("steps", [4, 100])
+def test_floquet_short_blocks_match_per_step_period_map(orbit, steps):
+    _assert_floquet_matches_per_step(orbit, steps)
 
 
 def test_floquet_rejects_too_few_steps_per_delay(orbit):
