@@ -199,6 +199,30 @@ def _trig_grid(vals: np.ndarray, period: float, base, offsets,
             @ np.exp(np.outer(offsets, w)).T).real
 
 
+def _trig_steps(vals: np.ndarray, period: float, starts, step: float,
+                n: int, order: int = 0) -> np.ndarray:
+    """The interpolant (or its derivative) at starts[m] + k step, k < n, as
+    a (len(starts), n) array: one `_trig_grid` with k = i nof + j split
+    into base times and about sqrt(n) offsets."""
+    nof = math.isqrt(n - 1) + 1
+    base = step * nof * np.arange(-(-n // nof))
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    out = _trig_grid(vals, period, (starts[:, None] + base).ravel(),
+                     step * np.arange(nof), order)
+    return out.reshape(starts.size, -1)[:, :n]
+
+
+def _trig_past(vals: np.ndarray, period: float, s: np.ndarray) -> np.ndarray:
+    """The interpolant on `integrate_wright`'s past mesh s = max(k dt, -tau),
+    k = 1 - s.size, ..., 0: uniform at step dt = s[-1] - s[-2] but for its
+    head clipped at -tau, which takes the value at s[0]."""
+    dt = s[-1] - s[-2]
+    out = _trig_steps(vals, period, s[-1] - dt * (s.size - 1), dt,
+                      s.size)[0]
+    out[s == s[0]] = _trig_eval(vals, period, s[0])
+    return out
+
+
 # -- periodic orbits -------------------------------------------------------
 
 # orbit collocation: samples per period, the spread below which the samples
@@ -455,8 +479,8 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100, steps: int = 2000):
     dominant history mode: returns (multipliers, (mesh, mode)), the mode
     scaled to sup-norm 1 on the history mesh over [-tau, 0].  The
     coefficients are p at the 2 steps + 1 half-step times and at the same
-    times less tau, one `_trig_grid` of base times by offsets; `steps`
-    must leave at least three steps per delay."""
+    times less tau, from one `_trig_steps`; `steps` must leave at least
+    three steps per delay."""
     if orbit.eps > 0:
         raise DomainError("period-map discretization covers eps = 0 orbits")
     if n_disc < 100:
@@ -466,12 +490,7 @@ def floquet(orbit: PeriodicOrbit, n_disc: int = 100, steps: int = 2000):
     if not tau / dt >= 3:
         raise DomainError(
             f"need at least 3 steps per delay, got tau/dt = {tau / dt}")
-    # half-step time k dt/2 = base i + offset j, k = i * nof + j
-    nt = 2 * steps + 1
-    nof = math.isqrt(nt - 1) + 1
-    base = dt / 2 * nof * np.arange(-(-nt // nof))
-    pv = _trig_grid(orbit.values, om, np.concatenate([base - tau, base]),
-                    dt / 2 * np.arange(nof)).reshape(2, -1)[:, :nt]
+    pv = _trig_steps(orbit.values, om, [-tau, 0.0], dt / 2, 2 * steps + 1)
     a, b = -pv[0], 1.0 - pv[1]
     mat, hist_s = _period_map(a, b, om, tau, n_disc, steps)
     ev, vec = np.linalg.eig(mat)
@@ -787,7 +806,8 @@ def periodic_to_point(tau: float, eps: float = 0.0) -> dict:
     _, (hist_s, mode) = floquet(orbit.base or orbit)
     for sign in (+1.0, -1.0):
         def hist(s, sign=sign):
-            return orbit.p(s) + sign * P2P_DELTA * np.interp(s, hist_s, mode)
+            return (_trig_past(orbit.values, orbit.period, s)
+                    + sign * P2P_DELTA * np.interp(s, hist_s, mode))
 
         traj = integrate_wright(tau, eps, hist, P2P_T_MAX,
                                 dhistory=lambda s: orbit.p(s, 1),

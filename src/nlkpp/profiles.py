@@ -1,5 +1,7 @@
 """Wave-profile construction: closed-form upper/lower solutions, the
-integral fixed-point operator between them, the Newton-Krylov front solver
+integral fixed-point operator between them (its two exponential
+recurrences summed by one LAPACK tridiagonal solve on closed-form LU
+factors), the Newton-Krylov front solver
 (started from a coarse damped Picard front where the front oscillates),
 residual diagnostics, and the piecewise toy model's three fronts as closed
 forms with their report (`toy_fronts`).
@@ -26,7 +28,7 @@ class Profile:
     """Grid values with declared asymptotic tails.
 
     The tails are data for the grid operators that realize them
-    (`kernels.convolve`, `_two_sided_integrals`): left of the grid the
+    (`kernels.convolve`, `_two_sided_sum`): left of the grid the
     profile is left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when
     left_rate is set, else the constant left_limit; right of it, periodic by
     `tail_mesh` (one period, uniform) when `tail_period` is given, else the
@@ -221,40 +223,60 @@ def _cell_weights(z1: float, z2: float, h: float) -> _CellWeights:
                         math.exp(-z2 * h), J1b, J0b - J1b)
 
 
-def _two_sided_integrals(r: np.ndarray, r_left: float, r_right: float,
-                         w: _CellWeights, left_rate: float = None):
-    """I_minus(t_i) = int_{-inf}^{t_i} e^{z1(t_i-s)} r(s) ds and
-    I_plus(t_i) = int_{t_i}^{inf} e^{z2(t_i-s)} r(s) ds for piecewise-linear
-    r on a uniform grid.
+def _sum_factors(w: _CellWeights, n: int):
+    """LU factors of (1 - E1 Z^-)(1 - E2 Z^+) on n points, Z^-/Z^+ the
+    shifts to the previous/next point, in dgttrf's layout
+    (dl, d, du, du2, ipiv): L unit lower bidiagonal with -E1 below its
+    diagonal, U upper bidiagonal with -E2 above it and d = 1 but for its
+    last entry 1 - E1 E2, and no pivoting.  They are closed-form, so
+    nothing is factorized.  Fewer than 3 points raise DomainError (scipy's
+    dgttrs wrapper refuses them)."""
+    if n < 3:
+        raise DomainError(f"the integral operator needs a grid of at least "
+                          f"3 points, got {n}")
+    d = np.ones(n)
+    d[-1] = 1.0 - w.E1 * w.E2
+    return (np.full(n - 1, -w.E1), d, np.full(n - 1, -w.E2), np.zeros(n - 2),
+            np.arange(1, n + 1, dtype=np.int32))
 
-    Both are exact one-step recurrences, run by a first-order linear filter:
-    forward I_minus[i+1] = E1 I_minus[i] + q[i], backward (on the reversed
-    array) I_plus[i] = E2 I_plus[i+1] + p[i], with q, p the closed-form cell
-    integrals.  Each recurrence starts from its tail integral, passed in as
-    the filter's initial state.  The left tail is r(t0) e^{left_rate (s - t0)}
-    when a rate is given (decaying profile), else the constant r_left; the
-    right tail is the constant r_right."""
-    # imported here, not at module level: scipy.signal and what it loads
-    # (scipy.stats, optimize, special, fft) add 0.5-0.7 s to the package
-    # import (median 0.56 s of 9 fresh processes, 2-core x86-64 VM), and
-    # only `front` needs them
-    from scipy.signal import lfilter
-    n = r.size
-    Iminus = np.empty(n)
+
+def _two_sided_sum(r: np.ndarray, r_left: float, r_right: float,
+                   w: _CellWeights, lu, left_rate: float = None):
+    """S = I_minus + I_plus on a uniform grid of piecewise-linear r, with
+    I_minus(t_i) = int_{-inf}^{t_i} e^{z1(t_i-s)} r(s) ds and
+    I_plus(t_i) = int_{t_i}^{inf} e^{z2(t_i-s)} r(s) ds, and lu the grid's
+    `_sum_factors`.
+
+    Each integral is an exact one-step recurrence, forward
+    I_minus[i] = E1 I_minus[i-1] + Q[i] and backward
+    I_plus[i] = E2 I_plus[i+1] + P[i], with Q[i] = q0 r[i-1] + q1 r[i] and
+    P[i] = p0 r[i] + p1 r[i+1] the closed-form cell integrals.  So
+    (1 - E1 Z^-)(1 - E2 Z^+) S = f, f[i] = Q[i] - E2 Q[i+1] + P[i]
+    - E1 P[i-1] but for the end rows, which carry the tail integrals
+    I_minus[0] and I_plus[n-1]: one dgttrs solve on the known factors runs
+    both recurrences.  The left tail is r(t0) e^{left_rate (s - t0)} when a
+    rate is given (decaying profile), else the constant r_left; the right
+    tail is the constant r_right."""
+    E1, E2 = w.E1, w.E2
     if left_rate is not None:
-        Iminus[0] = r[0] / (left_rate - w.z1)
+        im0 = r[0] / (left_rate - w.z1)
     else:
-        Iminus[0] = r_left / (-w.z1)
-    q = r[:-1] * w.q0
-    q += r[1:] * w.q1
-    Iminus[1:] = lfilter([1.0], [1.0, -w.E1], q, zi=[w.E1 * Iminus[0]])[0]
-    Iplus = np.empty(n)
-    Iplus[-1] = r_right / w.z2
-    p = r[:-1] * w.p0
-    p += r[1:] * w.p1
-    Iplus[-2::-1] = lfilter([1.0], [1.0, -w.E2], p[::-1],
-                            zi=[w.E2 * Iplus[-1]])[0]
-    return Iminus, Iplus
+        im0 = r_left / (-w.z1)
+    ip_last = r_right / w.z2
+    Q = r[:-1] * w.q0   # Q[1:] of the docstring
+    Q += r[1:] * w.q1
+    P = r[:-1] * w.p0   # P[:-1]
+    P += r[1:] * w.p1
+    f = np.empty(r.size)
+    # this order of operations keeps J u within 1e-9 of G's central
+    # difference at eps 1e-4 (test_front_jacobian_vector_product_is_exact),
+    # which sits on the rounding floor; combined tridiagonal coefficients
+    # of r do not
+    f[1:-1] = Q[:-1] - E2 * Q[1:]
+    f[1:-1] += P[1:] - E1 * P[:-1]
+    f[0] = (1.0 - E1 * E2) * im0 - E2 * Q[0] + P[0]
+    f[-1] = Q[-1] + (1.0 - E1 * E2) * ip_last - E1 * P[-1]
+    return dgttrs(*lu, f, overwrite_b=1)[0]
 
 
 def _constant_r(phi_val: float, ctx: WaveContext) -> float:
@@ -264,15 +286,17 @@ def _constant_r(phi_val: float, ctx: WaveContext) -> float:
 
 
 def am_core(vals: np.ndarray, conv: np.ndarray, phi_left: float,
-            phi_right: float, ctx: WaveContext, w: _CellWeights,
+            phi_right: float, ctx: WaveContext, w: _CellWeights, lu,
             left_rate: float = None) -> np.ndarray:
-    """Apply the operator to raw arrays given the precomputed convolution
-    and the grid's cell weights `_cell_weights(ctx.z1, ctx.z2, h)`."""
+    """Apply the operator to raw arrays given the precomputed convolution,
+    the grid's cell weights `_cell_weights(ctx.z1, ctx.z2, h)` and their
+    `_sum_factors` on the grid."""
     r = ctx.b * vals + g_beta(vals, ctx.beta) * (1.0 - conv)
-    Iminus, Iplus = _two_sided_integrals(
-        r, _constant_r(phi_left, ctx), _constant_r(phi_right, ctx),
-        w, left_rate=left_rate)
-    return (Iminus + Iplus) / ctx.z12
+    S = _two_sided_sum(r, _constant_r(phi_left, ctx),
+                       _constant_r(phi_right, ctx), w, lu,
+                       left_rate=left_rate)
+    S /= ctx.z12
+    return S
 
 
 def _grid_conv(phi: Profile, k: Kernel):
@@ -296,8 +320,9 @@ def am_apply(phi: Profile, ctx: WaveContext) -> Profile:
         raise DomainError("operator input must satisfy 0 <= phi <= 2 beta")
     conv, phi_left, phi_right = _grid_conv(phi, ctx.kernel)
     rate = phi.left_rate if (phi.left_rate is not None and phi_left == 0.0) else None
-    out = am_core(phi.values, conv, phi_left, phi_right, ctx,
-                  _cell_weights(ctx.z1, ctx.z2, phi.dt), left_rate=rate)
+    w = _cell_weights(ctx.z1, ctx.z2, phi.dt)
+    out = am_core(phi.values, conv, phi_left, phi_right, ctx, w,
+                  _sum_factors(w, phi.values.size), left_rate=rate)
     new_left = _constant_r(phi_left, ctx) / ctx.b
     new_right = _constant_r(phi_right, ctx) / ctx.b
     return Profile(phi.t0, phi.dt, out, left_limit=new_left,
@@ -557,13 +582,15 @@ def _g_prime(v, beta: float):
 
 
 class _FrontSystem:
-    """The front's grid operator A on a grid of step h, with its stencil
-    and cell weights built once, and the Newton-Krylov equations on it."""
+    """The front's grid operator A on a grid of step h, with its stencil,
+    cell weights and (at the first vector) `_sum_factors` built once, and
+    the Newton-Krylov equations on it."""
 
     def __init__(self, ctx: WaveContext, h: float):
         self.ctx = ctx
         self.st = stencil(ctx.kernel, h)
         self.w = _cell_weights(ctx.z1, ctx.z2, h)
+        self._lu = None
         # per Newton step: GMRES's residual norms, and its rtol
         self.gmres_trace, self.gmres_rtols = [], []
         self._res = None  # max|G| at the last linearization
@@ -595,11 +622,16 @@ class _FrontSystem:
     def _conv(self, v):
         return convolve(self.st, v, 0.0, v[-1], left_rate=self.ctx.lam)
 
+    def _factors(self, n):
+        if self._lu is None or self._lu[1].size != n:
+            self._lu = _sum_factors(self.w, n)
+        return self._lu
+
     def apply(self, v):
         """A(v) with the front's tails: e^{lam t} decay to 0 on the left,
         the constant v[-1] on the right."""
         return am_core(v, self._conv(v), 0.0, v[-1], self.ctx, self.w,
-                       left_rate=self.ctx.lam)
+                       self._factors(v.size), left_rate=self.ctx.lam)
 
     def equations(self, x, i0):
         """G(v, sigma) = v - A(v) - sigma e_0 and its linearization for
@@ -666,6 +698,7 @@ class _FrontSystem:
         loc = ctx.b + _g_prime(v, beta) * (1.0 - self._conv(v))
         vn = v[-1]
         tail = ctx.b + _g_prime(vn, beta) * (1.0 - vn) - g_beta(vn, beta)
+        lu = self._factors(v.size)
 
         def jv(u):
             # in place where it can be: these vectors span the whole grid
@@ -674,11 +707,10 @@ class _FrontSystem:
             r = self._conv(u)
             r *= -gv
             r += loc * u
-            im, ip = _two_sided_integrals(r, 0.0, tail * u[-1], w,
-                                          left_rate=ctx.lam)
-            im += ip
-            im /= ctx.z12
-            u -= im
+            S = _two_sided_sum(r, 0.0, tail * u[-1], w, lu,
+                               left_rate=ctx.lam)
+            S /= ctx.z12
+            u -= S
             u[0] -= s
             return u
 

@@ -439,9 +439,9 @@ def test_region_with_a_huge_cap_is_finite(tmp_path):
     assert math.isfinite(rep["p_min"]) and math.isfinite(rep["P_max"])
 
 
-# a fresh interpreter runs commands that need no front solve and reports
-# the exit codes, the FFT-path convolutions and which heavy scipy
-# subpackages it loaded, right after the import and after the commands
+# a fresh interpreter runs commands and reports the exit codes, the
+# FFT-path convolutions and which heavy scipy subpackages it loaded, right
+# after the import and after the commands
 STARTUP_PROBE = """\
 import json, sys
 HEAVY = ("scipy.optimize", "scipy.fft", "scipy.special", "scipy.signal",
@@ -473,7 +473,9 @@ def _startup_probe(tmp_path, commands):
 
 def test_startup_commands_do_not_load_scipy_signal(tmp_path):
     # scipy.signal, with the scipy.stats it loads, was most of the start-up
-    # time; only the front solve may load it.  scipy.optimize (with
+    # time; the front operator's two recurrences are one LAPACK solve, so
+    # no command loads it, the monotone (delta(s + 0.5)) and the
+    # oscillating (delta(s - 5)) front included.  scipy.optimize (with
     # scipy.special) and scipy.fft would be loaded for one function each, a
     # root bracket and an FFT length, which the package computes itself.
     # scipy.interpolate is loaded only to evaluate a profile, which no
@@ -483,11 +485,17 @@ def test_startup_commands_do_not_load_scipy_signal(tmp_path):
     cfg.write_text(json.dumps({"X": 700, "kernel": {"density": {
         "lo": -32, "hi": 32, "n": 401, "kind": "gaussian",
         "params": {"sigma": 4}}}}))
+    fronts = []
+    for s in (-0.5, 5.0):
+        fronts.append(tmp_path / f"front{s}.json")
+        fronts[-1].write_text(json.dumps({
+            "kernel": {"atoms": [{"s": s, "mass": 1.0}]}, "dt": 0.02}))
     rep = _startup_probe(tmp_path, [
         ["roots", "--c", "2.5", "--tau", "5"],
         ["classify", "--c", "2.5", "--config", str(cfg)],
-        ["simulate", "--T", "15", "--config", str(cfg)]])
-    assert rep["codes"] == [0, 0, 0]
+        ["simulate", "--T", "15", "--config", str(cfg)]]
+        + [["front", "--c", "2.5", "--config", str(f)] for f in fronts])
+    assert rep["codes"] == [0, 0, 0, 0, 0]
     assert rep["fft_calls"] > 0
     assert rep["at_import"] == []
     assert rep["loaded"] == []

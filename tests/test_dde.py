@@ -633,6 +633,19 @@ def test_floquet_short_blocks_match_per_step_period_map(orbit, steps):
     _assert_floquet_matches_per_step(orbit, steps)
 
 
+def test_trig_past_matches_dense_evaluation(orbit):
+    # the past mesh integrate_wright hands its history at eps 1/49, as in
+    # the periodic-to-point run: uniform back from 0 but for its head,
+    # clipped at -tau
+    seen = []
+    dde.integrate_wright(TAU, 1 / 49, lambda s: seen.append(s) or 0.0, 1.0)
+    (s,) = seen
+    assert s[0] == s[2] == -TAU < s[-3]
+    np.testing.assert_allclose(
+        dde._trig_past(orbit.values, orbit.period, s),
+        dde._trig_eval(orbit.values, orbit.period, s), rtol=0, atol=1e-13)
+
+
 def test_floquet_rejects_too_few_steps_per_delay(orbit):
     # three steps per period leave tau/dt near 2.3: a step of the block
     # recurrence would read rows not yet written

@@ -221,22 +221,34 @@ def _power_series_integrals(r, r_left, r_right, z1, z2, h, left_rate):
     return Iminus, Iplus
 
 
+def _summed_integrals(r, r_left, r_right, z1, z2, h, left_rate):
+    w = pf._cell_weights(z1, z2, h)
+    return pf._two_sided_sum(r, r_left, r_right, w,
+                             pf._sum_factors(w, r.size), left_rate=left_rate)
+
+
 @pytest.mark.parametrize("left_rate", [None, 0.7])
 def test_two_sided_integrals_match_power_series_form(left_rate):
+    # the one tridiagonal solve against the two recurrences run apart, on
+    # five random grids and the smallest one, 3 points
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        n = int(rng.integers(5, 3000))
+    for k in range(6):
+        n = int(rng.integers(5, 3000)) if k < 5 else 3
         h = float(rng.uniform(1e-3, 0.1))
         z1, z2 = -float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 5.0))
         r = rng.uniform(0.0, 10.0, n)
         r_left, r_right = float(rng.uniform(0, 10)), float(rng.uniform(0, 10))
-        got = pf._two_sided_integrals(r, r_left, r_right,
-                                      pf._cell_weights(z1, z2, h),
-                                      left_rate=left_rate)
-        want = _power_series_integrals(r, r_left, r_right, z1, z2, h,
-                                       left_rate)
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w) / np.abs(w)) < 1e-12
+        got = _summed_integrals(r, r_left, r_right, z1, z2, h, left_rate)
+        want = sum(_power_series_integrals(r, r_left, r_right, z1, z2, h,
+                                           left_rate))
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_two_sided_integrals_need_three_points(n):
+    w = pf._cell_weights(-1.0, 2.0, 0.1)
+    with pytest.raises(DomainError, match="at least 3 points, got"):
+        pf._sum_factors(w, n)
 
 
 @pytest.mark.parametrize("exp_left_tail", [False, True])
@@ -263,12 +275,10 @@ def test_two_sided_integrals_second_order_for_exponential(exp_left_tail):
     for n in (301, 601, 1201):
         t = np.linspace(t0, T, n)
         h = t[1] - t[0]
-        got = pf._two_sided_integrals(np.exp(a * t), math.exp(a * t0),
-                                      math.exp(a * T),
-                                      pf._cell_weights(z1, z2, h),
-                                      left_rate=left_rate)
-        errs.append(max(np.max(np.abs(g - w) / np.abs(w))
-                        for g, w in zip(got, exact(t))))
+        got = _summed_integrals(np.exp(a * t), math.exp(a * t0),
+                                math.exp(a * T), z1, z2, h, left_rate)
+        want = sum(exact(t))
+        errs.append(np.max(np.abs(got - want) / np.abs(want)))
     assert errs[0] < 1e-3
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.5 < coarse / fine < 4.5
@@ -759,6 +769,30 @@ def test_front_jacobian_vector_product_is_exact():
     assert np.max(np.abs(jv(u) - fd)) <= 1e-9 * np.max(np.abs(fd))
 
 
+@pytest.mark.parametrize("seed", range(3, 13))
+def test_front_jacobian_vector_product_matches_wide_difference(seed):
+    # as above, at eps 1e-3 and over ten seeds.  v +- eps u stays below
+    # beta, where g_beta is the identity, so G is quadratic in the unknowns
+    # and its central difference has no truncation error; the wider step
+    # keeps the difference off the rounding floor that eps 1e-4 sits on
+    ctx = pf.WaveContext(3.0, _mixed_kernel())
+    up = pf.kpp_upper_front(ctx, 0.1)
+    v = np.minimum(up.values, 1.0)
+    i0 = int(np.argmax(v >= 0.5))
+    v[i0] = 0.5
+    system = pf._FrontSystem(ctx, up.dt)
+    jv, _ = system.linearize(v, i0)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(v.size) * np.minimum(v, 1e-3)
+    u[i0] = 1e-3
+    x = v.copy()
+    x[i0] = 0.0  # sigma
+    eps = 1e-3
+    fd = (system.equations(x + eps * u, i0)[0]
+          - system.equations(x - eps * u, i0)[0]) / (2 * eps)
+    assert np.max(np.abs(jv(u) - fd)) <= 1e-9 * np.max(np.abs(fd))
+
+
 def test_preconditioner_tridiagonal_from_the_recurrences():
     # dense L1, R1, L2, R2 reproduce the operator's integrals, and P is
     # z12 L1 L2 - (L2 R1 + L1 R2) diag(R')
@@ -776,9 +810,10 @@ def test_preconditioner_tridiagonal_from_the_recurrences():
     R2[-1, -1] = 1.0
     rng = np.random.default_rng(8)
     r = rng.standard_normal(n)
-    im, ip = pf._two_sided_integrals(r, 0.0, r[-1], w, left_rate=ctx.lam)
+    got = pf._two_sided_sum(r, 0.0, r[-1], w, pf._sum_factors(w, n),
+                            left_rate=ctx.lam)
     dense = np.linalg.solve(L1, R1 @ r) + np.linalg.solve(L2, R2 @ r)
-    assert np.max(np.abs(im + ip - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
     rp = rng.standard_normal(n)
     sub, diag, sup = system.tridiagonal(rp)
     P = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
