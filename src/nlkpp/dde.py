@@ -25,12 +25,14 @@ vector of the orbit Jacobian.
 
 Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block shorter than the delay at a time: the cubic
-delayed lookups of a block read rows written before it and are evaluated
-in one call, and with the lag known each RK4 step is an affine map of the
-current state, so a block is one prefix composition of its steps' maps
-(`_scan`: log2 of the block length rounds of array operations, no Python
-loop per step).  Histories and orbit coefficients are evaluated once, on
-arrays of times.
+delayed lookups of a block read rows written before it, and every row
+sits at the same fractional lag, so they are one fixed-tap stencil on
+row slices (`_lag_taps`).  With the lag known each RK4 step is an affine
+map of the current state, its coefficients in closed form
+(`_rk4_gains`, `_rk4_wright`), so a block is one prefix composition of
+its steps' maps (`_scan`: log2 of the block length rounds of array
+operations, no Python loop per step).  Histories and orbit coefficients
+are evaluated once, on arrays of times.
 """
 from __future__ import annotations
 
@@ -392,14 +394,58 @@ def _cubic_rows(z: np.ndarray, idx):
     return np.where(node, z[i0], val)
 
 
-def _rk4_increment(a0, ah, a1, dt):
-    """Stacked matrices D with u <- u + D u for one classical RK4 step of
-    the linear system u' = A(t) u, from stacked A at t, t + dt/2, t + dt."""
-    eye = np.eye(a0.shape[-1])
-    k2 = ah @ (eye + dt / 2 * a0)
-    k3 = ah @ (eye + dt / 2 * k2)
-    k4 = a1 @ (eye + dt * k3)
-    return dt / 6 * (a0 + 2 * k2 + 2 * k3 + k4)
+def _lag_taps(lag: float):
+    """Row offset r0 and weights W, a 3 x (at most 5) array, of the cubic
+    delayed lookups at offsets 0, 1/2 and 1 less `lag` from any row i:
+    lookup j is sum_q W[j, q] z[i + r0 + q].  Each is the cubic Lagrange
+    stencil on rows k-1 .. k+2 around k = floor(offset - lag), as
+    `_cubic_rows` reads it, and an offset whose fraction is below 1e-12
+    reads row k alone.  Every row shares the three fractions, so the
+    weights are computed once and a block's lookups are sums of shifted
+    row slices.  Rows no lookup weighs are left out of the window: at a
+    whole lag the last would be the block's first unwritten row."""
+    x = np.array([0.0, 0.5, 1.0]) - lag
+    k = np.floor(x)
+    f = x - k
+    w = np.column_stack([-f * (f - 1) * (f - 2) / 6, (f * f - 1) * (f - 2) / 2,
+                         -f * (f + 1) * (f - 2) / 2, f * (f * f - 1) / 6])
+    w[f < 1e-12] = (0.0, 1.0, 0.0, 0.0)
+    taps = np.zeros((3, 5))
+    # 1 - lag = -lag + 1 exactly, so the offsets' k differ by 0 or 1
+    for j, sh in enumerate((k - k[0]).astype(int)):
+        taps[j, sh:sh + 4] = w[j]
+    used = np.flatnonzero(taps.any(axis=0))
+    return int(k[0]) - 1 + used[0], taps[:, used[0]:used[-1] + 1]
+
+
+def _rk4_gains(ah, a1, dt):
+    """Gains (G1, Gh) of one classical RK4 step of z' = a(t) z + g(t):
+    z <- (1 + d) z + G1 g(t) + Gh g(t + dt/2) + dt/6 g(t + dt), with
+    d = G1 a(t) + Gh a(t + dt/2) + dt/6 a(t + dt); the stages' inputs enter
+    through u = a(t + dt/2) dt/2 and v = a(t + dt) dt."""
+    u, v = dt / 2 * ah, dt * a1
+    return (dt / 6 * (1.0 + u * (2.0 + u * (2.0 + v))),
+            dt / 6 * (2.0 + (1.0 + u) * (2.0 + v)))
+
+
+def _rk4_wright(la0, lah, la1, eps, dt):
+    """Entries (D00, D01, D10, D11) of the RK4 increment s <- (I + D) s of
+    s' = A(t) s, A = [[0, -1], [la/eps, -1/eps]], from the lag la at t,
+    t + dt/2 and t + dt, on component arrays: k1 = A(t) and each later
+    stage A (I + c k) has the first row -(I + c k)'s second row."""
+    e = 1.0 / eps
+
+    def stage(la, k, c):
+        p00, p01, p10, p11 = 1.0 + c * k[0], c * k[1], c * k[2], 1.0 + c * k[3]
+        g = la / eps
+        return -p10, -p11, g * p00 - e * p10, g * p01 - e * p11
+
+    k1 = (0.0, -1.0, la0 / eps, -e)
+    k2 = stage(lah, k1, dt / 2)
+    k3 = stage(lah, k2, dt / 2)
+    k4 = stage(la1, k3, dt)
+    return [dt / 6 * (q1 + 2 * q2 + 2 * q3 + q4)
+            for q1, q2, q3, q4 in zip(k1, k2, k3, k4)]
 
 
 def _scan(maps, n, compose):
@@ -436,11 +482,12 @@ def _period_map(a, b, period, tau, n_disc, steps):
     hold the coefficients at the 2*steps+1 half-step times.
 
     With the lagged rows L0, Lh, L1 of a step known, its RK4 step is
-    z <- R z + c0 L0 + ch Lh + c1 L1: the first row of the RK4 increment of
-    the augmented system (z, L0, Lh, L1), in which each lag enters only at
-    its own stage.  Blocks of floor(tau/dt) - 2 steps read only rows written
-    before the block, so their lagged rows come from three `_cubic_rows`
-    calls, and the block's maps z <- R z + F, the first applied to the
+    z <- R z + c0 L0 + ch Lh + c1 L1 (`_rk4_gains`, the lags as the
+    input).  The three lookups are one stencil of at most five rows
+    (`_lag_taps`), so a step's lagged input is sum_q C_q z[i + r0 + q]
+    with C = (c0, ch, c1) W.  Blocks of floor(tau/dt) - 2 steps read only
+    rows written before the block, so a block's inputs are a few scaled
+    row slices, and its maps z <- R z + F, the first applied to the
     block's first row, compose in one `_scan`."""
     m = n_disc + 1
     hist_s = np.linspace(-tau, 0.0, m)
@@ -448,27 +495,31 @@ def _period_map(a, b, period, tau, n_disc, steps):
     nback = int(math.ceil(tau / dt)) + 4
     tpast = -dt * np.arange(nback)[::-1]
     z = np.zeros((nback + steps + 1, m))
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        z[:nback, j] = np.interp(tpast, hist_s, e)
-    lag = tau / dt
-    stage = np.zeros((3, steps, 4, 4))
-    for j in range(3):
-        stage[j, :, 0, 0] = a[j:j + 2 * steps:2]
-        stage[j, :, 0, j + 1] = b[j:j + 2 * steps:2]
-    coef = _rk4_increment(*stage, dt)[:, 0]
-    blk = int(lag) - 2
+    # np.interp of every unit impulse at once: a past time in mesh cell j
+    # weighs nodes j and j + 1 by 1 - r and r, one before -tau node 0 alone
+    # and the last, t = 0, node m - 1 alone
+    j = np.clip(np.searchsorted(hist_s, tpast, side="right") - 1, 0, m - 2)
+    r = np.clip((1.0 / np.diff(hist_s))[j] * (tpast - hist_s[j]), 0.0, 1.0)
+    r[-1] = 1.0
+    rows = np.arange(nback)
+    z[rows, j], z[rows, j + 1] = 1.0 - r, r
+    a0, ah, a1 = a[:-1:2], a[1::2], a[2::2]
+    g1, gh = _rk4_gains(ah, a1, dt)
+    rs = 1.0 + (g1 * a0 + gh * ah + dt / 6 * a1)
+    r0, taps = _lag_taps(tau / dt)
+    cz = np.column_stack([g1 * b[:-1:2], gh * b[1::2], dt / 6 * b[2::2]]) @ taps
+    blk = int(tau / dt) - 2
     for s0 in range(0, steps, blk):
-        c = coef[s0:s0 + blk]
-        i = nback - 1 + s0 + np.arange(c.shape[0])
-        f = sum(c[:, [j + 1]] * _cubic_rows(z, i + off - lag)
-                for j, off in enumerate((0.0, 0.5, 1.0)))
+        c = cz[s0:s0 + blk]
+        n, i0 = c.shape[0], nback - 1 + s0
+        f = c[:, 0, None] * z[i0 + r0:i0 + r0 + n]
+        for q in range(1, c.shape[1]):
+            f += c[:, q, None] * z[i0 + r0 + q:i0 + r0 + q + n]
         # step 0 applied to the block's first row: its F is then that row's
         # successor, and entry k's F after the scan is row k's
-        r = 1.0 + c[:, 0]
-        f[0] += r[0] * z[i[0]]
-        z[i + 1] = _scan((r, f), i.size, _compose_affine)[1]
+        r = rs[s0:s0 + n]
+        f[0] += r[0] * z[i0]
+        z[i0 + 1:i0 + 1 + n] = _scan((r, f), n, _compose_affine)[1]
     out = _cubic_rows(z, (nback - 1) + (steps * dt + hist_s) / dt)
     return out, hist_s
 
@@ -561,13 +612,16 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
     ... up to that block's end.
 
     With the lag known, s = (v, w), v = 1 - y (w = y'), obeys a linear
-    system, so an RK4 step is s <- (I + D) s with D from `_rk4_increment`.
-    Blocks of nlag - 1 steps read only rows written before the block, so a
-    block's states are prefix products of the identity and its maps I + D:
-    a `cumprod` of 1 + D00 for eps = 0, a `_scan` of the 2x2 matrices for
-    eps > 0.  y is
-    the running sum of y0 and the steps' decrements D s (the first row),
-    since rebuilding it as 1 - v rounds to 1.  Overflow past the blow-up
+    system, so an RK4 step is s <- (I + D) s with D in closed form
+    (`_rk4_gains` for eps = 0, `_rk4_wright` for eps > 0).  The lag in
+    steps is nlag up to rounding, so the lookups at offsets 0 and 1 read
+    a row or nearly a row and the one at 1/2 is a 4-tap stencil
+    (`_lag_taps`).  Blocks of nlag - 1 steps read only rows written before
+    the block, so a block's states are prefix products of the identity and
+    its maps I + D: a `cumprod` of 1 + D00 for eps = 0, a `_scan` of the
+    2x2 matrices for eps > 0.  y is the running sum of y0 and the steps'
+    decrements D s (the first row), since rebuilding it as 1 - v rounds
+    to 1.  Overflow past the blow-up
     within a block is silenced there; the run is cut at the first step
     whose |y| exceeds WRIGHT_BLOWUP."""
     if tau <= 0 or t_end <= 0:
@@ -593,48 +647,45 @@ def integrate_wright(tau: float, eps: float, history, t_end: float,
             w = float(dhistory(0.0))
         else:
             w = float(y[nback - 1] - y[nback - 2]) / dt
-    lag = tau / dt
+    r0, taps = _lag_taps(tau / dt)
     esc_t = None
     for s0 in range(0, steps, nlag - 1):
-        i = nback - 1 + s0 + np.arange(min(nlag - 1, steps - s0))
-        la = _cubic_rows(y, np.stack([i - lag, i + 0.5 - lag, i + 1.0 - lag]))
-        a = np.zeros(la.shape + (2, 2))
-        if eps == 0:
-            a[..., 0, 0] = -la
-        else:
-            a[..., 0, 1] = -1.0
-            a[..., 1, 0] = la / eps
-            a[..., 1, 1] = -1.0 / eps
-        d = _rk4_increment(*a, dt)
-        d00, d01 = d[:, 0, 0], d[:, 0, 1]
-        v0, w0 = 1.0 - y[i[0]], w
+        n, i0 = min(nlag - 1, steps - s0), nback - 1 + s0
+        j0 = i0 + r0
+        la0, lah, la1 = taps @ np.stack([y[j0 + q:j0 + q + n]
+                                         for q in range(taps.shape[1])])
+        v0 = 1.0 - y[i0]
         with np.errstate(over="ignore", invalid="ignore"):
-            # the states (v, w) before each step of the block and after it,
-            # from the prefix products of the identity and the maps I + D
+            # the states before each step of the block and after it, from
+            # the prefix products of the identity and the maps I + D, and
+            # each step's decrement of y, D s's first entry
             if eps == 0:
+                g1, gh = _rk4_gains(-lah, -la1, dt)
+                d00 = -(g1 * la0 + gh * lah + dt / 6 * la1)
                 v = v0 * np.cumprod(np.append(1.0, 1.0 + d00))
-                ws = np.zeros(v.size)
+                dec = d00 * v[:-1]
             else:
-                p = np.zeros((2, 2, i.size + 1))   # steps last, contiguous
-                p[..., 1:] = d.transpose(1, 2, 0)
-                p[0, 0] += 1.0
-                p[1, 1] += 1.0
-                p = _scan(p, i.size + 1, _compose_2x2)
-                v, ws = p[:, 0] * v0 + p[:, 1] * w0
+                d00, d01, d10, d11 = _rk4_wright(la0, lah, la1, eps, dt)
+                p = np.empty((2, 2, n + 1))   # steps last, contiguous
+                p[..., 0] = np.eye(2)
+                p[0, 0, 1:], p[0, 1, 1:] = 1.0 + d00, d01
+                p[1, 0, 1:], p[1, 1, 1:] = d10, 1.0 + d11
+                p = _scan(p, n + 1, _compose_2x2)
+                v, ws = p[:, 0] * v0 + p[:, 1] * w
+                dec = d00 * v[:-1] + d01 * ws[:-1]
+                w = ws[-1]
             # y less each step's decrement, summed in step order
-            new = np.cumsum(np.append(y[i[0]],
-                                      -(d00 * v[:-1] + d01 * ws[:-1])))[1:]
+            new = np.cumsum(np.append(y[i0], -dec))[1:]
             far = np.flatnonzero(~(np.abs(new) <= WRIGHT_BLOWUP))
-        w = ws[-1]
         if far.size:
             new = new[:far[0] + 1]
-            y = y[:i[0] + 1 + new.size]
-            y[i[0] + 1:] = new
+            y = y[:i0 + 1 + new.size]
+            y[i0 + 1:] = new
             esc_t = (s0 + new.size) * dt
             break
-        y[i + 1] = new
-        if stop is not None and stop(y[nback - 1:i[-1] + 2], dt):
-            y = y[:i[-1] + 2]
+        y[i0 + 1:i0 + 1 + n] = new
+        if stop is not None and stop(y[nback - 1:i0 + n + 1], dt):
+            y = y[:i0 + n + 1]
             break
     vals = y[nback - 1:]
     tgrid = dt * np.arange(vals.size)

@@ -651,7 +651,8 @@ class _FrontSystem:
             self._res = res
             eta = GMRES_ETA_MAX if last is None else min(
                 GMRES_ETA_MAX, max(GMRES_RTOL, 0.9 * (res / last) ** 2))
-            a, m = (LinearOperator((v.size,) * 2, matvec=f)
+            # a declared dtype spares scipy a probe product of each on zeros
+            a, m = (LinearOperator((v.size,) * 2, matvec=f, dtype=float)
                     for f in self.linearize(v, i0))
             trace = []
             self.gmres_trace.append(trace)

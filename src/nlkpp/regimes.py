@@ -214,15 +214,14 @@ def pP_feasible_set(ap: float, am: float, P_cap: float = 5.0,
                           f"{MAX_REGION_GRID}, got ({P_cap}, {grid_n})")
     p_axis = np.linspace(1.0 / grid_n, 1.0, grid_n)
     P_axis = np.linspace(1.0, P_cap, grid_n)
-    Pg, pg = np.meshgrid(P_axis, p_axis)
-    lower, upper = band_inequalities(pg, Pg, ap, am)
+    lower, upper = band_inequalities(p_axis[:, None], P_axis[None, :], ap, am)
     mask = (lower >= 1.0 - BAND_SLACK) & (upper <= 1.0 + BAND_SLACK)
     anchors = [(1.0, 1.0)]
     if ap + am > 0:
         anchors.append(a_star(ap, am))
     if mask.any():
-        p_min = float(pg[mask].min())
-        P_max = float(Pg[mask].max())
+        p_min = float(p_axis[mask.any(axis=1)].min())
+        P_max = float(P_axis[mask.any(axis=0)].max())
     else:
         p_min, P_max = math.nan, math.nan
     return {"p_axis": p_axis, "P_axis": P_axis, "mask": mask,

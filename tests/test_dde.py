@@ -168,6 +168,80 @@ def test_integrate_wright_step_just_below_delay():
     _assert_close_to(tr.y, ref, 1e-12)
 
 
+# tau/(tau/nlag), the lag in steps, rounds 1.4e-14 below nlag = 100 at
+# tau 1.7 and 5.7e-14 above nlag = 300 at tau 4.7, dt 0.0157: the lookups
+# at offsets 0 and 1 are then a node's row and a cubic stencil next to one
+@pytest.mark.parametrize("tau, dt, side", [(1.7, 0.017, -1),
+                                           (4.7, 0.0157, 1)],
+                         ids=["below", "above"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_integrate_wright_lag_rounding_matches_per_step_loop(tau, dt, side,
+                                                             eps):
+    nlag = math.ceil(tau / dt)
+    assert np.sign(tau / (tau / nlag) - nlag) == side
+    hist = lambda s: 0.2 + 0.1 * np.sin(3.0 * s)
+    tr = dde.integrate_wright(tau, eps, hist, 3 * tau, dt=dt)
+    ref, esc_t = _wright_per_step(tau, eps, hist, 3 * tau, dt=dt)
+    assert tr.escape_time is None and esc_t is None
+    _assert_close_to(tr.y, ref, 1e-12)
+
+
+def _rk4_increment(a0, ah, a1, dt):
+    # reference: stacked matrices D with u <- u + D u for one classical RK4
+    # step of u' = A(t) u, from stacked A at t, t + dt/2, t + dt
+    eye = np.eye(a0.shape[-1])
+    k2 = ah @ (eye + dt / 2 * a0)
+    k3 = ah @ (eye + dt / 2 * k2)
+    k4 = a1 @ (eye + dt * k3)
+    return dt / 6 * (a0 + 2 * k2 + 2 * k3 + k4)
+
+
+def test_rk4_closed_forms_match_stacked_increment():
+    # the forward run's 2x2 increment, and the gains of z' = a z + b L
+    # against the first row of the augmented system (z, L0, Lh, L1), in
+    # which each lag enters only at its own stage
+    rng = np.random.default_rng(11)
+    n, dt, eps = 50, 0.02, 0.05
+    la = rng.uniform(-0.5, 1.5, (3, n))
+    a = np.zeros((3, n, 2, 2))
+    a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = -1.0, la / eps, -1.0 / eps
+    ref = _rk4_increment(*a, dt)
+    got = dde._rk4_wright(*la, eps, dt)
+    for k, (r, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        np.testing.assert_allclose(got[k], ref[:, r, c], rtol=1e-13,
+                                   atol=1e-15)
+    ab = rng.uniform(-1.0, 1.0, (2, 3, n))
+    aug = np.zeros((3, n, 4, 4))
+    for j in range(3):
+        aug[j, :, 0, 0], aug[j, :, 0, j + 1] = ab[0, j], ab[1, j]
+    ref = _rk4_increment(*aug, dt)[:, 0]
+    g1, gh = dde._rk4_gains(ab[0, 1], ab[0, 2], dt)
+    got = [g1 * ab[0, 0] + gh * ab[0, 1] + dt / 6 * ab[0, 2],
+           g1 * ab[1, 0], gh * ab[1, 1], dt / 6 * ab[1, 2]]
+    for k in range(4):
+        np.testing.assert_allclose(got[k], ref[:, k], rtol=1e-13, atol=1e-18)
+
+
+# the lag in steps at a node, on both sides of one and of a half node
+# within 1e-13 (the lag's rounding in a forward run), and in between
+@pytest.mark.parametrize("lag", [150.0, 150 - 6e-14, 150 + 6e-14,
+                                 150.5 - 6e-14, 150.5 + 6e-14, 150.3])
+def test_lag_taps_match_per_row_lookups(lag):
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((400, 3))
+    r0, taps = dde._lag_taps(lag)
+    if abs(lag - round(lag)) < 1e-12:
+        # a forward run's block of round(lag) - 1 steps ends at the step
+        # whose window ends at the block's first row, not one row later
+        assert r0 + taps.shape[1] - 1 == 2 - round(lag)
+    for i in (160, 397):
+        rows = z[i + r0:i + r0 + taps.shape[1]]
+        for j, off in enumerate((0.0, 0.5, 1.0)):
+            np.testing.assert_allclose(taps[j] @ rows,
+                                       _cubic_scalar(z, i + off - lag),
+                                       rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2357])
 def test_scan_matches_sequential_composition(n):
     # near-identity maps, as RK4 steps are, against products and affine
@@ -631,6 +705,27 @@ def test_floquet_matches_per_step_period_map(orbit):
 @pytest.mark.parametrize("steps", [4, 100])
 def test_floquet_short_blocks_match_per_step_period_map(orbit, steps):
     _assert_floquet_matches_per_step(orbit, steps)
+
+
+# tau/dt within 1e-13 of a node (offsets 0 and 1 read a row or sit next
+# to one) and of a half node (offset 1/2 does), on both sides: 200 steps,
+# blocks of 148 and 52
+@pytest.mark.parametrize("lag", [150 - 6e-14, 150 + 6e-14, 150.5 - 6e-14,
+                                 150.5 + 6e-14])
+def test_period_map_near_a_node_matches_per_step(lag):
+    tau, steps = 5.0, 200
+    period = steps * tau / lag
+    dt = period / steps
+    node = round(2 * lag) / 2
+    gap = tau / dt - node
+    assert 0 < abs(gap) < 1e-13 and np.sign(gap) == np.sign(lag - node)
+    w = 2 * np.pi / period
+    a_fun = lambda t: -0.6 - 0.3 * np.cos(w * t)
+    b_fun = lambda t: 0.4 + 0.5 * np.sin(w * t)
+    th = dt / 2 * np.arange(2 * steps + 1)
+    mat, _ = dde._period_map(a_fun(th), b_fun(th), period, tau, 100, steps)
+    ref = _period_map_per_step(a_fun, b_fun, period, tau, 100, steps)
+    np.testing.assert_allclose(mat, ref, rtol=0, atol=1e-12)
 
 
 def test_trig_past_matches_dense_evaluation(orbit):

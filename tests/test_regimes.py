@@ -169,6 +169,34 @@ def test_pP_corner_always_feasible():
         assert math.isfinite(geo["p_min"]) and math.isfinite(geo["P_max"])
 
 
+def _pP_meshgrid_scan(ap, am, P_cap, grid_n):
+    # reference: the band scan on two full (p, P) meshgrids
+    p_axis = np.linspace(1.0 / grid_n, 1.0, grid_n)
+    P_axis = np.linspace(1.0, P_cap, grid_n)
+    Pg, pg = np.meshgrid(P_axis, p_axis)
+    lower, upper = reg.band_inequalities(pg, Pg, ap, am)
+    mask = (lower >= 1.0 - reg.BAND_SLACK) & (upper <= 1.0 + reg.BAND_SLACK)
+    if not mask.any():
+        return mask, math.nan, math.nan
+    return mask, float(pg[mask].min()), float(Pg[mask].max())
+
+
+def test_pP_feasible_set_matches_meshgrid_scan():
+    # random intensities, caps and grid sizes, and a nan intensity, which
+    # makes every point infeasible and both extremes nan
+    rng = np.random.default_rng(8)
+    cases = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+              rng.uniform(1.0, 8.0), int(rng.integers(100, 401)))
+             for _ in range(40)] + [(math.nan, 0.2, 5.0, 100)]
+    for ap, am, cap, n in cases:
+        geo = reg.pP_feasible_set(ap, am, P_cap=cap, grid_n=n)
+        mask, p_min, P_max = _pP_meshgrid_scan(ap, am, cap, n)
+        assert np.array_equal(geo["mask"], mask)
+        np.testing.assert_array_equal([geo["p_min"], geo["P_max"]],
+                                      [p_min, P_max])
+    assert not mask.any() and math.isnan(geo["p_min"])
+
+
 def test_pP_huge_intensity_row_p_one_feasible():
     # at p = 1 the a+ term is a+ P (1 - p) = 0 however large a+ and P are:
     # every point of the row satisfies both inequalities
