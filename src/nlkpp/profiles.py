@@ -1,7 +1,7 @@
 """Wave-profile construction: closed-form upper/lower solutions, the
-integral fixed-point operator between them (its two exponential
-recurrences summed by one LAPACK tridiagonal solve on closed-form LU
-factors), the Newton-Krylov front solver
+integral fixed-point operator between them (a 3-tap right-hand side and
+its two exponential recurrences as two unit-diagonal BLAS band solves, on
+one per-grid `_SumOperator`), the Newton-Krylov front solver
 (started from a coarse damped Picard front where the front oscillates),
 residual diagnostics, and the piecewise toy model's three fronts as closed
 forms with their report (`toy_fronts`).
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres
 
@@ -32,8 +33,8 @@ class Profile:
     profile is left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when
     left_rate is set, else the constant left_limit; right of it, periodic by
     `tail_mesh` (one period, uniform) when `tail_period` is given, else the
-    constant right_limit (the last value if None).  Calling a profile
-    evaluates the cubic spline through its values, inside the grid only.
+    constant right_limit (the last value if None).  No solver evaluates a
+    profile between or beyond its grid points.
     """
 
     def __init__(self, t0, dt, values, left_limit=0.0, right_limit=None,
@@ -57,19 +58,6 @@ class Profile:
     @property
     def grid(self):
         return self.t0 + self.dt * np.arange(self.values.size)
-
-    def __call__(self, t):
-        # imported here, not at module level: no solver evaluates a profile,
-        # and scipy.interpolate adds about 30 ms and 1 MB of peak RSS to the
-        # package import (2-core x86-64 VM)
-        from scipy.interpolate import CubicSpline
-        t = np.asarray(t, dtype=float)
-        grid = self.grid
-        if not np.all((t >= grid[0]) & (t <= grid[-1])):
-            raise DomainError(f"profile evaluated outside its grid "
-                              f"[{grid[0]:g}, {grid[-1]:g}]")
-        out = CubicSpline(grid, self.values)(t)
-        return float(out) if t.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -223,60 +211,68 @@ def _cell_weights(z1: float, z2: float, h: float) -> _CellWeights:
                         math.exp(-z2 * h), J1b, J0b - J1b)
 
 
-def _sum_factors(w: _CellWeights, n: int):
-    """LU factors of (1 - E1 Z^-)(1 - E2 Z^+) on n points, Z^-/Z^+ the
-    shifts to the previous/next point, in dgttrf's layout
-    (dl, d, du, du2, ipiv): L unit lower bidiagonal with -E1 below its
-    diagonal, U upper bidiagonal with -E2 above it and d = 1 but for its
-    last entry 1 - E1 E2, and no pivoting.  They are closed-form, so
-    nothing is factorized.  Fewer than 3 points raise DomainError (scipy's
-    dgttrs wrapper refuses them)."""
-    if n < 3:
-        raise DomainError(f"the integral operator needs a grid of at least "
-                          f"3 points, got {n}")
-    d = np.ones(n)
-    d[-1] = 1.0 - w.E1 * w.E2
-    return (np.full(n - 1, -w.E1), d, np.full(n - 1, -w.E2), np.zeros(n - 2),
-            np.arange(1, n + 1, dtype=np.int32))
+class _SumOperator:
+    """What `_two_sided_sum` needs on a grid of n points, built once: the
+    cell weights w, the taps t0, t1, t2 of the interior right-hand side,
+    and the factors of (1 - E1 Z^-)(1 - E2 Z^+) as dtbsv bands, Z^-/Z^+
+    the shifts to the previous/next point.  L is unit lower bidiagonal
+    with -E1 below its diagonal and U unit upper bidiagonal with -E2 above
+    it; between the two solves the last entry is divided by 1 - E1 E2.
+    The bands are Fortran-ordered (2, n) arrays, since f2py copies any
+    other layout on every call.  `lift_taps` is the interior row of
+    z12 (1 - E1 Z^-)(1 - E2 Z^+), for `_FrontSystem.lift`.  Fewer than 3
+    points raise DomainError: the stencil has no interior row, and
+    np.correlate swaps its arguments when the signal is shorter than the
+    taps."""
+
+    def __init__(self, w: _CellWeights, n: int):
+        if n < 3:
+            raise DomainError(f"the integral operator needs a grid of at "
+                              f"least 3 points, got {n}")
+        E1, E2 = w.E1, w.E2
+        self.w, self.n = w, n
+        self.taps = np.array([w.q0 - E1 * w.p0,
+                              w.q1 - E2 * w.q0 + w.p0 - E1 * w.p1,
+                              w.p1 - E2 * w.q1])
+        self.lower = np.ones((2, n), order="F")
+        self.lower[1, :-1] = -E1
+        self.upper = np.ones((2, n), order="F")
+        self.upper[0, 1:] = -E2
+        self.lift_taps = (w.z2 - w.z1) * np.array([-E1, 1.0 + E1 * E2, -E2])
 
 
 def _two_sided_sum(r: np.ndarray, r_left: float, r_right: float,
-                   w: _CellWeights, lu, left_rate: float = None):
+                   op: _SumOperator, left_rate: float = None):
     """S = I_minus + I_plus on a uniform grid of piecewise-linear r, with
     I_minus(t_i) = int_{-inf}^{t_i} e^{z1(t_i-s)} r(s) ds and
-    I_plus(t_i) = int_{t_i}^{inf} e^{z2(t_i-s)} r(s) ds, and lu the grid's
-    `_sum_factors`.
+    I_plus(t_i) = int_{t_i}^{inf} e^{z2(t_i-s)} r(s) ds, on the grid's
+    `_SumOperator` op.
 
     Each integral is an exact one-step recurrence, forward
     I_minus[i] = E1 I_minus[i-1] + Q[i] and backward
     I_plus[i] = E2 I_plus[i+1] + P[i], with Q[i] = q0 r[i-1] + q1 r[i] and
     P[i] = p0 r[i] + p1 r[i+1] the closed-form cell integrals.  So
     (1 - E1 Z^-)(1 - E2 Z^+) S = f, f[i] = Q[i] - E2 Q[i+1] + P[i]
-    - E1 P[i-1] but for the end rows, which carry the tail integrals
-    I_minus[0] and I_plus[n-1]: one dgttrs solve on the known factors runs
-    both recurrences.  The left tail is r(t0) e^{left_rate (s - t0)} when a
-    rate is given (decaying profile), else the constant r_left; the right
-    tail is the constant r_right."""
+    - E1 P[i-1] = t0 r[i-1] + t1 r[i] + t2 r[i+1] but for the end rows,
+    which carry the tail integrals I_minus[0] and I_plus[n-1]: two dtbsv
+    solves on the known factors run both recurrences.  The left tail is
+    r(t0) e^{left_rate (s - t0)} when a rate is given (decaying profile),
+    else the constant r_left; the right tail is the constant r_right."""
+    w = op.w
     E1, E2 = w.E1, w.E2
     if left_rate is not None:
         im0 = r[0] / (left_rate - w.z1)
     else:
         im0 = r_left / (-w.z1)
     ip_last = r_right / w.z2
-    Q = r[:-1] * w.q0   # Q[1:] of the docstring
-    Q += r[1:] * w.q1
-    P = r[:-1] * w.p0   # P[:-1]
-    P += r[1:] * w.p1
+    d = 1.0 - E1 * E2
     f = np.empty(r.size)
-    # this order of operations keeps J u within 1e-9 of G's central
-    # difference at eps 1e-4 (test_front_jacobian_vector_product_is_exact),
-    # which sits on the rounding floor; combined tridiagonal coefficients
-    # of r do not
-    f[1:-1] = Q[:-1] - E2 * Q[1:]
-    f[1:-1] += P[1:] - E1 * P[:-1]
-    f[0] = (1.0 - E1 * E2) * im0 - E2 * Q[0] + P[0]
-    f[-1] = Q[-1] + (1.0 - E1 * E2) * ip_last - E1 * P[-1]
-    return dgttrs(*lu, f, overwrite_b=1)[0]
+    f[1:-1] = np.correlate(r, op.taps, "valid")
+    f[0] = d * im0 + (w.p0 - E2 * w.q0) * r[0] + op.taps[2] * r[1]
+    f[-1] = op.taps[0] * r[-2] + (w.q1 - E1 * w.p1) * r[-1] + d * ip_last
+    f = dtbsv(1, op.lower, f, lower=1, diag=1, overwrite_x=1)
+    f[-1] /= d
+    return dtbsv(1, op.upper, f, diag=1, overwrite_x=1)
 
 
 def _constant_r(phi_val: float, ctx: WaveContext) -> float:
@@ -286,14 +282,14 @@ def _constant_r(phi_val: float, ctx: WaveContext) -> float:
 
 
 def am_core(vals: np.ndarray, conv: np.ndarray, phi_left: float,
-            phi_right: float, ctx: WaveContext, w: _CellWeights, lu,
+            phi_right: float, ctx: WaveContext, op: _SumOperator,
             left_rate: float = None) -> np.ndarray:
-    """Apply the operator to raw arrays given the precomputed convolution,
-    the grid's cell weights `_cell_weights(ctx.z1, ctx.z2, h)` and their
-    `_sum_factors` on the grid."""
+    """Apply the operator to raw arrays given the precomputed convolution
+    and the grid's `_SumOperator` on the cell weights
+    `_cell_weights(ctx.z1, ctx.z2, h)`."""
     r = ctx.b * vals + g_beta(vals, ctx.beta) * (1.0 - conv)
     S = _two_sided_sum(r, _constant_r(phi_left, ctx),
-                       _constant_r(phi_right, ctx), w, lu,
+                       _constant_r(phi_right, ctx), op,
                        left_rate=left_rate)
     S /= ctx.z12
     return S
@@ -321,8 +317,8 @@ def am_apply(phi: Profile, ctx: WaveContext) -> Profile:
     conv, phi_left, phi_right = _grid_conv(phi, ctx.kernel)
     rate = phi.left_rate if (phi.left_rate is not None and phi_left == 0.0) else None
     w = _cell_weights(ctx.z1, ctx.z2, phi.dt)
-    out = am_core(phi.values, conv, phi_left, phi_right, ctx, w,
-                  _sum_factors(w, phi.values.size), left_rate=rate)
+    out = am_core(phi.values, conv, phi_left, phi_right, ctx,
+                  _SumOperator(w, phi.values.size), left_rate=rate)
     new_left = _constant_r(phi_left, ctx) / ctx.b
     new_right = _constant_r(phi_right, ctx) / ctx.b
     return Profile(phi.t0, phi.dt, out, left_limit=new_left,
@@ -582,15 +578,16 @@ def _g_prime(v, beta: float):
 
 
 class _FrontSystem:
-    """The front's grid operator A on a grid of step h, with its stencil,
-    cell weights and (at the first vector) `_sum_factors` built once, and
-    the Newton-Krylov equations on it."""
+    """The front's grid operator A on a grid of step h, with its stencil
+    and cell weights built once and its `_SumOperator` built at the first
+    vector (again when the grid size changes), and the Newton-Krylov
+    equations on it."""
 
     def __init__(self, ctx: WaveContext, h: float):
         self.ctx = ctx
         self.st = stencil(ctx.kernel, h)
         self.w = _cell_weights(ctx.z1, ctx.z2, h)
-        self._lu = None
+        self.op = None
         # per Newton step: GMRES's residual norms, and its rtol
         self.gmres_trace, self.gmres_rtols = [], []
         self._res = None  # max|G| at the last linearization
@@ -622,16 +619,16 @@ class _FrontSystem:
     def _conv(self, v):
         return convolve(self.st, v, 0.0, v[-1], left_rate=self.ctx.lam)
 
-    def _factors(self, n):
-        if self._lu is None or self._lu[1].size != n:
-            self._lu = _sum_factors(self.w, n)
-        return self._lu
+    def _sums(self, n):
+        if self.op is None or self.op.n != n:
+            self.op = _SumOperator(self.w, n)
+        return self.op
 
     def apply(self, v):
         """A(v) with the front's tails: e^{lam t} decay to 0 on the left,
         the constant v[-1] on the right."""
-        return am_core(v, self._conv(v), 0.0, v[-1], self.ctx, self.w,
-                       self._factors(v.size), left_rate=self.ctx.lam)
+        return am_core(v, self._conv(v), 0.0, v[-1], self.ctx,
+                       self._sums(v.size), left_rate=self.ctx.lam)
 
     def equations(self, x, i0):
         """G(v, sigma) = v - A(v) - sigma e_0 and its linearization for
@@ -675,14 +672,14 @@ class _FrontSystem:
         return G, linearize
 
     def lift(self, y):
-        """z12 L1 L2 y."""
-        w = self.w
+        """z12 L1 L2 y: the 3-tap stencil z12 (-E1, 1 + E1 E2, -E2) of the
+        `_SumOperator` but for the end rows, z12 (lam - z1)(y[0] - E2 y[1])
+        and z12 (z2 y[-1] - E1 (y[-2] - E2 y[-1]))."""
+        w, z12 = self.w, self.ctx.z12
         t = np.empty(y.size)
-        t[:-1] = y[:-1] - w.E2 * y[1:]
-        t[-1] = w.z2 * y[-1]
-        t[1:] -= w.E1 * t[:-1]
-        t[0] *= self.ctx.lam - w.z1
-        t *= self.ctx.z12
+        t[1:-1] = np.correlate(y, self._sums(y.size).lift_taps, "valid")
+        t[0] = (y[0] - w.E2 * y[1]) * (self.ctx.lam - w.z1) * z12
+        t[-1] = (w.z2 * y[-1] - w.E1 * (y[-2] - w.E2 * y[-1])) * z12
         return t
 
     def linearize(self, v, i0):
@@ -699,7 +696,7 @@ class _FrontSystem:
         loc = ctx.b + _g_prime(v, beta) * (1.0 - self._conv(v))
         vn = v[-1]
         tail = ctx.b + _g_prime(vn, beta) * (1.0 - vn) - g_beta(vn, beta)
-        lu = self._factors(v.size)
+        op = self._sums(v.size)
 
         def jv(u):
             # in place where it can be: these vectors span the whole grid
@@ -708,8 +705,7 @@ class _FrontSystem:
             r = self._conv(u)
             r *= -gv
             r += loc * u
-            S = _two_sided_sum(r, 0.0, tail * u[-1], w, lu,
-                               left_rate=ctx.lam)
+            S = _two_sided_sum(r, 0.0, tail * u[-1], op, left_rate=ctx.lam)
             S /= ctx.z12
             u -= S
             u[0] -= s

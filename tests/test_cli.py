@@ -473,13 +473,13 @@ def _startup_probe(tmp_path, commands):
 
 def test_startup_commands_do_not_load_scipy_signal(tmp_path):
     # scipy.signal, with the scipy.stats it loads, was most of the start-up
-    # time; the front operator's two recurrences are one LAPACK solve, so
-    # no command loads it, the monotone (delta(s + 0.5)) and the
+    # time; the front operator's two recurrences are two BLAS band solves,
+    # so no command loads it, the monotone (delta(s + 0.5)) and the
     # oscillating (delta(s - 5)) front included.  scipy.optimize (with
     # scipy.special) and scipy.fft would be loaded for one function each, a
     # root bracket and an FFT length, which the package computes itself.
-    # scipy.interpolate is loaded only to evaluate a profile, which no
-    # command does.  The gaussian (321 taps at dx = 0.2) on 3,501 points
+    # No solver evaluates a profile, so the package never imports
+    # scipy.interpolate.  The gaussian (321 taps at dx = 0.2) on 3,501 points
     # takes the FFT path of K * u.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"X": 700, "kernel": {"density": {
