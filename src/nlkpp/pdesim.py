@@ -7,9 +7,11 @@ to cross-validate front speeds and wave shapes.
 
 `run` steps by IMEX (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 1995):
 Crank-Nicolson diffusion, factored once per run, and a Heun
-predictor-corrector for the reaction u(1 - K*u).  Unless a dt is given it
-takes dt = max(0.4 dx^2, min(0.05, 5 dx^2)): never more steps than the
-explicit rule dt = 0.4 dx^2, and dt/dx^2 never above 5.  `step` (explicit
+predictor-corrector for the reaction u(1 - K*u).  A step evaluates no
+Laplacian: with M = I - (dt/2) lap, u + (dt/2) lap(u) = 2u - M u, so each
+stage is one solve b -> 2 M^-1 b less u.  Unless a dt is given it takes
+dt = max(0.4 dx^2, min(0.05, 5 dx^2)): never more steps than the explicit
+rule dt = 0.4 dx^2, and dt/dx^2 never above 5.  `step` (explicit
 midpoint) and `local_reference_step` are the explicit oracles the tests
 compare `run` against.  `measure_speed` is the one run from settings to
 report, the one `simulate` writes, under the limits MAX_SIM_NODES,
@@ -105,7 +107,8 @@ def initial_state(kernel: Kernel, X: float = 400.0, dx: float = 0.2,
 def convolve_grid(state: SimState, u: np.ndarray) -> np.ndarray:
     """Nonlocal interaction (K*u)(x_i) = integral of u(x_i + s) dK(s) on the
     state's mesh, with u extended by its boundary values outside
-    [x_0, x_n].
+    [x_0, x_n].  For K = delta(s) that is u itself, returned as it is, not
+    a copy: a caller that writes into the result writes into u.
 
     The + sign matches the wave ansatz u(t, x) = phi(ct - x) used with the
     default datum (u = 1 on the left): a delayed kernel atom (s > 0) samples
@@ -113,7 +116,7 @@ def convolve_grid(state: SimState, u: np.ndarray) -> np.ndarray:
     profile convolution samples phi(t - s).
     """
     if state.stencil is None:
-        return u.copy()
+        return u
     return convolve(state.stencil, u, u[0], u[-1])
 
 
@@ -126,11 +129,11 @@ def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _reaction(state: SimState, u: np.ndarray, dt: float | None = None):
-    """The growth rate 1 - K*u; given the step dt, first checks positivity
-    of the reaction update, dt <= 0.5 / max|1 - K*u|."""
+    """The growth rate 1 - K*u, a new array; given the step dt, first checks
+    positivity of the reaction update, dt <= 0.5 / max|1 - K*u|."""
     r = 1.0 - convolve_grid(state, u)
     if dt is not None:
-        rmax = float(np.max(np.abs(r)))
+        rmax = max(float(r.max()), -float(r.min()))
         if rmax > 0 and dt > 0.5 / rmax + 1e-15:
             raise DomainError(f"positivity violated: dt = {dt} > "
                               f"0.5/max|1 - K*u| = {0.5 / rmax}")
@@ -192,13 +195,15 @@ def time_step(dx: float, dt=None) -> float:
 
 
 def _crank_nicolson(n: int, ratio: float):
-    """The solver of (I - (dt/2) L) v = b, with L the Neumann Laplacian of
-    `_laplacian` on n points and ratio = dt/dx^2.  Halving the first and last
-    rows makes the matrix symmetric positive definite, so LAPACK factors it
-    once (dpttrf, L D L^T) and each solve is one dpttrs sweep."""
-    d = np.full(n, 1.0 + ratio)
+    """The solver b -> 2 M^-1 b, M = I - (dt/2) L with L the Neumann
+    Laplacian of `_laplacian` on n points and ratio = dt/dx^2.  Halving the
+    first and last rows makes M symmetric positive definite, so LAPACK
+    factors M/2 once (dpttrf, L D L^T) and each solve is one dpttrs sweep,
+    in place in b.  M/2 is M scaled by a power of two, so 2 M^-1 b is
+    exactly twice what a factor of M would return (barring subnormals)."""
+    d = np.full(n, 0.5 + 0.5 * ratio)
     d[[0, -1]] *= 0.5
-    d, e, info = dpttrf(d, np.full(n - 1, -0.5 * ratio))
+    d, e, info = dpttrf(d, np.full(n - 1, -0.25 * ratio))
     if info != 0:
         raise NoConvergence(f"dpttrf failed, info = {info}")
 
@@ -213,15 +218,29 @@ def _crank_nicolson(n: int, ratio: float):
 def _imex_step(state: SimState, dt: float, solve) -> None:
     """One Crank-Nicolson/Heun step of size dt, in place, under the explicit
     step's positivity precondition dt <= 0.5 / max|1 - K*u|.  With
-    rhs = u + (dt/2) lap(u) and f(u) = u(1 - K*u), the predictor solves
-    M u* = rhs + dt f(u) and the corrector M u+ = rhs + (dt/2)(f(u) + f(u*)),
-    where M = I - (dt/2) lap."""
+    f(u) = u(1 - K*u) and M = I - (dt/2) lap, the step solves
+    M u* = u + (dt/2) lap(u) + dt f(u) and
+    M u+ = u + (dt/2) lap(u) + (dt/2)(f(u) + f(u*)), through the identity
+    u + (dt/2) lap(u) = 2u - M u (Neumann rows included) and `solve`,
+    b -> 2 M^-1 b: u* = 2 M^-1 (u + (dt/2) f(u)) - u and
+    u+ = 2 M^-1 (u + (dt/4)(f(u) + f(u*))) - u.  So no Laplacian is
+    evaluated.  Every temporary is the step's own and updated in place;
+    state.u is replaced by a new array and the old one is never written."""
     u = state.u
-    f0 = u * _reaction(state, u, dt)
-    rhs = u + 0.5 * dt * _laplacian(u, state.dx)
-    u_star = solve(rhs + dt * f0)
-    f1 = u_star * _reaction(state, u_star)
-    state.u = solve(rhs + 0.5 * dt * (f0 + f1))
+    f0 = _reaction(state, u, dt)
+    f0 *= u
+    b = f0 * (0.5 * dt)
+    b += u
+    u_star = solve(b)
+    u_star -= u
+    f1 = _reaction(state, u_star)
+    f1 *= u_star
+    f1 += f0
+    f1 *= 0.25 * dt
+    f1 += u
+    u_new = solve(f1)
+    u_new -= u
+    state.u = u_new
     state.t += dt
 
 

@@ -88,9 +88,12 @@ class WaveContext:
 
 
 def g_beta(u, beta: float):
-    """Piecewise-linear saturation: identity on [0, beta], descending to 0."""
+    """Piecewise-linear saturation: identity on [0, beta], descending to 0,
+    as min(u, max(0, 2 beta - u)) in three passes."""
     u_arr = np.asarray(u, dtype=float)
-    out = np.where(u_arr <= beta, u_arr, np.maximum(0.0, 2.0 * beta - u_arr))
+    out = np.subtract(2.0 * beta, u_arr, out=np.empty(u_arr.shape))
+    np.maximum(out, 0.0, out=out)
+    np.minimum(u_arr, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -287,7 +290,9 @@ def am_core(vals: np.ndarray, conv: np.ndarray, phi_left: float,
     """Apply the operator to raw arrays given the precomputed convolution
     and the grid's `_SumOperator` on the cell weights
     `_cell_weights(ctx.z1, ctx.z2, h)`."""
-    r = ctx.b * vals + g_beta(vals, ctx.beta) * (1.0 - conv)
+    r = 1.0 - conv
+    r *= g_beta(vals, ctx.beta)
+    r += ctx.b * vals
     S = _two_sided_sum(r, _constant_r(phi_left, ctx),
                        _constant_r(phi_right, ctx), op,
                        left_rate=left_rate)
@@ -441,8 +446,11 @@ def picard_front(ctx: WaveContext, tol: float = 1e-9,
     diff_hist = []
     where = f"Picard iteration at beta={ctx.beta:g}, dt={h:g}"
     for it in range(PICARD_MAX_ITER):
-        new = PICARD_RELAX * system.apply(vals) + (1.0 - PICARD_RELAX) * vals
-        diff = float(np.max(np.abs(new - vals)))
+        new = system.apply(vals)
+        new *= PICARD_RELAX
+        new += (1.0 - PICARD_RELAX) * vals
+        step = new - vals
+        diff = float(np.max(np.abs(step, out=step)))
         if envelope is not None and (np.any(new > envelope[0])
                                      or np.any(new < envelope[1])):
             raise InvariantViolation(
@@ -692,7 +700,7 @@ class _FrontSystem:
         column makes P_s regular."""
         ctx, w = self.ctx, self.w
         beta = ctx.beta
-        gv = g_beta(v, beta)
+        neg_gv = -g_beta(v, beta)
         loc = ctx.b + _g_prime(v, beta) * (1.0 - self._conv(v))
         vn = v[-1]
         tail = ctx.b + _g_prime(vn, beta) * (1.0 - vn) - g_beta(vn, beta)
@@ -703,7 +711,7 @@ class _FrontSystem:
             u = np.array(u, dtype=float)
             s, u[i0] = u[i0], 0.0
             r = self._conv(u)
-            r *= -gv
+            r *= neg_gv
             r += loc * u
             S = _two_sided_sum(r, 0.0, tail * u[-1], op, left_rate=ctx.lam)
             S /= ctx.z12
@@ -715,16 +723,11 @@ class _FrontSystem:
         # the identity) and the lifted sigma column in place of column i0:
         # the rows and columns below i0 and above i0 are two tridiagonal
         # blocks, coupled through row i0 and the sigma column
-        sub, diag, sup = self.tridiagonal(loc - gv)
+        sub, diag, sup = self.tridiagonal(loc + neg_gv)
         blocks = (dgttrf(sub[:i0 - 1], diag[:i0], sup[:i0 - 1]),
                   dgttrf(sub[i0 + 1:], diag[i0 + 1:], sup[i0 + 1:]))
         if blocks[0][-1] != 0 or blocks[1][-1] != 0:
             raise NoConvergence("singular Newton-Krylov preconditioner")
-
-        def split_solve(y):
-            lo, _ = dgttrs(*blocks[0][:5], y[:i0, None])
-            hi, _ = dgttrs(*blocks[1][:5], y[i0 + 1:, None])
-            return lo[:, 0], hi[:, 0]
 
         # the lifted sigma column, z12 L1 L2 (-e_0), has rows 0 and 1 only
         # (i0 > 1), so it enters the lower block alone
@@ -735,13 +738,14 @@ class _FrontSystem:
         a_l, a_r = sub[i0 - 1], sup[i0]
 
         def precondition(y):
+            # both block solves run in place in the lifted vector: its
+            # (m, 1) slices are Fortran-contiguous, so dgttrs copies none
             z = self.lift(y)
-            yl, yr = split_solve(z)
-            s = (a_l * yl[-1] + a_r * yr[0] - z[i0]) / (a_l * cl[-1])
-            z[:i0] = yl
+            dgttrs(*blocks[0][:5], z[:i0, None], overwrite_b=1)
+            dgttrs(*blocks[1][:5], z[i0 + 1:, None], overwrite_b=1)
+            s = (a_l * z[i0 - 1] + a_r * z[i0 + 1] - z[i0]) / (a_l * cl[-1])
             z[:i0] -= s * cl
             z[i0] = s
-            z[i0 + 1:] = yr
             return z
 
         return jv, precondition

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nlkpp import DomainError, NoConvergence, pdesim
 from nlkpp.kernels import Kernel, Density, dirac, from_config
@@ -51,11 +52,22 @@ def test_negative_initial_datum_rejected():
 # -- stepping and constraints ----------------------------------------------
 
 def test_equilibria_preserved():
-    for val in (0.0, 1.0):
-        st = small_state(u0=lambda x, v=val: np.full_like(x, v))
+    # 50 steps of the explicit step and of the IMEX run; the IMEX step's
+    # in-place temporaries must not feed a step's own output back into its
+    # f(u) or its - u
+    def explicit(st):
         for _ in range(50):
             pdesim.step(st, 0.01)
-        assert np.max(np.abs(st.u - val)) < 1e-13
+
+    def imex(st):
+        pdesim.run(st, 2.5, dt=0.05)
+        assert st.t == pytest.approx(2.5, abs=1e-12)
+
+    for advance in (explicit, imex):
+        for val in (0.0, 1.0):
+            st = small_state(u0=lambda x, v=val: np.full_like(x, v))
+            advance(st)
+            assert np.max(np.abs(st.u - val)) < 1e-13
 
 
 def test_diffusion_constraint_named():
@@ -246,3 +258,78 @@ def test_run_keeps_positivity_precondition():
     st = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
     with pytest.raises(DomainError, match="positivity"):
         pdesim.run(st, 1.0, dt=0.1)
+
+
+# -- the IMEX step against its Laplacian form ------------------------------
+
+def laplacian_form_solver(n, ratio):
+    """A direct banded solve of M v = b, M = I - (dt/2) lap the tridiagonal
+    matrix on n points, Neumann rows included, and ratio = dt/dx^2."""
+    ab = np.empty((3, n))
+    ab[0] = ab[2] = -0.5 * ratio
+    ab[0, 1] = ab[2, -2] = -ratio
+    ab[1] = 1.0 + ratio
+    return lambda b: solve_banded((1, 1), ab, b)
+
+
+def laplacian_form_step(state, dt, solve_m):
+    """The step as rhs = u + (dt/2) lap(u), then two solves of M."""
+    u = state.u
+    f0 = u * (1.0 - pdesim.convolve_grid(state, u))
+    rhs = u + 0.5 * dt * pdesim._laplacian(u, state.dx)
+    u_star = solve_m(rhs + dt * f0)
+    f1 = u_star * (1.0 - pdesim.convolve_grid(state, u_star))
+    state.u = solve_m(rhs + 0.5 * dt * (f0 + f1))
+    state.t += dt
+
+
+@pytest.mark.parametrize("ratio", [5.0, 0.4], ids=["cap", "explicit"])
+@pytest.mark.parametrize("kernel", [dirac(0.0), dirac(-0.5), MIXED],
+                         ids=["local", "advanced-atom", "atom+gaussian"])
+def test_imex_step_matches_laplacian_form(kernel, ratio):
+    # 2 M^-1 (u + (dt/2) f) - u is the Laplacian form's solve, step by step
+    dx = 0.1
+    dt = ratio * dx * dx
+    st = small_state(kernel, X=60.0, dx=dx)
+    ref = small_state(kernel, X=60.0, dx=dx)
+    solve = pdesim._crank_nicolson(st.x.size, ratio)
+    solve_m = laplacian_form_solver(st.x.size, ratio)
+    v = solve_m(st.u)
+    assert np.max(np.abs(v - 0.5 * dt * pdesim._laplacian(v, dx) - st.u)) \
+        <= 1e-12
+    for _ in range(200):
+        pdesim._imex_step(st, dt, solve)
+        laplacian_form_step(ref, dt, solve_m)
+        assert np.max(np.abs(st.u - ref.u)) <= 1e-12
+    assert st.t == pytest.approx(ref.t, abs=1e-12)
+
+
+def test_imex_run_matches_laplacian_form_in_the_far_tail():
+    # simulate's local run (T 80, dx 0.1): its tail falls to about 1e-96,
+    # where an absolute bound says nothing, so it is checked relatively
+    st = small_state(X=400.0, dx=0.1)
+    ref = small_state(X=400.0, dx=0.1)
+    pdesim.run(st, 80.0)
+    dt = 80.0 / 1600
+    solve_m = laplacian_form_solver(ref.x.size, dt / 0.1 ** 2)
+    for _ in range(1600):
+        laplacian_form_step(ref, dt, solve_m)
+    assert st.t == pytest.approx(ref.t, abs=1e-9)
+    assert ref.u.min() < 1e-90
+    assert np.max(np.abs(st.u - ref.u) / ref.u) <= 1e-11
+
+
+@pytest.mark.parametrize("kernel", [dirac(0.0), MIXED],
+                         ids=["local", "atom+gaussian"])
+def test_imex_step_never_writes_the_array_it_read(kernel):
+    # for delta(s), convolve_grid hands back u itself, so a step that
+    # wrote into K*u would write into u
+    st = small_state(kernel)
+    assert (pdesim.convolve_grid(st, st.u) is st.u) == (st.stencil is None)
+    solve = pdesim._crank_nicolson(st.x.size, 0.05 / st.dx ** 2)
+    for _ in range(3):
+        u = st.u
+        u_in = u.copy()
+        pdesim._imex_step(st, 0.05, solve)
+        assert st.u is not u and not np.shares_memory(st.u, u)
+        assert np.array_equal(u, u_in)

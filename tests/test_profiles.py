@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import gmres
 
 from nlkpp import DomainError, InvariantViolation, NoConvergence
@@ -91,6 +92,16 @@ def test_g_beta_shape():
     assert pf.g_beta(2.0, 2.0) == 2.0
     assert pf.g_beta(3.0, 2.0) == 1.0
     assert pf.g_beta(5.0, 2.0) == 0.0
+    # min(u, max(0, 2 beta - u)) is the branch form bit for bit, on both
+    # sides of the kinks beta and 2 beta and below 0
+    beta = 4.29
+    u = np.random.default_rng(2).uniform(-1.0, 10.0, 5000)
+    u[:6] = [beta, 2 * beta, np.nextafter(beta, 0), np.nextafter(beta, 9),
+             0.0, -0.0]
+    ref = np.where(u <= beta, u, np.maximum(0.0, 2.0 * beta - u))
+    got = pf.g_beta(u, beta)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def _envelope_residual(prof, ctx):
@@ -890,6 +901,39 @@ def test_preconditioner_tridiagonal_from_the_recurrences():
     lifted = ctx.z12 * L1 @ L2 @ r
     assert np.max(np.abs(system.lift(r) - lifted)) <= 1e-14 * np.max(
         np.abs(lifted))
+
+
+def test_preconditioner_solves_in_place_and_leaves_its_input():
+    # both block solves run in place in the lifted vector; the result is
+    # the copying solves' bit for bit, y is not written, and a second call
+    # returns the same vector
+    ctx = pf.WaveContext(3.0, _mixed_kernel())
+    up = pf.kpp_upper_front(ctx, 0.1)
+    v = np.minimum(up.values, 1.0)
+    i0 = int(np.argmax(v >= 0.5))
+    v[i0] = 0.5
+    system = pf._FrontSystem(ctx, up.dt)
+    _, precondition = system.linearize(v, i0)
+    y = np.random.default_rng(4).standard_normal(v.size)
+    y_in = y.copy()
+    z = precondition(y)
+    assert np.array_equal(y, y_in) and not np.shares_memory(z, y)
+    assert np.array_equal(precondition(y), z)
+    rp = (ctx.b + pf._g_prime(v, ctx.beta) * (1.0 - system._conv(v))
+          - pf.g_beta(v, ctx.beta))
+    sub, diag, sup = system.tridiagonal(rp)
+    lo = dgttrf(sub[:i0 - 1], diag[:i0], sup[:i0 - 1])[:5]
+    hi = dgttrf(sub[i0 + 1:], diag[i0 + 1:], sup[i0 + 1:])[:5]
+    lifted = system.lift(y)
+    yl = dgttrs(*lo, lifted[:i0, None].copy())[0][:, 0]
+    yr = dgttrs(*hi, lifted[i0 + 1:, None].copy())[0][:, 0]
+    col = np.zeros((i0, 1))
+    col[0, 0] = -ctx.z12 * (ctx.lam - system.w.z1)
+    col[1, 0] = ctx.z12 * system.w.E1
+    cl = dgttrs(*lo, col)[0][:, 0]
+    a_l, a_r = sub[i0 - 1], sup[i0]
+    s = (a_l * yl[-1] + a_r * yr[0] - lifted[i0]) / (a_l * cl[-1])
+    assert np.array_equal(z, np.concatenate([yl - s * cl, [s], yr]))
 
 
 # -- residual --------------------------------------------------------------
