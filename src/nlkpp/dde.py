@@ -15,9 +15,10 @@ and the zero-to-one connection (`_zero_to_one_system`, trapezoid boxes
 with unknowns and equations ordered node by node, for eps = 0 and
 eps > 0) are maps x -> (residual, Jacobian thunk).  The package's one
 Newton loop, `profiles.newton`, solves both (`_direct`): the dense orbit
-Jacobian afresh at every step, the sparse connection Jacobian, assembled
-from index arrays fixed per mesh, by one `splu` factor in its natural
-order with diagonal pivots, kept for chord steps (at tau = 5, one per
+Jacobian afresh at every step; the connection's, block lower triangular
+node by node with a kappa border, as a `_ConnectionJacobian` whose solve
+runs forward one delay block at a time (one dgbmv for the lags, one
+dtbsv for the block), kept for chord steps (at tau = 5, one per
 warm-started rung).  One eps-ladder, `_continue`, continues both
 from eps = 0.  An orbit Newton that lands on a flat equilibrium is a
 numeric failure.  The adjoint (eps v'' term included) is the left null
@@ -40,8 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import dgbmv, dtbsv
 
 from . import DomainError, NoConvergence
 from .profiles import Profile, newton
@@ -70,19 +70,12 @@ P2P_FIT_FLOOR = 1e-10
 NEWTON_TOL = 1e-12
 EPS_START = 1e-3
 EPS_MIN_STEP = 1e-6
-# sparse Newton factor (`_direct`): SuperLU keeps a diagonal pivot down to
-# PIVOT_THRESHOLD of its column's largest entry.  With the connection's rows
-# scaled to a unit diagonal, each eps > 0 box's y-row pivot +1/h ties with
-# the next box's -1/h below it; the tie is exact, so the tau = 5, eps = 0.01
-# Jacobian (4,003 unknowns) fills 7.9 entries of L + U per unknown at 1.0,
-# 0.5 and 0.1 alike, and below 1 the diagonal also wins a tie that rounding
-# breaks.  Unscaled, the fill is 101, 82 and 14 per unknown.
-PIVOT_THRESHOLD = 0.5
-# the diagonal pivots let U's kappa column grow with the left tail (about
-# e^{z1 T}: 1e11 at tau 5, 1e20 at tau 25).  A solve leaves J dx - r at
-# 3e-16 to 9e-15 |r| at tau 5 and 8, but 1.5e-8 |r| at tau 25 and 1.9e-4 |r|
-# at tau 50; one above REFINE_TOL |r| takes a refinement step, which
-# brings it to 2e-15 |r|
+# the connection solve's kappa response z = T^-1 c (`_ConnectionJacobian`)
+# grows with the left tail (about e^{z1 T}: 1e11 at tau 5, 1e20 at tau 25),
+# and x = u - kappa z cancels.  At the logistic start a solve leaves J dx - r
+# at 3e-16 to 7e-15 |r| at tau 5 and 8, but 1.4e-9 to 1.5e-8 |r| at tau 25
+# and 2e-5 to 1.9e-4 |r| at tau 50; one above REFINE_TOL |r| takes a
+# refinement step, which brings it to 7e-16 |r| or below
 REFINE_TOL = 1e-13
 
 
@@ -97,30 +90,20 @@ def hopf_amplitude(tau: float) -> float:
 
 def _direct(system):
     """`newton`'s map for a map x -> (residual, Jacobian thunk).  A dense
-    Jacobian is solved afresh at every step.  A sparse one comes with its
-    unknowns and equations in elimination order (the connection's, node by
-    node), so its rows are scaled to a unit diagonal (a zero diagonal entry
-    leaves its row as it is) and `splu` factors it in that natural order,
-    keeping the diagonal pivot down to PIVOT_THRESHOLD of its column's
-    largest entry; the factor is kept for chord steps.  A solve that
-    leaves J dx - r above REFINE_TOL |r| takes one step of iterative
-    refinement against the unscaled Jacobian.  The scaling lives in the
-    solve only: the residual is the system's."""
+    Jacobian is solved afresh at every step.  The connection's
+    `_ConnectionJacobian` is kept for chord steps: it scales its rows and
+    solves itself (`solve`), and a solve that leaves J dx - r above
+    REFINE_TOL |r| takes one step of iterative refinement against its
+    unscaled product `J @ dx`."""
     def linearize(j):
         if isinstance(j, np.ndarray):
             return (lambda r: np.linalg.solve(j, r)), False
-        j = j.tocsc()
-        d = np.abs(j.diagonal())
-        s = 1.0 / np.where(d > 0, d, 1.0)
-        lu = splu(sparse.csc_matrix((j.data * s[j.indices], j.indices,
-                                     j.indptr), shape=j.shape),
-                  permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD)
 
         def solve(r):
-            dx = lu.solve(s * r)
+            dx = j.solve(r)
             rr = r - j @ dx
             if np.max(np.abs(rr)) > REFINE_TOL * np.max(np.abs(r)):
-                dx = dx + lu.solve(s * rr)
+                dx = dx + j.solve(rr)
             return dx
 
         return solve, True
@@ -708,6 +691,144 @@ def _zero_to_one_mesh(tau, eps, n_per_delay=CONNECT_N_PER_DELAY):
     return z1, h, math.ceil(span / h)
 
 
+def _connection_rows(x, f, h, eps, z1, half):
+    """The zero-to-one connection's equations at x = (y_0, [w_0,] y_1,
+    ..., kappa) but for the phase row's -1/2: y(-T) - kappa, [w(-T) -
+    z1 kappa,] each box's rows and y(0).  They are linear in x and in the
+    boxes' right-hand side f, so the residual reads f = lag (1 - y) and
+    the Jacobian's product f's linearization."""
+    nch = 1 if eps == 0 else 2
+    ik, ih = x.size - 1, 1.0 / h
+    y, kappa = x[:ik:nch], x[ik]
+    r = np.empty(ik + 1)
+    r[0], r[ik] = y[0] - kappa, y[half]
+    pairs = [(y, f)]
+    if eps > 0:
+        w = x[1:ik:nch]
+        r[1] = w[0] - z1 * kappa
+        pairs = [(y, w), (w, (f - w) / eps)]
+    # each box: the difference quotient less the trapezoid average
+    for k, (u, v) in enumerate(pairs):
+        r[nch + k:ik:nch] = ((-ih * u[:-1] + ih * u[1:])
+                             - (0.5 * v[:-1] + 0.5 * v[1:]))
+    return r
+
+
+class _ConnectionJacobian:
+    """The zero-to-one connection's Jacobian J (`_zero_to_one_system`)
+    from the derivatives fy and fl of its boxes' f = lag (1 - y) in y_j
+    and in node j's lag variable (y_{j-m}, or kappa with the tail weight
+    in fl): an O(n) product `J @ x` and a solve.  a = -fy/2 and b = -fl/2
+    (both over eps when eps > 0) are the coefficients of a node's last
+    row.
+
+    Node by node J is block lower triangular with a border.  Node j's rows
+    hold its diagonal block D_j (the scalar 1/h + a_j at eps = 0, else
+    [[1/h, -1/2], [a_j, 1/h + 1/(2 eps)]]; node 0's is the identity), a
+    block on node j - 1, the lags of nodes j - m and j - 1 - m in its last
+    row, and kappa's column c (y(-T) = kappa, the lags of the first m
+    boxes); the phase row y(0) = 1/2 closes it.  Rows scaled by D_j^-1
+    (closed form, det = (1/h)(1/h + 1/(2 eps)) + a_j / 2) leave a unit
+    lower-triangular T: its local part a Fortran-ordered dtbsv band
+    (kl = 1 or 3), its lag part a dgbmv band, both on vectors padded with
+    a zero node in front and zero nodes up to a whole number of blocks
+    behind.  z = T^-1 D^-1 c is solved once.  m must be at least 2: f2py's
+    dgbmv wants at least kl + ku + 1 = 2 nch rows.
+
+    A solve is forward substitution one delay block of m nodes at a time
+    (the method of steps): the block's lag terms read finished blocks (one
+    dgbmv), then one dtbsv runs from the node before the block, whose unit
+    rows pass through, so the coupling to the last block is in the band.
+    The border gives kappa = (u_half - r_phase) / z_half and x = u - kappa
+    z.  Every array has O(n) entries."""
+
+    def __init__(self, fy, fl, h, eps, z1, m, half):
+        n = fy.size
+        nch = 1 if eps == 0 else 2
+        self.fy, self.fl, self.h, self.eps, self.z1 = fy, fl, h, eps, z1
+        self.n, self.m, self.half, self.nch = n, m, half, nch
+        a, b = -0.5 * fy, -0.5 * fl
+        if eps > 0:
+            a, b = a / eps, b / eps
+        # padded length: the zero node in front, then whole delay blocks
+        self.width = nch * (-(-n // m) * m + 1)
+        ih = 1.0 / h
+        self.local = np.zeros((2 * nch, self.width), order="F")
+        if eps == 0:
+            q = 1.0 / np.append(1.0, ih + a[1:])
+            self.local[1, 1:n] = (a[:-1] - ih) * q[1:]
+            # D^-1's columns, node by node: dinv[c, j] = D_j^-1 e_c
+            self.dinv = q[None, :, None]
+        else:
+            e2 = 0.5 * (1.0 / eps)
+            det = ih * (ih + e2) + 0.5 * a[1:]
+            dinv = self.dinv = np.empty((2, n, 2))
+            dinv[:, 0] = np.eye(2)
+            dinv[0, 1:, 0], dinv[0, 1:, 1] = (ih + e2) / det, -a[1:] / det
+            dinv[1, 1:, 0], dinv[1, 1:, 1] = 0.5 / det, ih / det
+            # D_j^-1 times node j's block on node j - 1, entry (r, c) at
+            # band row 2 + r - c of column 2 j + c
+            self.local[2, 2:2 * n:2] = (0.5 * a[:-1] - (ih + e2) * ih) / det
+            self.local[3, 2:2 * n:2] = ih * (a[1:] + a[:-1]) / det
+            self.local[1, 3:2 * n:2] = -ih / det
+            self.local[2, 3:2 * n:2] = (0.5 * a[1:] + ih * (e2 - ih)) / det
+        # node k's y feeds the last rows of nodes k + m and k + m + 1
+        # (D^-1 spreads them over the node), both through b_{k+m}: band
+        # rows :nch and nch: of its column, for the block's window that
+        # starts at node k0 - 1 - m
+        dl = self.dinv[-1]
+        self.lag = np.zeros((2 * nch, self.width), order="F")
+        self.lag[:nch, nch:nch * (n - m) + 1:nch] = (dl[m:] * b[m:, None]).T
+        self.lag[nch:, nch:nch * (n - m - 1) + 1:nch] = (
+            dl[m + 1:] * b[m:-1, None]).T
+        # kappa's column: the lags of boxes j - 1 and j in node j's last
+        # row for j - 1 < m, node 0's boundary rows
+        cl = np.zeros(n)
+        cl[:m] += b[:m]
+        cl[1:m + 1] += b[:m]
+        z = np.zeros(self.width)
+        z[nch:nch * (n + 1)] = (dl * cl[:, None]).ravel()
+        z[nch:2 * nch] = (-1.0, -z1)[:nch]
+        self.z = self._forward(z)
+
+    def _forward(self, u):
+        """T^-1 u in place on a padded vector, one delay block at a time."""
+        nch = self.nch
+        rows, kl = nch * self.m, 2 * nch - 1
+        # f2py parses positional arguments in about half the time of
+        # keywords: dgbmv's (incx, offx, beta, y, incy, offy, trans,
+        # overwrite_y) and dtbsv's (incx, offx, lower, trans, diag,
+        # overwrite_x)
+        for i0 in range(0, self.width - nch, rows):
+            if i0:
+                dgbmv(rows, rows + nch, nch - 1, nch, -1.0,
+                      self.lag[:, i0 - rows:i0 + nch], u, 1, i0 - rows, 1.0,
+                      u, 1, i0 + nch, 0, 1)
+            dtbsv(kl, self.local[:, i0:i0 + rows + nch], u, 1, i0, 1, 0, 1, 1)
+        return u
+
+    def solve(self, r):
+        """J^-1 r."""
+        nch, end = self.nch, self.nch * (self.n + 1)
+        u = np.empty(self.width)
+        u[:nch], u[end:] = 0.0, 0.0
+        rn, s = r[:-1].reshape(-1, nch), u[nch:end].reshape(-1, nch)
+        np.multiply(self.dinv[0], rn[:, :1], out=s)
+        if nch == 2:
+            s += self.dinv[1] * rn[:, 1:]
+        self._forward(u)
+        hy = nch * (self.half + 1)
+        kappa = (u[hy] - r[-1]) / self.z[hy]
+        return np.append(u[nch:end] - kappa * self.z[nch:end], kappa)
+
+    def __matmul__(self, x):
+        """J x: the connection's rows at x with f's linearization."""
+        y, m = x[:-1:self.nch], self.m
+        df = self.fy * y + self.fl * np.concatenate([np.full(m, x[-1]),
+                                                     y[:-m]])
+        return _connection_rows(x, df, self.h, self.eps, self.z1, self.half)
+
+
 def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     """Collocation BVP for the zero-to-one connection: trapezoid boxes on a
     uniform mesh whose step divides the delay, left tail projected on the
@@ -719,8 +840,8 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     each box's rows (its right node's), then the phase row (kappa's).  So
     the Jacobian's diagonal holds each node's own pivots, the lag y(t - tau)
     sits one band m = tau/h nodes left of it, and kappa's column reaches the
-    first m boxes.  The Jacobian is one `csc_matrix` on index arrays fixed
-    per mesh, its entries a few vectors in y, w and the lag.  Returns the
+    first m boxes.  The Jacobian is a `_ConnectionJacobian` on two vectors
+    in y, w and the lag, a and b, and the mesh's constants.  Returns the
     mesh, the growth rate, the starting point (the `warm` solution's
     profile interpolated, else the logistic at the growth rate) and the
     map x -> (residual, Jacobian thunk)."""
@@ -730,59 +851,18 @@ def _zero_to_one_system(tau, eps, n_per_delay=CONNECT_N_PER_DELAY, warm=None):
     m = n_per_delay
     nch = 1 if eps == 0 else 2
     ik = nch * n
-    ih = 1.0 / h
     # node j's lag is y_{j-m}, or kappa times the growth tail for j < m
     lag_w = np.concatenate([np.exp(z1 * (tg[:m] - tau - tg[0])),
                             np.ones(n - m)])
-    lag_col = np.concatenate([np.full(m, ik), nch * np.arange(n - m)])
-    # box i (nodes i, i + 1) owns node i + 1's rows; `row` is the last,
-    # y' = f (eps = 0) or w' = (f - w) / eps, the one with y and the lag
-    row, yc = nch * np.arange(2, n + 1) - 1, nch * np.arange(n)
-    # constant Jacobian entries (rows, cols, value): y(-T) = kappa,
-    # y(0) = 1/2, the difference quotient of `row` (in y, or w) and, for
-    # eps > 0, w(-T) = z1 kappa, the w-rows' w / eps and the y-rows' y' = w
-    # (duplicates add up)
-    const = [(0, 0, 1.0), (0, ik, -1.0), (ik, nch * half, 1.0)]
-    dc = yc if eps == 0 else yc + 1
-    const += [(row, dc[:-1], -ih), (row, dc[1:], ih)]
-    if eps > 0:
-        q = 0.5 * (1.0 / eps)
-        const += [(1, 1, 1.0), (1, ik, -z1), (row, dc[:-1], q),
-                  (row, dc[1:], q), (row - 1, yc[:-1], -ih),
-                  (row - 1, yc[1:], ih), (row - 1, dc[:-1], -0.5),
-                  (row - 1, dc[1:], -0.5)]
-    const = [np.broadcast_arrays(*e) for e in const]
-    fixed = np.concatenate([np.ravel(v) for _, _, v in const])
-    rows = np.concatenate([np.ravel(r) for r, _, _ in const] + [row] * 4)
-    cols = np.concatenate([np.ravel(c) for _, c, _ in const]
-                          + [yc[:-1], yc[1:], lag_col[:-1], lag_col[1:]])
 
     def system(x):
         y, kappa = x[:ik:nch], x[ik]
         la = np.concatenate([lag_w[:m] * kappa, y[:n - m]])
-        f = la * (1.0 - y)
-        r = np.empty(ik + 1)
-        r[0], r[ik] = y[0] - kappa, y[half] - 0.5
-        pairs = [(y, f)]
-        if eps > 0:
-            w = x[1:ik:nch]
-            r[1] = w[0] - z1 * kappa
-            pairs = [(y, w), (w, (f - w) / eps)]
-        # each box: the difference quotient less the trapezoid average
-        for k, (u, v) in enumerate(pairs):
-            r[nch + k:ik:nch] = ((-ih * u[:-1] + ih * u[1:])
-                                 - (0.5 * v[:-1] + 0.5 * v[1:]))
-
-        def jac():
-            # -1/2 d/dy_j and -1/2 d/d(lag_j) of f_j (of f_j / eps)
-            a, b = 0.5 * la, -0.5 * ((1.0 - y) * lag_w)
-            if eps > 0:
-                a, b = a / eps, b / eps
-            data = np.concatenate([fixed, a[:-1], a[1:], b[:-1], b[1:]])
-            return sparse.csc_matrix((data, (rows, cols)),
-                                     shape=(ik + 1, ik + 1))
-
-        return r, jac
+        r = _connection_rows(x, la * (1.0 - y), h, eps, z1, half)
+        r[ik] -= 0.5
+        # f's derivatives in y_j and in the lag variable (y_{j-m}, or kappa)
+        return r, lambda: _ConnectionJacobian(-la, (1.0 - y) * lag_w, h, eps,
+                                              z1, m, half)
 
     x = np.empty(ik + 1)
     x[:ik:nch] = (1.0 / (1.0 + np.exp(-z1 * tg)) if warm is None

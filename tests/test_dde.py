@@ -554,7 +554,9 @@ def test_chord_newton_matches_per_step_factoring(eps):
     # step, from the logistic start; measured sup gaps are 2.8e-14 (eps 0)
     # and 1.1e-16 (eps 0.01), held to 1e-12
     _, _, x0, system = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
-    ref, ref_res, _ = _newton_per_step(system, x0, spsolve)
+    ref, ref_res, _ = _newton_per_step(
+        system, x0,
+        lambda j, r: spsolve(sparse.csc_matrix(_dense(j, r.size)), r))
     x, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
     assert ref_res < dde.NEWTON_TOL
     assert counts["residual"] < dde.NEWTON_TOL
@@ -889,8 +891,23 @@ def test_connection_jacobian_matches_finite_differences(eps):
         e = np.zeros(x.size)
         e[j] = step
         fd[:, j] = (resid(x + e) - resid(x - e)) / (2 * step)
-    jd = system(x)[1]().toarray()
+    jd = _dense(system(x)[1](), x.size)
     assert np.max(np.abs(fd - jd)) <= 1e-6 * np.max(np.abs(jd))
+
+
+def _dense(jac, size):
+    # the connection's structured Jacobian as a dense matrix, column by
+    # column from its products with unit vectors
+    return np.column_stack([jac @ e for e in np.eye(size)])
+
+
+def _block_order(n, nch):
+    # the node-by-node indices of the block layout's columns and rows
+    node = nch * np.arange(n)
+    cols = np.concatenate([node + k for k in range(nch)] + [[nch * n]])
+    rows = np.concatenate([node[1:] + k for k in range(nch)]
+                          + [np.arange(nch), [nch * n]])
+    return rows, cols
 
 
 def _block_jacobian(tg, z1, tau, m, eps, x):
@@ -933,45 +950,49 @@ def test_connection_jacobian_matches_block_algebra(eps):
     tau, m = 5.0, 5
     tg, z1, x0, system = dde._zero_to_one_system(tau, eps, n_per_delay=m)
     x = x0 + 1e-2 * np.random.default_rng(11).standard_normal(x0.size)
-    n = tg.size
-    nch = 1 if eps == 0 else 2
-    node = nch * np.arange(n)
-    cols = np.concatenate([node + k for k in range(nch)] + [[nch * n]])
-    rows = np.concatenate([node[1:] + k for k in range(nch)]
-                          + [np.arange(nch), [nch * n]])
+    rows, cols = _block_order(tg.size, 1 if eps == 0 else 2)
     ref = _block_jacobian(tg, z1, tau, m, eps, x[cols]).toarray()
-    got = system(x)[1]().toarray()[np.ix_(rows, cols)]
-    assert np.count_nonzero(ref) > 3 * n
+    got = _dense(system(x)[1](), x.size)[np.ix_(rows, cols)]
+    assert np.count_nonzero(ref) > 3 * tg.size
     np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.01])
-def test_connection_factor_keeps_the_node_order(eps, monkeypatch):
-    # the LU of the node-by-node Jacobian takes every pivot on the diagonal
-    # and fills little: 5.9 (eps 0) and 7.9 (eps 0.01) entries of L + U
-    # per unknown at the logistic start, where a fill-reducing column
-    # order (COLAMD, splu's default) gives 16.5 and 32
-    factors = []
-
-    def record(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
-
-    monkeypatch.setattr(dde, "splu", record)
-    _, _, x0, system = dde._zero_to_one_system(5.0, eps)
-    dde._direct(system)(x0)[1]()
-    (lu,) = factors
-    assert np.array_equal(lu.perm_r, np.arange(x0.size))
-    assert np.array_equal(lu.perm_c, np.arange(x0.size))
-    assert lu.L.nnz + lu.U.nnz < 10 * x0.size
+@pytest.mark.parametrize("tau, eps, m", [(5.0, 0.0, 5), (5.0, 0.0, 50),
+                                         (5.0, 0.01, 5), (5.0, 0.01, 50),
+                                         (25.0, 0.0, 50)])
+def test_connection_block_solve_matches_splu(tau, eps, m):
+    # the block solve (forward substitution one delay block at a time, then
+    # the kappa border) equals a sparse LU of the block-algebra Jacobian at
+    # the logistic start.  At tau 25 one block solve leaves J dx - r at
+    # 1.5e-8 |r|, so the refinement step runs there and nowhere else.  The
+    # LU keeps the natural column order, which also eliminates the left tail
+    # first: at tau 25 (kappa ~ 1e-14) points 2.4e-4 apart both leave
+    # J dx - r at 1e-16, and COLAMD's order lands on another of them
+    tg, z1, x0, system = dde._zero_to_one_system(tau, eps, n_per_delay=m)
+    r, jac = system(x0)
+    j = jac()
+    solve, reuse = dde._direct(system)(x0)[1]()
+    dx = solve(r)
+    rows, cols = _block_order(tg.size, 1 if eps == 0 else 2)
+    ref = splu(_block_jacobian(tg, z1, tau, m, eps, x0[cols]).tocsc(),
+               permc_spec="NATURAL").solve(r[rows])
+    assert reuse
+    assert np.max(np.abs(dx[cols] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    raw = np.max(np.abs(j @ j.solve(r) - r))
+    assert (raw > dde.REFINE_TOL * np.max(np.abs(r))) == (tau == 25.0)
+    # O(n) storage: bands, columns and coefficients of a few entries per
+    # unknown, where a band reaching the lag would hold 2 m + 4
+    arrays = [v for v in vars(j).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 6
+    assert all(v.size <= 5 * x0.size for v in arrays)
 
 
 @pytest.mark.parametrize("tau", [25.0, 50.0])
 def test_connection_solve_refines_to_rounding(tau):
-    # the diagonal pivots let U's kappa column grow with the left tail, so
-    # one triangular solve leaves J dx - r at 1.5e-8 |r| (tau 25) and
+    # the block solve's kappa response z grows with the left tail (1e20 at
+    # tau 25), so one solve leaves J dx - r at 1.5e-8 |r| (tau 25) and
     # 1.9e-4 |r| (tau 50) at the logistic start; the solve's refinement
-    # step brings it to 1.7e-15 and 1.2e-15 |r|
+    # step brings it to 6.9e-16 and 4.7e-16 |r|
     _, _, x0, system = dde._zero_to_one_system(tau, 0.0)
     r, jac = system(x0)
     solve, reuse = dde._direct(system)(x0)[1]()
@@ -983,7 +1004,7 @@ def test_connection_solve_refines_to_rounding(tau):
 @pytest.mark.parametrize("tau", [45.0, 55.0])
 def test_zero_to_one_converges_at_large_delay(tau):
     # the left end of the mesh sits where y is about kappa ~ 1e-25 and
-    # cond(J) ~ 1e17; the node-order factor takes kappa's pivot last and
+    # cond(J) ~ 1e17; the node-order block solve eliminates kappa last and
     # converges here in 7-8 steps
     (sol,) = dde.zero_to_one(tau, 0.0)
     assert sol["residual"] < dde.NEWTON_TOL
