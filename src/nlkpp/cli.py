@@ -9,6 +9,16 @@ artifact with a new file, so a symlink or hard link inside --out is not
 written through.  `manifest.json` is written last and
 only on success: a run removes the previous one first.
 
+A CSV holds what `'%.12g' %` writes, value by value, but `write_csv` makes
+it with numpy, CSV_BLOCK_ROWS rows at a time, and writes each block's bytes
+as they are made.  Each value is scaled to y in [1e11, 1e12) by a
+correctly rounded power of ten from frexp's exponent, rounded to its 12
+digits, and its text is looked up: the digits four at a time, the sign,
+the '.', the "0.000" prefix and the exponent suffix, as uint64 words with
+NUL padding that bytes.translate drops.  The few cells whose y lies within
+1e-3 of a half-integer, where the scaling's error could change the
+rounding, are formatted by `%` one at a time.
+
 Exit codes: 0 success, 1 configuration error (a `DomainError`, including an
 --out that cannot be created or written), 2 numeric non-convergence (a
 `NoConvergence`).  `main` is the one place that maps the two types to exit
@@ -17,6 +27,7 @@ codes; any other exception is a bug and propagates as a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -61,8 +72,9 @@ def _plain(obj):
     return obj
 
 
-def _write_artifact(path: Path, text: str) -> None:
-    """Write `text` to `path` as a new file, after unlinking the old one.
+def _write_artifact(path: Path, chunks) -> None:
+    """Write the byte strings `chunks` to `path`, in order, as a new file,
+    after unlinking the old one.
 
     Truncating a just-written file, or moving a temp file over it with
     os.replace, cost 40-80 ms per file on ext4 (likely its flush-on-replace
@@ -70,30 +82,244 @@ def _write_artifact(path: Path, text: str) -> None:
     """
     try:
         path.unlink(missing_ok=True)
-        path.write_text(text)
+        with path.open("wb") as f:
+            f.writelines(chunks)
     except OSError as e:
         raise DomainError(f"cannot write {path}: {e}") from e
 
 
 def write_json(path: Path, obj) -> None:
-    _write_artifact(path,
-                    json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n")
+    _write_artifact(path, [(json.dumps(_plain(obj), indent=2, sort_keys=True)
+                            + "\n").encode()])
+
+
+# -- CSV cells: '%.12g' from table lookups ----------------------------------
+#
+# A cell is a row of little-endian uint64 words whose non-NUL bytes, in
+# order, are its text.  A number takes five: a prefix ('-' in byte 0, then
+# "0." and zeros for -4 <= e < 0), its 12 significant digits in three words
+# of four, each digit followed by a NUL gap that may hold the '.', and a
+# suffix ("e+dd" or "e-ddd" in exponent form, the separator in byte 7).
+
+CSV_BLOCK_ROWS = 8192
+_POW5_MIN, _POW5_MAX = -297, 336
+_ALL = ~np.uint64(0)
+
+
+def _pow5() -> np.ndarray:
+    """5.0**k for k from _POW5_MIN to _POW5_MAX, each correctly rounded (as
+    Python's int-to-float conversion and int / int division are)."""
+    p = [1]
+    for _ in range(_POW5_MAX):
+        p.append(p[-1] * 5)
+    return np.array([1 / q for q in p[-_POW5_MIN:0:-1]]
+                    + [float(q) for q in p])
+
+
+def _bytes_at(values, shift) -> np.ndarray:
+    """The uint64 words holding the byte values `values` (0 for a NUL)
+    shifted up by `shift` bits, elementwise."""
+    return np.left_shift(np.asarray(values, np.uint64),
+                         np.asarray(shift, np.uint64))
+
+
+# frexp gives x = mant 2**e2 with 0.5 <= |mant| < 1 and e2 from -1073 (the
+# least subnormal) to 1024, held at index e2 + 1073 of the e2 tables.
+# _SCALE = fl(2**e2 10**k) lies in [2e11, 2e12], so y = |mant| _SCALE lies
+# in [1e11, 2e12) and |x| = y 10**(e - 11) with e = 11 - k, held as its
+# index e + 324 of the e tables (e from -324 to 308)
+_E2 = np.arange(-1073, 1025)
+_K = np.ceil(np.log10(2e11) - _E2 * np.log10(2.0)).astype(np.int64)
+_SCALE = np.ldexp(_pow5()[_K - _POW5_MIN], _E2 + _K)
+_E_AT = 11 - _K + 324
+# the ASCII digits of 0..9999 at bytes 0, 2, 4 and 6; and the mask of those
+# up to the last nonzero one, without the gap after it (0 for 0), which
+# drops trailing zeros
+_G = [np.arange(10).reshape((10,) + (1,) * (3 - i)) for i in range(4)]
+_DIGITS = sum(_bytes_at(48 + _G[i], 16 * i) for i in range(4)).ravel()
+_TRIM = _bytes_at(1, 8 * np.where(
+    _G[3] > 0, 7, np.where(_G[2] > 0, 5, np.where(
+        _G[1] > 0, 3, np.where(_G[0] > 0, 1, 0)))).ravel()) - np.uint64(1)
+# %g's form by the decimal exponent e of the rounded value: fixed for
+# _FIXED_LO <= e < _FIXED_HI, else exponent form.  By e: the prefix, the
+# digit words' '.' (after digit d, if a digit after it shows) and the
+# digits that show whatever follows (the integer part, at least one digit),
+# and the suffix
+_FIXED_LO, _FIXED_HI = -4, 12
+_E = np.arange(-324, 309)
+_FIXED = (_FIXED_LO <= _E) & (_E < _FIXED_HI)
+_PREFIX = np.zeros(_E.size, np.uint64)
+for _e in range(_FIXED_LO, 0):
+    _PREFIX[_e + 324] = int.from_bytes(b"\0" + b"0." + b"0" * (-_e - 1),
+                                       "little")
+_D = np.where(_FIXED, np.maximum(_E, 0), 0)   # the '.' after digit _D
+# (for -4 <= e < 0 the '.' is in the prefix)
+_DOT = np.where((_D // 4 == np.arange(3)[:, None]) & ~(_FIXED & (_E < 0)),
+                _bytes_at(ord("."), 8 * (2 * (_D % 4) + 1)), np.uint64(0))
+_LEAD = np.minimum(np.maximum(2 * _D + 1 - 8 * np.arange(3)[:, None], 0), 8)
+_LEAD = np.where(_LEAD == 8, _ALL,
+                 _bytes_at(1, 8 * np.minimum(_LEAD, 7)) - np.uint64(1))
+_A = np.abs(_E)
+_SUFFIX = np.where(_FIXED, np.uint64(0), sum(
+    [_bytes_at(ord("e"), 0), _bytes_at(np.where(_E < 0, 45, 43), 8),
+     _bytes_at(np.where(_A >= 100, 48 + _A // 100, 0), 16),
+     _bytes_at(48 + _A // 10 % 10, np.where(_A >= 100, 24, 16)),
+     _bytes_at(48 + _A % 10, np.where(_A >= 100, 32, 24))]))
+# y is within 2.3e-4 of exact: _SCALE and the product are rounded, each by
+# at most 2**-53 relative, on y < 1e12, or on y < 2e12 before the division
+# by 10, a third rounding.  Within _MARGIN = (3 + 1) 2.5e-4 of a
+# half-integer the rounding of y is not proven
+_MARGIN = 1e-3
+_NAN, _INF = (int.from_bytes(b, "little") for b in (b"nan", b"inf"))
+_WORD_AT = _E.size * np.arange(3).reshape(3, 1, 1)
+
+
+class _CellFormatter:
+    """The '%.12g' cells of float blocks of `cols` columns and up to `rows`
+    rows, as five planes of uint64 words (prefix, three digit words,
+    suffix), each block by table lookups in work arrays made once: a fresh
+    array of a block's size costs its page faults on every block."""
+
+    def __init__(self, rows: int, cols: int):
+        shape = (rows, cols)
+        self.y, self.t, self.m = (np.empty(shape) for _ in range(3))
+        self.e2 = np.empty(shape, np.intc)
+        self.e2i, self.ei, self.mi, self.low = (np.empty(shape, np.intp)
+                                                for _ in range(4))
+        self.flag = np.empty(shape, bool)
+        self.g, self.e3 = (np.empty((3,) + shape, np.intp) for _ in range(2))
+        self.trim, self.tab = (np.empty((3,) + shape, np.uint64)
+                               for _ in range(2))
+        self.words = np.empty((5,) + shape, np.uint64)
+        # the separator in byte 7 of the suffix: ',' but '\n' at the end
+        self.sep = np.full(shape, ord(","), np.uint64)
+        self.sep[:, -1] = ord("\n")
+        self.sep <<= np.uint64(56)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The word planes of the block x (rows by columns), each cell
+        ending in its separator."""
+        b = len(x)
+        y, t, m, e2, e2i, ei, mi, low, flag, sep = (
+            a[:b] for a in (self.y, self.t, self.m, self.e2, self.e2i,
+                            self.ei, self.mi, self.low, self.flag, self.sep))
+        g, e3, trim, tab, words = (
+            a[:, :b] for a in (self.g, self.e3, self.trim, self.tab,
+                               self.words))
+        with np.errstate(invalid="ignore"):   # a non-finite x gives y = nan
+            np.frexp(x, out=(y, e2))
+            np.add(e2, 1073, out=e2i)
+            np.abs(y, out=y)
+            y *= np.take(_SCALE, e2i, out=t, mode="clip")
+            np.take(_E_AT, e2i, out=ei, mode="clip")
+            # y >= 1e12: y / 10 and e + 1
+            np.greater_equal(y, 1e12, out=flag)
+            ei += flag
+            y /= np.add(np.multiply(flag, 9.0, out=t), 1.0, out=t)
+            np.rint(y, out=m)
+            np.abs(np.subtract(y, m, out=t), out=t)
+            np.logical_not(np.less_equal(t, 0.5 - _MARGIN, out=flag),
+                           out=flag)
+            unsure = np.flatnonzero(flag)
+            # 999999999999.5 <= y < 1e12 rounds to 10**12: 10**11, e + 1
+            np.equal(m, 1e12, out=flag)
+            ei += flag
+            m -= np.multiply(flag, 9e11, out=t)
+            # 0 and -0 (frexp exponent 0, so e = -1) are written with e = 0
+            ei += np.equal(m, 0, out=flag)
+            np.copyto(mi, m, casting="unsafe")
+        # the 12 digits in three groups of four
+        np.floor_divide(mi, 10 ** 8, out=g[0])
+        np.subtract(mi, np.multiply(g[0], 10 ** 8, out=low), out=low)
+        np.floor_divide(low, 10 ** 4, out=g[1])
+        np.subtract(low, np.multiply(g[1], 10 ** 4, out=g[2]), out=g[2])
+        # the digits to show: up to the last nonzero one, the integer part
+        # (_LEAD), and all of a group with a nonzero digit after it
+        np.take(_TRIM, g, out=trim, mode="clip")
+        np.add(ei, _WORD_AT, out=e3)   # ei in each digit word's e table
+        trim |= np.take(_LEAD, e3, out=tab, mode="clip")
+        np.multiply(np.not_equal(low, 0, out=flag), _ALL, out=tab[0])
+        np.multiply(np.not_equal(g[2], 0, out=flag), _ALL, out=tab[1])
+        trim[:2] |= tab[:2]
+        digits = words[1:4]
+        np.take(_DIGITS, g, out=digits, mode="clip")
+        digits |= np.take(_DOT, e3, out=tab, mode="clip")
+        digits &= trim
+        np.take(_PREFIX, ei, out=words[0], mode="clip")
+        # '-' in byte 0 of the prefix, which is NUL
+        np.multiply(np.signbit(x, out=flag), np.uint8(ord("-")),
+                    out=words[0].view(np.uint8)[:, ::8])
+        np.take(_SUFFIX, ei, out=words[4], mode="clip")
+        words[4] |= sep
+        if unsure.size:
+            self._unsure(x, words, *np.divmod(unsure, x.shape[1]))
+        return words
+
+    @staticmethod
+    def _unsure(x, words, r, c) -> None:
+        """Write the cells (r, c) the lookups did not prove: nan and +-inf
+        as words, the near-ties by '%' one at a time."""
+        v = x[r, c]
+        cells = np.zeros((4, v.size), np.uint64)
+        tie = np.isfinite(v)
+        text = "".join(["%-32.12g" % f for f in v[tie].tolist()])
+        cells[:, tie] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                      "<u8").reshape(-1, 4).T
+        cells[0, v == -np.inf] = ord("-")
+        cells[1, ~tie] = np.where(np.isnan(v[~tie]), _NAN, _INF)
+        words[:4, r, c] = cells
+        words[4, r, c] &= np.uint64(0xFF << 56)
+
+
+def _csv_bytes(header, cols: list):
+    """The CSV text of `header` and the columns `cols` (float or str arrays
+    of one length) as bytes: the header line, then CSV_BLOCK_ROWS rows at a
+    time."""
+    yield (",".join(header) + "\n").encode()
+    n = cols[0].size
+    rows = min(n, CSV_BLOCK_ROWS)
+    cells = _CellFormatter(rows, len(cols))
+    x = np.zeros((rows, len(cols)))   # 0 in the str columns
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        block = slice(start, min(start + CSV_BLOCK_ROWS, n))
+        xb = x[:block.stop - start]
+        labels = {}
+        for j, c in enumerate(cols):
+            if c.dtype.kind == "U":
+                labels[j] = np.array([v.encode() for v in c[block].tolist()],
+                                     dtype=bytes)
+            else:
+                xb[:, j] = c[block]
+        words = cells(xb).transpose(1, 2, 0)
+        if labels:
+            # a label and its separator fill a cell of `width` words
+            width = max([5] + [s.itemsize // 8 + 1 for s in labels.values()])
+            words = np.concatenate(
+                [words, np.zeros(xb.shape + (width - 5,), np.uint64)], axis=2)
+            for j, s in labels.items():
+                cell = np.zeros((s.size, 8 * width), np.uint8)
+                cell[:, :s.itemsize] = s.view(np.uint8).reshape(s.size, -1)
+                cell[:, -1] = cells.sep[0, j] >> np.uint64(56)
+                words[:, j] = cell.view("<u8")
+        yield words.tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header, columns) -> None:
     """Write the table of `columns` (equal-length arrays or lists), one line
-    per row, in one `%` format call: a column of strings as it is (`%s`),
-    any other column's values as numbers in `%.12g`.  Columns of unequal
-    length are refused with a ValueError."""
-    cols = [np.asarray(c) for c in columns]
-    n = cols[0].size
-    fmt = ",".join("%s" if c.dtype.kind == "U" else "%.12g" for c in cols)
-    # the values row by row: column j fills every len(cols)-th place
-    flat = [None] * (len(cols) * n)
-    for j, c in enumerate(cols):
-        flat[j::len(cols)] = c.tolist()
-    _write_artifact(path, ",".join(header) + "\n"
-                    + (fmt + "\n") * n % tuple(flat))
+    per row, byte for byte as `%` would write it value by value: a column
+    of strings as it is (`%s`, UTF-8), any other column's values as numbers
+    in `%.12g` (bools and ints converted to float as `%` converts them).
+    Columns of unequal length are refused with a ValueError before the file
+    is opened.
+
+    The table is formatted and written CSV_BLOCK_ROWS rows at a time by
+    `_CellFormatter`'s lookups, so no Python float or str is made per
+    value; only the near-ties at the 12th digit go through `%`."""
+    cols = [c if c.dtype.kind == "U" else c.astype(float, copy=False)
+            for c in map(np.asarray, columns)]
+    # numpy's ValueError on unequal lengths: (0, length) blocks must agree
+    np.concatenate([np.empty((0, c.size)) for c in cols])
+    _write_artifact(path, _csv_bytes(header, cols))
 
 
 def _load_config(path: str | None) -> dict:
@@ -406,10 +632,17 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process (about 1 ms a build, 35
+    add_argument calls each making a HelpFormatter), for `main`, which
+    only parses with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     t0 = time.perf_counter()

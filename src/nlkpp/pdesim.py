@@ -75,8 +75,9 @@ RINGING_RATIO = 5.0
 MAX_SIM_NODES = 10 ** 6
 MAX_SIM_STEPS = 10 ** 6
 # largest snapshot record in rows (snapshot count times grid points), which
-# the CLI writes from Python: 400,200 rows peaked at 190 MB and 998,499 at
-# 353 MB (2-core x86-64 VM)
+# the CLI writes 8,192 rows at a time: `simulate --snap 0.1` to T 20
+# (400,200 rows) peaked at 82 MB and to T 49.9 (998,499) at 100 MB, where
+# one `%` call over the table peaked at 147 and 273 MB (2-core x86-64 VM)
 MAX_SNAPSHOT_ROWS = 10 ** 6
 
 

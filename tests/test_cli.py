@@ -378,6 +378,124 @@ def test_write_csv_header_only_table(tmp_path):
     assert (tmp_path / "x.csv").read_text() == "t,x,case\n"
 
 
+def _per_value_csv(header, columns) -> bytes:
+    """The oracle: each value formatted on its own, by '%.12g' % or as the
+    string it is."""
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns])
+    return "".join([",".join(header) + "\n"] + [
+        ",".join(v if isinstance(v, str) else "%.12g" % v for v in row)
+        + "\n" for row in rows]).encode()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 3 * cli.CSV_BLOCK_ROWS + 1),
+       seed=st.integers(0, 2 ** 32 - 1),
+       values=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True), max_size=40))
+@example(n=3 * cli.CSV_BLOCK_ROWS + 1, seed=0, values=[])
+def test_write_csv_matches_per_value_formatting_on_any_float(n, seed, values):
+    # random 64-bit patterns (nan payloads, subnormals and infinities
+    # among them), with hypothesis's floats put at random rows
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2 ** 64, (2, n), dtype=np.uint64).view(np.float64)
+    if n:
+        x[rng.integers(0, 2, len(values)),
+          rng.integers(0, n, len(values))] = values
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        cli.write_csv(path, ["a", "b"], list(x))
+        assert path.read_bytes() == _per_value_csv(["a", "b"], list(x))
+
+
+def _edge_values() -> np.ndarray:
+    """Values where a formatter can go wrong: zeros, subnormals, powers of
+    two and ten and their neighbours, 13-digit near-ties, and values that
+    round across the fixed/exponent switch or to the next power of ten."""
+    tiny = np.finfo(float).tiny
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    pow10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([pow2, pow10])
+    ties = np.array([float(f"{m}5e{k}") for k in range(-330, 300, 7)
+                     for m in (123456789012, 100000000000, 999999999999,
+                               500000000000, 987654321098)])
+    across = np.array([float(f"{d}e{k}") for k in range(-8, 16)
+                       for d in ("9.999999999995", "9.9999999999951",
+                                 "9.99999999999949", "9.9999999999996",
+                                 "1.00000000000049", "9.99999999999995")])
+    special = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
+               np.nextafter(tiny, 0.0), np.finfo(float).max,
+               -np.finfo(float).max, 999999999999.5, 999999999999.49,
+               999999999999.7, 9.99999999999995e-05, 0.0001, 1e12,
+               123456789012.5, 2.0 ** 53 + 2, 0.5, 2.5, 10.0, 1e16,
+               np.inf, -np.inf, np.nan, -np.nan]
+    return np.concatenate([special, near, np.nextafter(near, 0.0),
+                           np.nextafter(near, np.inf), ties, -ties, across,
+                           -across, np.ldexp(ties, -40)])
+
+
+def test_write_csv_edge_values_across_block_seams(tmp_path):
+    # 2 blocks and 3 rows: the edge values cycle through every column, and
+    # the rows next to each block seam are checked with the rest
+    n = 2 * cli.CSV_BLOCK_ROWS + 3
+    x = np.resize(_edge_values(), 2 * n).reshape(2, n)
+    ints = np.resize([2 ** 53 + 1, -(2 ** 62) - 1, 2 ** 63 - 1, 7, 0,
+                      -(2 ** 63)], n).astype(np.int64)
+    labels = np.resize(["a", "local", "", "a long label " * 4, "α-β",
+                        "0.5"], n)
+    columns = [x[0], ints, np.arange(n) % 3 == 0, labels, x[1][::-1]]
+    header = ["x", "int", "bool", "label", "y"]
+    cli.write_csv(tmp_path / "x.csv", header, columns)
+    assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(header,
+                                                               columns)
+
+
+def test_write_csv_formats_few_cells_by_percent(tmp_path, monkeypatch):
+    # on the benchmark's front, semiwave and trajectory columns, region's
+    # mask (mostly 0) and snapshots whose tails fall to 1e-164 (x = 0 in
+    # each), at most 0.5% of the cells are near-ties left to '%', and no
+    # zero is one of them
+    seen = {"percent": 0, "zeros": 0}
+    unsure = cli._CellFormatter._unsure
+
+    def count(x, words, r, c):
+        v = x[r, c]
+        seen["percent"] += int(np.isfinite(v).sum())
+        seen["zeros"] += int((v == 0).sum())
+        unsure(x, words, r, c)
+
+    monkeypatch.setattr(cli._CellFormatter, "_unsure", staticmethod(count))
+    cfg = tmp_path / "front.json"
+    cfg.write_text(json.dumps({"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]},
+                               "dt": 0.005}))
+    runs = {"front.csv": ["front", "--c", "2.5", "--config", str(cfg)],
+            "semiwave.csv": ["semiwave", "--tau", "4.8124", "--c", "7",
+                             "--proper"],
+            "trajectory.csv": ["connect", "--tau", "5", "--eps", "0.01"],
+            "region.csv": ["region", "--aplus", "0.1", "--aminus", "0.2"],
+            "snapshots.csv": ["simulate", "--T", "20", "--snap", "1"]}
+    for name, argv in runs.items():
+        seen.update(percent=0, zeros=0)
+        code, out = run_cli(tmp_path / name, *argv)
+        assert code == 0
+        rows = (out / name).read_text().splitlines()
+        cells = (len(rows) - 1) * rows[0].count(",") + len(rows) - 1
+        assert seen["percent"] <= 0.005 * cells, (name, seen, cells)
+        assert seen["zeros"] == 0, name
+    assert np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 2].min() \
+        < 1e-150
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    assert run_cli(tmp_path, "toy")[0] == 0
+
+    def build_parser():
+        raise AssertionError("main built a second parser")
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    assert run_cli(tmp_path, "toy")[0] == 0
+    assert cli._parser() is cli._parser()
+
+
 def test_region_artifacts(tmp_path):
     code, out = run_cli(tmp_path, "region", "--aplus", "0.0",
                         "--aminus", "0.3", "--grid-n", "100")
