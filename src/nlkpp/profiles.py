@@ -608,19 +608,22 @@ class _FrontSystem:
         bidiagonal (1, -E1; row 0 lam - z1), R1 lower (q1, q0; row 0 1), L2
         upper (1, -E2; last row z2), R2 upper (p0, p1; last row 1).  Up to
         a rank-2 corner term, z12 L1 L2 (I - A R') = P for R' = diag(rp).
-        The products are constant but for their first and last rows.
+        The products are constant but for their first and last rows: the
+        interior rows are the `_SumOperator`'s `lift_taps` less its `taps`
+        times R'.
         """
         w, z12 = self.w, self.ctx.z12
         E1, E2, q0, q1, p0, p1 = w.E1, w.E2, w.q0, w.q1, w.p0, w.p1
         a0, z2 = self.ctx.lam - w.z1, w.z2
-        sub = -(q0 - E1 * p0) * rp[:-1]
-        sub[-1] = -(z2 * q0 - E1 * p0) * rp[-2]
-        sub -= z12 * E1
-        diag = z12 * (1.0 + E1 * E2) - (q1 - E2 * q0 + p0 - E1 * p1) * rp
+        op = self._sums(rp.size)
+        lift, taps = op.lift_taps, op.taps
+        sub = lift[0] - taps[0] * rp[:-1]
+        diag = lift[1] - taps[1] * rp
+        sup = lift[2] - taps[2] * rp[1:]
+        sub[-1] = lift[0] - (z2 * q0 - E1 * p0) * rp[-2]
         diag[0] = z12 * a0 - (1.0 - E2 * q0 + a0 * p0) * rp[0]
         diag[-1] = (z12 * (z2 + E1 * E2)
                     - (z2 * q1 + 1.0 - E1 * p1) * rp[-1])
-        sup = -z12 * E2 - (p1 - E2 * q1) * rp[1:]
         sup[0] = -z12 * a0 * E2 - (a0 * p1 - E2 * q1) * rp[1]
         return sub, diag, sup
 
