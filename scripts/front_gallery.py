@@ -2,14 +2,14 @@
 their diagnostics: a local front, a monotone front for an advanced kernel,
 and an oscillating front for a strongly delayed kernel.
 
-Writes one CSV per front into --out and prints a summary row for each.
+Writes one CSV per front into --out, in the CLI's format (`t,phi`, values
+in %.12g), and prints a summary row for each.
 """
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from nlkpp import profiles as pf
+from nlkpp.cli import write_csv
 from nlkpp.kernels import dirac
 
 
@@ -34,9 +34,7 @@ def main():
         ctx = pf.WaveContext(c, k)
         prof = pf.solve_front(ctx, dt=dt)
         d = prof.diagnostics
-        rows = np.column_stack([prof.grid, prof.values])
-        np.savetxt(out / f"{name}.csv", rows, delimiter=",",
-                   header="t,phi", comments="")
+        write_csv(out / f"{name}.csv", ["t", "phi"], [prof.grid, prof.values])
         print(f"{name:>16} {d['residual_sup']:12.3e} "
               f"{str(d['monotone']):>9} {prof.values.min():10.4f} "
               f"{prof.values.max():10.4f} {ctx.U:10.4f}")

@@ -479,8 +479,8 @@ def cmd_connect(args, cfg, out: Path) -> None:
     write_csv(out / "trajectory.csv", ["t", "y"],
               [sols[-1]["t"], sols[-1]["y"]])
     # a periodic-to-point run has no Newton residual or counts: null
-    rungs = [{k: s.get(k) for k in ("eps", "residual", "newton_steps",
-                                    "factorizations")} for s in sols]
+    rungs = [{k: s.get(k) for k in ("eps", "residual", "newton_steps")}
+             for s in sols]
     write_json(out / "connect.json", {
         "tau": args.tau, "kind": kind, "eps_ladder": [s["eps"] for s in sols],
         "decay_fits": [{"eps": s["eps"], "decay_rate": s["decay_rate"],

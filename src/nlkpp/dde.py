@@ -14,15 +14,14 @@ The orbit (`_orbit_system`, Fourier collocation with unknown period)
 and the zero-to-one connection (`_zero_to_one_system`, trapezoid boxes
 with unknowns and equations ordered node by node, for eps = 0 and
 eps > 0) are maps x -> (residual, Jacobian thunk).  The package's one
-Newton loop, `profiles.newton`, solves both (`_direct`): the dense orbit
-Jacobian afresh at every step; the connection's, block lower triangular
-node by node with a kappa border, as a `_ConnectionJacobian` whose solve
-runs forward one delay block at a time (one dgbmv for the lags, one
-dtbsv for the block), kept for chord steps (at tau = 5, one per
-warm-started rung).  One eps-ladder, `_continue`, continues both
-from eps = 0.  An orbit Newton that lands on a flat equilibrium is a
-numeric failure.  The adjoint (eps v'' term included) is the left null
-vector of the orbit Jacobian.
+Newton loop, `profiles.newton`, solves both (`_direct`), linearizing
+afresh at every step: the orbit's dense Jacobian by LAPACK; the
+connection's, block lower triangular node by node with a kappa border, as
+a `_ConnectionJacobian` whose solve runs forward one delay block at a time
+(one dgbmv for the lags, one dtbsv for the block).  One eps-ladder,
+`_continue`, continues both from eps = 0.  An orbit Newton that lands on a
+flat equilibrium is a numeric failure.  The adjoint (eps v'' term
+included) is the left null vector of the orbit Jacobian.
 
 Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block shorter than the delay at a time: the cubic
@@ -54,8 +53,8 @@ HOPF_TAU = 1.5 * math.pi
 WRIGHT_BLOWUP = 1e6
 WRIGHT_MAX_STEPS = 10 ** 7
 CONNECT_N_PER_DELAY = 50
-# zero-to-one collocation nodes: 121,197 (tau = 0.01) peak at 210 MB, and
-# Newton stalls there at residual 2e-12 (2-core x86-64 VM)
+# zero-to-one collocation nodes: 121,197 (tau = 0.01) peak at 85 MB, and
+# Newton stalls there at residual 2e-12 (2-core x86-64 VM, one BLAS thread)
 CONNECT_MAX_NODES = 2 * 10 ** 5
 P2P_DELTA = 1e-4
 P2P_T_MAX = 400.0
@@ -89,15 +88,12 @@ def hopf_amplitude(tau: float) -> float:
 
 
 def _direct(system):
-    """`newton`'s map for a map x -> (residual, Jacobian thunk).  A dense
-    Jacobian is solved afresh at every step.  The connection's
-    `_ConnectionJacobian` is kept for chord steps: it scales its rows and
-    solves itself (`solve`), and a solve that leaves J dx - r above
-    REFINE_TOL |r| takes one step of iterative refinement against its
-    unscaled product `J @ dx`."""
+    """`newton`'s map for a map x -> (residual, Jacobian thunk): LAPACK
+    solves a dense Jacobian, a `_ConnectionJacobian` its own `solve`, with
+    one refinement step against `J @ dx` if J dx - r > REFINE_TOL |r|."""
     def linearize(j):
         if isinstance(j, np.ndarray):
-            return (lambda r: np.linalg.solve(j, r)), False
+            return lambda r: np.linalg.solve(j, r)
 
         def solve(r):
             dx = j.solve(r)
@@ -106,7 +102,7 @@ def _direct(system):
                 dx = dx + j.solve(rr)
             return dx
 
-        return solve, True
+        return solve
 
     def newton_map(x):
         r, jac = system(x)

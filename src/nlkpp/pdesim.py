@@ -11,11 +11,12 @@ predictor-corrector for the reaction u(1 - K*u).  A step evaluates no
 Laplacian: with M = I - (dt/2) lap, u + (dt/2) lap(u) = 2u - M u, so each
 stage is one solve b -> 2 M^-1 b less u.  Unless a dt is given it takes
 dt = max(0.4 dx^2, min(0.05, 5 dx^2)): never more steps than the explicit
-rule dt = 0.4 dx^2, and dt/dx^2 never above 5.  `step` (explicit
-midpoint) and `local_reference_step` are the explicit oracles the tests
-compare `run` against.  `measure_speed` is the one run from settings to
-report, the one `simulate` writes, under the limits MAX_SIM_NODES,
-MAX_SIM_STEPS and MAX_SNAPSHOT_ROWS.
+rule dt = 0.4 dx^2, dt/dx^2 never above 5, and halved where it breaks
+positivity, dt <= 0.5 / max|1 - K*u|.  `step` (explicit midpoint) and
+`local_reference_step` are the oracles the tests compare `run` against.
+`measure_speed` is the one run from settings to report, the one
+`simulate` writes, under the limits MAX_SIM_NODES, MAX_SIM_STEPS and
+MAX_SNAPSHOT_ROWS.
 """
 from __future__ import annotations
 
@@ -141,10 +142,6 @@ def _reaction(state: SimState, u: np.ndarray, dt: float | None = None):
     return r
 
 
-def _rhs(state: SimState, u: np.ndarray) -> np.ndarray:
-    return _laplacian(u, state.dx) + u * _reaction(state, u)
-
-
 def step(state: SimState, dt: float) -> SimState:
     """Advance one explicit-midpoint step of size dt, in place.
 
@@ -159,7 +156,8 @@ def step(state: SimState, dt: float) -> SimState:
             f"diffusion stability violated: dt = {dt} > 0.4 dx^2 = {0.4 * dx * dx}")
     f0 = _laplacian(state.u, dx) + state.u * _reaction(state, state.u, dt)
     u_half = state.u + 0.5 * dt * f0
-    state.u = state.u + dt * _rhs(state, u_half)
+    state.u = state.u + dt * (_laplacian(u_half, dx)
+                              + u_half * _reaction(state, u_half))
     state.t += dt
     return state
 
@@ -258,10 +256,12 @@ def run(state: SimState, t_end: float, dt: float | None = None,
         record_dt: float = 0.5, snapshots_at=()) -> list:
     """Step the state to t_end by IMEX steps no longer than time_step(dx, dt),
     recording the level-crossing position every record_dt into the state
-    history.  Returns (t, u-copy) snapshots at the requested times."""
+    history, a default dt halved (Crank-Nicolson refactored) where positivity
+    binds.  Returns (t, u-copy) snapshots at the requested times."""
     if t_end <= state.t:
         raise DomainError(f"t_end = {t_end} must exceed current t = {state.t}")
     dx = state.dx
+    adapt = dt is None
     dt = time_step(dx, dt)
     n_steps = step_count(t_end - state.t, dt)
     dt = (t_end - state.t) / n_steps
@@ -279,13 +279,27 @@ def run(state: SimState, t_end: float, dt: float | None = None,
 
     if not state.times or state.times[-1] < state.t - 1e-12:
         record()
-    for i in range(n_steps):
-        _imex_step(state, dt, solve)
+    i = 0
+    while i < n_steps:
+        try:
+            _imex_step(state, dt, solve)
+        except DomainError as err:  # the step's one check: positivity
+            if not adapt:
+                raise
+            if 2 * n_steps > MAX_SIM_STEPS:
+                raise NoConvergence(
+                    f"{err}; halving tops {MAX_SIM_STEPS} steps")
+            # the same run and record times in steps of dt/2
+            dt *= 0.5
+            i, n_steps, record_every = 2 * i, 2 * n_steps, 2 * record_every
+            solve = _crank_nicolson(state.x.size, dt / (dx * dx))
+            continue
         while snaps_left and state.t >= snaps_left[0] - 0.5 * dt:
             snaps.append((state.t, state.u.copy()))
             snaps_left.pop(0)
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             record()
+        i += 1
     return snaps
 
 
@@ -322,15 +336,14 @@ def measure_speed(kernel: Kernel = None, T: float = 40.0, X: float = 400.0,
                   dx: float = 0.2, dt: float | None = None,
                   front_at: float = 20.0, snap: float = 0.0) -> dict:
     """The PDE cross-check `simulate` writes: the default datum, front at
-    front_at, on [0, X], run to T at time_step(dx, dt) with a snapshot
+    front_at, on [0, X], run to T from time_step(dx, dt) with a snapshot
     every `snap` (0 takes none).  The step count is checked before the grid
     is built, and the snapshot rows (at most MAX_SNAPSHOT_ROWS) before the
     run.  Returns the fitted speed, the range of u and the record count,
     with the final `state` and the (t, u) `snapshots`."""
     if kernel is None:
         kernel = dirac(0.0)
-    dt = time_step(dx, dt)
-    step_count(T, dt)
+    step_count(T, time_step(dx, dt))
     state = initial_state(kernel, X=X, dx=dx, front_at=front_at)
     snap_times = []
     if snap:

@@ -509,11 +509,10 @@ def _front_profile(ctx: WaveContext, upper: Profile, vals: np.ndarray,
 
 
 # Newton on fronts, delay-equation orbits and zero-to-one connections: the
-# step cap, the cut in max|r| per step that keeps a reusable factor for
-# chord steps, and the stall floor in units of tol.  The orbit Newton takes
-# up to 38 steps to orbits the slow-oscillation gate then names (tau 9.82)
+# step cap and the stall floor in units of tol.  The orbit Newton takes
+# up to 38 steps to orbits the slow-oscillation gate then names (tau 9.82,
+# of the 300 delays in [4.75, 30])
 NEWTON_MAX_STEPS = 40
-CHORD_CONTRACTION = 0.1
 STALL_FACTOR = 100.0
 # GMRES's relative tolerance per Newton step (Eisenstat & Walker 1996,
 # choice 2): GMRES_ETA_MAX at the first step, then
@@ -534,21 +533,16 @@ GMRES_MAX_CYCLES = 20
 
 
 def newton(system, x, tol: float):
-    """Newton on a map x -> (r, linearize) to max|r| <= tol; returns x and
-    counts {residual, newton_steps, factorizations (linearizations built)}.
-
-    linearize() returns (solve, reuse), solve(r) = J^-1 r.  A reusable
-    factor serves chord steps while each cuts max|r| by CHORD_CONTRACTION
-    and is rebuilt at x after one that does not; any other is built at
-    every step.  A step may raise max|r| on its way in (the front of
-    delta(s - 5) at c 2.05, dt 0.01: 3.0e-3 -> 4.2e-3 -> converged).
-    NoConvergence names the exit: diverged (a non-finite residual, a
-    linearize or solve that raises LinAlgError or RuntimeError, or a last
-    max|r| above the first), stalled (a step on a fresh reusable factor that
-    does not lower a max|r| below STALL_FACTOR tol, the rounding floor) or
-    NEWTON_MAX_STEPS steps."""
-    solve, reuse, fresh, stalled = None, False, False, False
-    res, built = math.inf, 0
+    """Newton on a map x -> (r, linearize) to max|r| <= tol, linearizing
+    afresh at every step: linearize() returns solve, solve(r) = J^-1 r.
+    Returns x and counts {residual, newton_steps}.  A step may raise max|r|
+    on its way in (the front of delta(s - 5) at c 2.05, dt 0.01: 3.0e-3 ->
+    4.2e-3 -> converged).  NoConvergence names the exit: diverged (a
+    non-finite residual, a linearize or solve that raises LinAlgError or
+    RuntimeError, or a last max|r| above the first), stalled (a step that
+    does not lower a max|r| already below STALL_FACTOR tol, the rounding
+    floor) or NEWTON_MAX_STEPS steps."""
+    res, stalled = math.inf, False
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for steps in range(NEWTON_MAX_STEPS + 1):
             r, linearize = system(x)
@@ -557,18 +551,12 @@ def newton(system, x, tol: float):
             if not math.isfinite(res):
                 raise NoConvergence("Newton diverged: residual not finite")
             if res <= tol:
-                return x, {"residual": res, "newton_steps": steps,
-                           "factorizations": built}
-            stalled = (fresh and reuse and res >= last
-                       and last < STALL_FACTOR * tol)
+                return x, {"residual": res, "newton_steps": steps}
+            stalled = res >= last and last < STALL_FACTOR * tol
             if stalled or steps == NEWTON_MAX_STEPS:
                 break
-            fresh = not (reuse and res <= CHORD_CONTRACTION * last)
             try:
-                if fresh:
-                    solve, reuse = linearize()
-                    built += 1
-                x = x - solve(r)
+                x = x - linearize()(r)
             except (np.linalg.LinAlgError, RuntimeError) as e:
                 raise NoConvergence(f"Newton diverged: {e}") from e
     if res > first:
@@ -678,7 +666,7 @@ class _FrontSystem:
                         f"Newton-Krylov step {len(self.gmres_trace)}")
                 return step
 
-            return solve, False
+            return solve
 
         return G, linearize
 

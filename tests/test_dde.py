@@ -353,15 +353,36 @@ def test_orbit_slow_oscillation(orbit):
 
 
 # three delays of a 300-point scan of [4.75, 30] where the cosine-seeded
-# Newton converges to an orbit that is not slowly oscillating: period 2.25
-# with 63 critical points, period 13.9 with 4 (twice its neighbours'), and
-# amplitude 10.7 with 64
-@pytest.mark.parametrize("k, crit", [(201, 63), (6, 4), (75, 64)])
+# Newton converges to an orbit that is not slowly oscillating: period 6.44
+# with 63 critical points (tau 9.82, in 38 Newton steps), period 13.9 with
+# 4 (twice its neighbours'), and amplitude 10.7 with 64
+@pytest.mark.parametrize("k, crit", [(60, 63), (6, 4), (75, 64)])
 def test_orbit_not_slowly_oscillating_is_no_convergence(k, crit):
     tau = np.linspace(4.75, 30.0, 300)[k]
     with pytest.raises(NoConvergence,
                        match=f"not slowly oscillating: {crit} critical"):
         dde.find_periodic(tau)
+
+
+def test_orbit_newton_stalls_at_the_rounding_floor(monkeypatch):
+    # at tau 21.72 (k = 201 of the scan) the cosine-seeded Newton reaches
+    # max|r| 1.72e-11, below STALL_FACTOR tol, and its next step does not
+    # lower it: the run exits "stalled" after 26 steps, where it once
+    # dithered on to an orbit with 63 critical points in 31
+    evaluations = []
+
+    def counted(system, x, tol):
+        def evaluated(x):
+            evaluations.append(x)
+            return system(x)
+        return newton(evaluated, x, tol)
+
+    monkeypatch.setattr(dde, "newton", counted)
+    with pytest.raises(NoConvergence, match=r"Newton stalled at residual "
+                                            r"1\.72e-11 .*\(eps=0\.0\)"):
+        dde.find_periodic(np.linspace(4.75, 30.0, 300)[201])
+    # one evaluation at the start and one per step
+    assert len(evaluations) - 1 <= 30
 
 
 @pytest.mark.parametrize("tau", [5.0, 4.8124])
@@ -480,7 +501,7 @@ def test_newton_singular_sparse_jacobian_is_no_convergence():
     # splu raises "Factor is exactly singular" on an exactly singular
     # matrix; that becomes NoConvergence, and no warning leaks
     system = lambda x: (x - 1.0,
-                        lambda: (splu(sparse.csc_matrix((2, 2))).solve, True))
+                        lambda: splu(sparse.csc_matrix((2, 2))).solve)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         with pytest.raises(NoConvergence, match="exactly singular"):
@@ -489,15 +510,15 @@ def test_newton_singular_sparse_jacobian_is_no_convergence():
 
 
 def test_newton_stall_exits_on_a_fresh_factor():
-    # max|r| never falls below 5e-12: a chord step stops contracting, the
-    # step on the refactored Jacobian does not lower max|r|, and Newton
-    # raises there instead of taking all NEWTON_MAX_STEPS steps
+    # max|r| never falls below 5e-12: the first step that does not lower
+    # it, a max|r| already below STALL_FACTOR tol, ends Newton there
+    # instead of after all NEWTON_MAX_STEPS steps
     a = sparse.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     factored = []
 
     def linearize():
         factored.append(1)
-        return splu(a).solve, True
+        return splu(a).solve
 
     def system(x):
         d = x - 1.0
@@ -509,17 +530,16 @@ def test_newton_stall_exits_on_a_fresh_factor():
 
 
 def test_newton_rise_far_above_the_floor_is_not_a_stall():
-    # a step on a fresh reusable factor that raises max|r| far above the
-    # rounding floor does not stop Newton: on r = (sin x0, x1 - x0) from
-    # x = (1.2, 1.2), max|r| goes 0.93 -> 0.98, and Newton converges onto
-    # x0 = pi
+    # a step that raises max|r| far above the rounding floor does not stop
+    # Newton: on r = (sin x0, x1 - x0) from x = (1.2, 1.2), max|r| goes
+    # 0.93 -> 0.98, and Newton converges onto x0 = pi
     seen = []
 
     def system(x):
         r = np.array([math.sin(x[0]), x[1] - x[0]])
         seen.append(float(np.max(np.abs(r))))
         j = sparse.csc_matrix(np.array([[math.cos(x[0]), 0.0], [-1.0, 1.0]]))
-        return r, lambda: (splu(j).solve, True)
+        return r, lambda: splu(j).solve
 
     x, counts = newton(system, np.array([1.2, 1.2]), dde.NEWTON_TOL)
     assert seen[1] > seen[0] > 0.9
@@ -531,8 +551,7 @@ def test_newton_non_finite_residual_is_no_convergence():
     # x^2 + 1 has no real root: from x = 1e-300 the first step lands near
     # -5e299, where the residual overflows to inf
     system = lambda x: (
-        x * x + 1.0, lambda: (splu(sparse.csc_matrix(2.0 * x[:, None])).solve,
-                              True))
+        x * x + 1.0, lambda: splu(sparse.csc_matrix(2.0 * x[:, None])).solve)
     with pytest.raises(NoConvergence, match="residual not finite"):
         newton(system, np.array([1e-300]), dde.NEWTON_TOL)
 
@@ -549,19 +568,19 @@ def _newton_per_step(system, x, solve):
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.01])
-def test_chord_newton_matches_per_step_factoring(eps):
-    # the chord steps reach the same connection as a fresh spsolve at every
-    # step, from the logistic start; measured sup gaps are 2.8e-14 (eps 0)
-    # and 1.1e-16 (eps 0.01), held to 1e-12
+def test_connection_newton_matches_per_step_spsolve(eps):
+    # the block solve at every step reaches the same connection, in as many
+    # steps, as a fresh spsolve at every step, from the logistic start;
+    # measured sup gaps are 1.4e-17 at both eps, held to 1e-12
     _, _, x0, system = dde._zero_to_one_system(5.0, eps, n_per_delay=5)
-    ref, ref_res, _ = _newton_per_step(
+    ref, ref_res, steps = _newton_per_step(
         system, x0,
         lambda j, r: spsolve(sparse.csc_matrix(_dense(j, r.size)), r))
     x, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
     assert ref_res < dde.NEWTON_TOL
     assert counts["residual"] < dde.NEWTON_TOL
     assert np.max(np.abs(x - ref)) < 1e-12
-    assert counts["factorizations"] < counts["newton_steps"]
+    assert counts["newton_steps"] == steps
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.02])
@@ -575,8 +594,7 @@ def test_orbit_newton_solves_every_step_dense(eps):
     ref, ref_res, steps = _newton_per_step(system, x0, np.linalg.solve)
     x, counts = newton(dde._direct(system), x0, dde.NEWTON_TOL)
     assert np.array_equal(x, ref)
-    assert counts == {"residual": ref_res, "newton_steps": steps,
-                      "factorizations": steps}
+    assert counts == {"residual": ref_res, "newton_steps": steps}
 
 
 def test_eps_ladder_doubles_and_bisects_a_failed_step():
@@ -822,12 +840,11 @@ def test_ladder_residuals(ladder_run):
 
 
 def test_ladder_newton_counts(ladder_run):
-    # each warm-started rung takes three steps on one factor; the eps = 0
-    # rung, from the logistic start, refactors once
+    # each warm-started rung takes two steps; the eps = 0 rung, from the
+    # logistic start, four
     sols = ladder_run
     assert all(s["residual"] < dde.NEWTON_TOL for s in sols)
-    assert [s["factorizations"] for s in sols] == [2, 1, 1, 1, 1, 1]
-    assert sum(s["newton_steps"] for s in sols) == 21
+    assert [s["newton_steps"] for s in sols] == [4, 2, 2, 2, 2, 2]
 
 
 def test_ladder_decay_rates(ladder_run):
@@ -971,12 +988,10 @@ def test_connection_block_solve_matches_splu(tau, eps, m):
     tg, z1, x0, system = dde._zero_to_one_system(tau, eps, n_per_delay=m)
     r, jac = system(x0)
     j = jac()
-    solve, reuse = dde._direct(system)(x0)[1]()
-    dx = solve(r)
+    dx = dde._direct(system)(x0)[1]()(r)
     rows, cols = _block_order(tg.size, 1 if eps == 0 else 2)
     ref = splu(_block_jacobian(tg, z1, tau, m, eps, x0[cols]).tocsc(),
                permc_spec="NATURAL").solve(r[rows])
-    assert reuse
     assert np.max(np.abs(dx[cols] - ref)) <= 1e-12 * np.max(np.abs(ref))
     raw = np.max(np.abs(j @ j.solve(r) - r))
     assert (raw > dde.REFINE_TOL * np.max(np.abs(r))) == (tau == 25.0)
@@ -995,9 +1010,7 @@ def test_connection_solve_refines_to_rounding(tau):
     # step brings it to 6.9e-16 and 4.7e-16 |r|
     _, _, x0, system = dde._zero_to_one_system(tau, 0.0)
     r, jac = system(x0)
-    solve, reuse = dde._direct(system)(x0)[1]()
-    assert reuse
-    dx = solve(r)
+    dx = dde._direct(system)(x0)[1]()(r)
     assert np.max(np.abs(jac() @ dx - r)) < 1e-13 * np.max(np.abs(r))
 
 

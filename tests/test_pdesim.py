@@ -260,6 +260,28 @@ def test_run_keeps_positivity_precondition():
         pdesim.run(st, 1.0, dt=0.1)
 
 
+def test_run_halves_the_default_step_under_the_positivity_bound():
+    # u = 30 puts 0.5 / max|1 - K*u| at 0.0172: the default step, one step
+    # of 1.0 to t = 1, halves six times, and the run is then the fixed-dt
+    # run at 1/64 bit for bit
+    st = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
+    ref = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
+    pdesim.run(st, 1.0)
+    pdesim.run(ref, 1.0, dt=1 / 64)
+    assert st.t == ref.t == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(st.u, ref.u)
+    assert st.u.min() >= 0.0
+
+
+def test_run_halving_past_the_step_cap_is_no_convergence(monkeypatch):
+    # six halvings take the one step to 64, over a cap of 32
+    monkeypatch.setattr(pdesim, "MAX_SIM_STEPS", 32)
+    st = small_state(dx=2.0, u0=lambda x: np.full_like(x, 30.0))
+    with pytest.raises(NoConvergence, match=r"positivity violated: .*; "
+                                            r"halving tops 32 steps"):
+        pdesim.run(st, 1.0)
+
+
 # -- the IMEX step against its Laplacian form ------------------------------
 
 def laplacian_form_solver(n, ratio):

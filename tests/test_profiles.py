@@ -495,11 +495,10 @@ def test_newton_failure_raises(monkeypatch, name, value, reason):
 
 
 def test_newton_gmres_solve_follows_the_one_rule():
-    # a GMRES solve is not reusable, so Newton builds one at every step,
-    # and a step that raises max|r| does not stop it: on r = (sin x0,
-    # x1 - x0) from x = (1.2, 1.2), max|r| goes 0.93 -> 0.98, and Newton
-    # converges onto x0 = pi
-    seen = []
+    # Newton builds a GMRES solve at every step, and a step that raises
+    # max|r| does not stop it: on r = (sin x0, x1 - x0) from x = (1.2, 1.2),
+    # max|r| goes 0.93 -> 0.98, and Newton converges onto x0 = pi
+    seen, built = [], []
 
     def system(x):
         r = np.array([math.sin(x[0]), x[1] - x[0]])
@@ -511,13 +510,17 @@ def test_newton_gmres_solve_follows_the_one_rule():
             assert info == 0
             return step
 
-        return r, lambda: (solve, False)
+        def linearize():
+            built.append(1)
+            return solve
+
+        return r, linearize
 
     x, counts = pf.newton(system, np.array([1.2, 1.2]), 1e-12)
     assert seen[1] > seen[0] > 0.9
     assert x[0] == pytest.approx(math.pi, abs=1e-12)
     assert counts["residual"] <= 1e-12
-    assert counts["factorizations"] == counts["newton_steps"] == len(seen) - 1
+    assert counts["newton_steps"] == len(seen) - 1 == len(built)
 
 
 # -- the forcing terms of the front's GMRES solves -------------------------

@@ -57,6 +57,20 @@ def simulate_speed(run):
             and r["u_max"] <= 1.0 + 1e-9), r
 
 
+def wake_halves_default_step(run):
+    # behind the front of delta(s - 5) K*u reaches about 10, so the default
+    # step 0.05 breaks 0.5 / max|1 - K*u| midway and halves; a record every
+    # 0.5 to T 80 all the same
+    r = run.json("speed.json")
+    assert (1.95 <= r["speed"] <= 2.02 and r["n_records"] == 161
+            and r["u_min"] >= 0.0), r
+
+
+def positivity_violated(run):
+    assert run.stderr.startswith("config error: positivity violated: "
+                                 "dt = 0.05 > 0.5/max|1 - K*u|"), run.stderr
+
+
 def loads_neither_signal_nor_interpolate(run):
     # the operator's two recurrences are two dtbsv solves, so the front
     # loads no scipy.signal, and no solver evaluates a profile, so it
@@ -90,14 +104,14 @@ def rungs_converged(run):
     assert rungs and all(r["residual"] < 1e-12 for r in rungs), rungs
 
 
-def chord_ladder(run):
-    # chord steps on one block-triangular linearization per eps rung
+def newton_ladder(run):
+    # one block-triangular linearization per Newton step: four steps from
+    # the logistic start, two on each warm-started eps rung
     rungs_converged(run)
     c = run.json("connect.json")
-    got = (c["eps_ladder"], [r["newton_steps"] for r in c["rungs"]],
-           [r["factorizations"] for r in c["rungs"]])
+    got = (c["eps_ladder"], [r["newton_steps"] for r in c["rungs"]])
     assert got == ([0, 0.001, 0.002, 0.004, 0.008, 0.01],
-                   [6, 3, 3, 3, 3, 3], [2, 1, 1, 1, 1, 1]), got
+                   [4, 2, 2, 2, 2, 2]), got
 
 
 def periodic_to_point(run):
@@ -142,6 +156,16 @@ def orbit_spectrum(run):
     assert abs(r["adjoint_pairing"] - 1) < 1e-6, r["adjoint_pairing"]
 
 
+def gallery_csvs(run):
+    # the script writes through cli.write_csv: a `t,phi` header, and every
+    # value as %.12g writes it
+    for name in ("local_c3", "advanced_c2.5", "delayed_c2.5"):
+        head, *rows = (run.out / f"{name}.csv").read_text().splitlines()
+        cells = [c for row in rows for c in row.split(",")]
+        assert head == "t,phi" and len(cells) == 2 * len(rows) > 1000, name
+        assert all("%.12g" % float(c) == c for c in cells), name
+
+
 def settled_semiwave(run):
     # the approach rate to 1 near its linearized target, and at least
     # P2P_SETTLE_DELAYS delays run after settling
@@ -154,6 +178,13 @@ ROWS = [
     Row("roots", ("roots", "--c", "2.5", "--tau", "5", "--eps", "0.01")),
     # the PDE cross-check with its default (IMEX) stepper
     Row("simulate", ("simulate", "--T", "20"), check=simulate_speed),
+    # with no dt the run keeps the positivity bound by itself; a given dt
+    # that breaks it is the user's, a config error
+    Row("simulate-delayed", ("simulate", "--T", "80"),
+        {"kernel": {"atoms": [{"s": 5.0, "mass": 1.0}]}, "dx": 0.1},
+        check=wake_halves_default_step),
+    Row("simulate-delayed-dt0.05", ("simulate", "--T", "80"),
+        atom(5.0, 0.05, dx=0.1), code=1, check=positivity_violated),
     # the quadrature against K (U(c, K), alpha+-, the monotone-front root)
     # on the asymmetric atom+gaussian kernel, and on the local kernel
     Row("classify-mixed", ("classify", "--c", "3"), MIXED),
@@ -181,7 +212,7 @@ ROWS = [
     Row("connect-mesh-cap", ("connect", "--tau", "5", "--eps", "1e6"),
         code=1, timeout=60),
     Row("connect", ("connect", "--tau", "5", "--eps", "0.01"),
-        check=chord_ladder),
+        check=newton_ladder),
     # the left end of the mesh sits where y ~ 1e-25, and the node-order
     # block solve (kappa's border last) still converges there
     Row("connect-tau45", ("connect", "--tau", "45", "--eps", "0"),
@@ -207,7 +238,8 @@ ROWS = [
     Row("connection_ladder", ("scripts/connection_ladder.py",)),
     Row("orbit_spectrum", ("scripts/orbit_spectrum.py",)),
     Row("speed_refinement", ("scripts/speed_refinement.py",)),
-    Row("front_gallery", ("scripts/front_gallery.py", "--out", "out")),
+    Row("front_gallery", ("scripts/front_gallery.py", "--out", "out"),
+        check=gallery_csvs),
 ]
 
 
