@@ -14,7 +14,7 @@ The orbit (`_orbit_system`, Fourier collocation with unknown period)
 and the zero-to-one connection (`_zero_to_one_system`, trapezoid boxes
 with unknowns and equations ordered node by node, for eps = 0 and
 eps > 0) are maps x -> (residual, Jacobian thunk).  The package's one
-Newton loop, `profiles.newton`, solves both (`_direct`), linearizing
+Newton loop, `solver.newton`, solves both (`_direct`), linearizing
 afresh at every step: the orbit's dense Jacobian by LAPACK; the
 connection's, block lower triangular node by node with a kappa border, as
 a `_ConnectionJacobian` whose solve runs forward one delay block at a time
@@ -40,10 +40,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dtbsv
 
 from . import DomainError, NoConvergence
-from .profiles import Profile, newton
+from .profiles import Profile
+from .solver import dgbmv, dtbsv, newton
 from .spectral import brentq, quad_roots
 
 HOPF_TAU = 1.5 * math.pi

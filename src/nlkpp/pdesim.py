@@ -25,10 +25,10 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import DomainError, NoConvergence
 from .kernels import Kernel, Stencil, convolve, dirac, stencil
+from .solver import dpttrf, dpttrs
 
 
 @dataclass
@@ -36,7 +36,8 @@ class SimState:
     """Mutable simulator state on a uniform mesh over [0, X].
 
     `times`/`fronts` form the recorded history of level-crossing positions
-    used by front_speed.
+    used by front_speed; `dt` and `dt_halvings` are the step the last `run`
+    ended at and how often it halved its default step.
     """
     x: np.ndarray
     u: np.ndarray
@@ -44,6 +45,8 @@ class SimState:
     kernel: Kernel
     times: list = field(default_factory=list)
     fronts: list = field(default_factory=list)
+    dt: float | None = field(default=None, init=False)
+    dt_halvings: int = field(default=0, init=False)
     stencil: Stencil | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -257,7 +260,9 @@ def run(state: SimState, t_end: float, dt: float | None = None,
     """Step the state to t_end by IMEX steps no longer than time_step(dx, dt),
     recording the level-crossing position every record_dt into the state
     history, a default dt halved (Crank-Nicolson refactored) where positivity
-    binds.  Returns (t, u-copy) snapshots at the requested times."""
+    binds (the step and its halvings are left in state.dt and
+    state.dt_halvings).  Returns (t, u-copy) snapshots at the requested
+    times."""
     if t_end <= state.t:
         raise DomainError(f"t_end = {t_end} must exceed current t = {state.t}")
     dx = state.dx
@@ -268,7 +273,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
     solve = _crank_nicolson(state.x.size, dt / (dx * dx))
     record_every = max(1, int(round(record_dt / dt)))
     snaps_left = sorted(snapshots_at)
-    snaps = []
+    snaps, halvings = [], 0
     def record():
         try:
             pos = front_position(state)
@@ -290,7 +295,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
                 raise NoConvergence(
                     f"{err}; halving tops {MAX_SIM_STEPS} steps")
             # the same run and record times in steps of dt/2
-            dt *= 0.5
+            dt, halvings = 0.5 * dt, halvings + 1
             i, n_steps, record_every = 2 * i, 2 * n_steps, 2 * record_every
             solve = _crank_nicolson(state.x.size, dt / (dx * dx))
             continue
@@ -300,6 +305,7 @@ def run(state: SimState, t_end: float, dt: float | None = None,
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             record()
         i += 1
+    state.dt, state.dt_halvings = dt, halvings
     return snaps
 
 
@@ -339,8 +345,9 @@ def measure_speed(kernel: Kernel = None, T: float = 40.0, X: float = 400.0,
     front_at, on [0, X], run to T from time_step(dx, dt) with a snapshot
     every `snap` (0 takes none).  The step count is checked before the grid
     is built, and the snapshot rows (at most MAX_SNAPSHOT_ROWS) before the
-    run.  Returns the fitted speed, the range of u and the record count,
-    with the final `state` and the (t, u) `snapshots`."""
+    run.  Returns the fitted speed, the range of u, the record count and
+    the step taken with its halvings, with the final `state` and the (t, u)
+    `snapshots`."""
     if kernel is None:
         kernel = dirac(0.0)
     step_count(T, time_step(dx, dt))
@@ -358,4 +365,5 @@ def measure_speed(kernel: Kernel = None, T: float = 40.0, X: float = 400.0,
     snaps = run(state, T, dt=dt, snapshots_at=snap_times)
     return {"T": T, "speed": front_speed(state), "u_min": float(state.u.min()),
             "u_max": float(state.u.max()), "n_records": len(state.times),
+            "dt": state.dt, "dt_halvings": state.dt_halvings,
             "state": state, "snapshots": snaps}

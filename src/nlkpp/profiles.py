@@ -1,10 +1,11 @@
 """Wave-profile construction: closed-form upper/lower solutions, the
 integral fixed-point operator between them (a 3-tap right-hand side and
 its two exponential recurrences as two unit-diagonal BLAS band solves, on
-one per-grid `_SumOperator`), the Newton-Krylov front solver
-(started from a coarse damped Picard front where the front oscillates),
-residual diagnostics, and the piecewise toy model's three fronts as closed
-forms with their report (`toy_fronts`).
+one per-grid `_SumOperator`), the Newton-Krylov front solver (the
+package's one Newton loop, `solver.newton`, on `_FrontSystem`'s equations
+and their GMRES solve; started from a coarse damped Picard front where
+the front oscillates), residual diagnostics, and the piecewise toy model's
+three fronts as closed forms with their report (`toy_fronts`).
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import DomainError, InvariantViolation, NoConvergence
 from .kernels import Kernel, convolve, exp_moment, stencil
+from .solver import dgttrf, dgttrs, dtbsv, newton
 from .spectral import f_func, monotone_front_root, quad_roots, toy_steady_roots
 from .regimes import wave_constants
 
@@ -508,12 +507,6 @@ def _front_profile(ctx: WaveContext, upper: Profile, vals: np.ndarray,
     return prof
 
 
-# Newton on fronts, delay-equation orbits and zero-to-one connections: the
-# step cap and the stall floor in units of tol.  The orbit Newton takes
-# up to 38 steps to orbits the slow-oscillation gate then names (tau 9.82,
-# of the 300 delays in [4.75, 30])
-NEWTON_MAX_STEPS = 40
-STALL_FACTOR = 100.0
 # GMRES's relative tolerance per Newton step (Eisenstat & Walker 1996,
 # choice 2): GMRES_ETA_MAX at the first step, then
 # 0.9 (res_k / res_{k-1})^2 clamped to [GMRES_RTOL, GMRES_ETA_MAX], with
@@ -530,42 +523,6 @@ GMRES_RTOL = 1e-6
 GMRES_ETA_MAX = 1e-2
 GMRES_RESTART = 10
 GMRES_MAX_CYCLES = 20
-
-
-def newton(system, x, tol: float):
-    """Newton on a map x -> (r, linearize) to max|r| <= tol, linearizing
-    afresh at every step: linearize() returns solve, solve(r) = J^-1 r.
-    Returns x and counts {residual, newton_steps}.  A step may raise max|r|
-    on its way in (the front of delta(s - 5) at c 2.05, dt 0.01: 3.0e-3 ->
-    4.2e-3 -> converged).  NoConvergence names the exit: diverged (a
-    non-finite residual, a linearize or solve that raises LinAlgError or
-    RuntimeError, or a last max|r| above the first), stalled (a step that
-    does not lower a max|r| already below STALL_FACTOR tol, the rounding
-    floor) or NEWTON_MAX_STEPS steps."""
-    res, stalled = math.inf, False
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for steps in range(NEWTON_MAX_STEPS + 1):
-            r, linearize = system(x)
-            last, res = res, float(np.max(np.abs(r)))
-            first = res if steps == 0 else first
-            if not math.isfinite(res):
-                raise NoConvergence("Newton diverged: residual not finite")
-            if res <= tol:
-                return x, {"residual": res, "newton_steps": steps}
-            stalled = res >= last and last < STALL_FACTOR * tol
-            if stalled or steps == NEWTON_MAX_STEPS:
-                break
-            try:
-                x = x - linearize()(r)
-            except (np.linalg.LinAlgError, RuntimeError) as e:
-                raise NoConvergence(f"Newton diverged: {e}") from e
-    if res > first:
-        raise NoConvergence(f"Newton diverged: max|r| rose from {first:.3g} "
-                            f"to {res:.3g} in {steps} steps")
-    if stalled:
-        raise NoConvergence(f"Newton stalled at residual {last:.3g} (next "
-                            f"step: {res:.3g})")
-    raise NoConvergence(f"Newton hit {steps} steps at max|r| = {res:.3g}")
 
 
 def _g_prime(v, beta: float):
@@ -643,6 +600,8 @@ class _FrontSystem:
         G[0] -= x[i0]
 
         def linearize():
+            # the front is scipy.sparse's one user: loaded at its first solve
+            from scipy.sparse.linalg import LinearOperator, gmres
             res, last = float(np.max(np.abs(G))), self._res
             self._res = res
             eta = GMRES_ETA_MAX if last is None else min(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nlkpp import DomainError, InvariantViolation, NoConvergence, cli, dde
-from nlkpp import kernels, profiles, regimes
+from nlkpp import kernels, profiles, regimes, solver
 
 
 def run_cli(tmp_path, *argv):
@@ -191,7 +191,7 @@ def test_front_converges_after_a_step_that_raises_the_residual(
 def test_front_newton_failure_is_numeric_failure(tmp_path, capsys,
                                                  monkeypatch):
     # a failed Newton solve exits 2 with its own reason: nothing falls back
-    monkeypatch.setattr(cli.profiles, "NEWTON_MAX_STEPS", 1)
+    monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 1)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"kernel": {"atoms": [{"s": -0.5, "mass": 1.0}]},
                                 "dt": 0.02}))
@@ -559,21 +559,27 @@ def test_region_with_a_huge_cap_is_finite(tmp_path):
 
 # a fresh interpreter runs commands and reports the exit codes, the
 # FFT-path convolutions and which heavy scipy subpackages it loaded, right
-# after the import and after the commands
+# after the import and after the commands, and which of scipy.linalg and
+# scipy.sparse it had loaded after the import and after each command
 STARTUP_PROBE = """\
 import json, sys
 HEAVY = ("scipy.optimize", "scipy.fft", "scipy.special", "scipy.signal",
          "scipy.stats", "scipy.interpolate")
-loaded = lambda: [m for m in HEAVY if m in sys.modules]
+LINALG = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+loaded = lambda names=HEAVY: [m for m in names if m in sys.modules]
 import nlkpp.cli
-at_import = loaded()
+at_import, linalg = loaded(), [loaded(LINALG)]
 from nlkpp import kernels
 fft, calls = kernels._fft_convolve, []
 kernels._fft_convolve = lambda *a: calls.append(1) or fft(*a)
 out, commands = sys.argv[1], json.loads(sys.argv[2])
-codes = [nlkpp.cli.main(argv + ["--out", out]) for argv in commands]
+codes = []
+for argv in commands:
+    codes.append(nlkpp.cli.main(argv + ["--out", out]))
+    linalg.append(loaded(LINALG))
 print(json.dumps({"codes": codes, "fft_calls": len(calls),
-                  "at_import": at_import, "loaded": loaded()}))
+                  "at_import": at_import, "loaded": loaded(),
+                  "linalg": linalg}))
 """
 
 
@@ -617,6 +623,10 @@ def test_startup_commands_do_not_load_scipy_signal(tmp_path):
     assert rep["fft_calls"] > 0
     assert rep["at_import"] == []
     assert rep["loaded"] == []
+    # the front's GMRES loads scipy.sparse.linalg at its first solve; the
+    # commands before it load neither scipy.linalg nor scipy.sparse
+    assert rep["linalg"][:4] == [[]] * 4
+    assert "scipy.sparse.linalg" in rep["linalg"][4]
 
 
 def test_delay_commands_do_not_load_scipy_optimize(tmp_path):
@@ -630,6 +640,21 @@ def test_delay_commands_do_not_load_scipy_optimize(tmp_path):
     assert rep["codes"] == [0, 0, 0]
     assert rep["at_import"] == []
     assert rep["loaded"] == []
+
+
+def test_commands_but_front_load_neither_scipy_linalg_nor_sparse(tmp_path):
+    # the six routines come from scipy's extension files (nlkpp.solver),
+    # not through scipy.linalg's package init, and only the front's GMRES
+    # needs scipy.sparse; a silent fallback to scipy.linalg fails here
+    rep = _startup_probe(tmp_path, [
+        ["roots", "--c", "2.5", "--tau", "5"],
+        ["classify", "--c", "3"],
+        ["connect", "--tau", "5", "--eps", "0.01"],
+        ["periodic", "--tau", "5"],
+        ["semiwave", "--tau", "4.8124", "--c", "7", "--proper"],
+        ["simulate", "--T", "15"]])
+    assert rep["codes"] == [0] * 6
+    assert rep["linalg"] == [[]] * 7
 
 
 def test_simulate_speed_json(tmp_path):

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from nlkpp import dde
 from nlkpp import DomainError, NoConvergence
-from nlkpp.profiles import NEWTON_MAX_STEPS, newton
+from nlkpp.solver import NEWTON_MAX_STEPS, newton
 from nlkpp.spectral import quad_roots
 
 TAU = dde.HOPF_TAU + 0.1

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import gmres
 from nlkpp import DomainError, InvariantViolation, NoConvergence
 from nlkpp import kernels as ker
 from nlkpp import profiles as pf
+from nlkpp import solver
 
 from spline import spline
 
@@ -478,17 +479,17 @@ def test_newton_front_converges_past_picard_plateau(picard):
 _WAVE_CONSTANTS = pf.wave_constants
 
 
-@pytest.mark.parametrize("name, value, reason", [
-    ("NEWTON_MAX_STEPS", 1, "front Newton hit 1 steps at max|r| = "),
+@pytest.mark.parametrize("module, name, value, reason", [
+    (solver, "NEWTON_MAX_STEPS", 1, "front Newton hit 1 steps at max|r| = "),
     # the one U/beta/b rule with U(c, K) set to 0.99, beta and b as derived
-    ("wave_constants",
+    (pf, "wave_constants",
      lambda c, k, beta=None: (0.99, *_WAVE_CONSTANTS(c, k, beta)[1:]),
      "Newton-Krylov front exceeds U(c, K) = 0.99"),
 ], ids=["step-cap", "above-bound"])
-def test_newton_failure_raises(monkeypatch, name, value, reason):
+def test_newton_failure_raises(monkeypatch, module, name, value, reason):
     # a failed Newton solve raises with its own reason: no Picard solve at
     # the requested tol stands in for it
-    monkeypatch.setattr(pf, name, value)
+    monkeypatch.setattr(module, name, value)
     ctx = pf.WaveContext(3.0, _mixed_kernel())
     with pytest.raises(NoConvergence, match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)
@@ -516,7 +517,7 @@ def test_newton_gmres_solve_follows_the_one_rule():
 
         return r, linearize
 
-    x, counts = pf.newton(system, np.array([1.2, 1.2]), 1e-12)
+    x, counts = solver.newton(system, np.array([1.2, 1.2]), 1e-12)
     assert seen[1] > seen[0] > 0.9
     assert x[0] == pytest.approx(math.pi, abs=1e-12)
     assert counts["residual"] <= 1e-12
@@ -652,7 +653,7 @@ def test_oscillating_front_failure_raises(monkeypatch, c, s, cap, reason):
 
     monkeypatch.setattr(pf, "picard_front", start)
     if cap is not None:
-        monkeypatch.setattr(pf, "NEWTON_MAX_STEPS", cap)
+        monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", cap)
     ctx = pf.WaveContext(c, ker.dirac(s))
     with pytest.raises(NoConvergence, match=re.escape(reason)):
         pf.solve_front(ctx, dt=0.02)

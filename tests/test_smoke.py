@@ -54,16 +54,17 @@ class Row(NamedTuple):
 def simulate_speed(run):
     r = run.json("speed.json")
     assert (abs(r["speed"] / 2.0 - 1.0) <= 0.05 and r["u_min"] >= 0.0
-            and r["u_max"] <= 1.0 + 1e-9), r
+            and r["u_max"] <= 1.0 + 1e-9 and r["dt_halvings"] == 0), r
 
 
 def wake_halves_default_step(run):
     # behind the front of delta(s - 5) K*u reaches about 10, so the default
-    # step 0.05 breaks 0.5 / max|1 - K*u| midway and halves; a record every
-    # 0.5 to T 80 all the same
+    # step 0.05 breaks 0.5 / max|1 - K*u| midway and halves once; a record
+    # every 0.5 to T 80 all the same
     r = run.json("speed.json")
     assert (1.95 <= r["speed"] <= 2.02 and r["n_records"] == 161
-            and r["u_min"] >= 0.0), r
+            and r["u_min"] >= 0.0 and r["dt"] == 0.025
+            and r["dt_halvings"] == 1), r
 
 
 def positivity_violated(run):
@@ -71,16 +72,31 @@ def positivity_violated(run):
                                  "dt = 0.05 > 0.5/max|1 - K*u|"), run.stderr
 
 
-def loads_neither_signal_nor_interpolate(run):
-    # the operator's two recurrences are two dtbsv solves, so the front
-    # loads no scipy.signal, and no solver evaluates a profile, so it
-    # loads no scipy.interpolate (-X importtime logs every module loaded)
+def imported(run):
+    """The modules a row's interpreter imported (-X importtime logs each)."""
     loaded = {line.rsplit("|", 1)[-1].strip()
               for line in run.stderr.splitlines()
               if line.startswith("import time:")}
-    assert "nlkpp.profiles" in loaded, run.stderr[-2000:]
+    assert "nlkpp.solver" in loaded, run.stderr[-2000:]
+    return loaded
+
+
+def loads_neither_signal_nor_interpolate(run):
+    # the operator's two recurrences are two dtbsv solves, so the front
+    # loads no scipy.signal, and no solver evaluates a profile, so it
+    # loads no scipy.interpolate
+    loaded = imported(run)
     assert "scipy.signal" not in loaded
     assert "scipy.interpolate" not in loaded
+
+
+def loads_no_scipy_linalg(run):
+    # the six BLAS/LAPACK routines come from scipy's extension files, so a
+    # solver command without a front runs no scipy.linalg package init and
+    # loads no scipy.sparse; a silent fallback to scipy.linalg fails here
+    loaded = imported(run)
+    assert "scipy.linalg" not in loaded
+    assert "scipy.sparse" not in loaded
 
 
 def newton_rises_and_converges(run):
@@ -106,12 +122,14 @@ def rungs_converged(run):
 
 def newton_ladder(run):
     # one block-triangular linearization per Newton step: four steps from
-    # the logistic start, two on each warm-started eps rung
+    # the logistic start, two on each warm-started eps rung; and no
+    # scipy.linalg package init on the way
     rungs_converged(run)
     c = run.json("connect.json")
     got = (c["eps_ladder"], [r["newton_steps"] for r in c["rungs"]])
     assert got == ([0, 0.001, 0.002, 0.004, 0.008, 0.01],
                    [4, 2, 2, 2, 2, 2]), got
+    loads_no_scipy_linalg(run)
 
 
 def periodic_to_point(run):
@@ -175,7 +193,8 @@ def settled_semiwave(run):
 
 
 ROWS = [
-    Row("roots", ("roots", "--c", "2.5", "--tau", "5", "--eps", "0.01")),
+    Row("roots", ("roots", "--c", "2.5", "--tau", "5", "--eps", "0.01"),
+        check=loads_no_scipy_linalg, flags=("-X", "importtime")),
     # the PDE cross-check with its default (IMEX) stepper
     Row("simulate", ("simulate", "--T", "20"), check=simulate_speed),
     # with no dt the run keeps the positivity bound by itself; a given dt
@@ -212,7 +231,7 @@ ROWS = [
     Row("connect-mesh-cap", ("connect", "--tau", "5", "--eps", "1e6"),
         code=1, timeout=60),
     Row("connect", ("connect", "--tau", "5", "--eps", "0.01"),
-        check=newton_ladder),
+        check=newton_ladder, flags=("-X", "importtime")),
     # the left end of the mesh sits where y ~ 1e-25, and the node-order
     # block solve (kappa's border last) still converges there
     Row("connect-tau45", ("connect", "--tau", "45", "--eps", "0"),
