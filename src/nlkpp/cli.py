@@ -67,8 +67,6 @@ def _plain(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
 
 

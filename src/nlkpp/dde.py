@@ -6,9 +6,10 @@ spectra of the linearized period map, the normalized periodic adjoint,
 the two connecting orbits, `zero_to_one` (its eps-ladder of rungs) and
 `periodic_to_point` (one forward run), with asymptotic-rate fits, and
 `semiwave`, the semi-wavefront of K = delta(s + tau c) at speed c
-and the one place where eps = 1/c^2 is set.  Orbits are frozen: one at
-eps > 0 keeps its eps = 0 rung as `base`, and the Floquet and adjoint
-routines return their results instead of storing them.
+and the one place where eps = 1/c^2 is set; its profile is a
+`kernels.Profile`, so the module loads none of the front solver.  Orbits
+are frozen: one at eps > 0 keeps its eps = 0 rung as `base`, and the
+Floquet and adjoint routines return their results instead of storing them.
 
 The orbit (`_orbit_system`, Fourier collocation with unknown period)
 and the zero-to-one connection (`_zero_to_one_system`, trapezoid boxes
@@ -27,7 +28,8 @@ Both method-of-steps integrators (the forward run and the Floquet period
 map) step RK4 one block shorter than the delay at a time: the cubic
 delayed lookups of a block read rows written before it, and every row
 sits at the same fractional lag, so they are one fixed-tap stencil on
-row slices (`_lag_taps`).  With the lag known each RK4 step is an affine
+row slices (`_lag_taps`, on the weights `_cubic_weights` gives every cubic
+lookup).  With the lag known each RK4 step is an affine
 map of the current state, its coefficients in closed form
 (`_rk4_gains`, `_rk4_wright`), so a block is one prefix composition of
 its steps' maps (`_scan`: log2 of the block length rounds of array
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DomainError, NoConvergence
-from .profiles import Profile
+from .kernels import Profile
 from .solver import dgbmv, dtbsv, newton
 from .spectral import brentq, quad_roots
 
@@ -208,14 +210,12 @@ def _trig_past(vals: np.ndarray, period: float, s: np.ndarray) -> np.ndarray:
 
 # orbit collocation: samples per period, the spread below which the samples
 # are a flat equilibrium, and the adjoint's singular-value gap; orbit
-# diagnostics: samples per period for the critical points of p' (taken as
-# blocks of CRITICAL_BLOCK consecutive samples), base times per period and
-# samples per delay window for the sign changes
+# diagnostics: samples per period for the critical points of p', base times
+# per period and samples per delay window for the sign changes
 ORBIT_NODES = 64
 ORBIT_FLAT = 1e-8
 ADJOINT_GAP_TOL = 1e-4
 CRITICAL_SAMPLES = 2048
-CRITICAL_BLOCK = 64
 WINDOW_TIMES = 40
 WINDOW_SAMPLES = 400
 
@@ -250,11 +250,9 @@ class PeriodicOrbit:
 
     def critical_points(self) -> int:
         """Number of sign changes of p' over one period."""
-        step = self.period / CRITICAL_SAMPLES
-        dp = _trig_grid(self.values, self.period,
-                        step * CRITICAL_BLOCK * np.arange(
-                            CRITICAL_SAMPLES // CRITICAL_BLOCK),
-                        step * np.arange(CRITICAL_BLOCK), 1).ravel()
+        dp = _trig_steps(self.values, self.period, 0.0,
+                         self.period / CRITICAL_SAMPLES, CRITICAL_SAMPLES,
+                         1)[0]
         return int(np.sum(np.sign(dp[1:]) != np.sign(dp[:-1])))
 
     def delay_window_sign_changes(self):
@@ -354,6 +352,12 @@ def find_periodic(tau: float, eps: float = 0.0) -> PeriodicOrbit:
 
 # -- Floquet spectrum ------------------------------------------------------
 
+def _cubic_weights(f):
+    """Cubic Lagrange weights of rows i0-1 .. i0+2 at fraction f past i0."""
+    return (-f * (f - 1) * (f - 2) / 6, (f * f - 1) * (f - 2) / 2,
+            -f * (f + 1) * (f - 2) / 2, f * (f * f - 1) / 6)
+
+
 def _cubic_rows(z: np.ndarray, idx):
     """Rows of z at an array of fractional indices by cubic Lagrange
     interpolation on the rows i0-1 .. i0+2 around each (i0 = floor(idx)); an
@@ -364,9 +368,8 @@ def _cubic_rows(z: np.ndarray, idx):
     node = f < 1e-12
     # a node reads its own row four times, so it may be the last row
     s = np.where(node, 0, 1)
-    w = (-f * (f - 1) * (f - 2) / 6, (f * f - 1) * (f - 2) / 2,
-         -f * (f + 1) * (f - 2) / 2, f * (f * f - 1) / 6)
-    w = [wj.reshape(wj.shape + (1,) * (z.ndim - 1)) for wj in w]
+    w = [wj.reshape(wj.shape + (1,) * (z.ndim - 1))
+         for wj in _cubic_weights(f)]
     node = node.reshape(w[0].shape)
     val = (w[0] * z[i0 - s] + w[1] * z[i0] + w[2] * z[i0 + s]
            + w[3] * z[i0 + 2 * s])
@@ -386,8 +389,7 @@ def _lag_taps(lag: float):
     x = np.array([0.0, 0.5, 1.0]) - lag
     k = np.floor(x)
     f = x - k
-    w = np.column_stack([-f * (f - 1) * (f - 2) / 6, (f * f - 1) * (f - 2) / 2,
-                         -f * (f + 1) * (f - 2) / 2, f * (f * f - 1) / 6])
+    w = np.column_stack(_cubic_weights(f))
     w[f < 1e-12] = (0.0, 1.0, 0.0, 0.0)
     taps = np.zeros((3, 5))
     # 1 - lag = -lag + 1 exactly, so the offsets' k differ by 0 or 1

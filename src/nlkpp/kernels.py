@@ -12,7 +12,9 @@ cells, with the cell straddling 0 split there.  K * phi is one grid operator,
 phi(t - s) (the stencil) and u(x + s) (`Stencil.reversed`).  Long
 stencils are applied by a numpy FFT product, padded to the next 2·3·5-smooth
 length (`smooth_len`, the length `scipy.fft.next_fast_len` gives a real
-transform).
+transform).  A `Profile`, the one data type of fronts and semi-wavefronts,
+is grid values with the tails that `convolve` and the front's two-sided
+integrals realize.
 """
 from __future__ import annotations
 
@@ -293,6 +295,41 @@ def convolve(st: Stencil, vals, left: float = 0.0, right: float = None,
     out = (np.convolve(window, st.weights, "valid") if st.weights.size <= 128
            else _fft_convolve(st, window))
     return out[n_left - st.hi:][:vals.size]
+
+
+class Profile:
+    """Grid values with declared asymptotic tails.
+
+    The tails are data for the grid operators that realize them
+    (`convolve`, `profiles._two_sided_sum`): left of the grid the
+    profile is left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when
+    left_rate is set, else the constant left_limit; right of it, periodic by
+    `tail_mesh` (one period, uniform) when `tail_period` is given, else the
+    constant right_limit (the last value if None).  No solver evaluates a
+    profile between or beyond its grid points.
+    """
+
+    def __init__(self, t0, dt, values, left_limit=0.0, right_limit=None,
+                 tail_mesh=None, tail_period=None, left_rate=None):
+        self.t0 = float(t0)
+        self.dt = float(dt)
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 1 or self.values.size < 5:
+            raise DomainError("profile needs at least 5 grid values")
+        if (tail_mesh is None) != (tail_period is None) or not (
+                tail_period is None or tail_period > 0):
+            raise DomainError("a periodic tail needs both tail_mesh and "
+                              "tail_period > 0")
+        self.left_limit = left_limit
+        self.right_limit = right_limit
+        self.tail_mesh = None if tail_mesh is None else np.asarray(tail_mesh, float)
+        self.tail_period = tail_period
+        self.left_rate = left_rate
+        self.diagnostics = {}
+
+    @property
+    def grid(self):
+        return self.t0 + self.dt * np.arange(self.values.size)
 
 
 # -- constructors ----------------------------------------------------------

@@ -12,8 +12,9 @@ Laplacian: with M = I - (dt/2) lap, u + (dt/2) lap(u) = 2u - M u, so each
 stage is one solve b -> 2 M^-1 b less u.  Unless a dt is given it takes
 dt = max(0.4 dx^2, min(0.05, 5 dx^2)): never more steps than the explicit
 rule dt = 0.4 dx^2, dt/dx^2 never above 5, and halved where it breaks
-positivity, dt <= 0.5 / max|1 - K*u|.  `step` (explicit midpoint) and
-`local_reference_step` are the oracles the tests compare `run` against.
+positivity, dt <= 0.5 / max|1 - K*u|.  `step` (explicit midpoint) is the
+oracle the tests compare `run` against; they check `step` in turn against
+a local Fisher-KPP step of their own.
 `measure_speed` is the one run from settings to report, the one
 `simulate` writes, under the limits MAX_SIM_NODES, MAX_SIM_STEPS and
 MAX_SNAPSHOT_ROWS.
@@ -323,19 +324,6 @@ def front_speed(state: SimState) -> float:
             f"only {int(keep.sum())} front positions after transient skip; need >= 20")
     slope, _ = np.polyfit(t[keep], p[keep], 1)
     return float(slope)
-
-
-def local_reference_step(state: SimState, dt: float) -> SimState:
-    """Dedicated local Fisher-KPP step (convolution short-circuited to u);
-    identical discretization to step() for K = delta(s)."""
-    if state.stencil is not None:
-        raise DomainError("local reference requires the unit atom at 0")
-    dx = state.dx
-    f0 = _laplacian(state.u, dx) + state.u * (1.0 - state.u)
-    u_half = state.u + 0.5 * dt * f0
-    state.u = state.u + dt * (_laplacian(u_half, dx) + u_half * (1.0 - u_half))
-    state.t += dt
-    return state
 
 
 def measure_speed(kernel: Kernel = None, T: float = 40.0, X: float = 400.0,

@@ -5,7 +5,8 @@ one per-grid `_SumOperator`), the Newton-Krylov front solver (the
 package's one Newton loop, `solver.newton`, on `_FrontSystem`'s equations
 and their GMRES solve; started from a coarse damped Picard front where
 the front oscillates), residual diagnostics, and the piecewise toy model's
-three fronts as closed forms with their report (`toy_fronts`).
+three fronts as closed forms with their report (`toy_fronts`).  Every
+front is a `kernels.Profile`, the type the delay-equation side shares.
 """
 from __future__ import annotations
 
@@ -16,47 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError, InvariantViolation, NoConvergence
-from .kernels import Kernel, convolve, exp_moment, stencil
+from .kernels import Kernel, Profile, convolve, exp_moment, stencil
 from .solver import dgttrf, dgttrs, dtbsv, newton
 from .spectral import f_func, monotone_front_root, quad_roots, toy_steady_roots
 from .regimes import wave_constants
-
-
-# -- profile container -----------------------------------------------------
-
-class Profile:
-    """Grid values with declared asymptotic tails.
-
-    The tails are data for the grid operators that realize them
-    (`kernels.convolve`, `_two_sided_sum`): left of the grid the
-    profile is left_limit + (v[0] - left_limit) e^{left_rate (t - t0)} when
-    left_rate is set, else the constant left_limit; right of it, periodic by
-    `tail_mesh` (one period, uniform) when `tail_period` is given, else the
-    constant right_limit (the last value if None).  No solver evaluates a
-    profile between or beyond its grid points.
-    """
-
-    def __init__(self, t0, dt, values, left_limit=0.0, right_limit=None,
-                 tail_mesh=None, tail_period=None, left_rate=None):
-        self.t0 = float(t0)
-        self.dt = float(dt)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 5:
-            raise DomainError("profile needs at least 5 grid values")
-        if (tail_mesh is None) != (tail_period is None) or not (
-                tail_period is None or tail_period > 0):
-            raise DomainError("a periodic tail needs both tail_mesh and "
-                              "tail_period > 0")
-        self.left_limit = left_limit
-        self.right_limit = right_limit
-        self.tail_mesh = None if tail_mesh is None else np.asarray(tail_mesh, float)
-        self.tail_period = tail_period
-        self.left_rate = left_rate
-        self.diagnostics = {}
-
-    @property
-    def grid(self):
-        return self.t0 + self.dt * np.arange(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -232,7 +196,7 @@ class _SumOperator:
             raise DomainError(f"the integral operator needs a grid of at "
                               f"least 3 points, got {n}")
         E1, E2 = w.E1, w.E2
-        self.w, self.n = w, n
+        self.w = w
         self.taps = np.array([w.q0 - E1 * w.p0,
                               w.q1 - E2 * w.q0 + w.p0 - E1 * w.p1,
                               w.p1 - E2 * w.q1])
@@ -427,7 +391,7 @@ def picard_front(ctx: WaveContext, tol: float = 1e-9,
     """
     upper = kpp_upper_front(ctx, dt)
     h = upper.dt
-    system = _FrontSystem(ctx, h)
+    system = _FrontSystem(ctx, h, upper.values.size)
     vals = upper.values.copy()
     # the order interval [lower, upper] with a mixed tolerance: the sub-grid
     # translation drift produces tiny relative excursions past the
@@ -531,16 +495,15 @@ def _g_prime(v, beta: float):
 
 
 class _FrontSystem:
-    """The front's grid operator A on a grid of step h, with its stencil
-    and cell weights built once and its `_SumOperator` built at the first
-    vector (again when the grid size changes), and the Newton-Krylov
-    equations on it."""
+    """The front's grid operator A on a grid of n points at step h, with
+    its stencil, cell weights and `_SumOperator` built once, and the
+    Newton-Krylov equations on it."""
 
-    def __init__(self, ctx: WaveContext, h: float):
+    def __init__(self, ctx: WaveContext, h: float, n: int):
         self.ctx = ctx
         self.st = stencil(ctx.kernel, h)
         self.w = _cell_weights(ctx.z1, ctx.z2, h)
-        self.op = None
+        self.op = _SumOperator(self.w, n)
         # per Newton step: GMRES's residual norms, and its rtol
         self.gmres_trace, self.gmres_rtols = [], []
         self._res = None  # max|G| at the last linearization
@@ -560,8 +523,7 @@ class _FrontSystem:
         w, z12 = self.w, self.ctx.z12
         E1, E2, q0, q1, p0, p1 = w.E1, w.E2, w.q0, w.q1, w.p0, w.p1
         a0, z2 = self.ctx.lam - w.z1, w.z2
-        op = self._sums(rp.size)
-        lift, taps = op.lift_taps, op.taps
+        lift, taps = self.op.lift_taps, self.op.taps
         sub = lift[0] - taps[0] * rp[:-1]
         diag = lift[1] - taps[1] * rp
         sup = lift[2] - taps[2] * rp[1:]
@@ -575,16 +537,11 @@ class _FrontSystem:
     def _conv(self, v):
         return convolve(self.st, v, 0.0, v[-1], left_rate=self.ctx.lam)
 
-    def _sums(self, n):
-        if self.op is None or self.op.n != n:
-            self.op = _SumOperator(self.w, n)
-        return self.op
-
     def apply(self, v):
         """A(v) with the front's tails: e^{lam t} decay to 0 on the left,
         the constant v[-1] on the right."""
-        return am_core(v, self._conv(v), 0.0, v[-1], self.ctx,
-                       self._sums(v.size), left_rate=self.ctx.lam)
+        return am_core(v, self._conv(v), 0.0, v[-1], self.ctx, self.op,
+                       left_rate=self.ctx.lam)
 
     def equations(self, x, i0):
         """G(v, sigma) = v - A(v) - sigma e_0 and its linearization for
@@ -635,7 +592,7 @@ class _FrontSystem:
         and z12 (z2 y[-1] - E1 (y[-2] - E2 y[-1]))."""
         w, z12 = self.w, self.ctx.z12
         t = np.empty(y.size)
-        t[1:-1] = np.correlate(y, self._sums(y.size).lift_taps, "valid")
+        t[1:-1] = np.correlate(y, self.op.lift_taps, "valid")
         t[0] = (y[0] - w.E2 * y[1]) * (self.ctx.lam - w.z1) * z12
         t[-1] = (w.z2 * y[-1] - w.E1 * (y[-2] - w.E2 * y[-1])) * z12
         return t
@@ -654,7 +611,6 @@ class _FrontSystem:
         loc = ctx.b + _g_prime(v, beta) * (1.0 - self._conv(v))
         vn = v[-1]
         tail = ctx.b + _g_prime(vn, beta) * (1.0 - vn) - g_beta(vn, beta)
-        op = self._sums(v.size)
 
         def jv(u):
             # in place where it can be: these vectors span the whole grid
@@ -663,7 +619,8 @@ class _FrontSystem:
             r = self._conv(u)
             r *= neg_gv
             r += loc * u
-            S = _two_sided_sum(r, 0.0, tail * u[-1], op, left_rate=ctx.lam)
+            S = _two_sided_sum(r, 0.0, tail * u[-1], self.op,
+                               left_rate=ctx.lam)
             S /= ctx.z12
             u -= S
             u[0] -= s
@@ -732,7 +689,7 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     # whose scipy wrapper takes 3 or more rows
     if not 2 < i0 < v.size - 3:
         raise NoConvergence("start has no interior half-level")
-    system = _FrontSystem(ctx, h)
+    system = _FrontSystem(ctx, h, v.size)
     x = v.copy()
     x[i0] = 0.0  # sigma
     try:

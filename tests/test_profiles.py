@@ -271,21 +271,21 @@ def test_two_sided_integrals_need_three_points(n):
 
 
 def test_front_system_builds_its_sum_operator_once_per_grid():
-    # built at the first vector, kept for vectors of its size, rebuilt at
-    # another size; its bands stay Fortran-ordered, since f2py copies a
-    # band of any other layout on every dtbsv call
+    # built with the system, for its one grid, and kept across vectors; its
+    # bands are Fortran-ordered, since f2py copies a band of any other
+    # layout on every dtbsv call
     ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
-    system = pf._FrontSystem(ctx, 0.1)
+    n = 40
+    system = pf._FrontSystem(ctx, 0.1, n)
+    op = system.op
+    assert op.lower.shape == op.upper.shape == (2, n)
+    assert op.lower.flags.f_contiguous and op.upper.flags.f_contiguous
     rng = np.random.default_rng(5)
-    for n in (40, 40, 25, 40):
+    for _ in range(3):
         v = rng.uniform(0.0, 1.0, n)
-        last = system.op
         got = system.apply(v)
-        op = system.op
-        assert (op is last) == (last is not None and last.n == n)
-        assert op.n == n and op.lower.shape == op.upper.shape == (2, n)
-        assert op.lower.flags.f_contiguous and op.upper.flags.f_contiguous
-        assert np.array_equal(got, pf._FrontSystem(ctx, 0.1).apply(v))
+        assert system.op is op
+        assert np.array_equal(got, pf._FrontSystem(ctx, 0.1, n).apply(v))
 
 
 @pytest.mark.parametrize("exp_left_tail", [False, True])
@@ -787,7 +787,8 @@ def test_front_operator_is_am_apply(nested, s, dt):
     assert (prof.left_limit, prof.left_rate) == (0.0, ctx.lam)
     assert prof.right_limit == prof.values[-1]
     assert np.array_equal(pf.am_apply(prof, ctx).values,
-                          pf._FrontSystem(ctx, prof.dt).apply(prof.values))
+                          pf._FrontSystem(ctx, prof.dt, prof.values.size)
+                          .apply(prof.values))
 
 
 # one front whose GMRES solves take one restart cycle and one whose take
@@ -839,7 +840,7 @@ def test_front_jacobian_vector_product_is_exact():
     v = np.minimum(up.values, 1.0)
     i0 = int(np.argmax(v >= 0.5))
     v[i0] = 0.5
-    system = pf._FrontSystem(ctx, up.dt)
+    system = pf._FrontSystem(ctx, up.dt, v.size)
     jv, _ = system.linearize(v, i0)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(v.size) * np.minimum(v, 1e-3)
@@ -863,7 +864,7 @@ def test_front_jacobian_vector_product_matches_wide_difference(seed):
     v = np.minimum(up.values, 1.0)
     i0 = int(np.argmax(v >= 0.5))
     v[i0] = 0.5
-    system = pf._FrontSystem(ctx, up.dt)
+    system = pf._FrontSystem(ctx, up.dt, v.size)
     jv, _ = system.linearize(v, i0)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(v.size) * np.minimum(v, 1e-3)
@@ -881,7 +882,7 @@ def test_preconditioner_tridiagonal_from_the_recurrences():
     # z12 L1 L2 - (L2 R1 + L1 R2) diag(R')
     ctx = pf.WaveContext(2.5, ker.dirac(-0.5))
     n, h = 12, 0.1
-    system = pf._FrontSystem(ctx, h)
+    system = pf._FrontSystem(ctx, h, n)
     w = system.w
     L1 = np.eye(n) - w.E1 * np.eye(n, k=-1)
     L1[0, 0] = ctx.lam - w.z1
@@ -916,7 +917,7 @@ def test_preconditioner_solves_in_place_and_leaves_its_input():
     v = np.minimum(up.values, 1.0)
     i0 = int(np.argmax(v >= 0.5))
     v[i0] = 0.5
-    system = pf._FrontSystem(ctx, up.dt)
+    system = pf._FrontSystem(ctx, up.dt, v.size)
     _, precondition = system.linearize(v, i0)
     y = np.random.default_rng(4).standard_normal(v.size)
     y_in = y.copy()

@@ -7,8 +7,9 @@ in-process `nlkpp.solver` only ever takes the registered modules.  These
 tests start fresh interpreters for the other two paths: loading the files
 by path, and the fallback to `scipy.linalg.blas`/`lapack` when no file is
 found, forced by emptying `importlib.machinery.EXTENSION_SUFFIXES` around
-the package import.  Like tests/test_smoke.py, the module needs pytest
-alone (no hypothesis), so the floors CI job (scipy 1.13) runs it too.
+the package import.  The module also holds the guard on which package
+modules a bare import of each loads.  Like tests/test_smoke.py, it needs
+pytest alone (no hypothesis), so the floors CI job (scipy 1.13) runs it too.
 """
 import json
 import os
@@ -16,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.linalg
 
 from nlkpp import solver
@@ -78,6 +80,15 @@ print(json.dumps({"linalg_loaded": linalg_loaded,
                   "flapack": scipy.linalg.lapack._flapack is solver._flapack}))
 """
 
+# the package modules a bare import of argv[1] loads besides itself
+MODULE_GRAPH = """\
+import importlib, json, sys
+importlib.import_module("nlkpp." + sys.argv[1])
+print(json.dumps(sorted(name.split(".", 1)[1] for name in sys.modules
+                        if name.startswith("nlkpp.")
+                        and name != "nlkpp." + sys.argv[1])))
+"""
+
 
 def _child(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -118,3 +129,27 @@ def test_registered_modules_are_taken_from_sys_modules():
     assert solver._fblas is scipy.linalg.blas._fblas
     assert solver._flapack is scipy.linalg.lapack._flapack
     assert solver._fblas is sys.modules["scipy.linalg._fblas"]
+
+
+# the package modules each module's bare import loads besides itself: the
+# delay-equation side (dde) and the PDE (pdesim) load none of the front
+# solver (profiles, regimes); only cli, which is every command, loads all
+LOADS = {
+    "kernels": [],
+    "solver": [],
+    "spectral": ["kernels"],
+    "regimes": ["kernels", "spectral"],
+    "profiles": ["kernels", "regimes", "solver", "spectral"],
+    "dde": ["kernels", "solver", "spectral"],
+    "pdesim": ["kernels", "solver"],
+}
+
+
+@pytest.mark.parametrize("module", LOADS)
+def test_bare_import_loads_only_its_package_dependencies(module):
+    assert json.loads(_child(MODULE_GRAPH, module)) == LOADS[module]
+
+
+def test_the_import_guard_covers_every_module_but_cli():
+    modules = {p.stem for p in (SRC / "nlkpp").glob("*.py")}
+    assert set(LOADS) == modules - {"__init__", "cli"}
