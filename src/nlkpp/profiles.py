@@ -18,7 +18,7 @@ import numpy as np
 
 from . import DomainError, InvariantViolation, NoConvergence
 from .kernels import Kernel, Profile, convolve, exp_moment, stencil
-from .solver import dgttrf, dgttrs, dtbsv, newton
+from .solver import dgttrf, dgttrs, dtbsv, gmres, newton
 from .spectral import f_func, monotone_front_root, quad_roots, toy_steady_roots
 from .regimes import wave_constants
 
@@ -547,36 +547,30 @@ class _FrontSystem:
         """G(v, sigma) = v - A(v) - sigma e_0 and its linearization for
         `newton`, in the unknowns' layout: x holds v with sigma in slot i0,
         where v[i0] = 1/2 is pinned.  G is a function of x alone.  A
-        linearization solves by preconditioned GMRES to the forcing term
-        eta, set from its max|G| and the previous linearization's (see
-        GMRES_RTOL), and appends eta to `gmres_rtols` and GMRES's trace to
-        `gmres_trace`."""
+        linearization solves by preconditioned GMRES (`solver.gmres`, on
+        `linearize`'s two closures) to the forcing term eta, set from its
+        max|G| and the previous linearization's (see GMRES_RTOL), and
+        appends eta to `gmres_rtols` and GMRES's trace to `gmres_trace`."""
         v = x.copy()
         v[i0] = 0.5
         G = v - self.apply(v)
         G[0] -= x[i0]
 
         def linearize():
-            # the front is scipy.sparse's one user: loaded at its first solve
-            from scipy.sparse.linalg import LinearOperator, gmres
             res, last = float(np.max(np.abs(G))), self._res
             self._res = res
             eta = GMRES_ETA_MAX if last is None else min(
                 GMRES_ETA_MAX, max(GMRES_RTOL, 0.9 * (res / last) ** 2))
-            # a declared dtype spares scipy a probe product of each on zeros
-            a, m = (LinearOperator((v.size,) * 2, matvec=f, dtype=float)
-                    for f in self.linearize(v, i0))
+            jv, precondition = self.linearize(v, i0)
             trace = []
             self.gmres_trace.append(trace)
             self.gmres_rtols.append(eta)
 
             def solve(r):
-                step, info = gmres(a, r, rtol=eta, atol=0.0, M=m,
-                                   restart=GMRES_RESTART,
-                                   maxiter=GMRES_MAX_CYCLES,
-                                   callback=trace.append,
-                                   callback_type="pr_norm")
-                if info != 0:
+                step, converged = gmres(jv, precondition, r, eta,
+                                        GMRES_RESTART, GMRES_MAX_CYCLES,
+                                        trace)
+                if not converged:
                     raise NoConvergence(
                         f"GMRES did not reach rtol={eta:.3g} in "
                         f"Newton-Krylov step {len(self.gmres_trace)}")
@@ -676,7 +670,8 @@ def _newton_front(ctx: WaveContext, v: np.ndarray, h: float, tol: float,
     converges to the order of v[0], about e^{-40}.
 
     `newton` solves to max|G| <= tol by exact Jacobian-vector products and
-    preconditioned GMRES (`_FrontSystem.equations`), an inexact Newton: each
+    preconditioned GMRES (`_FrontSystem.equations`, through `solver.gmres`
+    on `_FrontSystem.linearize`'s two closures), an inexact Newton: each
     step's GMRES stops at its forcing term, 1e-2 at the first step and down
     to GMRES_RTOL as max|G| falls.  Its failure is raised prefixed "front".
     A result that is not positive or above U(c, K), or with `monotone` not

@@ -1,6 +1,8 @@
-"""The solver core: the six BLAS/LAPACK routines the package calls, and its
+"""The solver core: the six BLAS/LAPACK routines the package calls, its
 one Newton loop, `newton` (fronts, delay-equation orbits and zero-to-one
-connections).
+connections), and the front's Krylov solver, `gmres`, whose inner products
+are numpy's pairwise sums, so a front does not depend on the BLAS thread
+count.
 
 `dtbsv`, `dgbmv`, `dgttrf`, `dgttrs`, `dpttrf` and `dpttrs` are scipy's
 f2py wrappers, loaded from its extension files `scipy/linalg/_fblas*.so`
@@ -93,3 +95,96 @@ def newton(system, x, tol: float):
         raise NoConvergence(f"Newton stalled at residual {last:.3g} (next "
                             f"step: {res:.3g})")
     raise NoConvergence(f"Newton hit {steps} steps at max|r| = {res:.3g}")
+
+
+def _norm(w) -> float:
+    return math.sqrt(np.add.reduce(w * w))
+
+
+def gmres(matvec, psolve, b, rtol: float, restart: int, max_cycles: int,
+          trace: list):
+    """Restarted GMRES on A x = b with left preconditioner M, from x = 0,
+    to |b - A x| <= rtol |b| in at most max_cycles cycles of restart inner
+    iterations: scipy 1.17's `gmres` step for step (modified Gram-Schmidt,
+    Givens rotations, the gh-8400 control of the inner tolerance on the
+    preconditioned residual, breakdown at h1 <= eps h0), with each inner
+    iteration's preconditioned residual norm over |b| appended to trace, as
+    scipy's callback_type="pr_norm" reports it.  Every inner product is
+    numpy's pairwise sum, never a BLAS dot, the rotations come from
+    math.hypot, and x gains one basis vector at a time, so the result does
+    not depend on the BLAS thread count.  matvec(u) = A u and
+    psolve(y) = M y return new arrays.  Returns x and whether it
+    converged."""
+    n = b.size
+    x = np.zeros(n)
+    bnrm2 = _norm(b)
+    if bnrm2 == 0.0:
+        return x, True
+    atol, eps = rtol * bnrm2, np.finfo(float).eps
+    restart = min(restart, n)
+    z = psolve(b)  # sets the inner tolerance and starts the first cycle
+    ptol_max_factor = 1.0
+    ptol = _norm(z) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    for cycle in range(max_cycles):
+        if cycle:
+            z = psolve(r)
+        S = np.zeros(restart + 1)
+        S[0] = _norm(z)
+        v[0] = z
+        v[0] *= 1.0 / S[0]
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            h0 = _norm(w)
+            for k in range(col + 1):  # modified Gram-Schmidt
+                h[col, k] = tmp = np.add.reduce(v[k] * w)
+                w -= tmp * v[k]
+            h[col, col + 1] = h1 = _norm(w)
+            v[col + 1] = w
+            if h1 <= eps * h0:  # an invariant Krylov space: x is exact
+                h[col, col + 1] = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1.0 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            f, g = h[col, col], h[col, col + 1]
+            if g == 0.0:
+                c, s, mag = 1.0, 0.0, f
+            else:  # LAPACK dlartg's convention: c >= 0, mag has f's sign
+                mag = math.copysign(math.hypot(f, g), f)
+                c, s = f / mag, g / mag
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0.0
+            S[col], S[col + 1] = c * S[col], -s * S[col]
+            presid = abs(S[col + 1])
+            trace.append(presid / bnrm2)
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangular h, pseudo-solving a zero pivot
+        if h[col, col] == 0.0:
+            S[col] = 0.0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0.0:
+            y[0] /= h[0, 0]
+        for k in range(col + 1):
+            x += y[k] * v[k]
+        r = b - matvec(x)
+        rnorm = _norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the inner test passed but the outer did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, rnorm <= atol

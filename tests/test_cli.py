@@ -623,10 +623,9 @@ def test_startup_commands_do_not_load_scipy_signal(tmp_path):
     assert rep["fft_calls"] > 0
     assert rep["at_import"] == []
     assert rep["loaded"] == []
-    # the front's GMRES loads scipy.sparse.linalg at its first solve; the
-    # commands before it load neither scipy.linalg nor scipy.sparse
-    assert rep["linalg"][:4] == [[]] * 4
-    assert "scipy.sparse.linalg" in rep["linalg"][4]
+    # the front's GMRES is the package's own (nlkpp.solver.gmres), so no
+    # command, either front included, loads scipy.linalg or scipy.sparse
+    assert rep["linalg"] == [[]] * 6
 
 
 def test_delay_commands_do_not_load_scipy_optimize(tmp_path):
@@ -642,19 +641,20 @@ def test_delay_commands_do_not_load_scipy_optimize(tmp_path):
     assert rep["loaded"] == []
 
 
-def test_commands_but_front_load_neither_scipy_linalg_nor_sparse(tmp_path):
+def test_no_command_loads_scipy_linalg_or_sparse(tmp_path):
     # the six routines come from scipy's extension files (nlkpp.solver),
-    # not through scipy.linalg's package init, and only the front's GMRES
-    # needs scipy.sparse; a silent fallback to scipy.linalg fails here
+    # not through scipy.linalg's package init, and the front's GMRES is
+    # nlkpp.solver's own; a silent fallback to scipy.linalg fails here
     rep = _startup_probe(tmp_path, [
         ["roots", "--c", "2.5", "--tau", "5"],
         ["classify", "--c", "3"],
         ["connect", "--tau", "5", "--eps", "0.01"],
         ["periodic", "--tau", "5"],
         ["semiwave", "--tau", "4.8124", "--c", "7", "--proper"],
-        ["simulate", "--T", "15"]])
-    assert rep["codes"] == [0] * 6
-    assert rep["linalg"] == [[]] * 7
+        ["simulate", "--T", "15"],
+        ["front", "--c", "2.5"]])
+    assert rep["codes"] == [0] * 7
+    assert rep["linalg"] == [[]] * 8
 
 
 def test_simulate_speed_json(tmp_path):

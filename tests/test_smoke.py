@@ -91,12 +91,18 @@ def loads_neither_signal_nor_interpolate(run):
 
 
 def loads_no_scipy_linalg(run):
-    # the six BLAS/LAPACK routines come from scipy's extension files, so a
-    # solver command without a front runs no scipy.linalg package init and
-    # loads no scipy.sparse; a silent fallback to scipy.linalg fails here
+    # the six BLAS/LAPACK routines come from scipy's extension files and
+    # the front's GMRES is the package's own, so a solver command runs no
+    # scipy.linalg package init and loads no scipy.sparse; a silent
+    # fallback to scipy.linalg fails here
     loaded = imported(run)
     assert "scipy.linalg" not in loaded
     assert "scipy.sparse" not in loaded
+
+
+def front_imports(run):
+    loads_neither_signal_nor_interpolate(run)
+    loads_no_scipy_linalg(run)
 
 
 def newton_rises_and_converges(run):
@@ -214,8 +220,7 @@ ROWS = [
     # starts from a coarse Picard front on the start's beta ladder
     Row("front-delayed-dt0.005", ("front", "--c", "2.5"), atom(5.0, 0.005)),
     Row("front-delayed", ("front", "--c", "2.5"), atom(5.0, 0.02),
-        check=loads_neither_signal_nor_interpolate,
-        flags=("-X", "importtime")),
+        check=front_imports, flags=("-X", "importtime")),
     Row("front-c2.05", ("front", "--c", "2.05"), atom(5.0, 0.01),
         check=newton_rises_and_converges),
     Row("front-delta6", ("front", "--c", "2.5"), atom(6.0, 0.01),
